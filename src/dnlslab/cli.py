@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--quiet", action="store_true", help="suppress status lines")
         p.add_argument("--jobs", type=int, default=1,
-                       help="concurrent simulations for scans")
+                       help="concurrent (L, N, dt) groups for scans")
     return parser
 
 

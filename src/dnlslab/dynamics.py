@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -124,42 +124,52 @@ def dispersion_symbol(grid: TorusGrid) -> np.ndarray:
     return -1j * grid.k ** 2
 
 
-def _dealias_mask(grid: TorusGrid, dealias: str) -> np.ndarray:
+def _dealias_drop(grid: TorusGrid, dealias: str) -> slice:
+    """The modes the dealiasing rule zeroes, as one slice of FFT order.
+
+    The 2/3 rule drops |m| > N//3 (the complement of grid.dealias_keep): in
+    FFT order the contiguous run N//3 + 1 .. N - N//3 - 1. Zeroing a basic
+    slice costs less per call than the fancy indexing of a boolean mask.
+    """
     if dealias == "two_thirds":
-        return grid.dealias_keep
+        return slice(grid.N // 3 + 1, grid.N - grid.N // 3)
     if dealias == "none":
-        return np.ones(grid.N, dtype=bool)
+        return slice(0, 0)
     raise ValueError(f"dealias must be one of {DEALIAS_CHOICES}, got {dealias!r}")
 
 
-def _nl_dnls1(grid: TorusGrid, mask: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Spectral nonlinear term d/dx(|u|^2 u) of the ungauged flow."""
+def _nl_dnls1(grid: TorusGrid, drop: slice, F: np.ndarray) -> np.ndarray:
+    """Spectral nonlinear term d/dx(|u|^2 u) of the ungauged flow, for spectra
+    of shape (..., N)."""
     u = np.fft.ifft(F)
     cubic = np.fft.fft(np.abs(u) ** 2 * u)
-    cubic[~mask] = 0.0
+    cubic[..., drop] = 0.0
     return grid._ik * cubic
 
 
-def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> float:
-    """Exact int |v|^4 from the raw spectrum via the 2x padded grid."""
-    N = grid.N
-    F2 = np.zeros(2 * N, dtype=np.complex128)
-    F2[: N // 2] = F[: N // 2]
-    F2[2 * N - N // 2 :] = F[N // 2 :]
-    v2 = 2.0 * np.fft.ifft(F2)
-    return float(np.sum(np.abs(v2) ** 4) * (grid.L / (2 * N)))
+def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
+    """Exact int |v|^4 per spectrum of shape (..., N), via the 2x padded grid;
+    shape (..., 1)."""
+    v2 = 2.0 * np.fft.ifft(grid.pad2(F))
+    return np.sum(np.abs(v2) ** 4, axis=-1, keepdims=True) * (grid.L / (2 * grid.N))
 
 
-def _nl_dnls2(grid: TorusGrid, mask: np.ndarray, beta: float, mu_val: float,
-              F: np.ndarray) -> np.ndarray:
-    """Spectral nonlinear term of the gauged flow (everything except i*v_xx)."""
+def _nl_dnls2(grid: TorusGrid, drop: slice, beta: float,
+              mu_val: float | np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
+    for spectra of shape (..., N); mu_val is a scalar or a (..., 1) column."""
     N = grid.N
     v = np.fft.ifft(F)
     vx = np.fft.ifft(grid._ik * F)
     absq = np.abs(v) ** 2
     # Nonlocal coefficient: (beta/L) int [2 Im(v conj(v_x)) + (3/2-2b)|v|^4] + b^2 mu^2
-    im_mom = -(grid.L / N ** 2) * float(np.sum(grid._ik.imag * np.abs(F) ** 2))
-    psi_val = beta / grid.L * (2.0 * im_mom + (1.5 - 2.0 * beta) * _quartic_integral(grid, F))
+    im_mom = -(grid.L / N ** 2) * np.sum(grid._ik.imag * np.abs(F) ** 2,
+                                        axis=-1, keepdims=True)
+    # The quartic factor is exactly 0.0 at beta = 3/4, so the padded transform
+    # is skipped there; fac * 0.0 keeps the arithmetic of the unskipped kernel.
+    fac = 1.5 - 2.0 * beta
+    q = _quartic_integral(grid, F) if fac != 0.0 else 0.0
+    psi_val = beta / grid.L * (2.0 * im_mom + fac * q)
     psi_val += beta * beta * mu_val * mu_val
     nl = (
         2.0 * (1.0 - beta) * absq * vx
@@ -169,24 +179,25 @@ def _nl_dnls2(grid: TorusGrid, mask: np.ndarray, beta: float, mu_val: float,
                 - psi_val * v)
     )
     out = np.fft.fft(nl)
-    out[~mask] = 0.0
+    out[..., drop] = 0.0
     return out
 
 
-def _make_nonlinear(grid: TorusGrid, config: SimConfig,
-                    mu_val: float) -> Callable[[np.ndarray], np.ndarray]:
-    mask = _dealias_mask(grid, config.dealias)
+def _make_nonlinear(grid: TorusGrid, config: SimConfig, mu_val: float | np.ndarray
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    drop = _dealias_drop(grid, config.dealias)
     # At beta = 0 the gauged flow coincides with the ungauged one; sharing the
     # kernel makes the identity exact discretely, not just analytically.
     if config.equation == "dnls1" or (config.equation == "dnls2"
                                       and config.beta == 0.0):
-        return lambda F: _nl_dnls1(grid, mask, F)
-    return lambda F: _nl_dnls2(grid, mask, config.beta, mu_val, F)
+        return lambda F: _nl_dnls1(grid, drop, F)
+    return lambda F: _nl_dnls2(grid, drop, config.beta, mu_val, F)
 
 
 def _ifrk4_step(F: np.ndarray, dt: float, nl: Callable, E1: np.ndarray,
                 E2: np.ndarray) -> np.ndarray:
-    """One integrating-factor RK4 step; E1 = exp(symbol*dt/2), E2 = E1^2."""
+    """One integrating-factor RK4 step of spectra of shape (..., N);
+    E1 = exp(symbol*dt/2), E2 = E1^2."""
     a = nl(F)
     b = nl(E1 * (F + 0.5 * dt * a))
     c = nl(E1 * F + 0.5 * dt * b)
@@ -214,6 +225,8 @@ def _etdrk4_coeffs(symbol: np.ndarray, dt: float, n_contour: int = 32):
 
 
 def _etdrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
+    """One ETDRK4 step of spectra of shape (..., N); the per-mode coefficients
+    broadcast over the leading axes."""
     E, E2, Q, f1, f2, f3 = coeffs
     Nv = nl(F)
     a = E2 * F + Q * Nv
@@ -229,8 +242,8 @@ def rhs_dnls1(u: Field, dealias: str = "two_thirds") -> Field:
     """Full right-hand side du/dt = i*u_xx + d/dx(|u|^2 u)."""
     grid = u.grid
     F = np.fft.fft(u.values)
-    mask = _dealias_mask(grid, dealias)
-    total = dispersion_symbol(grid) * F + _nl_dnls1(grid, mask, F)
+    drop = _dealias_drop(grid, dealias)
+    total = dispersion_symbol(grid) * F + _nl_dnls1(grid, drop, F)
     return Field(grid, np.fft.ifft(total))
 
 
@@ -245,8 +258,8 @@ def rhs_dnls2(v: Field, beta: float, mu_val: float,
         raise ValueError("mu_val must be nonnegative")
     grid = v.grid
     F = np.fft.fft(v.values)
-    mask = _dealias_mask(grid, dealias)
-    total = dispersion_symbol(grid) * F + _nl_dnls2(grid, mask, beta, mu_val, F)
+    drop = _dealias_drop(grid, dealias)
+    total = dispersion_symbol(grid) * F + _nl_dnls2(grid, drop, beta, mu_val, F)
     return Field(grid, np.fft.ifft(total))
 
 
@@ -271,8 +284,10 @@ def step(f: Field, dt: float, rhs: Callable[[Field], Field],
     return Field(grid, np.fft.ifft(F1))
 
 
-def _h1dot_from_spectrum(grid: TorusGrid, F: np.ndarray) -> float:
-    return math.sqrt(grid.L / grid.N ** 2 * float(np.sum(np.abs(grid._ik * F) ** 2)))
+def _h1dot_from_spectrum(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
+    """H^1 seminorm per spectrum of shape (..., N)."""
+    return np.sqrt(grid.L / grid.N ** 2
+                   * np.sum(np.abs(grid._ik * F) ** 2, axis=-1))
 
 
 def simulate(u0: Field, config: SimConfig) -> Trajectory:
@@ -283,54 +298,107 @@ def simulate(u0: Field, config: SimConfig) -> Trajectory:
     H^1 seminorm exceeds guard_factor times its initial value; both carry the
     hit time and the partial trajectory.
     """
-    grid = u0.grid
+    (result,) = simulate_batch([u0], config)
+    if isinstance(result, SimulationError):
+        raise result
+    return result
+
+
+def simulate_batch(u0s: Sequence[Field], config: SimConfig
+                   ) -> list[Trajectory | SimulationError]:
+    """simulate for members that share one grid and one config, stepped
+    together as one (B, N) batch.
+
+    Per member, in order: its Trajectory, or the SimulationError that stopped
+    it, carrying its hit time and partial trajectory. A stopped member leaves
+    the batch and the others carry on. Row for row the arithmetic is that of
+    simulate, so every member's result equals its serial run bit for bit.
+    """
+    grid = u0s[0].grid
+    if any(u0.grid != grid for u0 in u0s):
+        raise ValueError("all members must share one grid")
     n_steps = max(1, math.ceil(config.T / config.dt - 1e-9))
     stride = int(config.record_stride)
-    mu_val = float(np.sum(np.abs(u0.values) ** 2) * grid.dx) / grid.L
 
     kmax = float(np.max(np.abs(grid.k)))
-    sup_sq = float(np.max(np.abs(u0.values) ** 2))
-    if sup_sq > 0 and config.dt > 0.5 / (kmax * sup_sq):
-        warnings.warn(
-            f"dt = {config.dt:g} exceeds the advective heuristic "
-            f"0.5/(k_max*max|u|^2) = {0.5 / (kmax * sup_sq):g}",
-            CflWarning, stacklevel=2)
+    mu_vals = []
+    for u0 in u0s:
+        mu_vals.append(float(np.sum(np.abs(u0.values) ** 2) * grid.dx) / grid.L)
+        sup_sq = float(np.max(np.abs(u0.values) ** 2))
+        if sup_sq > 0 and config.dt > 0.5 / (kmax * sup_sq):
+            warnings.warn(
+                f"dt = {config.dt:g} exceeds the advective heuristic "
+                f"0.5/(k_max*max|u|^2) = {0.5 / (kmax * sup_sq):g}",
+                CflWarning, stacklevel=3)
 
-    nl = _make_nonlinear(grid, config, mu_val)
     symbol = dispersion_symbol(grid)
     if config.integrator == "ifrk4":
         E1 = np.exp(0.5 * config.dt * symbol)
         E2 = E1 * E1
-        advance = lambda F: _ifrk4_step(F, config.dt, nl, E1, E2)
+        advance = lambda F, nl: _ifrk4_step(F, config.dt, nl, E1, E2)
     else:
         coeffs = _etdrk4_coeffs(symbol, config.dt)
-        advance = lambda F: _etdrk4_step(F, nl, coeffs)
+        advance = lambda F, nl: _etdrk4_step(F, nl, coeffs)
 
-    F = np.fft.fft(u0.values)
-    guard0 = _h1dot_from_spectrum(grid, F)
-    guard_limit = config.guard_factor * guard0 if guard0 > 0 else math.inf
+    # A lone member steps as a 1-D spectrum: at small N, broadcasting against
+    # the per-mode coefficients would cost more per call than the arithmetic.
+    values = [u0.values for u0 in u0s]
+    F = np.fft.fft(values[0] if len(values) == 1 else np.stack(values))
+    mu_col = np.array(mu_vals).reshape(F.shape[:-1] + (1,))
+    nl = _make_nonlinear(grid, config, mu_col)
+    guard0 = np.atleast_1d(_h1dot_from_spectrum(grid, F))
+    # A NaN/Inf sample makes the seminorm NaN or Inf. With the limit capped
+    # at the largest float, "h1 <= limit" fails for exactly the rows to stop:
+    # the non-finite ones and those past the guard.
+    guard_limit = np.minimum(
+        np.where(guard0 > 0, config.guard_factor * guard0, math.inf),
+        np.finfo(np.float64).max)
 
-    frames = [(0.0, u0)]
+    members = list(range(len(u0s)))  # member index of each batch row
+    frames = [[(0.0, u0)] for u0 in u0s]
+    results: list = [None] * len(u0s)
     for i in range(1, n_steps + 1):
-        F = advance(F)
+        F = advance(F, nl)
         t = i * config.dt
-        if not np.all(np.isfinite(F)):
-            raise NonFiniteError(
-                f"non-finite sample at t = {t:g} (numerical blowup or instability)",
-                t=t, partial=Trajectory(tuple(frames), config))
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             h1 = _h1dot_from_spectrum(grid, F)
-        if not math.isfinite(h1):
-            raise NonFiniteError(
-                f"H^1 seminorm overflowed at t = {t:g} (numerical blowup or instability)",
-                t=t, partial=Trajectory(tuple(frames), config))
-        if h1 > guard_limit:
-            raise BlowupGuardError(
-                f"H^1 seminorm {h1:g} exceeded guard {guard_limit:g} at t = {t:g}",
-                t=t, h1dot=h1, partial=Trajectory(tuple(frames), config))
+        keep = h1 <= guard_limit
+        if not keep.all():
+            h1 = np.atleast_1d(h1)
+            rows = F.reshape(-1, grid.N)
+            for row in np.flatnonzero(~keep):
+                m = members[row]
+                results[m] = _stop_error(rows[row], float(h1[row]),
+                                         float(guard_limit[row]), t,
+                                         Trajectory(tuple(frames[m]), config))
+            members = [m for m, k in zip(members, keep) if k]
+            if not members:
+                break
+            F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
+            nl = _make_nonlinear(grid, config, mu_col)
         if i % stride == 0 or i == n_steps:
-            frames.append((t, Field(grid, np.fft.ifft(F))))
-    return Trajectory(tuple(frames), config)
+            U = np.fft.ifft(F).reshape(-1, grid.N)
+            for row, m in enumerate(members):
+                frames[m].append((t, Field(grid, U[row])))
+    for m in members:
+        results[m] = Trajectory(tuple(frames[m]), config)
+    return results
+
+
+def _stop_error(F: np.ndarray, h1: float, guard_limit: float, t: float,
+                partial: Trajectory) -> SimulationError:
+    """Why one member stopped at time t, from its spectrum and seminorm."""
+    if not np.all(np.isfinite(F)):
+        return NonFiniteError(
+            f"non-finite sample at t = {t:g} (numerical blowup or instability)",
+            t=t, partial=partial)
+    if not math.isfinite(h1):
+        return NonFiniteError(
+            f"H^1 seminorm overflowed at t = {t:g} (numerical blowup or instability)",
+            t=t, partial=partial)
+    return BlowupGuardError(
+        f"H^1 seminorm {h1:g} exceeded guard {guard_limit:g} at t = {t:g}",
+        t=t, h1dot=h1, partial=partial)
 
 
 def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,

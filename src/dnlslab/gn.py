@@ -163,12 +163,6 @@ def check_gn1(f: Field, delta: float, constant: float = CGN) -> GnAuditRecord:
     return gn1_record(field_norms(f), delta, constant)
 
 
-def extension_profile(f: Field, delta: float) -> ExtensionProfile:
-    """Base-shift f and return the closed-form flap data of its extension."""
-    _, prof = gn0_extension_record(field_norms(f), delta)
-    return prof
-
-
 def check_gn0_on_extension(f: Field, delta: float,
                            constant: float = CGN) -> GnAuditRecord:
     """Audit the line inequality on the flap extension of f."""

@@ -67,17 +67,25 @@ class TorusGrid:
             self._refined = TorusGrid(self.L, 2 * self.N)
         return self._refined
 
+    def pad2(self, F: np.ndarray) -> np.ndarray:
+        """Zero pad spectra of shape (..., N), FFT order, to (..., 2N): modes
+        [-N/2, N/2) keep their place in the spectrum of the 2x refined grid.
+
+        Twice the inverse FFT of the result samples the trigonometric
+        interpolant on the refined grid.
+        """
+        N = self.N
+        F2 = np.zeros(F.shape[:-1] + (2 * N,), dtype=np.complex128)
+        F2[..., : N // 2] = F[..., : N // 2]
+        F2[..., 2 * N - N // 2 :] = F[..., N // 2 :]
+        return F2
+
     def refine2(self, values: np.ndarray) -> np.ndarray:
         """Resample onto the 2x refined grid by zero padding the spectrum.
 
         Exact for the trigonometric interpolant with modes in [-N/2, N/2).
         """
-        N = self.N
-        F = np.fft.fft(values)
-        F2 = np.zeros(2 * N, dtype=np.complex128)
-        F2[: N // 2] = F[: N // 2]
-        F2[2 * N - N // 2 :] = F[N // 2 :]
-        return 2.0 * np.fft.ifft(F2)
+        return 2.0 * np.fft.ifft(self.pad2(np.fft.fft(values)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TorusGrid) and self.L == other.L and self.N == other.N

@@ -15,13 +15,14 @@ import numpy as np
 
 from .config import GnAuditBlock, RunConfig
 from .diagnostics import CaseRecord, case_report
-from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig, Trajectory,
-                       pde_residual, simulate)
+from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
+                       SimulationError, Trajectory, pde_residual, simulate,
+                       simulate_batch)
 from .functionals import ConservedReport, conserved_report, mu
 from .gauge import gauge_profile, gauge_trajectory
 from .gn import (CGN, field_norms, gn0_extension_record, gn1_record,
                  mass_threshold)
-from .grid import Spectrum, TorusGrid
+from .grid import Field, Spectrum, TorusGrid
 from .initial_data import DataSpec, build
 
 EXIT_OK = 0
@@ -76,6 +77,26 @@ def diagnostics_rows(records: list[CaseRecord]) -> list[tuple]:
     return rows
 
 
+def _member_record(result: Trajectory | SimulationError
+                   ) -> tuple[Trajectory, int, str, float | None]:
+    """(trajectory, exit code, exit reason, hit time) of one simulated member;
+    on a guard or non-finite stop, the trajectory is the partial one."""
+    if isinstance(result, BlowupGuardError):
+        return result.partial, EXIT_BLOWUP, "blowup-guard", result.t
+    if isinstance(result, NonFiniteError):
+        return result.partial, EXIT_NONFINITE, "non-finite", result.t
+    return result, EXIT_OK, "ok", None
+
+
+def _simulate_partial(u0: Field, sim: SimConfig
+                      ) -> tuple[Trajectory, int, str, float | None]:
+    try:
+        result = simulate(u0, sim)
+    except (BlowupGuardError, NonFiniteError) as e:
+        result = e
+    return _member_record(result)
+
+
 @dataclass
 class SimOutcome:
     traj: Trajectory | None
@@ -90,13 +111,7 @@ def run_simulation(cfg: RunConfig) -> SimOutcome:
     """Simulate the configured equation from the configured data."""
     grid = grid_of(cfg)
     u0 = build(cfg.data, grid)
-    try:
-        traj = simulate(u0, cfg.sim)
-        code, reason, guard_t = EXIT_OK, "ok", None
-    except BlowupGuardError as e:
-        traj, code, reason, guard_t = e.partial, EXIT_BLOWUP, "blowup-guard", e.t
-    except NonFiniteError as e:
-        traj, code, reason, guard_t = e.partial, EXIT_NONFINITE, "non-finite", e.t
+    traj, code, reason, guard_t = _simulate_partial(u0, cfg.sim)
     reports = [conserved_report(f, t) for t, f in traj.frames]
     return SimOutcome(traj, reports, drift_stats(reports), code, reason, guard_t)
 
@@ -119,15 +134,12 @@ def run_gauge_check(cfg: RunConfig) -> GaugeCheckOutcome:
     u0 = build(cfg.data, grid)
     sim_u = replace(cfg.sim, equation="dnls1")
     sim_v = replace(cfg.sim, equation="dnls2", beta=beta)
-    try:
-        traj_u = simulate(u0, sim_u)
-        traj_v = simulate(gauge_profile(u0, beta), sim_v)
-    except BlowupGuardError:
+    traj_u, code, reason, _ = _simulate_partial(u0, sim_u)
+    if code == EXIT_OK:
+        traj_v, code, reason, _ = _simulate_partial(gauge_profile(u0, beta), sim_v)
+    if code != EXIT_OK:
         return GaugeCheckOutcome([], math.inf, None, cfg.gauge_check.tolerance,
-                                 EXIT_BLOWUP, "blowup-guard")
-    except NonFiniteError:
-        return GaugeCheckOutcome([], math.inf, None, cfg.gauge_check.tolerance,
-                                 EXIT_NONFINITE, "non-finite")
+                                 code, reason)
     gauged = gauge_trajectory(traj_u, beta)
 
     discrepancies = []
@@ -135,9 +147,10 @@ def run_gauge_check(cfg: RunConfig) -> GaugeCheckOutcome:
         diff = vg.values - vs.values
         discrepancies.append(math.sqrt(float(np.sum(np.abs(diff) ** 2)) * grid.dx))
     residuals = [None] * len(gauged.frames)
-    if len(gauged.frames) >= 3:
+    uniform = _uniform_prefix(gauged)
+    if len(uniform.frames) >= 3:
         mu0 = mu(traj_u.frames[0][1])
-        inner = pde_residual(gauged, "dnls2", beta, mu0, cfg.sim.dealias)
+        inner = pde_residual(uniform, "dnls2", beta, mu0, cfg.sim.dealias)
         for i, r in enumerate(inner):
             residuals[i + 1] = float(r)
     rows = [(t, d, r) for (t, _), d, r in zip(gauged.frames, discrepancies, residuals)]
@@ -147,6 +160,17 @@ def run_gauge_check(cfg: RunConfig) -> GaugeCheckOutcome:
     return GaugeCheckOutcome(rows, max_disc, max_res, cfg.gauge_check.tolerance,
                              EXIT_OK if ok else EXIT_VERIFICATION,
                              "ok" if ok else "verification-failed")
+
+
+def _uniform_prefix(traj: Trajectory) -> Trajectory:
+    """traj without its final frame when that frame closes a shorter interval
+    (record_stride not dividing the step count), so the frames left are
+    uniformly spaced."""
+    times = traj.times
+    if len(times) >= 3 and not math.isclose(times[-1] - times[-2],
+                                            times[1] - times[0], rel_tol=1e-9):
+        return Trajectory(traj.frames[:-1], traj.config)
+    return traj
 
 
 def audit_coefficients(block: GnAuditBlock) -> list[np.ndarray]:
@@ -231,24 +255,27 @@ def _scan_frame_stride(n_steps: int) -> int:
     return max(1, n_steps // 100)
 
 
-def run_scan_task(task: ScanTask) -> ScanRunResult:
-    grid = TorusGrid(task.L, task.N)
-    u0 = build(replace(task.data, target_mass=task.target_mass), grid)
-    v0 = gauge_profile(u0, GAUGE_BETA)
-    n_steps = max(1, math.ceil(task.sim.T / task.dt - 1e-9))
-    sim = replace(task.sim, equation="dnls2", beta=GAUGE_BETA, dt=task.dt,
+def run_scan_group(tasks: list[ScanTask]) -> list[ScanRunResult]:
+    """Run scan tasks that share (L, N, dt), stepping their gauged members as
+    one batch; one result per task, in order."""
+    first = tasks[0]
+    grid = TorusGrid(first.L, first.N)
+    v0s = [gauge_profile(build(replace(task.data, target_mass=task.target_mass),
+                               grid), GAUGE_BETA)
+           for task in tasks]
+    n_steps = max(1, math.ceil(first.sim.T / first.dt - 1e-9))
+    sim = replace(first.sim, equation="dnls2", beta=GAUGE_BETA, dt=first.dt,
                   record_stride=_scan_frame_stride(n_steps))
+    results = []
+    for task, member in zip(tasks, simulate_batch(v0s, sim)):
+        traj, exit_code, reason, _ = _member_record(member)
+        results.append(_scan_result(task, traj, exit_code, reason))
+    return results
+
+
+def _scan_result(task: ScanTask, traj: Trajectory, exit_code: int,
+                 reason: str) -> ScanRunResult:
     threshold = mass_threshold(task.L, task.delta)
-    below = task.target_mass < threshold
-
-    exit_code, reason = EXIT_OK, "ok"
-    try:
-        traj = simulate(v0, sim)
-    except BlowupGuardError as e:
-        traj, exit_code, reason = e.partial, EXIT_BLOWUP, "blowup-guard"
-    except NonFiniteError as e:
-        traj, exit_code, reason = e.partial, EXIT_NONFINITE, "non-finite"
-
     reports = [conserved_report(f, t) for t, f in traj.frames]
     drifts = drift_stats(reports)
     records = case_report(traj, task.delta, reports[0])
@@ -262,8 +289,8 @@ def run_scan_task(task: ScanTask) -> ScanRunResult:
     n_case1 = sum(1 for r in records if r.sample.case_tag == "case1")
     n_case2 = sum(1 for r in records if r.sample.case_tag == "case2")
     row = (task.L, task.delta, task.mass_fraction, task.target_mass, threshold,
-           below, max_h1, ratio, drifts["M"], drifts["P"], drifts["Ecal"],
-           n_case1, n_case2, n_violations, reason)
+           task.target_mass < threshold, max_h1, ratio, drifts["M"],
+           drifts["P"], drifts["Ecal"], n_case1, n_case2, n_violations, reason)
     return ScanRunResult(task, row, diagnostics_rows(records), exit_code)
 
 
@@ -291,11 +318,21 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> ScanOutcome:
                 N=pair.N if pair.N is not None else cfg.grid.N,
                 mass_fraction=frac, target_mass=frac * threshold,
                 sim=cfg.sim, data=cfg.data))
+    # Members sharing (L, N, dt) are stepped as one batch; groups keep the
+    # order of their first task, and results go back to task order.
+    groups: dict[tuple, list[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault((task.L, task.N, task.dt), []).append(i)
+    batches = [[tasks[i] for i in idx] for idx in groups.values()]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_scan_task, tasks))
+            done = list(pool.map(run_scan_group, batches))
     else:
-        results = [run_scan_task(t) for t in tasks]
+        done = [run_scan_group(batch) for batch in batches]
+    results = [None] * len(tasks)
+    for idx, group_results in zip(groups.values(), done):
+        for i, res in zip(idx, group_results):
+            results[i] = res
 
     exit_code, reason = EXIT_OK, "ok"
     for res in results:
@@ -326,18 +363,12 @@ def run_diagnose(cfg: RunConfig) -> DiagnoseOutcome:
     """
     grid = grid_of(cfg)
     u0 = build(cfg.data, grid)
-    exit_code, reason = EXIT_OK, "ok"
     gauge_after = cfg.sim.equation == "dnls1"
-    try:
-        if gauge_after:
-            traj = simulate(u0, cfg.sim)
-        else:
-            traj = simulate(gauge_profile(u0, GAUGE_BETA),
-                            replace(cfg.sim, beta=GAUGE_BETA))
-    except BlowupGuardError as e:
-        traj, exit_code, reason = e.partial, EXIT_BLOWUP, "blowup-guard"
-    except NonFiniteError as e:
-        traj, exit_code, reason = e.partial, EXIT_NONFINITE, "non-finite"
+    if gauge_after:
+        traj, exit_code, reason, _ = _simulate_partial(u0, cfg.sim)
+    else:
+        traj, exit_code, reason, _ = _simulate_partial(
+            gauge_profile(u0, GAUGE_BETA), replace(cfg.sim, beta=GAUGE_BETA))
     vtraj = gauge_trajectory(traj, GAUGE_BETA) if gauge_after else traj
 
     reports = [conserved_report(f, t) for t, f in vtraj.frames]

@@ -1,0 +1,208 @@
+"""Batched (B, N) stepping against serial runs, bit for bit."""
+
+import math
+import warnings
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from dnlslab import (BlowupGuardError, Field, NonFiniteError, SimConfig,
+                     TorusGrid, simulate)
+from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
+from dnlslab.dynamics import (_dealias_drop, _etdrk4_coeffs, _etdrk4_step,
+                              _ifrk4_step, _nl_dnls1, _nl_dnls2,
+                              _quartic_integral, dispersion_symbol,
+                              simulate_batch)
+from dnlslab.harness import run_threshold_scan
+from dnlslab.initial_data import DataSpec
+
+from conftest import random_band_field
+
+TWO_PI = 2 * math.pi
+
+
+@pytest.fixture
+def grid():
+    return TorusGrid(TWO_PI, 32)
+
+
+@pytest.fixture
+def members(grid):
+    rng = np.random.default_rng(7)
+    return [random_band_field(grid, rng, band=4, scale=s) for s in (0.1, 0.4, 0.8)]
+
+
+def serial(u0s, config):
+    out = []
+    for u0 in u0s:
+        try:
+            out.append(simulate(u0, config))
+        except (BlowupGuardError, NonFiniteError) as e:
+            out.append(e)
+    return out
+
+
+def assert_same_trajectory(a, b):
+    assert len(a.frames) == len(b.frames)
+    for (ta, fa), (tb, fb) in zip(a.frames, b.frames):
+        assert ta == tb
+        assert np.array_equal(fa.values, fb.values)
+
+
+def assert_same_results(batched, serial_runs):
+    for got, want in zip(batched, serial_runs, strict=True):
+        assert type(got) is type(want)
+        if isinstance(want, (BlowupGuardError, NonFiniteError)):
+            assert str(got) == str(want)
+            assert got.t == want.t
+            assert_same_trajectory(got.partial, want.partial)
+        else:
+            assert_same_trajectory(got, want)
+
+
+def unskipped_nl_dnls2(grid, beta, mu_val, F):
+    """The gauged kernel with the quartic integral always computed, serial."""
+    N = grid.N
+    v = np.fft.ifft(F)
+    vx = np.fft.ifft(grid._ik * F)
+    absq = np.abs(v) ** 2
+    im_mom = -(grid.L / N ** 2) * float(np.sum(grid._ik.imag * np.abs(F) ** 2))
+    F2 = np.zeros(2 * N, dtype=np.complex128)
+    F2[: N // 2] = F[: N // 2]
+    F2[2 * N - N // 2:] = F[N // 2:]
+    v2 = 2.0 * np.fft.ifft(F2)
+    quartic = float(np.sum(np.abs(v2) ** 4) * (grid.L / (2 * N)))
+    psi_val = beta / grid.L * (2.0 * im_mom + (1.5 - 2.0 * beta) * quartic)
+    psi_val += beta * beta * mu_val * mu_val
+    nl = (2.0 * (1.0 - beta) * absq * vx
+          + (1.0 - 2.0 * beta) * v * v * np.conj(vx)
+          - 1j * (beta * mu_val * absq * v
+                  + beta * (0.5 - beta) * absq ** 2 * v
+                  - psi_val * v))
+    out = np.fft.fft(nl)
+    out[~grid.dealias_keep] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),
+                                           ("dnls2", 0.5), ("dnls2", 0.0)])
+def test_batch_equals_serial(members, integrator, equation, beta):
+    config = SimConfig(dt=1e-3, T=0.05, record_stride=7, equation=equation,
+                       beta=beta, integrator=integrator)
+    assert_same_results(simulate_batch(members, config), serial(members, config))
+
+
+@pytest.mark.parametrize("beta", [0.75, 0.5, 0.0])
+def test_kernels_and_steps_act_row_by_row(grid, members, beta):
+    drop = _dealias_drop(grid, "two_thirds")
+    F = np.fft.fft(np.stack([u.values for u in members]))
+    mu = np.array([[0.3], [1.1], [2.0]])
+    assert np.array_equal(_nl_dnls1(grid, drop, F),
+                          np.stack([_nl_dnls1(grid, drop, row) for row in F]))
+    rows = [_nl_dnls2(grid, drop, beta, float(m), row) for m, row in zip(mu[:, 0], F)]
+    assert np.array_equal(_nl_dnls2(grid, drop, beta, mu, F), np.stack(rows))
+    assert np.array_equal(_quartic_integral(grid, F)[:, 0],
+                          [_quartic_integral(grid, row)[0] for row in F])
+
+    dt = 1e-3
+    symbol = dispersion_symbol(grid)
+    E1 = np.exp(0.5 * dt * symbol)
+    coeffs = _etdrk4_coeffs(symbol, dt)
+    batched_nl = lambda G: _nl_dnls2(grid, drop, beta, mu, G)
+    for one_step in (lambda G, nl: _ifrk4_step(G, dt, nl, E1, E1 * E1),
+                     lambda G, nl: _etdrk4_step(G, nl, coeffs)):
+        batched = one_step(F, batched_nl)
+        for m, row, got in zip(mu[:, 0], F, batched):
+            row_nl = lambda G, m=float(m): _nl_dnls2(grid, drop, beta, m, G)
+            assert np.array_equal(got, one_step(row, row_nl))
+
+
+@pytest.mark.parametrize("N", [8, 10, 12, 32, 128, 256])
+def test_dealias_slice_drops_what_dealias_keep_drops(N):
+    grid = TorusGrid(TWO_PI, N)
+    for dealias, want in (("two_thirds", grid.dealias_keep),
+                          ("none", np.ones(N, dtype=bool))):
+        kept = np.ones(N, dtype=bool)
+        kept[_dealias_drop(grid, dealias)] = False
+        assert np.array_equal(kept, want)
+
+
+def test_quartic_skip_at_three_quarters_equals_unskipped_kernel(grid, members):
+    drop = _dealias_drop(grid, "two_thirds")
+    for u in members:
+        F = np.fft.fft(u.values)
+        for mu_val in (0.0, 0.7):
+            assert np.array_equal(_nl_dnls2(grid, drop, 0.75, mu_val, F),
+                                  unskipped_nl_dnls2(grid, 0.75, mu_val, F))
+
+
+def test_pad2_is_the_refine2_pad_on_the_trailing_axis(grid, members):
+    F = np.fft.fft(np.stack([u.values for u in members]))
+    padded = grid.pad2(F)
+    for u, row in zip(members, padded):
+        assert np.array_equal(grid.refine2(u.values), 2.0 * np.fft.ifft(row))
+        assert np.array_equal(row, grid.pad2(np.fft.fft(u.values)))
+
+
+def test_stopped_members_leave_the_batch_and_the_rest_carry_on(grid, members):
+    heavy = random_band_field(grid, np.random.default_rng(7), band=4, scale=2.0)
+    wild = Field(grid, members[0].values * 1e100)
+    u0s = [members[0], heavy, members[1], wild, members[2]]
+    config = SimConfig(dt=1e-3, T=0.2, record_stride=3, equation="dnls2",
+                       guard_factor=1.5)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        batched = simulate_batch(u0s, config)
+        want = serial(u0s, config)
+    assert [type(r).__name__ for r in batched] == [
+        "Trajectory", "BlowupGuardError", "Trajectory", "NonFiniteError",
+        "Trajectory"]
+    assert len(batched[1].partial.frames) > 1
+    assert batched[1].t < config.T
+    assert_same_results(batched, want)
+
+
+def test_members_must_share_one_grid(members):
+    other = random_band_field(TorusGrid(TWO_PI, 64), np.random.default_rng(1))
+    with pytest.raises(ValueError):
+        simulate_batch([members[0], other], SimConfig(dt=1e-3, T=0.01))
+
+
+def scan_config():
+    # pairs 0 and 2 share (L, N, dt) and form one batch around pair 1
+    return RunConfig(
+        sim=SimConfig(dt=1e-3, T=0.02, equation="dnls2"),
+        data=DataSpec(kind="multimode", modes=(1, 2, -1),
+                      amplitudes=(1.0, 0.4, 0.3), seed=5),
+        threshold_scan=ThresholdScanBlock(
+            mass_fractions=(0.5, 0.9),
+            pairs=(ScanPair(L=TWO_PI, delta=1.0, N=32),
+                   ScanPair(L=1.0, delta=0.1, dt=1e-4, N=32),
+                   ScanPair(L=TWO_PI, delta=0.5, N=32))))
+
+
+def test_scan_groups_keep_task_order_and_equal_serial_members():
+    cfg = scan_config()
+    outcome = run_threshold_scan(cfg)
+    assert [(r.summary_row[0], r.summary_row[1], r.summary_row[2])
+            for r in outcome.results] == [
+        (TWO_PI, 1.0, 0.5), (TWO_PI, 1.0, 0.9), (1.0, 0.1, 0.5),
+        (1.0, 0.1, 0.9), (TWO_PI, 0.5, 0.5), (TWO_PI, 0.5, 0.9)]
+    for res in outcome.results:
+        one = run_threshold_scan(replace(cfg, threshold_scan=ThresholdScanBlock(
+            mass_fractions=(res.task.mass_fraction,),
+            pairs=(ScanPair(L=res.task.L, delta=res.task.delta, dt=res.task.dt,
+                            N=res.task.N),))))
+        assert one.results[0].summary_row == res.summary_row
+        assert one.results[0].diagnostics == res.diagnostics
+
+
+def test_scan_jobs_do_not_change_results():
+    cfg = scan_config()
+    a = run_threshold_scan(cfg, jobs=1)
+    b = run_threshold_scan(cfg, jobs=2)
+    assert [r.summary_row for r in a.results] == [r.summary_row for r in b.results]
+    assert [r.diagnostics for r in a.results] == [r.diagnostics for r in b.results]
+    assert (a.exit_code, a.exit_reason) == (b.exit_code, b.exit_reason)

@@ -135,6 +135,22 @@ class TestGaugeCheckCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["gauge-check", "--config", cfg, "--quiet"]) == 5
 
+    def test_stride_not_dividing_step_count(self, tmp_path):
+        shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                               "gauge_check.json")
+        with open(shipped) as fh:
+            doc = json.load(fh)
+        doc["sim"].update(T=0.0105, record_stride=10)  # 105 steps
+        doc["outputs"]["dir"] = str(tmp_path / "out")
+        cfg = write_config(tmp_path, doc)
+        assert main(["gauge-check", "--config", cfg, "--quiet"]) == 0
+        lines = (tmp_path / "out" / "gauge_check.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 12  # t = 0, 0.001, ..., 0.01, 0.0105
+        residuals = [r[2] for r in rows]
+        assert residuals[0] == residuals[-2] == residuals[-1] == ""
+        assert all(residuals[1:-2])
+
 
 class TestGnAuditCommand:
     def test_small_audit_passes(self, tmp_path):
