@@ -78,8 +78,9 @@ def _cmd_gauge_check(cfg: RunConfig, out_dir: str, quiet: bool, jobs: int) -> in
                                    max_discrepancy=outcome.max_discrepancy,
                                    max_residual=outcome.max_residual,
                                    tolerance=outcome.tolerance))
+    disc = outcome.max_discrepancy
     _say(quiet, f"gauge-check: {outcome.exit_reason}, "
-                f"max discrepancy {outcome.max_discrepancy:.3e} "
+                f"max discrepancy {'n/a' if disc is None else f'{disc:.3e}'} "
                 f"(tolerance {outcome.tolerance:g})")
     return outcome.exit_code
 

@@ -1,16 +1,22 @@
 """Run configuration: strict JSON-compatible schema with round-trip parsing.
 
-Unknown keys anywhere in the document are rejected before any computation.
+The schema is the dataclasses below, dynamics.SimConfig and
+initial_data.DataSpec; parsing and the canonical echo derive from their fields
+and annotations. Unknown keys anywhere are rejected before any computation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 from .dynamics import SimConfig
-from .initial_data import DataSpec
+from .grid import MIN_NODES
+from .initial_data import DataSpec, _check_band
 
 
 class ConfigError(ValueError):
@@ -78,281 +84,108 @@ class RunConfig:
 
 FORMAT_CHOICES = ("csv", "json", "frames", "plot")
 
-_MISSING = object()
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _expect_mapping(obj, path):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(obj).__name__}")
-
-
-def _reject_unknown(d: dict, known, path):
-    unknown = set(d) - set(known)
+def _parse_block(cls, doc, path, default):
+    """Build cls from a JSON object by its fields and annotations; absent keys
+    keep the value in default (or the class default when default is None)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(doc).__name__}")
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+    kw = {}
+    for f in fields(cls):
+        key = f"{path}.{f.name}"
+        if f.name in doc:  # a block field is addressed by its own name
+            tp = _type_hints(cls)[f.name]
+            kw[f.name] = _coerce(tp, doc[f.name], f.name if is_dataclass(tp) else key,
+                                 getattr(default, f.name, None))
+        elif default is None and f.default is MISSING:
+            raise ConfigError(f"{key}: required")
+    try:
+        return cls(**kw) if default is None else replace(default, **kw)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
-def _get_float(d, key, path, default=_MISSING, allow_none=False):
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if v is None and allow_none:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _get_int(d, key, path, default=_MISSING):
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    return v
-
-
-def _get_str(d, key, path, default=_MISSING, choices=None):
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {v!r}")
-    if choices is not None and v not in choices:
-        raise ConfigError(f"{path}.{key}: expected one of {choices}, got {v!r}")
-    return v
-
-
-def _get_bool(d, key, path, default=_MISSING):
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected a boolean, got {v!r}")
-    return v
-
-
-def _get_list(d, key, path, default=_MISSING):
-    if key not in d:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = d[key]
-    if not isinstance(v, list):
-        raise ConfigError(f"{path}.{key}: expected a list, got {v!r}")
-    return v
-
-
-def _float_tuple(items, path):
-    out = []
-    for i, v in enumerate(items):
+def _coerce(tp, v, path, default=None):
+    """Check one JSON value against the annotation tp and convert it."""
+    if is_dataclass(tp):
+        return _parse_block(tp, v, path, default)
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        inner, _ = typing.get_args(tp)
+        return None if v is None else _coerce(inner, v, path)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(v, list):
+            raise ConfigError(f"{path}: expected a list, got {v!r}")
+        item = typing.get_args(tp)[0]
+        return tuple(_coerce(item, x, f"{path}[{i}]") for i, x in enumerate(v))
+    if tp is float:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a number, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
+            raise ConfigError(f"{path}: expected a number, got {v!r}")
+        if not math.isfinite(v):
+            raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+        return float(v)
+    what = {int: "an integer", str: "a string", bool: "a boolean"}[tp]
+    if not isinstance(v, tp) or (tp is int and isinstance(v, bool)):
+        raise ConfigError(f"{path}: expected {what}, got {v!r}")
+    return v
 
 
-def _int_tuple(items, path):
-    out = []
-    for i, v in enumerate(items):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{path}[{i}]: expected an integer, got {v!r}")
-        out.append(v)
-    return tuple(out)
+def _even_nodes(N: int) -> bool:
+    return N >= MIN_NODES and N % 2 == 0
+
+
+def _check_ranges(cfg: RunConfig) -> None:
+    """Range and cross-block checks that the field types do not express."""
+    ga, ts = cfg.gn_audit, cfg.threshold_scan
+    checks = [
+        (cfg.grid.L > 0, "grid.L: must be positive"),
+        (_even_nodes(cfg.grid.N), "grid.N: must be an even integer >= 8"),
+        (cfg.delta > 0, "delta: must be positive"),
+        (cfg.data.seed >= 0, "data.seed: must be >= 0"),
+        (cfg.gauge_check.tolerance > 0, "gauge_check.tolerance: must be positive"),
+        (ga.num_fields >= 1, "gn_audit.num_fields: must be >= 1"),
+        (all(L > 0 for L in ga.L_values), "gn_audit.L_values: must be positive"),
+        (all(d > 0 for d in ga.delta_values), "gn_audit.delta_values: must be positive"),
+        (_even_nodes(ga.N), "gn_audit.N: must be an even integer >= 8"),
+        (ga.corrupt_constant > 0, "gn_audit.corrupt_constant: must be positive"),
+        (ga.seed >= 0, "gn_audit.seed: must be >= 0"),
+        (all(fr > 0 for fr in ts.mass_fractions),
+         "threshold_scan.mass_fractions: must be positive"),
+    ]
+    checks += [(fmt in FORMAT_CHOICES,
+                f"outputs.formats[{i}]: expected one of {FORMAT_CHOICES}, got {fmt!r}")
+               for i, fmt in enumerate(cfg.outputs.formats)]
+    for i, p in enumerate(ts.pairs):
+        path = f"threshold_scan.pairs[{i}]"
+        checks += [
+            (p.L > 0 and p.delta > 0, f"{path}: L and delta must be positive"),
+            (p.dt is None or 0 < p.dt <= cfg.sim.T, f"{path}.dt: must be in (0, sim.T]"),
+            (p.N is None or _even_nodes(p.N), f"{path}.N: must be an even integer >= 8"),
+        ]
+    failed = next((msg for ok, msg in checks if not ok), None)
+    if failed:
+        raise ConfigError(failed)
+    try:
+        for N in [cfg.grid.N] + [p.N or cfg.grid.N for p in ts.pairs]:
+            _check_band(cfg.data, N)
+    except ValueError as e:
+        raise ConfigError(f"data: {e}") from e
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document and build a RunConfig."""
-    _expect_mapping(doc, "config")
-    _reject_unknown(doc, ("grid", "sim", "data", "delta", "outputs",
-                          "gauge_check", "gn_audit", "threshold_scan"), "config")
-    defaults = RunConfig()
-
-    g = doc.get("grid", {})
-    _expect_mapping(g, "grid")
-    _reject_unknown(g, ("L", "N"), "grid")
-    grid = GridBlock(L=_get_float(g, "L", "grid", defaults.grid.L),
-                     N=_get_int(g, "N", "grid", defaults.grid.N))
-    if grid.L <= 0:
-        raise ConfigError("grid.L: must be positive")
-    if grid.N < 8 or grid.N % 2:
-        raise ConfigError("grid.N: must be an even integer >= 8")
-
-    s = doc.get("sim", {})
-    _expect_mapping(s, "sim")
-    _reject_unknown(s, ("dt", "T", "record_stride", "dealias", "integrator",
-                        "equation", "beta", "seed", "guard_factor"), "sim")
-    ds = defaults.sim
-    try:
-        sim = SimConfig(
-            dt=_get_float(s, "dt", "sim", ds.dt),
-            T=_get_float(s, "T", "sim", ds.T),
-            record_stride=_get_int(s, "record_stride", "sim", ds.record_stride),
-            dealias=_get_str(s, "dealias", "sim", ds.dealias),
-            integrator=_get_str(s, "integrator", "sim", ds.integrator),
-            equation=_get_str(s, "equation", "sim", ds.equation),
-            beta=_get_float(s, "beta", "sim", ds.beta),
-            seed=_get_int(s, "seed", "sim", ds.seed),
-            guard_factor=_get_float(s, "guard_factor", "sim", ds.guard_factor),
-        )
-    except ValueError as e:
-        raise ConfigError(f"sim: {e}") from e
-
-    d = doc.get("data", {})
-    _expect_mapping(d, "data")
-    _reject_unknown(d, ("kind", "amplitude", "mode", "modes", "amplitudes",
-                        "width", "center", "target_mass", "seed"), "data")
-    dd = defaults.data
-    try:
-        data = DataSpec(
-            kind=_get_str(d, "kind", "data", dd.kind),
-            amplitude=_get_float(d, "amplitude", "data", dd.amplitude),
-            mode=_get_int(d, "mode", "data", dd.mode),
-            modes=_int_tuple(_get_list(d, "modes", "data", list(dd.modes)), "data.modes"),
-            amplitudes=_float_tuple(
-                _get_list(d, "amplitudes", "data", list(dd.amplitudes)), "data.amplitudes"),
-            width=_get_float(d, "width", "data", dd.width),
-            center=_get_float(d, "center", "data", dd.center),
-            target_mass=_get_float(d, "target_mass", "data", dd.target_mass,
-                                   allow_none=True),
-            seed=_get_int(d, "seed", "data", dd.seed),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"data: {e}") from e
-
-    delta = _get_float(doc, "delta", "config", defaults.delta)
-    if delta <= 0:
-        raise ConfigError("delta: must be positive")
-
-    o = doc.get("outputs", {})
-    _expect_mapping(o, "outputs")
-    _reject_unknown(o, ("dir", "formats"), "outputs")
-    formats = _get_list(o, "formats", "outputs", list(defaults.outputs.formats))
-    for i, fmt in enumerate(formats):
-        if fmt not in FORMAT_CHOICES:
-            raise ConfigError(
-                f"outputs.formats[{i}]: expected one of {FORMAT_CHOICES}, got {fmt!r}")
-    outputs = OutputsBlock(dir=_get_str(o, "dir", "outputs", defaults.outputs.dir),
-                           formats=tuple(formats))
-
-    gc = doc.get("gauge_check", {})
-    _expect_mapping(gc, "gauge_check")
-    _reject_unknown(gc, ("beta", "tolerance"), "gauge_check")
-    gauge_check = GaugeCheckBlock(
-        beta=_get_float(gc, "beta", "gauge_check", defaults.gauge_check.beta),
-        tolerance=_get_float(gc, "tolerance", "gauge_check",
-                             defaults.gauge_check.tolerance))
-    if gauge_check.tolerance <= 0:
-        raise ConfigError("gauge_check.tolerance: must be positive")
-
-    ga = doc.get("gn_audit", {})
-    _expect_mapping(ga, "gn_audit")
-    _reject_unknown(ga, ("num_fields", "L_values", "delta_values", "N", "max_mode",
-                         "seed", "corrupt_constant", "include_zero_field"), "gn_audit")
-    dga = defaults.gn_audit
-    gn_audit = GnAuditBlock(
-        num_fields=_get_int(ga, "num_fields", "gn_audit", dga.num_fields),
-        L_values=_float_tuple(_get_list(ga, "L_values", "gn_audit",
-                                        list(dga.L_values)), "gn_audit.L_values"),
-        delta_values=_float_tuple(_get_list(ga, "delta_values", "gn_audit",
-                                            list(dga.delta_values)), "gn_audit.delta_values"),
-        N=_get_int(ga, "N", "gn_audit", dga.N),
-        max_mode=_get_int(ga, "max_mode", "gn_audit", dga.max_mode),
-        seed=_get_int(ga, "seed", "gn_audit", dga.seed),
-        corrupt_constant=_get_float(ga, "corrupt_constant", "gn_audit",
-                                    dga.corrupt_constant),
-        include_zero_field=_get_bool(ga, "include_zero_field", "gn_audit",
-                                     dga.include_zero_field),
-    )
-    if gn_audit.num_fields < 1:
-        raise ConfigError("gn_audit.num_fields: must be >= 1")
-    if any(L <= 0 for L in gn_audit.L_values):
-        raise ConfigError("gn_audit.L_values: must be positive")
-    if any(dv <= 0 for dv in gn_audit.delta_values):
-        raise ConfigError("gn_audit.delta_values: must be positive")
-    if gn_audit.corrupt_constant <= 0:
-        raise ConfigError("gn_audit.corrupt_constant: must be positive")
-
-    ts = doc.get("threshold_scan", {})
-    _expect_mapping(ts, "threshold_scan")
-    _reject_unknown(ts, ("mass_fractions", "pairs"), "threshold_scan")
-    dts = defaults.threshold_scan
-    fractions = _float_tuple(_get_list(ts, "mass_fractions", "threshold_scan",
-                                       list(dts.mass_fractions)),
-                             "threshold_scan.mass_fractions")
-    if any(fr <= 0 for fr in fractions):
-        raise ConfigError("threshold_scan.mass_fractions: must be positive")
-    pairs_doc = _get_list(ts, "pairs", "threshold_scan", None)
-    if pairs_doc is None:
-        pairs = dts.pairs
-    else:
-        pairs = []
-        for i, p in enumerate(pairs_doc):
-            path = f"threshold_scan.pairs[{i}]"
-            _expect_mapping(p, path)
-            _reject_unknown(p, ("L", "delta", "dt", "N"), path)
-            pair = ScanPair(L=_get_float(p, "L", path),
-                            delta=_get_float(p, "delta", path),
-                            dt=_get_float(p, "dt", path, None, allow_none=True),
-                            N=_get_int(p, "N", path, None))
-            if pair.L <= 0 or pair.delta <= 0:
-                raise ConfigError(f"{path}: L and delta must be positive")
-            pairs.append(pair)
-        pairs = tuple(pairs)
-    threshold_scan = ThresholdScanBlock(mass_fractions=fractions, pairs=pairs)
-
-    return RunConfig(grid=grid, sim=sim, data=data, delta=delta, outputs=outputs,
-                     gauge_check=gauge_check, gn_audit=gn_audit,
-                     threshold_scan=threshold_scan)
+    cfg = _parse_block(RunConfig, doc, "config", RunConfig())
+    _check_ranges(cfg)
+    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON-compatible document; parse(config_to_dict(c)) == c."""
-    return {
-        "grid": {"L": cfg.grid.L, "N": cfg.grid.N},
-        "sim": {
-            "dt": cfg.sim.dt, "T": cfg.sim.T,
-            "record_stride": cfg.sim.record_stride, "dealias": cfg.sim.dealias,
-            "integrator": cfg.sim.integrator, "equation": cfg.sim.equation,
-            "beta": cfg.sim.beta, "seed": cfg.sim.seed,
-            "guard_factor": cfg.sim.guard_factor,
-        },
-        "data": {
-            "kind": cfg.data.kind, "amplitude": cfg.data.amplitude,
-            "mode": cfg.data.mode, "modes": list(cfg.data.modes),
-            "amplitudes": list(cfg.data.amplitudes), "width": cfg.data.width,
-            "center": cfg.data.center, "target_mass": cfg.data.target_mass,
-            "seed": cfg.data.seed,
-        },
-        "delta": cfg.delta,
-        "outputs": {"dir": cfg.outputs.dir, "formats": list(cfg.outputs.formats)},
-        "gauge_check": {"beta": cfg.gauge_check.beta,
-                        "tolerance": cfg.gauge_check.tolerance},
-        "gn_audit": {
-            "num_fields": cfg.gn_audit.num_fields,
-            "L_values": list(cfg.gn_audit.L_values),
-            "delta_values": list(cfg.gn_audit.delta_values),
-            "N": cfg.gn_audit.N, "max_mode": cfg.gn_audit.max_mode,
-            "seed": cfg.gn_audit.seed,
-            "corrupt_constant": cfg.gn_audit.corrupt_constant,
-            "include_zero_field": cfg.gn_audit.include_zero_field,
-        },
-        "threshold_scan": {
-            "mass_fractions": list(cfg.threshold_scan.mass_fractions),
-            "pairs": [{"L": p.L, "delta": p.delta, "dt": p.dt, "N": p.N}
-                      for p in cfg.threshold_scan.pairs],
-        },
-    }
+    return json.loads(json.dumps(asdict(cfg)))  # tuples become lists
 
 
 def load_config(path: str) -> RunConfig:

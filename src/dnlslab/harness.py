@@ -119,7 +119,7 @@ def run_simulation(cfg: RunConfig) -> SimOutcome:
 @dataclass
 class GaugeCheckOutcome:
     rows: list[tuple]
-    max_discrepancy: float
+    max_discrepancy: float | None  # None when a flow stopped early
     max_residual: float | None
     tolerance: float
     exit_code: int
@@ -138,7 +138,7 @@ def run_gauge_check(cfg: RunConfig) -> GaugeCheckOutcome:
     if code == EXIT_OK:
         traj_v, code, reason, _ = _simulate_partial(gauge_profile(u0, beta), sim_v)
     if code != EXIT_OK:
-        return GaugeCheckOutcome([], math.inf, None, cfg.gauge_check.tolerance,
+        return GaugeCheckOutcome([], None, None, cfg.gauge_check.tolerance,
                                  code, reason)
     gauged = gauge_trajectory(traj_u, beta)
 

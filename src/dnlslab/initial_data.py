@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,39 +44,37 @@ class DataSpec:
             raise ValueError(f"target_mass must be positive, got {self.target_mass}")
         object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
+        if self.kind == "multimode" and not self.modes:
+            raise ValueError("multimode spec needs at least one mode")
+        if self.kind == "multimode" and len(self.amplitudes) not in (0, len(self.modes)):
+            raise ValueError("amplitudes and modes must have equal length")
+        if self.kind == "bump" and not self.width > 0:
+            raise ValueError(f"bump width must be positive, got {self.width}")
 
 
-def _check_band(modes, grid: TorusGrid):
-    band = grid.N // 3
-    for m in modes:
+def _check_band(spec: DataSpec, N: int):
+    """Reject wavenumber indices of spec outside the band |m| <= N//3."""
+    band = N // 3
+    for m in {"plane_wave": (spec.mode,), "multimode": spec.modes}.get(spec.kind, ()):
         if abs(m) > band:
             raise ValueError(
-                f"mode {m} outside the dealiasing band |m| <= {band} of N = {grid.N}")
+                f"mode {m} outside the dealiasing band |m| <= {band} of N = {N}")
 
 
 def build(spec: DataSpec, grid: TorusGrid) -> Field:
     """Build the field described by spec on the given grid; deterministic."""
+    _check_band(spec, grid.N)
     x = grid.x
     if spec.kind == "plane_wave":
-        _check_band((spec.mode,), grid)
         values = spec.amplitude * np.exp(1j * (2.0 * np.pi * spec.mode / grid.L) * x)
     elif spec.kind == "multimode":
-        if not spec.modes:
-            raise ValueError("multimode spec needs at least one mode")
-        _check_band(spec.modes, grid)
-        amps = spec.amplitudes
-        if not amps:
-            amps = tuple(spec.amplitude for _ in spec.modes)
-        if len(amps) != len(spec.modes):
-            raise ValueError("amplitudes and modes must have equal length")
+        amps = spec.amplitudes or tuple(spec.amplitude for _ in spec.modes)
         rng = np.random.default_rng(spec.seed)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=len(spec.modes))
         values = np.zeros(grid.N, dtype=np.complex128)
         for m, a, th in zip(spec.modes, amps, phases):
             values += a * np.exp(1j * ((2.0 * np.pi * m / grid.L) * x + th))
     else:
-        if not spec.width > 0:
-            raise ValueError(f"bump width must be positive, got {spec.width}")
         scale = (grid.L / (2.0 * np.pi * spec.width)) ** 2
         values = spec.amplitude * np.exp(
             (np.cos(2.0 * np.pi * (x - spec.center) / grid.L) - 1.0) * scale)

@@ -122,7 +122,7 @@ class TestGaugeCheckCommand:
         out = str(tmp_path / "out")
         doc = base_doc(out, gauge_check={"beta": 0.0, "tolerance": 1e-300})
         cfg = write_config(tmp_path, doc)
-        assert main(["gauge-check", "--config", cfg, "--quiet"]) != 0 or True
+        assert main(["gauge-check", "--config", cfg, "--quiet"]) == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["max_discrepancy"] == 0.0
 
@@ -150,6 +150,24 @@ class TestGaugeCheckCommand:
         residuals = [r[2] for r in rows]
         assert residuals[0] == residuals[-2] == residuals[-1] == ""
         assert all(residuals[1:-2])
+
+    def test_guard_stop_writes_strict_json(self, tmp_path, capsys):
+        shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                               "gauge_check.json")
+        with open(shipped) as fh:
+            doc = json.load(fh)
+        doc["sim"].update(T=0.01, guard_factor=1.0001)
+        doc["outputs"]["dir"] = str(tmp_path / "out")
+        cfg = write_config(tmp_path, doc)
+        assert main(["gauge-check", "--config", cfg]) == 2
+        assert "max discrepancy n/a" in capsys.readouterr().out
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert summary["max_discrepancy"] is None
 
 
 class TestGnAuditCommand:

@@ -1,12 +1,50 @@
 """Config schema: strict validation, unknown-key rejection, round trips."""
 
+import copy
 import json
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnlslab.config import (ConfigError, RunConfig, config_to_dict, load_config,
                             parse_config)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED = sorted(os.path.join(CONFIG_DIR, name) for name in os.listdir(CONFIG_DIR))
+# full canonical documents: every known key is present in every block
+FULL_DOCS = [config_to_dict(RunConfig())] + [config_to_dict(load_config(p))
+                                             for p in SHIPPED]
+# derandomized so that tier-1 stays deterministic
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-300, 300) | st.floats()
+    | st.sampled_from(["csv", "frames", "dnls2", "etdrk4", "multimode", "bump", "x"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["L", "delta", "N", "dt", "kind", "q"]), inner,
+                      max_size=3),
+    max_leaves=6)
+
+
+def near(v):
+    """The value v itself, a value of the same JSON kind, or any JSON value."""
+    if isinstance(v, bool):
+        same = st.booleans()
+    elif isinstance(v, int):
+        same = st.integers(-2, 300)
+    elif isinstance(v, float) or v is None:
+        same = st.floats(1e-6, 10.0) | st.floats()
+    elif isinstance(v, str):
+        same = st.sampled_from(["csv", "json", "frames", "plot", "dnls2", "etdrk4",
+                                "none", "multimode", "bump", "plane_wave"])
+    elif isinstance(v, list):
+        same = st.lists(near(v[0]) if v else st.integers(-50, 50), max_size=4)
+    else:
+        same = st.fixed_dictionaries({}, optional={k: near(x) for k, x in v.items()})
+    return st.just(v) | same | json_values
 
 
 def test_empty_document_gives_defaults():
@@ -30,6 +68,37 @@ def test_round_trip_idempotent():
     again = parse_config(config_to_dict(cfg))
     assert again == cfg
     assert config_to_dict(again) == config_to_dict(cfg)
+
+
+def test_pair_without_dt_and_N_round_trips():
+    cfg = parse_config({"threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.5}]}})
+    assert cfg.threshold_scan.pairs[0].dt is None
+    assert cfg.threshold_scan.pairs[0].N is None
+    assert parse_config(config_to_dict(cfg)) == cfg
+
+
+@PROPERTY
+@given(doc=st.sampled_from(FULL_DOCS).flatmap(near))
+def test_any_document_is_rejected_or_round_trips(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    echo = config_to_dict(cfg)
+    json.dumps(echo, allow_nan=False)  # strict JSON
+    assert parse_config(echo) == cfg
+
+
+@PROPERTY
+@given(data=st.data())
+def test_one_unknown_key_anywhere_is_rejected(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(FULL_DOCS)))
+    blocks = [doc] + [v for v in doc.values() if isinstance(v, dict)]
+    target = data.draw(st.sampled_from(blocks + doc["threshold_scan"]["pairs"]))
+    key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in target))
+    target[key] = data.draw(json_values)
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(doc)
 
 
 @pytest.mark.parametrize("doc", [
@@ -58,6 +127,21 @@ def test_unknown_keys_rejected(doc):
     {"threshold_scan": {"mass_fractions": [0.5, -0.1]}},
     {"gn_audit": {"corrupt_constant": 0.0}},
     [],
+    {"grid": {"L": math.nan}},
+    {"gn_audit": {"L_values": [math.nan]}},
+    {"delta": math.inf},
+    {"gn_audit": {"N": 33}},
+    {"threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "dt": -1e-4}]}},
+    {"threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "dt": 2.0}]}},
+    {"threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "N": 33}]}},
+    {"grid": {"N": 64}, "data": {"kind": "plane_wave", "mode": 40}},
+    {"data": {"kind": "plane_wave", "mode": 30},
+     "threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "N": 64}]}},
+    {"data": {"kind": "multimode"}},
+    {"data": {"kind": "multimode", "modes": [1, 2], "amplitudes": [1.0]}},
+    {"data": {"kind": "bump", "width": 0.0}},
+    {"data": {"seed": -1}},
+    {"gn_audit": {"seed": -1}},
 ])
 def test_invalid_values_rejected(doc):
     with pytest.raises(ConfigError):
