@@ -12,7 +12,7 @@ from .gauge import (DEFAULT_SIGN_MU2, gauge_profile, gauge_trajectory, psi,
                     ungauge_profile)
 from .dynamics import (BlowupGuardError, CflWarning, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, dispersion_symbol,
-                       pde_residual, rhs_dnls1, rhs_dnls2, simulate, step)
+                       pde_residual, rhs_dnls1, rhs_dnls2, simulate)
 from .gn import (CGN, ExtensionProfile, GnAuditRecord, base_shift, cgn,
                  check_gn0_on_extension, check_gn1, flap_integrals,
                  mass_threshold)
@@ -31,7 +31,7 @@ __all__ = [
     "ungauge_profile",
     "BlowupGuardError", "CflWarning", "NonFiniteError", "SimConfig",
     "SimulationError", "Trajectory", "dispersion_symbol", "pde_residual",
-    "rhs_dnls1", "rhs_dnls2", "simulate", "step",
+    "rhs_dnls1", "rhs_dnls2", "simulate",
     "CGN", "ExtensionProfile", "GnAuditRecord", "base_shift", "cgn",
     "check_gn0_on_extension", "check_gn1", "flap_integrals", "mass_threshold",
     "Case1NotApplicable", "CaseRecord", "DiagnosticsSample", "ZeroFieldError",

@@ -160,13 +160,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         cfg, out_dir = _prepare_out(cfg, args.out)
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
+        return _COMMANDS[args.command](cfg, out_dir, args.quiet, args.jobs)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.jobs < 1:
-        print("config error: --jobs must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    return _COMMANDS[args.command](cfg, out_dir, args.quiet, args.jobs)
 
 
 def entry() -> None:

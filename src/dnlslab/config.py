@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replac
 
 from .dynamics import SimConfig
 from .grid import MIN_NODES
-from .initial_data import DataSpec, _check_band
+from .initial_data import DataSpec, _check_band, builds_zero
 
 
 class ConfigError(ValueError):
@@ -146,11 +146,14 @@ def _check_ranges(cfg: RunConfig) -> None:
         (_even_nodes(cfg.grid.N), "grid.N: must be an even integer >= 8"),
         (cfg.delta > 0, "delta: must be positive"),
         (cfg.data.seed >= 0, "data.seed: must be >= 0"),
+        (cfg.data.target_mass is None or not builds_zero(cfg.data),
+         "data.target_mass: cannot rescale the zero field to a positive mass"),
         (cfg.gauge_check.tolerance > 0, "gauge_check.tolerance: must be positive"),
         (ga.num_fields >= 1, "gn_audit.num_fields: must be >= 1"),
         (all(L > 0 for L in ga.L_values), "gn_audit.L_values: must be positive"),
         (all(d > 0 for d in ga.delta_values), "gn_audit.delta_values: must be positive"),
         (_even_nodes(ga.N), "gn_audit.N: must be an even integer >= 8"),
+        (ga.max_mode >= 1, "gn_audit.max_mode: must be >= 1"),
         (ga.corrupt_constant > 0, "gn_audit.corrupt_constant: must be positive"),
         (ga.seed >= 0, "gn_audit.seed: must be >= 0"),
         (all(fr > 0 for fr in ts.mass_fractions),

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .functionals import mu
 from .grid import Field, TorusGrid
 
 DEALIAS_CHOICES = ("two_thirds", "none")
@@ -64,7 +65,6 @@ class SimConfig:
     integrator: str = "ifrk4"
     equation: str = "dnls1"
     beta: float = 0.75
-    seed: int = 0
     guard_factor: float = 1e3
 
     def __post_init__(self):
@@ -154,23 +154,27 @@ def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(v2) ** 4, axis=-1, keepdims=True) * (grid.L / (2 * grid.N))
 
 
-def _nl_dnls2(grid: TorusGrid, drop: slice, beta: float,
-              mu_val: float | np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
-    for spectra of shape (..., N); mu_val is a scalar or a (..., 1) column."""
-    N = grid.N
-    v = np.fft.ifft(F)
-    vx = np.fft.ifft(grid._ik * F)
-    absq = np.abs(v) ** 2
-    # Nonlocal coefficient: (beta/L) int [2 Im(v conj(v_x)) + (3/2-2b)|v|^4] + b^2 mu^2
-    im_mom = -(grid.L / N ** 2) * np.sum(grid._ik.imag * np.abs(F) ** 2,
-                                        axis=-1, keepdims=True)
+def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray) -> np.ndarray:
+    """The integral part of the nonlocal coefficient psi,
+    (beta/L) int [2 Im(v conj(v_x)) + (3/2 - 2b)|v|^4], per spectrum of shape
+    (..., N); shape (..., 1)."""
+    im_mom = -(grid.L / grid.N ** 2) * np.sum(grid._ik.imag * np.abs(F) ** 2,
+                                             axis=-1, keepdims=True)
     # The quartic factor is exactly 0.0 at beta = 3/4, so the padded transform
     # is skipped there; fac * 0.0 keeps the arithmetic of the unskipped kernel.
     fac = 1.5 - 2.0 * beta
     q = _quartic_integral(grid, F) if fac != 0.0 else 0.0
-    psi_val = beta / grid.L * (2.0 * im_mom + fac * q)
-    psi_val += beta * beta * mu_val * mu_val
+    return beta / grid.L * (2.0 * im_mom + fac * q)
+
+
+def _nl_dnls2(grid: TorusGrid, drop: slice, beta: float,
+              mu_val: float | np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
+    for spectra of shape (..., N); mu_val is a scalar or a (..., 1) column."""
+    v = np.fft.ifft(F)
+    vx = np.fft.ifft(grid._ik * F)
+    absq = np.abs(v) ** 2
+    psi_val = _psi_integral(grid, beta, F) + beta * beta * mu_val * mu_val
     nl = (
         2.0 * (1.0 - beta) * absq * vx
         + (1.0 - 2.0 * beta) * v * v * np.conj(vx)
@@ -183,15 +187,18 @@ def _nl_dnls2(grid: TorusGrid, drop: slice, beta: float,
     return out
 
 
-def _make_nonlinear(grid: TorusGrid, config: SimConfig, mu_val: float | np.ndarray
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    drop = _dealias_drop(grid, config.dealias)
-    # At beta = 0 the gauged flow coincides with the ungauged one; sharing the
-    # kernel makes the identity exact discretely, not just analytically.
-    if config.equation == "dnls1" or (config.equation == "dnls2"
-                                      and config.beta == 0.0):
+def _make_nonlinear(grid: TorusGrid, equation: str, beta: float, dealias: str,
+                    mu_val: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The nonlinear part of the chosen flow, on spectra of shape (..., N).
+
+    The one kernel-selection rule: at beta = 0 the gauged flow coincides with
+    the ungauged one, and sharing the kernel makes the identity exact
+    discretely, not just analytically.
+    """
+    drop = _dealias_drop(grid, dealias)
+    if equation == "dnls1" or beta == 0.0:
         return lambda F: _nl_dnls1(grid, drop, F)
-    return lambda F: _nl_dnls2(grid, drop, config.beta, mu_val, F)
+    return lambda F: _nl_dnls2(grid, drop, beta, mu_val, F)
 
 
 def _ifrk4_step(F: np.ndarray, dt: float, nl: Callable, E1: np.ndarray,
@@ -238,13 +245,17 @@ def _etdrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
     return E * F + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
 
 
+def _rhs(grid: TorusGrid, nl: Callable, U: np.ndarray) -> np.ndarray:
+    """Full right-hand side ifft(symbol*F + nl(F)), F = fft(U), for samples
+    of shape (..., N)."""
+    F = np.fft.fft(U)
+    return np.fft.ifft(dispersion_symbol(grid) * F + nl(F))
+
+
 def rhs_dnls1(u: Field, dealias: str = "two_thirds") -> Field:
     """Full right-hand side du/dt = i*u_xx + d/dx(|u|^2 u)."""
-    grid = u.grid
-    F = np.fft.fft(u.values)
-    drop = _dealias_drop(grid, dealias)
-    total = dispersion_symbol(grid) * F + _nl_dnls1(grid, drop, F)
-    return Field(grid, np.fft.ifft(total))
+    nl = _make_nonlinear(u.grid, "dnls1", 0.0, dealias, 0.0)
+    return Field(u.grid, _rhs(u.grid, nl, u.values))
 
 
 def rhs_dnls2(v: Field, beta: float, mu_val: float,
@@ -256,32 +267,8 @@ def rhs_dnls2(v: Field, beta: float, mu_val: float,
     """
     if mu_val < 0:
         raise ValueError("mu_val must be nonnegative")
-    grid = v.grid
-    F = np.fft.fft(v.values)
-    drop = _dealias_drop(grid, dealias)
-    total = dispersion_symbol(grid) * F + _nl_dnls2(grid, drop, beta, mu_val, F)
-    return Field(grid, np.fft.ifft(total))
-
-
-def step(f: Field, dt: float, rhs: Callable[[Field], Field],
-         linear_symbol: np.ndarray) -> Field:
-    """One integrating-factor RK4 step.
-
-    rhs evaluates the nonlinear part only (as a Field operation); the linear
-    part, diagonal in Fourier space with the given per-mode multiplier, is
-    propagated exactly.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    grid = f.grid
-
-    def nl(F: np.ndarray) -> np.ndarray:
-        g = Field(grid, np.fft.ifft(F))
-        return np.fft.fft(rhs(g).values)
-
-    E1 = np.exp(0.5 * dt * np.asarray(linear_symbol))
-    F1 = _ifrk4_step(np.fft.fft(f.values), dt, nl, E1, E1 * E1)
-    return Field(grid, np.fft.ifft(F1))
+    nl = _make_nonlinear(v.grid, "dnls2", beta, dealias, mu_val)
+    return Field(v.grid, _rhs(v.grid, nl, v.values))
 
 
 def _h1dot_from_spectrum(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
@@ -321,9 +308,8 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     stride = int(config.record_stride)
 
     kmax = float(np.max(np.abs(grid.k)))
-    mu_vals = []
+    mu_vals = [mu(u0) for u0 in u0s]
     for u0 in u0s:
-        mu_vals.append(float(np.sum(np.abs(u0.values) ** 2) * grid.dx) / grid.L)
         sup_sq = float(np.max(np.abs(u0.values) ** 2))
         if sup_sq > 0 and config.dt > 0.5 / (kmax * sup_sq):
             warnings.warn(
@@ -345,7 +331,9 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     values = [u0.values for u0 in u0s]
     F = np.fft.fft(values[0] if len(values) == 1 else np.stack(values))
     mu_col = np.array(mu_vals).reshape(F.shape[:-1] + (1,))
-    nl = _make_nonlinear(grid, config, mu_col)
+    kernel = lambda mu_col: _make_nonlinear(grid, config.equation, config.beta,
+                                            config.dealias, mu_col)
+    nl = kernel(mu_col)
     guard0 = np.atleast_1d(_h1dot_from_spectrum(grid, F))
     # A NaN/Inf sample makes the seminorm NaN or Inf. With the limit capped
     # at the largest float, "h1 <= limit" fails for exactly the rows to stop:
@@ -375,7 +363,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
             if not members:
                 break
             F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
-            nl = _make_nonlinear(grid, config, mu_col)
+            nl = kernel(mu_col)
         if i % stride == 0 or i == n_steps:
             U = np.fft.ifft(F).reshape(-1, grid.N)
             for row, m in enumerate(members):
@@ -421,18 +409,13 @@ def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,
     if equation not in EQUATION_CHOICES:
         raise ValueError(f"equation must be one of {EQUATION_CHOICES}, got {equation!r}")
     if equation == "dnls2" and mu_val is None:
-        f0 = frames[0][1]
-        mu_val = float(np.sum(np.abs(f0.values) ** 2) * f0.grid.dx) / f0.grid.L
+        mu_val = mu(frames[0][1])
+    if equation == "dnls2" and mu_val < 0:
+        raise ValueError("mu_val must be nonnegative")
 
     grid = traj.grid
-    h = float(spacings[0])
-    out = np.empty(len(frames) - 2)
-    for i in range(1, len(frames) - 1):
-        dt_u = (frames[i + 1][1].values - frames[i - 1][1].values) / (2.0 * h)
-        if equation == "dnls1":
-            r = rhs_dnls1(frames[i][1], dealias)
-        else:
-            r = rhs_dnls2(frames[i][1], beta, mu_val, dealias)
-        diff = dt_u - r.values
-        out[i - 1] = math.sqrt(float(np.sum(np.abs(diff) ** 2)) * grid.dx)
-    return out
+    nl = _make_nonlinear(grid, equation, beta, dealias, mu_val)
+    U = np.stack([f.values for _, f in frames])
+    dt_u = (U[2:] - U[:-2]) / (2.0 * float(spacings[0]))
+    diff = dt_u - _rhs(grid, nl, U[1:-1])
+    return np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1) * grid.dx)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import im_momentum, lp_norm, mu
+from .dynamics import Trajectory, _psi_integral
+from .functionals import mu
 from .grid import Field, antideriv_meanzero, translate
 
 # Sign of the beta^2*mu^2 offset in the nonlocal coefficient psi. Fixed by the
@@ -49,22 +50,19 @@ def psi(v: Field, beta: float, mu_val: float,
         raise ValueError(f"sign_mu2 must be one of {SIGN_MU2_CHOICES}, got {sign_mu2!r}")
     if mu_val < 0:
         raise ValueError("mu_val must be nonnegative")
-    integral = 2.0 * im_momentum(v) + (1.5 - 2.0 * beta) * lp_norm(v, 4) ** 4
     offset = beta * beta * mu_val * mu_val
     if sign_mu2 == "minus":
         offset = -offset
-    return beta / v.grid.L * integral + offset
+    return float(_psi_integral(v.grid, beta, np.fft.fft(v.values))[0]) + offset
 
 
-def gauge_trajectory(traj, beta: float):
+def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     """Gauge every frame of a trajectory and shift it into the moving frame.
 
     Per frame (u(t), t): apply gauge_profile first, then translate by
     s = 2*beta*mu*t, with mu frozen at its value on the first frame (it is a
     conserved density).
     """
-    from .dynamics import Trajectory
-
     if not traj.frames:
         raise ValueError("cannot gauge an empty trajectory")
     mu0 = mu(traj.frames[0][1])

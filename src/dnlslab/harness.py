@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import GnAuditBlock, RunConfig
+from .config import ConfigError, GnAuditBlock, RunConfig
 from .diagnostics import CaseRecord, case_report
 from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, pde_residual, simulate,
@@ -23,7 +23,7 @@ from .gauge import gauge_profile, gauge_trajectory
 from .gn import (CGN, field_norms, gn0_extension_record, gn1_record,
                  mass_threshold)
 from .grid import Field, Spectrum, TorusGrid
-from .initial_data import DataSpec, build
+from .initial_data import DataSpec, build, builds_zero
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -307,7 +307,12 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> ScanOutcome:
 
     Exit is nonzero only when a BELOW-threshold run violates the bound chain
     (or its numerics fail); above-threshold rows are reported but never gate.
+    Raises ConfigError, before anything is stepped, when the data builds the
+    zero field, which no member's target mass can rescale.
     """
+    if builds_zero(cfg.data):
+        raise ConfigError("data: threshold-scan rescales every member to a "
+                          "target mass, but the data builds the zero field")
     tasks = []
     for pair in cfg.threshold_scan.pairs:
         threshold = mass_threshold(pair.L, pair.delta)

@@ -61,6 +61,14 @@ def _check_band(spec: DataSpec, N: int):
                 f"mode {m} outside the dealiasing band |m| <= {band} of N = {N}")
 
 
+def builds_zero(spec: DataSpec) -> bool:
+    """Whether every amplitude of spec is zero, so that it builds the zero
+    field on any grid and cannot be rescaled to a target mass."""
+    if spec.kind == "multimode" and spec.amplitudes:
+        return not any(spec.amplitudes)
+    return spec.amplitude == 0.0
+
+
 def build(spec: DataSpec, grid: TorusGrid) -> Field:
     """Build the field described by spec on the given grid; deterministic."""
     _check_band(spec, grid.N)

@@ -62,6 +62,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_data_with_target_mass_is_a_config_error(self, tmp_path, capsys):
+        doc = base_doc(str(tmp_path / "out"))
+        doc["data"] = {"kind": "plane_wave", "amplitude": 0.0, "target_mass": 1.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: data.target_mass")
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         doc = base_doc(str(tmp_path / "out"))
         doc["simulation"] = {}
@@ -220,6 +229,21 @@ class TestThresholdScanCommand:
         assert len(lines) == 3
         diag = [p for p in os.listdir(out) if p.startswith("diagnostics_")]
         assert len(diag) == 2
+
+    def test_zero_data_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a member was stepped")
+
+        monkeypatch.setattr("dnlslab.harness.simulate_batch", no_stepping)
+        out = tmp_path / "out"
+        doc = self._doc(str(out))
+        doc["grid"]["N"] = 32
+        doc["data"] = {"kind": "plane_wave", "amplitude": 0.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["threshold-scan", "--config", cfg, "--jobs", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: data:")
+        assert os.listdir(out) == []
 
     def test_parallel_rows_identical_to_serial(self, tmp_path):
         out1, out2 = str(tmp_path / "s"), str(tmp_path / "p")

@@ -109,6 +109,7 @@ def test_one_unknown_key_anywhere_is_rejected(data):
     {"outputs": {"dir": "x", "format": []}},
     {"gn_audit": {"fields": 10}},
     {"threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "steps": 5}]}},
+    {"sim": {"dt": 1e-3, "seed": 0}},
 ])
 def test_unknown_keys_rejected(doc):
     with pytest.raises(ConfigError):
@@ -142,6 +143,12 @@ def test_unknown_keys_rejected(doc):
     {"data": {"kind": "bump", "width": 0.0}},
     {"data": {"seed": -1}},
     {"gn_audit": {"seed": -1}},
+    {"gn_audit": {"max_mode": -3}},
+    {"gn_audit": {"max_mode": 0}},
+    {"data": {"kind": "plane_wave", "amplitude": 0.0, "target_mass": 1.0}},
+    {"data": {"kind": "bump", "amplitude": 0.0, "target_mass": 1.0}},
+    {"data": {"kind": "multimode", "modes": [1, 2], "amplitudes": [0.0, 0.0],
+              "target_mass": 1.0}},
 ])
 def test_invalid_values_rejected(doc):
     with pytest.raises(ConfigError):

@@ -1,12 +1,15 @@
 """Integrators, right-hand sides, guards, and the residual instrument."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
                      SimConfig, TorusGrid, Trajectory, dispersion_symbol,
-                     hamiltonian_u, mass, pde_residual, rhs_dnls1, rhs_dnls2,
-                     simulate, step)
+                     gauge_profile, hamiltonian_u, mass, mu, pde_residual,
+                     rhs_dnls1, rhs_dnls2, simulate)
+from dnlslab.dynamics import _ifrk4_step, _make_nonlinear
 
 from conftest import l2_dist, plane_wave, random_band_field
 
@@ -85,39 +88,41 @@ class TestRhsDnls2:
         with pytest.raises(ValueError):
             rhs_dnls2(plane_wave(grid2pi), 0.75, -1.0)
 
+    def test_beta_zero_is_the_ungauged_rhs(self, grid2pi, rng):
+        v = random_band_field(grid2pi, rng, band=8, scale=0.5)
+        assert np.array_equal(rhs_dnls2(v, 0.0, mu(v)).values, rhs_dnls1(v).values)
+
 
 class TestStep:
+    """One step of the IFRK4 core (_ifrk4_step) and its use by simulate."""
+
+    @staticmethod
+    def ifrk4(f, dt, nl):
+        E1 = np.exp(0.5 * dt * dispersion_symbol(f.grid))
+        return Field(f.grid, np.fft.ifft(_ifrk4_step(np.fft.fft(f.values), dt, nl,
+                                                     E1, E1 * E1)))
+
     def test_linear_only_is_exact_for_any_dt(self, grid2pi):
         f = plane_wave(grid2pi, A=1.0, m=3)
         k = 2 * np.pi * 3 / grid2pi.L
-        zero_rhs = lambda g: Field(g.grid, np.zeros(g.grid.N))
-        out = step(f, 0.7, zero_rhs, dispersion_symbol(grid2pi))
+        out = self.ifrk4(f, 0.7, np.zeros_like)
         want = np.exp(-1j * k**2 * 0.7) * f.values
         assert np.max(np.abs(out.values - want)) < 1e-12
 
     def test_zero_field(self, grid2pi):
         z = Field(grid2pi, np.zeros(grid2pi.N))
-        out = step(z, 0.1, lambda g: rhs_dnls1(g), dispersion_symbol(grid2pi))
-        assert np.max(np.abs(out.values)) == 0.0
+        nl = _make_nonlinear(grid2pi, "dnls1", 0.0, "two_thirds", 0.0)
+        assert np.max(np.abs(self.ifrk4(z, 0.1, nl).values)) == 0.0
 
     def test_fourth_order_on_plane_wave(self):
         grid = TorusGrid(2 * np.pi, 64)
         A, m, T = 1.0, 1, 0.5
         u0 = exact_plane_wave(grid, A, m, 0.0)
         exact = exact_plane_wave(grid, A, m, T)
-
-        def nonlinear(g):
-            full = rhs_dnls1(g)
-            lin = np.fft.ifft(dispersion_symbol(grid) * np.fft.fft(g.values))
-            return Field(grid, full.values - lin)
-
         errs = []
-        for dt in (T / 50, T / 100):
-            f = u0
-            n = int(round(T / dt))
-            for _ in range(n):
-                f = step(f, dt, nonlinear, dispersion_symbol(grid))
-            errs.append(l2_dist(f, exact))
+        for n in (50, 100):
+            traj = simulate(u0, SimConfig(dt=T / n, T=T, record_stride=n))
+            errs.append(l2_dist(traj.frames[-1][1], exact))
         ratio = errs[0] / errs[1]
         assert 16 * 0.8 < ratio < 16 * 1.2
 
@@ -234,6 +239,12 @@ class TestPdeResidual:
         with pytest.raises(ValueError):
             pde_residual(traj, "dnls1")
 
+    def test_dnls2_rejects_negative_mu(self, grid2pi):
+        f = plane_wave(grid2pi)
+        traj = Trajectory(tuple((0.1 * i, f) for i in range(3)))
+        with pytest.raises(ValueError):
+            pde_residual(traj, "dnls2", 0.75, -1.0)
+
     def test_requires_uniform_spacing(self, grid2pi):
         f = plane_wave(grid2pi)
         traj = Trajectory(((0.0, f), (0.1, f), (0.3, f)))
@@ -251,3 +262,24 @@ class TestPdeResidual:
         traj = Trajectory(frames)
         res = pde_residual(traj, "dnls2", beta=beta)
         assert np.max(res) < 1e-3  # centered-difference truncation only
+
+    @pytest.mark.parametrize("equation", ["dnls1", "dnls2"])
+    def test_batched_equals_per_frame_rhs(self, grid2pi, rng, equation):
+        beta = 0.75
+        u0 = random_band_field(grid2pi, rng, band=8, scale=0.3)
+        if equation == "dnls2":
+            u0 = gauge_profile(u0, beta)
+        sim = SimConfig(dt=1e-3, T=0.02, record_stride=4, equation=equation,
+                        beta=beta)
+        traj = simulate(u0, sim)
+        mu0 = mu(u0)
+        frames = traj.frames
+        h = frames[1][0] - frames[0][0]
+        want = []
+        for i in range(1, len(frames) - 1):
+            dt_u = (frames[i + 1][1].values - frames[i - 1][1].values) / (2.0 * h)
+            f = frames[i][1]
+            r = rhs_dnls1(f) if equation == "dnls1" else rhs_dnls2(f, beta, mu0)
+            want.append(math.sqrt(float(np.sum(np.abs(dt_u - r.values) ** 2))
+                                  * grid2pi.dx))
+        assert np.array_equal(pde_residual(traj, equation, beta, mu0), want)
