@@ -16,12 +16,8 @@ from dataclasses import replace
 
 from . import __version__
 from .config import ConfigError, RunConfig, config_to_dict, load_config
-from .diagnostics import DiagnosticsSample
-from .harness import (EXIT_CONFIG, GAUGE_CHECK_COLUMNS, GN_AUDIT_COLUMNS,
-                      SCAN_COLUMNS, diagnostics_rows, initial_values,
-                      run_diagnose, run_gauge_check, run_gn_audit,
-                      run_simulation, run_threshold_scan)
-from .functionals import ConservedReport
+from .harness import (EXIT_CONFIG, Outcome, run_diagnose, run_gauge_check,
+                      run_gn_audit, run_simulation, run_threshold_scan)
 from .runio import (content_hash, write_csv, write_frames, write_plot_script,
                     write_summary)
 
@@ -51,91 +47,31 @@ def _summary_payload(cfg: RunConfig, exit_reason: str, **extra) -> dict:
     return payload
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: str, quiet: bool, jobs: int) -> int:
-    outcome = run_simulation(cfg)
-    rows = [r.as_row() for r in outcome.reports]
-    write_csv(os.path.join(out_dir, "conserved.csv"), ConservedReport.COLUMNS, rows)
-    if "frames" in cfg.outputs.formats and outcome.traj is not None:
-        write_frames(os.path.join(out_dir, "frames.npz"), outcome.traj)
-    if "plot" in cfg.outputs.formats:
-        write_plot_script(out_dir)
+def _write_outcome(command: str, cfg: RunConfig, out_dir: str, quiet: bool,
+                   outcome: Outcome) -> int:
+    """Write the outcome's tables, frames, plot script and summary.json, print
+    its status line and return its exit code."""
+    for name, (columns, rows) in outcome.tables.items():
+        write_csv(os.path.join(out_dir, name), columns, rows)
+    if outcome.traj is not None:
+        if "frames" in cfg.outputs.formats:
+            write_frames(os.path.join(out_dir, "frames.npz"), outcome.traj)
+        if "plot" in cfg.outputs.formats:
+            write_plot_script(out_dir)
     write_summary(os.path.join(out_dir, "summary.json"),
-                  _summary_payload(cfg, outcome.exit_reason,
-                                   max_drifts=outcome.drifts,
-                                   conserved_initial=initial_values(outcome.reports),
-                                   guard_time=outcome.guard_time))
-    _say(quiet, f"simulate: {outcome.exit_reason}, "
-                f"max drifts {outcome.drifts}")
+                  _summary_payload(cfg, outcome.exit_reason, **outcome.summary))
+    _say(quiet, f"{command}: {outcome.exit_reason}, {outcome.status}")
     return outcome.exit_code
 
 
-def _cmd_gauge_check(cfg: RunConfig, out_dir: str, quiet: bool, jobs: int) -> int:
-    outcome = run_gauge_check(cfg)
-    write_csv(os.path.join(out_dir, "gauge_check.csv"), GAUGE_CHECK_COLUMNS,
-              outcome.rows)
-    write_summary(os.path.join(out_dir, "summary.json"),
-                  _summary_payload(cfg, outcome.exit_reason,
-                                   max_discrepancy=outcome.max_discrepancy,
-                                   max_residual=outcome.max_residual,
-                                   tolerance=outcome.tolerance))
-    disc = outcome.max_discrepancy
-    _say(quiet, f"gauge-check: {outcome.exit_reason}, "
-                f"max discrepancy {'n/a' if disc is None else f'{disc:.3e}'} "
-                f"(tolerance {outcome.tolerance:g})")
-    return outcome.exit_code
-
-
-def _cmd_gn_audit(cfg: RunConfig, out_dir: str, quiet: bool, jobs: int) -> int:
-    outcome = run_gn_audit(cfg.gn_audit)
-    write_csv(os.path.join(out_dir, "gn_audit.csv"), GN_AUDIT_COLUMNS, outcome.rows)
-    write_summary(os.path.join(out_dir, "summary.json"),
-                  _summary_payload(cfg, outcome.exit_reason,
-                                   rows=len(outcome.rows),
-                                   violations=outcome.n_violations))
-    _say(quiet, f"gn-audit: {outcome.exit_reason}, {len(outcome.rows)} rows, "
-                f"{outcome.n_violations} violations")
-    return outcome.exit_code
-
-
-def _cmd_threshold_scan(cfg: RunConfig, out_dir: str, quiet: bool, jobs: int) -> int:
-    outcome = run_threshold_scan(cfg, jobs=jobs)
-    write_csv(os.path.join(out_dir, "scan_summary.csv"), SCAN_COLUMNS,
-              [res.summary_row for res in outcome.results])
-    for res in outcome.results:
-        name = (f"diagnostics_L{res.task.L:g}_d{res.task.delta:g}"
-                f"_f{res.task.mass_fraction:g}.csv")
-        write_csv(os.path.join(out_dir, name), DiagnosticsSample.COLUMNS,
-                  res.diagnostics)
-    write_summary(os.path.join(out_dir, "summary.json"),
-                  _summary_payload(cfg, outcome.exit_reason,
-                                   runs=len(outcome.results)))
-    _say(quiet, f"threshold-scan: {outcome.exit_reason}, "
-                f"{len(outcome.results)} runs")
-    return outcome.exit_code
-
-
-def _cmd_diagnose(cfg: RunConfig, out_dir: str, quiet: bool, jobs: int) -> int:
-    outcome = run_diagnose(cfg)
-    write_csv(os.path.join(out_dir, "diagnostics.csv"), DiagnosticsSample.COLUMNS,
-              diagnostics_rows(outcome.records))
-    rows = [r.as_row() for r in outcome.reports]
-    write_csv(os.path.join(out_dir, "conserved.csv"), ConservedReport.COLUMNS, rows)
-    write_summary(os.path.join(out_dir, "summary.json"),
-                  _summary_payload(cfg, outcome.exit_reason,
-                                   max_drifts=outcome.drifts,
-                                   conserved_initial=initial_values(outcome.reports),
-                                   violations=outcome.n_violations))
-    _say(quiet, f"diagnose: {outcome.exit_reason}, "
-                f"{outcome.n_violations} flagged frames")
-    return outcome.exit_code
-
-
+# The drivers are looked up in the module globals at call time, so that a
+# patched cli.run_* is the one called.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "gauge-check": _cmd_gauge_check,
-    "gn-audit": _cmd_gn_audit,
-    "threshold-scan": _cmd_threshold_scan,
-    "diagnose": _cmd_diagnose,
+    "simulate": lambda cfg, jobs: run_simulation(cfg),
+    "gauge-check": lambda cfg, jobs: run_gauge_check(cfg),
+    "gn-audit": lambda cfg, jobs: run_gn_audit(cfg.gn_audit),
+    "threshold-scan": lambda cfg, jobs: run_threshold_scan(cfg, jobs=jobs),
+    "diagnose": lambda cfg, jobs: run_diagnose(cfg),
 }
 
 
@@ -159,10 +95,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cfg, out_dir = _prepare_out(cfg, args.out)
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        return _COMMANDS[args.command](cfg, out_dir, args.quiet, args.jobs)
+        cfg, out_dir = _prepare_out(cfg, args.out)
+        outcome = _COMMANDS[args.command](cfg, args.jobs)
+        return _write_outcome(args.command, cfg, out_dir, args.quiet, outcome)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

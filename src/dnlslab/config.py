@@ -15,7 +15,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 from .dynamics import SimConfig
-from .grid import MIN_NODES
+from .grid import MIN_NODES, TorusGrid
 from .initial_data import DataSpec, _check_band, builds_zero
 
 
@@ -146,8 +146,6 @@ def _check_ranges(cfg: RunConfig) -> None:
         (_even_nodes(cfg.grid.N), "grid.N: must be an even integer >= 8"),
         (cfg.delta > 0, "delta: must be positive"),
         (cfg.data.seed >= 0, "data.seed: must be >= 0"),
-        (cfg.data.target_mass is None or not builds_zero(cfg.data),
-         "data.target_mass: cannot rescale the zero field to a positive mass"),
         (cfg.gauge_check.tolerance > 0, "gauge_check.tolerance: must be positive"),
         (ga.num_fields >= 1, "gn_audit.num_fields: must be >= 1"),
         (all(L > 0 for L in ga.L_values), "gn_audit.L_values: must be positive"),
@@ -177,6 +175,10 @@ def _check_ranges(cfg: RunConfig) -> None:
             _check_band(cfg.data, N)
     except ValueError as e:
         raise ConfigError(f"data: {e}") from e
+    if cfg.data.target_mass is not None and builds_zero(
+            cfg.data, TorusGrid(cfg.grid.L, cfg.grid.N)):
+        raise ConfigError("data.target_mass: cannot rescale the zero field to a "
+                          "positive mass")
 
 
 def parse_config(doc: dict) -> RunConfig:

@@ -277,6 +277,11 @@ def _h1dot_from_spectrum(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
                    * np.sum(np.abs(grid._ik * F) ** 2, axis=-1))
 
 
+def step_count(T: float, dt: float) -> int:
+    """Number of steps of size dt that reach T: ceil(T/dt), at least 1."""
+    return max(1, math.ceil(T / dt - 1e-9))
+
+
 def simulate(u0: Field, config: SimConfig) -> Trajectory:
     """Advance u0 over ceil(T/dt) steps, recording every record_stride-th frame
     (the initial and final frames always included).
@@ -304,7 +309,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
         raise ValueError("all members must share one grid")
-    n_steps = max(1, math.ceil(config.T / config.dt - 1e-9))
+    n_steps = step_count(config.T, config.dt)
     stride = int(config.record_stride)
 
     kmax = float(np.max(np.abs(grid.k)))

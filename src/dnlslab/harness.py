@@ -1,8 +1,9 @@
 """Experiment drivers behind the CLI subcommands.
 
-Each driver is a pure-ish function from a validated RunConfig to an outcome
-object holding rows ready for serialization plus an exit code, so the CLI
-stays a thin argparse/IO shell and tests can exercise the drivers directly.
+Each driver is a pure-ish function from a validated RunConfig to one
+Outcome: the CSV tables it produces, the fields it adds to summary.json, its
+status line and its exit code. The CLI writes every Outcome the same way, so
+it stays a thin argparse/IO shell and tests can exercise the drivers directly.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError, GnAuditBlock, RunConfig
-from .diagnostics import CaseRecord, case_report
+from .diagnostics import CaseRecord, DiagnosticsSample, case_report
 from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, pde_residual, simulate,
-                       simulate_batch)
+                       simulate_batch, step_count)
 from .functionals import ConservedReport, conserved_report, mu
 from .gauge import gauge_profile, gauge_trajectory
 from .gn import (CGN, field_norms, gn0_extension_record, gn1_record,
@@ -43,6 +44,23 @@ SCAN_COLUMNS = ("L", "delta", "mass_fraction", "mass", "threshold",
 GAUGE_CHECK_COLUMNS = ("t", "discrepancy", "residual")
 
 
+@dataclass
+class Outcome:
+    """What one command produces.
+
+    tables: CSV file name -> (columns, rows); summary: the fields summary.json
+    adds to the config echo; status: the console text after
+    "<command>: <exit_reason>, "; traj: the trajectory behind frames.npz and
+    the drift plot script, set by simulate only.
+    """
+    tables: dict[str, tuple[tuple[str, ...], list[tuple]]]
+    summary: dict
+    status: str
+    exit_code: int
+    exit_reason: str
+    traj: Trajectory | None = None
+
+
 def grid_of(cfg: RunConfig) -> TorusGrid:
     return TorusGrid(cfg.grid.L, cfg.grid.N)
 
@@ -62,10 +80,15 @@ def drift_stats(reports: list[ConservedReport]) -> dict[str, float]:
     return out
 
 
-def initial_values(reports: list[ConservedReport]) -> dict[str, float]:
+def _conserved_outputs(reports: list[ConservedReport]) -> tuple[dict, dict]:
+    """conserved.csv, and the summary fields on it: the max drift and the
+    initial value of each conserved column."""
     first = reports[0]
-    return {name: getattr(first, name)
-            for name in ("M", "H", "E", "P", "mu", "Ecal")}
+    initial = {name: getattr(first, name)
+               for name in ("M", "H", "E", "P", "mu", "Ecal")}
+    table = (ConservedReport.COLUMNS, [r.as_row() for r in reports])
+    return ({"conserved.csv": table},
+            {"max_drifts": drift_stats(reports), "conserved_initial": initial})
 
 
 def diagnostics_rows(records: list[CaseRecord]) -> list[tuple]:
@@ -97,69 +120,52 @@ def _simulate_partial(u0: Field, sim: SimConfig
     return _member_record(result)
 
 
-@dataclass
-class SimOutcome:
-    traj: Trajectory | None
-    reports: list[ConservedReport]
-    drifts: dict[str, float]
-    exit_code: int
-    exit_reason: str
-    guard_time: float | None = None
-
-
-def run_simulation(cfg: RunConfig) -> SimOutcome:
+def run_simulation(cfg: RunConfig) -> Outcome:
     """Simulate the configured equation from the configured data."""
     grid = grid_of(cfg)
     u0 = build(cfg.data, grid)
     traj, code, reason, guard_t = _simulate_partial(u0, cfg.sim)
-    reports = [conserved_report(f, t) for t, f in traj.frames]
-    return SimOutcome(traj, reports, drift_stats(reports), code, reason, guard_t)
+    tables, summary = _conserved_outputs(
+        [conserved_report(f, t) for t, f in traj.frames])
+    return Outcome(tables, {**summary, "guard_time": guard_t},
+                   f"max drifts {summary['max_drifts']}", code, reason, traj)
 
 
-@dataclass
-class GaugeCheckOutcome:
-    rows: list[tuple]
-    max_discrepancy: float | None  # None when a flow stopped early
-    max_residual: float | None
-    tolerance: float
-    exit_code: int
-    exit_reason: str
-
-
-def run_gauge_check(cfg: RunConfig) -> GaugeCheckOutcome:
+def run_gauge_check(cfg: RunConfig) -> Outcome:
     """Evolve the ungauged flow, gauge the trajectory, evolve the gauged flow
     from the gauged initial data, and compare frame by frame."""
     grid = grid_of(cfg)
-    beta = cfg.gauge_check.beta
+    beta, tol = cfg.gauge_check.beta, cfg.gauge_check.tolerance
     u0 = build(cfg.data, grid)
     sim_u = replace(cfg.sim, equation="dnls1")
     sim_v = replace(cfg.sim, equation="dnls2", beta=beta)
     traj_u, code, reason, _ = _simulate_partial(u0, sim_u)
     if code == EXIT_OK:
         traj_v, code, reason, _ = _simulate_partial(gauge_profile(u0, beta), sim_v)
-    if code != EXIT_OK:
-        return GaugeCheckOutcome([], None, None, cfg.gauge_check.tolerance,
-                                 code, reason)
-    gauged = gauge_trajectory(traj_u, beta)
-
-    discrepancies = []
-    for (t_g, vg), (t_s, vs) in zip(gauged.frames, traj_v.frames):
-        diff = vg.values - vs.values
-        discrepancies.append(math.sqrt(float(np.sum(np.abs(diff) ** 2)) * grid.dx))
-    residuals = [None] * len(gauged.frames)
-    uniform = _uniform_prefix(gauged)
-    if len(uniform.frames) >= 3:
-        mu0 = mu(traj_u.frames[0][1])
-        inner = pde_residual(uniform, "dnls2", beta, mu0, cfg.sim.dealias)
-        for i, r in enumerate(inner):
-            residuals[i + 1] = float(r)
-    rows = [(t, d, r) for (t, _), d, r in zip(gauged.frames, discrepancies, residuals)]
-    max_disc = max(discrepancies)
-    max_res = max((r for r in residuals if r is not None), default=None)
-    ok = max_disc < cfg.gauge_check.tolerance
-    return GaugeCheckOutcome(rows, max_disc, max_res, cfg.gauge_check.tolerance,
-                             EXIT_OK if ok else EXIT_VERIFICATION,
-                             "ok" if ok else "verification-failed")
+    rows, max_disc, max_res = [], None, None  # None when a flow stopped early
+    if code == EXIT_OK:
+        gauged = gauge_trajectory(traj_u, beta)
+        discrepancies = [
+            math.sqrt(float(np.sum(np.abs(vg.values - vs.values) ** 2)) * grid.dx)
+            for (_, vg), (_, vs) in zip(gauged.frames, traj_v.frames)]
+        residuals = [None] * len(gauged.frames)
+        uniform = _uniform_prefix(gauged)
+        if len(uniform.frames) >= 3:
+            mu0 = mu(traj_u.frames[0][1])
+            inner = pde_residual(uniform, "dnls2", beta, mu0, cfg.sim.dealias)
+            for i, r in enumerate(inner):
+                residuals[i + 1] = float(r)
+        rows = [(t, d, r) for (t, _), d, r
+                in zip(gauged.frames, discrepancies, residuals)]
+        max_disc = max(discrepancies)
+        max_res = max((r for r in residuals if r is not None), default=None)
+        if not max_disc < tol:
+            code, reason = EXIT_VERIFICATION, "verification-failed"
+    shown = "n/a" if max_disc is None else f"{max_disc:.3e}"
+    return Outcome({"gauge_check.csv": (GAUGE_CHECK_COLUMNS, rows)},
+                   {"max_discrepancy": max_disc, "max_residual": max_res,
+                    "tolerance": tol},
+                   f"max discrepancy {shown} (tolerance {tol:g})", code, reason)
 
 
 def _uniform_prefix(traj: Trajectory) -> Trajectory:
@@ -193,15 +199,7 @@ def audit_coefficients(block: GnAuditBlock) -> list[np.ndarray]:
     return coeffs
 
 
-@dataclass
-class GnAuditOutcome:
-    rows: list[tuple]
-    n_violations: int
-    exit_code: int
-    exit_reason: str
-
-
-def run_gn_audit(block: GnAuditBlock) -> GnAuditOutcome:
+def run_gn_audit(block: GnAuditBlock) -> Outcome:
     """Audit the periodic inequality, the line inequality on the flap
     extension, and the enlargement chain between their right sides, for every
     (field, L, delta) combination.
@@ -226,8 +224,10 @@ def run_gn_audit(block: GnAuditBlock) -> GnAuditOutcome:
                 rows.append((field_id, L, delta, rec1.lhs, rec1.rhs, rec1.slack,
                              ok, prof.flap_l2grad, prof.flap_l4, prof.flap_l6))
     code = EXIT_OK if n_violations == 0 else EXIT_GN_VIOLATION
-    return GnAuditOutcome(rows, n_violations,
-                          code, "ok" if code == EXIT_OK else "gn-violations")
+    return Outcome({"gn_audit.csv": (GN_AUDIT_COLUMNS, rows)},
+                   {"rows": len(rows), "violations": n_violations},
+                   f"{len(rows)} rows, {n_violations} violations",
+                   code, "ok" if code == EXIT_OK else "gn-violations")
 
 
 @dataclass(frozen=True)
@@ -263,9 +263,9 @@ def run_scan_group(tasks: list[ScanTask]) -> list[ScanRunResult]:
     v0s = [gauge_profile(build(replace(task.data, target_mass=task.target_mass),
                                grid), GAUGE_BETA)
            for task in tasks]
-    n_steps = max(1, math.ceil(first.sim.T / first.dt - 1e-9))
     sim = replace(first.sim, equation="dnls2", beta=GAUGE_BETA, dt=first.dt,
-                  record_stride=_scan_frame_stride(n_steps))
+                  record_stride=_scan_frame_stride(step_count(first.sim.T,
+                                                              first.dt)))
     results = []
     for task, member in zip(tasks, simulate_batch(v0s, sim)):
         traj, exit_code, reason, _ = _member_record(member)
@@ -294,33 +294,28 @@ def _scan_result(task: ScanTask, traj: Trajectory, exit_code: int,
     return ScanRunResult(task, row, diagnostics_rows(records), exit_code)
 
 
-@dataclass
-class ScanOutcome:
-    results: list[ScanRunResult]
-    exit_code: int
-    exit_reason: str
-
-
-def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> ScanOutcome:
+def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
     """Run the gauged simulation for every (pair, mass fraction) and collect
     per-frame diagnostics.
 
     Exit is nonzero only when a BELOW-threshold run violates the bound chain
     (or its numerics fail); above-threshold rows are reported but never gate.
     Raises ConfigError, before anything is stepped, when the data builds the
-    zero field, which no member's target mass can rescale.
+    zero field on a pair's grid, which no member's target mass can rescale.
     """
-    if builds_zero(cfg.data):
-        raise ConfigError("data: threshold-scan rescales every member to a "
-                          "target mass, but the data builds the zero field")
     tasks = []
-    for pair in cfg.threshold_scan.pairs:
+    for i, pair in enumerate(cfg.threshold_scan.pairs):
+        N = pair.N if pair.N is not None else cfg.grid.N
+        if builds_zero(cfg.data, TorusGrid(pair.L, N)):
+            raise ConfigError(
+                f"data: threshold-scan rescales every member to a target mass, "
+                f"but the data builds the zero field on the grid of "
+                f"threshold_scan.pairs[{i}] (L = {pair.L:g}, N = {N})")
         threshold = mass_threshold(pair.L, pair.delta)
         for frac in cfg.threshold_scan.mass_fractions:
             tasks.append(ScanTask(
                 L=pair.L, delta=pair.delta,
-                dt=pair.dt if pair.dt is not None else cfg.sim.dt,
-                N=pair.N if pair.N is not None else cfg.grid.N,
+                dt=pair.dt if pair.dt is not None else cfg.sim.dt, N=N,
                 mass_fraction=frac, target_mass=frac * threshold,
                 sim=cfg.sim, data=cfg.data))
     # Members sharing (L, N, dt) are stepped as one batch; groups keep the
@@ -329,8 +324,10 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> ScanOutcome:
     for i, task in enumerate(tasks):
         groups.setdefault((task.L, task.N, task.dt), []).append(i)
     batches = [[tasks[i] for i in idx] for idx in groups.values()]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork-based pool starts all its workers at the first submit
+    workers = min(jobs, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_scan_group, batches))
     else:
         done = [run_scan_group(batch) for batch in batches]
@@ -345,20 +342,16 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> ScanOutcome:
         if below and res.exit_code != EXIT_OK:
             exit_code, reason = res.exit_code, res.summary_row[-1]
             break
-    return ScanOutcome(results, exit_code, reason)
+    tables = {"scan_summary.csv": (SCAN_COLUMNS, [r.summary_row for r in results])}
+    for res in results:
+        t = res.task
+        name = f"diagnostics_L{t.L:g}_d{t.delta:g}_f{t.mass_fraction:g}.csv"
+        tables[name] = (DiagnosticsSample.COLUMNS, res.diagnostics)
+    return Outcome(tables, {"runs": len(results)}, f"{len(results)} runs",
+                   exit_code, reason)
 
 
-@dataclass
-class DiagnoseOutcome:
-    records: list[CaseRecord]
-    reports: list[ConservedReport]
-    drifts: dict[str, float]
-    n_violations: int
-    exit_code: int
-    exit_reason: str
-
-
-def run_diagnose(cfg: RunConfig) -> DiagnoseOutcome:
+def run_diagnose(cfg: RunConfig) -> Outcome:
     """Produce the per-frame proof diagnostics of a beta = 3/4 gauged
     trajectory of the configured data.
 
@@ -381,5 +374,8 @@ def run_diagnose(cfg: RunConfig) -> DiagnoseOutcome:
     n_violations = sum(1 for r in records if r.flagged)
     if n_violations and exit_code == EXIT_OK:
         exit_code, reason = EXIT_VERIFICATION, "bound-chain-violation"
-    return DiagnoseOutcome(records, reports, drift_stats(reports), n_violations,
-                           exit_code, reason)
+    tables, summary = _conserved_outputs(reports)
+    table = (DiagnosticsSample.COLUMNS, diagnostics_rows(records))
+    return Outcome({"diagnostics.csv": table, **tables},
+                   {**summary, "violations": n_violations},
+                   f"{n_violations} flagged frames", exit_code, reason)

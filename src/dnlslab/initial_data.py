@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,12 +61,11 @@ def _check_band(spec: DataSpec, N: int):
                 f"mode {m} outside the dealiasing band |m| <= {band} of N = {N}")
 
 
-def builds_zero(spec: DataSpec) -> bool:
-    """Whether every amplitude of spec is zero, so that it builds the zero
-    field on any grid and cannot be rescaled to a target mass."""
-    if spec.kind == "multimode" and spec.amplitudes:
-        return not any(spec.amplitudes)
-    return spec.amplitude == 0.0
+def builds_zero(spec: DataSpec, grid: TorusGrid) -> bool:
+    """Whether spec, without its target mass, builds a field of zero mass on
+    grid (zero amplitudes, or a bump so narrow that every sample underflows),
+    so that no factor can rescale it to a target mass."""
+    return mass(build(replace(spec, target_mass=None), grid)) == 0.0
 
 
 def build(spec: DataSpec, grid: TorusGrid) -> Field:

@@ -186,9 +186,11 @@ def test_criterion_6_gn_audit(audit_outcome):
     outcome, elapsed = audit_outcome
     block = GnAuditBlock()
     want_rows = (block.num_fields + 1) * len(block.L_values) * len(block.delta_values)
-    ok = (outcome.exit_code == EXIT_OK and outcome.n_violations == 0
-          and len(outcome.rows) == want_rows and elapsed < 60.0)
-    report(6, ok, f"{len(outcome.rows)} audit rows, {outcome.n_violations} "
+    rows = outcome.tables["gn_audit.csv"][1]
+    n_violations = outcome.summary["violations"]
+    ok = (outcome.exit_code == EXIT_OK and n_violations == 0
+          and len(rows) == want_rows and elapsed < 60.0)
+    report(6, ok, f"{len(rows)} audit rows, {n_violations} "
                   f"violations, {elapsed:.1f}s < 60s")
 
 
@@ -295,11 +297,12 @@ def test_criterion_11_threshold_scan():
     elapsed = time.time() - t0
     ok = outcome.exit_code == EXIT_OK
     details = []
-    for res in outcome.results:
+    rows = outcome.tables["scan_summary.csv"][1]
+    for row in rows:
         (L, delta, frac, m, th, below, max_h1, h1_ratio,
-         dM, dP, dE, n1, n2, nviol, reason) = res.summary_row
+         dM, dP, dE, n1, n2, nviol, reason) = row
         ok &= below and reason == "ok" and nviol == 0 and h1_ratio < 10.0
         details.append(f"(L={L:g},d={delta:g},f={frac:g}): "
                        f"h1 ratio {h1_ratio:.2f}, {nviol} violations")
-    report(11, ok, f"{len(outcome.results)} runs in {elapsed:.0f}s; "
+    report(11, ok, f"{len(rows)} runs in {elapsed:.0f}s; "
                    + "; ".join(details))

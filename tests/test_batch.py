@@ -186,23 +186,56 @@ def scan_config():
 def test_scan_groups_keep_task_order_and_equal_serial_members():
     cfg = scan_config()
     outcome = run_threshold_scan(cfg)
-    assert [(r.summary_row[0], r.summary_row[1], r.summary_row[2])
-            for r in outcome.results] == [
+    rows = outcome.tables["scan_summary.csv"][1]
+    assert [(row[0], row[1], row[2]) for row in rows] == [
         (TWO_PI, 1.0, 0.5), (TWO_PI, 1.0, 0.9), (1.0, 0.1, 0.5),
         (1.0, 0.1, 0.9), (TWO_PI, 0.5, 0.5), (TWO_PI, 0.5, 0.9)]
-    for res in outcome.results:
+    members = [(pair, frac) for pair in cfg.threshold_scan.pairs
+               for frac in cfg.threshold_scan.mass_fractions]
+    for row, (pair, frac) in zip(rows, members):
         one = run_threshold_scan(replace(cfg, threshold_scan=ThresholdScanBlock(
-            mass_fractions=(res.task.mass_fraction,),
-            pairs=(ScanPair(L=res.task.L, delta=res.task.delta, dt=res.task.dt,
-                            N=res.task.N),))))
-        assert one.results[0].summary_row == res.summary_row
-        assert one.results[0].diagnostics == res.diagnostics
+            mass_fractions=(frac,),
+            pairs=(ScanPair(L=pair.L, delta=pair.delta,
+                            dt=pair.dt if pair.dt is not None else cfg.sim.dt,
+                            N=pair.N),))))
+        assert one.tables["scan_summary.csv"][1] == [row]
+        (name,) = set(one.tables) - {"scan_summary.csv"}
+        assert one.tables[name] == outcome.tables[name]
 
 
 def test_scan_jobs_do_not_change_results():
     cfg = scan_config()
     a = run_threshold_scan(cfg, jobs=1)
     b = run_threshold_scan(cfg, jobs=2)
-    assert [r.summary_row for r in a.results] == [r.summary_row for r in b.results]
-    assert [r.diagnostics for r in a.results] == [r.diagnostics for r in b.results]
+    assert a.tables == b.tables
     assert (a.exit_code, a.exit_reason) == (b.exit_code, b.exit_reason)
+    assert a == b
+
+
+def test_scan_pool_has_at_most_one_worker_per_group(monkeypatch):
+    opened = []
+
+    class RecordingPool:
+        """Records max_workers, starts no process and maps serially."""
+
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("dnlslab.harness.ProcessPoolExecutor", RecordingPool)
+    cfg = scan_config()  # two (L, N, dt) groups
+    assert run_threshold_scan(cfg, jobs=8) == run_threshold_scan(cfg, jobs=1)
+    assert opened == [2]
+
+    one_group = replace(cfg, threshold_scan=replace(
+        cfg.threshold_scan, pairs=cfg.threshold_scan.pairs[:1]))
+    run_threshold_scan(one_group, jobs=8)
+    assert opened == [2]  # one group runs serially

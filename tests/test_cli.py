@@ -32,6 +32,14 @@ def base_doc(out_dir, **overrides):
     return doc
 
 
+# builds the zero field at L = 2 pi, N = 32: every sample underflows to 0
+NARROW_BUMP = {"kind": "bump", "width": 1e-4, "center": 0.1}
+
+
+def no_stepping(*args, **kwargs):
+    raise AssertionError("a member was stepped")
+
+
 class TestSimulateCommand:
     def test_plane_wave_run(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -65,6 +73,17 @@ class TestSimulateCommand:
     def test_zero_data_with_target_mass_is_a_config_error(self, tmp_path, capsys):
         doc = base_doc(str(tmp_path / "out"))
         doc["data"] = {"kind": "plane_wave", "amplitude": 0.0, "target_mass": 1.0}
+        cfg = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: data.target_mass")
+        assert not (tmp_path / "out").exists()
+
+    def test_narrow_bump_with_target_mass_is_a_config_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr("dnlslab.harness.simulate_batch", no_stepping)
+        doc = base_doc(str(tmp_path / "out"), grid={"L": TWO_PI, "N": 32})
+        doc["data"] = {**NARROW_BUMP, "target_mass": 1.0}
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -231,9 +250,6 @@ class TestThresholdScanCommand:
         assert len(diag) == 2
 
     def test_zero_data_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        def no_stepping(*args, **kwargs):
-            raise AssertionError("a member was stepped")
-
         monkeypatch.setattr("dnlslab.harness.simulate_batch", no_stepping)
         out = tmp_path / "out"
         doc = self._doc(str(out))
@@ -243,6 +259,19 @@ class TestThresholdScanCommand:
         assert main(["threshold-scan", "--config", cfg, "--jobs", "2"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: data:")
+        assert os.listdir(out) == []
+
+    def test_narrow_bump_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("dnlslab.harness.simulate_batch", no_stepping)
+        out = tmp_path / "out"
+        doc = self._doc(str(out))
+        doc["grid"]["N"] = 32
+        doc["data"] = NARROW_BUMP
+        cfg = write_config(tmp_path, doc)
+        assert main(["threshold-scan", "--config", cfg, "--jobs", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: data:")
+        assert "threshold_scan.pairs[0]" in err[0]
         assert os.listdir(out) == []
 
     def test_parallel_rows_identical_to_serial(self, tmp_path):
@@ -282,3 +311,39 @@ class TestFloatFormat:
     def test_jobs_validation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(str(tmp_path / "o")))
         assert main(["simulate", "--config", cfg, "--jobs", "0"]) == 1
+        assert capsys.readouterr().err == "config error: --jobs must be >= 1\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestOutputFiles:
+    """The files each command writes and the first words of its status line,
+    with every output format requested."""
+
+    SCAN_FILES = {"scan_summary.csv", "diagnostics_L6.28319_d1_f0.5.csv",
+                  "diagnostics_L6.28319_d1_f0.9.csv"}
+
+    @pytest.mark.parametrize("command, files, status", [
+        ("simulate", {"conserved.csv", "frames.npz", "plot_drift.py"},
+         "simulate: ok, max drifts {"),
+        ("gauge-check", {"gauge_check.csv"}, "gauge-check: ok, max discrepancy "),
+        ("gn-audit", {"gn_audit.csv"}, "gn-audit: ok, 6 rows, 0 violations"),
+        ("threshold-scan", SCAN_FILES, "threshold-scan: ok, 2 runs"),
+        ("diagnose", {"diagnostics.csv", "conserved.csv"},
+         "diagnose: ok, 0 flagged frames"),
+    ])
+    def test_files_and_status_line(self, tmp_path, capsys, command, files, status):
+        out = tmp_path / "out"
+        doc = base_doc(str(out))
+        doc["outputs"]["formats"] = ["csv", "json", "frames", "plot"]
+        doc["data"] = {"kind": "multimode", "modes": [1, 2, -1],
+                       "amplitudes": [1.0, 0.4, 0.3], "seed": 5,
+                       "target_mass": 4.0}
+        doc["gn_audit"] = {"num_fields": 2, "L_values": [1.0],
+                           "delta_values": [0.5, 2.0], "N": 32}
+        doc["threshold_scan"] = {"mass_fractions": [0.5, 0.9],
+                                 "pairs": [{"L": TWO_PI, "delta": 1.0}]}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", cfg]) == 0
+        assert set(os.listdir(out)) == files | {"summary.json"}
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(status)
