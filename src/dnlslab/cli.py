@@ -27,14 +27,6 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
-def _prepare_out(cfg: RunConfig, out_override: str | None) -> tuple[RunConfig, str]:
-    if out_override:
-        cfg = replace(cfg, outputs=replace(cfg.outputs, dir=out_override))
-    out_dir = cfg.outputs.dir
-    os.makedirs(out_dir, exist_ok=True)
-    return cfg, out_dir
-
-
 def _summary_payload(cfg: RunConfig, exit_reason: str, **extra) -> dict:
     doc = config_to_dict(cfg)
     payload = {
@@ -47,10 +39,12 @@ def _summary_payload(cfg: RunConfig, exit_reason: str, **extra) -> dict:
     return payload
 
 
-def _write_outcome(command: str, cfg: RunConfig, out_dir: str, quiet: bool,
-                   outcome: Outcome) -> int:
-    """Write the outcome's tables, frames, plot script and summary.json, print
-    its status line and return its exit code."""
+def _write_outcome(command: str, cfg: RunConfig, quiet: bool, outcome: Outcome) -> int:
+    """Create the output directory, write the outcome's tables, frames, plot
+    script and summary.json into it, print its status line and return its
+    exit code."""
+    out_dir = cfg.outputs.dir
+    os.makedirs(out_dir, exist_ok=True)
     for name, (columns, rows) in outcome.tables.items():
         write_csv(os.path.join(out_dir, name), columns, rows)
     if outcome.traj is not None:
@@ -97,9 +91,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        cfg, out_dir = _prepare_out(cfg, args.out)
+        if args.out:
+            cfg = replace(cfg, outputs=replace(cfg.outputs, dir=args.out))
         outcome = _COMMANDS[args.command](cfg, args.jobs)
-        return _write_outcome(args.command, cfg, out_dir, args.quiet, outcome)
+        return _write_outcome(args.command, cfg, args.quiet, outcome)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

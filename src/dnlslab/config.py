@@ -15,12 +15,13 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 from .dynamics import SimConfig
-from .grid import MIN_NODES, TorusGrid
-from .initial_data import DataSpec, _check_band, builds_zero
+from .grid import MIN_NODES
+from .initial_data import DataSpec
 
 
 class ConfigError(ValueError):
-    """Configuration rejected by schema validation."""
+    """Configuration rejected: by schema validation at parse time, or by a
+    command, before it steps, for data or scan pairs that do not fit."""
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,9 @@ def _even_nodes(N: int) -> bool:
 
 
 def _check_ranges(cfg: RunConfig) -> None:
-    """Range and cross-block checks that the field types do not express."""
+    """Per-block range checks that the field types do not express. Whether the
+    data fits a grid, and a scan pair's dt against sim.T, are checked by the
+    commands that use them, on the grids they use."""
     ga, ts = cfg.gn_audit, cfg.threshold_scan
     checks = [
         (cfg.grid.L > 0, "grid.L: must be positive"),
@@ -164,21 +167,12 @@ def _check_ranges(cfg: RunConfig) -> None:
         path = f"threshold_scan.pairs[{i}]"
         checks += [
             (p.L > 0 and p.delta > 0, f"{path}: L and delta must be positive"),
-            (p.dt is None or 0 < p.dt <= cfg.sim.T, f"{path}.dt: must be in (0, sim.T]"),
+            (p.dt is None or p.dt > 0, f"{path}.dt: must be positive"),
             (p.N is None or _even_nodes(p.N), f"{path}.N: must be an even integer >= 8"),
         ]
     failed = next((msg for ok, msg in checks if not ok), None)
     if failed:
         raise ConfigError(failed)
-    try:
-        for N in [cfg.grid.N] + [p.N or cfg.grid.N for p in ts.pairs]:
-            _check_band(cfg.data, N)
-    except ValueError as e:
-        raise ConfigError(f"data: {e}") from e
-    if cfg.data.target_mass is not None and builds_zero(
-            cfg.data, TorusGrid(cfg.grid.L, cfg.grid.N)):
-        raise ConfigError("data.target_mass: cannot rescale the zero field to a "
-                          "positive mass")
 
 
 def parse_config(doc: dict) -> RunConfig:

@@ -94,7 +94,6 @@ class Trajectory:
     increasing, all frames on one grid."""
 
     frames: tuple
-    config: SimConfig | None = None
 
     def __post_init__(self):
         if not self.frames:
@@ -363,7 +362,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
                 m = members[row]
                 results[m] = _stop_error(rows[row], float(h1[row]),
                                          float(guard_limit[row]), t,
-                                         Trajectory(tuple(frames[m]), config))
+                                         Trajectory(tuple(frames[m])))
             members = [m for m, k in zip(members, keep) if k]
             if not members:
                 break
@@ -374,7 +373,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
             for row, m in enumerate(members):
                 frames[m].append((t, Field(grid, U[row])))
     for m in members:
-        results[m] = Trajectory(tuple(frames[m]), config)
+        results[m] = Trajectory(tuple(frames[m]))
     return results
 
 

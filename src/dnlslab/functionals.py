@@ -40,9 +40,6 @@ class ConservedReport:
 
     COLUMNS = ("t", "M", "H", "E", "P", "mu", "Ecal")
 
-    def as_row(self) -> tuple:
-        return (self.t, self.M, self.H, self.E, self.P, self.mu, self.Ecal)
-
 
 def mass(f: Field) -> float:
     """M = integral of |f|^2."""

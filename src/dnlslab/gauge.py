@@ -73,4 +73,4 @@ def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:
         # s = 0 (first frame, or beta = 0) is an exact identity; skipping the
         # spectral round trip keeps it exact discretely as well
         frames.append((t, translate(w, s) if s != 0.0 else w))
-    return Trajectory(frames=tuple(frames), config=traj.config)
+    return Trajectory(frames=tuple(frames))

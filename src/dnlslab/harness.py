@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .gauge import gauge_profile, gauge_trajectory
 from .gn import (CGN, field_norms, gn0_extension_record, gn1_record,
                  mass_threshold)
 from .grid import Field, Spectrum, TorusGrid
-from .initial_data import DataSpec, build, builds_zero
+from .initial_data import DataSpec, build
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -65,6 +66,20 @@ def grid_of(cfg: RunConfig) -> TorusGrid:
     return TorusGrid(cfg.grid.L, cfg.grid.N)
 
 
+def _build_data(spec: DataSpec, grid: TorusGrid, where: str = "", **changes) -> Field:
+    """build spec, with changes applied, on grid; a spec that does not fit is
+    a config error on the data block, and where names the grid for it."""
+    try:
+        return build(replace(spec, **changes), grid)
+    except ValueError as e:
+        raise ConfigError(f"data: {e}{where}") from e
+
+
+def _table(cls, records) -> tuple[tuple[str, ...], list[tuple]]:
+    """A CSV table of records of type cls: its COLUMNS, read off each record."""
+    return cls.COLUMNS, [tuple(getattr(r, c) for c in cls.COLUMNS) for r in records]
+
+
 def drift_stats(reports: list[ConservedReport]) -> dict[str, float]:
     """Max drift per conserved column, relative to max(|X(0)|, 1e-9).
 
@@ -73,7 +88,7 @@ def drift_stats(reports: list[ConservedReport]) -> dict[str, float]:
     """
     out = {}
     first = reports[0]
-    for name in ("M", "H", "E", "P", "mu", "Ecal"):
+    for name in ConservedReport.COLUMNS[1:]:
         x0 = getattr(first, name)
         worst = max(abs(getattr(r, name) - x0) for r in reports)
         out[name] = worst / max(abs(x0), 1e-9)
@@ -84,20 +99,22 @@ def _conserved_outputs(reports: list[ConservedReport]) -> tuple[dict, dict]:
     """conserved.csv, and the summary fields on it: the max drift and the
     initial value of each conserved column."""
     first = reports[0]
-    initial = {name: getattr(first, name)
-               for name in ("M", "H", "E", "P", "mu", "Ecal")}
-    table = (ConservedReport.COLUMNS, [r.as_row() for r in reports])
-    return ({"conserved.csv": table},
+    initial = {name: getattr(first, name) for name in ConservedReport.COLUMNS[1:]}
+    return ({"conserved.csv": _table(ConservedReport, reports)},
             {"max_drifts": drift_stats(reports), "conserved_initial": initial})
 
 
-def diagnostics_rows(records: list[CaseRecord]) -> list[tuple]:
-    rows = []
-    for rec in records:
-        s = rec.sample
-        rows.append((s.t, s.l4, s.l6, s.h1dot, s.f, s.gamma, s.eta,
-                     s.lower_bound_f, s.holder_upper, s.alpha, s.case_tag))
-    return rows
+def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
+                 ) -> tuple[list[ConservedReport], list[CaseRecord], int, int, str]:
+    """Conserved reports, case records and flagged-frame count of a gauged
+    trajectory, then the exit code and reason: a flagged frame turns an ok
+    exit into a bound-chain violation."""
+    reports = [conserved_report(f, t) for t, f in vtraj.frames]
+    records = case_report(vtraj, delta, reports[0])
+    n_flagged = sum(1 for r in records if r.flagged)
+    if n_flagged and exit_code == EXIT_OK:
+        exit_code, reason = EXIT_VERIFICATION, "bound-chain-violation"
+    return reports, records, n_flagged, exit_code, reason
 
 
 def _member_record(result: Trajectory | SimulationError
@@ -122,8 +139,7 @@ def _simulate_partial(u0: Field, sim: SimConfig
 
 def run_simulation(cfg: RunConfig) -> Outcome:
     """Simulate the configured equation from the configured data."""
-    grid = grid_of(cfg)
-    u0 = build(cfg.data, grid)
+    u0 = _build_data(cfg.data, grid_of(cfg))
     traj, code, reason, guard_t = _simulate_partial(u0, cfg.sim)
     tables, summary = _conserved_outputs(
         [conserved_report(f, t) for t, f in traj.frames])
@@ -136,7 +152,7 @@ def run_gauge_check(cfg: RunConfig) -> Outcome:
     from the gauged initial data, and compare frame by frame."""
     grid = grid_of(cfg)
     beta, tol = cfg.gauge_check.beta, cfg.gauge_check.tolerance
-    u0 = build(cfg.data, grid)
+    u0 = _build_data(cfg.data, grid)
     sim_u = replace(cfg.sim, equation="dnls1")
     sim_v = replace(cfg.sim, equation="dnls2", beta=beta)
     traj_u, code, reason, _ = _simulate_partial(u0, sim_u)
@@ -175,7 +191,7 @@ def _uniform_prefix(traj: Trajectory) -> Trajectory:
     times = traj.times
     if len(times) >= 3 and not math.isclose(times[-1] - times[-2],
                                             times[1] - times[0], rel_tol=1e-9):
-        return Trajectory(traj.frames[:-1], traj.config)
+        return Trajectory(traj.frames[:-1])
     return traj
 
 
@@ -230,68 +246,37 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
                    code, "ok" if code == EXIT_OK else "gn-violations")
 
 
-@dataclass(frozen=True)
-class ScanTask:
-    L: float
-    delta: float
-    dt: float
-    N: int
-    mass_fraction: float
-    target_mass: float
-    sim: SimConfig
-    data: DataSpec
+def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
+    """Step scan members that share (L, N, dt) as one gauged batch.
 
-
-@dataclass
-class ScanRunResult:
-    task: ScanTask
-    summary_row: tuple
-    diagnostics: list[tuple]
-    exit_code: int
-
-
-def _scan_frame_stride(n_steps: int) -> int:
+    A member is (pair, mass fraction, gauged initial field), its pair's N and
+    dt resolved; returns (summary row, diagnostics table, exit code) per
+    member, in order."""
+    dt = members[0][0].dt
     # about 100 recorded frames regardless of dt
-    return max(1, n_steps // 100)
-
-
-def run_scan_group(tasks: list[ScanTask]) -> list[ScanRunResult]:
-    """Run scan tasks that share (L, N, dt), stepping their gauged members as
-    one batch; one result per task, in order."""
-    first = tasks[0]
-    grid = TorusGrid(first.L, first.N)
-    v0s = [gauge_profile(build(replace(task.data, target_mass=task.target_mass),
-                               grid), GAUGE_BETA)
-           for task in tasks]
-    sim = replace(first.sim, equation="dnls2", beta=GAUGE_BETA, dt=first.dt,
-                  record_stride=_scan_frame_stride(step_count(first.sim.T,
-                                                              first.dt)))
+    sim = replace(cfg.sim, equation="dnls2", beta=GAUGE_BETA, dt=dt,
+                  record_stride=max(1, step_count(cfg.sim.T, dt) // 100))
     results = []
-    for task, member in zip(tasks, simulate_batch(v0s, sim)):
+    for (pair, frac, _), member in zip(
+            members, simulate_batch([v0 for _, _, v0 in members], sim)):
         traj, exit_code, reason, _ = _member_record(member)
-        results.append(_scan_result(task, traj, exit_code, reason))
+        reports, records, n_violations, exit_code, reason = _bound_chain(
+            traj, pair.delta, exit_code, reason)
+        threshold = mass_threshold(pair.L, pair.delta)
+        target_mass = frac * threshold
+        drifts = drift_stats(reports)
+        h1 = [r.sample.h1dot for r in records if not math.isnan(r.sample.f)]
+        max_h1 = max(h1) if h1 else 0.0
+        h1_0 = records[0].sample.h1dot if records else 0.0
+        ratio = max_h1 / h1_0 if h1_0 > 0 else math.inf if max_h1 > 0 else 0.0
+        n_case1 = sum(1 for r in records if r.sample.case_tag == "case1")
+        n_case2 = sum(1 for r in records if r.sample.case_tag == "case2")
+        row = (pair.L, pair.delta, frac, target_mass, threshold,
+               target_mass < threshold, max_h1, ratio, drifts["M"],
+               drifts["P"], drifts["Ecal"], n_case1, n_case2, n_violations, reason)
+        results.append((row, _table(DiagnosticsSample, [r.sample for r in records]),
+                        exit_code))
     return results
-
-
-def _scan_result(task: ScanTask, traj: Trajectory, exit_code: int,
-                 reason: str) -> ScanRunResult:
-    threshold = mass_threshold(task.L, task.delta)
-    reports = [conserved_report(f, t) for t, f in traj.frames]
-    drifts = drift_stats(reports)
-    records = case_report(traj, task.delta, reports[0])
-    h1 = [r.sample.h1dot for r in records if not math.isnan(r.sample.f)]
-    max_h1 = max(h1) if h1 else 0.0
-    h1_0 = records[0].sample.h1dot if records else 0.0
-    ratio = max_h1 / h1_0 if h1_0 > 0 else math.inf if max_h1 > 0 else 0.0
-    n_violations = sum(1 for r in records if r.flagged)
-    if n_violations and exit_code == EXIT_OK:
-        exit_code, reason = EXIT_VERIFICATION, "bound-chain-violation"
-    n_case1 = sum(1 for r in records if r.sample.case_tag == "case1")
-    n_case2 = sum(1 for r in records if r.sample.case_tag == "case2")
-    row = (task.L, task.delta, task.mass_fraction, task.target_mass, threshold,
-           task.target_mass < threshold, max_h1, ratio, drifts["M"],
-           drifts["P"], drifts["Ecal"], n_case1, n_case2, n_violations, reason)
-    return ScanRunResult(task, row, diagnostics_rows(records), exit_code)
 
 
 def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
@@ -300,53 +285,48 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
 
     Exit is nonzero only when a BELOW-threshold run violates the bound chain
     (or its numerics fail); above-threshold rows are reported but never gate.
-    Raises ConfigError, before anything is stepped, when the data builds the
-    zero field on a pair's grid, which no member's target mass can rescale.
+    Every member's data is built on its pair's grid before anything is
+    stepped, so a pair dt above sim.T, or data that does not build there,
+    is a ConfigError.
     """
-    tasks = []
+    members = []
     for i, pair in enumerate(cfg.threshold_scan.pairs):
-        N = pair.N if pair.N is not None else cfg.grid.N
-        if builds_zero(cfg.data, TorusGrid(pair.L, N)):
-            raise ConfigError(
-                f"data: threshold-scan rescales every member to a target mass, "
-                f"but the data builds the zero field on the grid of "
-                f"threshold_scan.pairs[{i}] (L = {pair.L:g}, N = {N})")
+        pair = replace(pair, N=pair.N or cfg.grid.N, dt=pair.dt or cfg.sim.dt)
+        if not pair.dt <= cfg.sim.T:
+            raise ConfigError(f"threshold_scan.pairs[{i}].dt: must be in (0, sim.T]")
+        grid = TorusGrid(pair.L, pair.N)
+        where = (f", on the grid of threshold_scan.pairs[{i}] "
+                 f"(L = {pair.L:g}, N = {pair.N})")
         threshold = mass_threshold(pair.L, pair.delta)
         for frac in cfg.threshold_scan.mass_fractions:
-            tasks.append(ScanTask(
-                L=pair.L, delta=pair.delta,
-                dt=pair.dt if pair.dt is not None else cfg.sim.dt, N=N,
-                mass_fraction=frac, target_mass=frac * threshold,
-                sim=cfg.sim, data=cfg.data))
+            u0 = _build_data(cfg.data, grid, where, target_mass=frac * threshold)
+            members.append((pair, frac, gauge_profile(u0, GAUGE_BETA)))
     # Members sharing (L, N, dt) are stepped as one batch; groups keep the
-    # order of their first task, and results go back to task order.
+    # order of their first member, and results go back to member order.
     groups: dict[tuple, list[int]] = {}
-    for i, task in enumerate(tasks):
-        groups.setdefault((task.L, task.N, task.dt), []).append(i)
-    batches = [[tasks[i] for i in idx] for idx in groups.values()]
+    for i, (pair, _, _) in enumerate(members):
+        groups.setdefault((pair.L, pair.N, pair.dt), []).append(i)
+    batches = [[members[i] for i in idx] for idx in groups.values()]
+    run_group = partial(run_scan_group, cfg)
     # a fork-based pool starts all its workers at the first submit
     workers = min(jobs, len(batches))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_scan_group, batches))
+            done = list(pool.map(run_group, batches))
     else:
-        done = [run_scan_group(batch) for batch in batches]
-    results = [None] * len(tasks)
+        done = [run_group(batch) for batch in batches]
+    results = [None] * len(members)
     for idx, group_results in zip(groups.values(), done):
         for i, res in zip(idx, group_results):
             results[i] = res
 
-    exit_code, reason = EXIT_OK, "ok"
-    for res in results:
-        below = res.task.target_mass < mass_threshold(res.task.L, res.task.delta)
-        if below and res.exit_code != EXIT_OK:
-            exit_code, reason = res.exit_code, res.summary_row[-1]
-            break
-    tables = {"scan_summary.csv": (SCAN_COLUMNS, [r.summary_row for r in results])}
-    for res in results:
-        t = res.task
-        name = f"diagnostics_L{t.L:g}_d{t.delta:g}_f{t.mass_fraction:g}.csv"
-        tables[name] = (DiagnosticsSample.COLUMNS, res.diagnostics)
+    below = SCAN_COLUMNS.index("below_threshold")
+    exit_code, reason = next(((code, row[-1]) for row, _, code in results
+                              if row[below] and code != EXIT_OK), (EXIT_OK, "ok"))
+    tables = {"scan_summary.csv": (SCAN_COLUMNS, [row for row, _, _ in results])}
+    for (pair, frac, _), (_, diagnostics, _) in zip(members, results):
+        name = f"diagnostics_L{pair.L:g}_d{pair.delta:g}_f{frac:g}.csv"
+        tables[name] = diagnostics
     return Outcome(tables, {"runs": len(results)}, f"{len(results)} runs",
                    exit_code, reason)
 
@@ -359,8 +339,7 @@ def run_diagnose(cfg: RunConfig) -> Outcome:
     dnls1 the trajectory is simulated then gauged, with dnls2 the gauged flow
     is simulated from the gauged data directly.
     """
-    grid = grid_of(cfg)
-    u0 = build(cfg.data, grid)
+    u0 = _build_data(cfg.data, grid_of(cfg))
     gauge_after = cfg.sim.equation == "dnls1"
     if gauge_after:
         traj, exit_code, reason, _ = _simulate_partial(u0, cfg.sim)
@@ -369,13 +348,10 @@ def run_diagnose(cfg: RunConfig) -> Outcome:
             gauge_profile(u0, GAUGE_BETA), replace(cfg.sim, beta=GAUGE_BETA))
     vtraj = gauge_trajectory(traj, GAUGE_BETA) if gauge_after else traj
 
-    reports = [conserved_report(f, t) for t, f in vtraj.frames]
-    records = case_report(vtraj, cfg.delta, reports[0])
-    n_violations = sum(1 for r in records if r.flagged)
-    if n_violations and exit_code == EXIT_OK:
-        exit_code, reason = EXIT_VERIFICATION, "bound-chain-violation"
+    reports, records, n_violations, exit_code, reason = _bound_chain(
+        vtraj, cfg.delta, exit_code, reason)
     tables, summary = _conserved_outputs(reports)
-    table = (DiagnosticsSample.COLUMNS, diagnostics_rows(records))
+    table = _table(DiagnosticsSample, [r.sample for r in records])
     return Outcome({"diagnostics.csv": table, **tables},
                    {**summary, "violations": n_violations},
                    f"{n_violations} flagged frames", exit_code, reason)

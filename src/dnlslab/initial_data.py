@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,15 +62,14 @@ def _check_band(spec: DataSpec, N: int):
                 f"mode {m} outside the dealiasing band |m| <= {band} of N = {N}")
 
 
-def builds_zero(spec: DataSpec, grid: TorusGrid) -> bool:
-    """Whether spec, without its target mass, builds a field of zero mass on
-    grid (zero amplitudes, or a bump so narrow that every sample underflows),
-    so that no factor can rescale it to a target mass."""
-    return mass(build(replace(spec, target_mass=None), grid)) == 0.0
-
-
 def build(spec: DataSpec, grid: TorusGrid) -> Field:
-    """Build the field described by spec on the given grid; deterministic."""
+    """Build the field described by spec on the given grid; deterministic.
+
+    This is the one rule for whether a spec fits a grid: it raises ValueError
+    for a wavenumber outside the band of grid.N, for a bump too narrow for
+    grid.L to compute, and for a target mass on data that builds the zero
+    field (zero amplitudes, or a bump so narrow that every sample underflows).
+    """
     _check_band(spec, grid.N)
     x = grid.x
     if spec.kind == "plane_wave":
@@ -82,7 +82,13 @@ def build(spec: DataSpec, grid: TorusGrid) -> Field:
         for m, a, th in zip(spec.modes, amps, phases):
             values += a * np.exp(1j * ((2.0 * np.pi * m / grid.L) * x + th))
     else:
-        scale = (grid.L / (2.0 * np.pi * spec.width)) ** 2
+        try:
+            scale = (grid.L / (2.0 * np.pi * spec.width)) ** 2
+        except OverflowError:
+            scale = math.inf
+        if scale == math.inf:
+            raise ValueError(f"bump width {spec.width:g} is too narrow for L = "
+                             f"{grid.L:g}: (L/(2 pi width))^2 overflows")
         values = spec.amplitude * np.exp(
             (np.cos(2.0 * np.pi * (x - spec.center) / grid.L) - 1.0) * scale)
         values = values.astype(np.complex128)

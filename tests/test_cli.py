@@ -40,6 +40,13 @@ def no_stepping(*args, **kwargs):
     raise AssertionError("a member was stepped")
 
 
+def forbid_stepping(monkeypatch):
+    """Make every command fail if it steps: simulate and the scan both step
+    through simulate_batch."""
+    monkeypatch.setattr("dnlslab.dynamics.simulate_batch", no_stepping)
+    monkeypatch.setattr("dnlslab.harness.simulate_batch", no_stepping)
+
+
 class TestSimulateCommand:
     def test_plane_wave_run(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -76,7 +83,8 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: data.target_mass")
+        assert len(err) == 1 and err[0].startswith(
+            "config error: data: cannot rescale the zero field")
         assert not (tmp_path / "out").exists()
 
     def test_narrow_bump_with_target_mass_is_a_config_error(self, tmp_path, capsys,
@@ -87,7 +95,8 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: data.target_mass")
+        assert len(err) == 1 and err[0].startswith(
+            "config error: data: cannot rescale the zero field")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
@@ -259,7 +268,7 @@ class TestThresholdScanCommand:
         assert main(["threshold-scan", "--config", cfg, "--jobs", "2"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: data:")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_narrow_bump_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("dnlslab.harness.simulate_batch", no_stepping)
@@ -272,7 +281,7 @@ class TestThresholdScanCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: data:")
         assert "threshold_scan.pairs[0]" in err[0]
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_parallel_rows_identical_to_serial(self, tmp_path):
         out1, out2 = str(tmp_path / "s"), str(tmp_path / "p")
@@ -299,6 +308,94 @@ class TestDiagnoseCommand:
                             "holder_upper,alpha,case_tag")
         assert len(lines) >= 3
         assert (tmp_path / "out" / "conserved.csv").exists()
+
+
+ZERO_DATA = "config error: data: cannot rescale the zero field"
+
+
+class TestDataCheckedWhereBuilt:
+    """A data spec is checked by the command that builds it, on the grids that
+    command uses, before anything is stepped or written."""
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        pytest.param(
+            "threshold-scan",
+            {"threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "dt": 2.0}]}},
+            "config error: threshold_scan.pairs[0].dt: must be in (0, sim.T]",
+            id="scan-pair-dt-above-T"),
+        pytest.param(
+            "diagnose", {"grid": {"N": 64}, "data": {"kind": "plane_wave", "mode": 40}},
+            "config error: data: mode 40 outside the dealiasing band",
+            id="diagnose-mode-outside-band"),
+        pytest.param(
+            "threshold-scan",
+            {"data": {"kind": "plane_wave", "mode": 30},
+             "threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "N": 64}]}},
+            "config error: data: mode 30 outside the dealiasing band",
+            id="scan-mode-outside-pair-band"),
+        pytest.param(
+            "simulate",
+            {"data": {"kind": "plane_wave", "amplitude": 0.0, "target_mass": 1.0}},
+            ZERO_DATA, id="simulate-zero-plane-wave"),
+        pytest.param(
+            "gauge-check",
+            {"data": {"kind": "bump", "amplitude": 0.0, "target_mass": 1.0}},
+            ZERO_DATA, id="gauge-check-zero-bump"),
+        pytest.param(
+            "diagnose",
+            {"data": {"kind": "multimode", "modes": [1, 2], "amplitudes": [0.0, 0.0],
+                      "target_mass": 1.0}},
+            ZERO_DATA, id="diagnose-zero-multimode"),
+        pytest.param(
+            "simulate", {"data": {"kind": "bump", "width": 1e-300}},
+            "config error: data: bump width 1e-300 is too narrow",
+            id="simulate-bump-scale-overflow"),
+        pytest.param(
+            "simulate", {"data": {"kind": "bump", "width": 1e-300, "target_mass": 1.0}},
+            "config error: data: bump width 1e-300 is too narrow",
+            id="simulate-bump-scale-overflow-target-mass"),
+        pytest.param(
+            "threshold-scan", {"data": {"kind": "bump", "width": 1e-300}},
+            "config error: data: bump width 1e-300 is too narrow",
+            id="scan-bump-scale-overflow"),
+        # delta/L overflows, so the threshold and every target mass are 0
+        pytest.param(
+            "threshold-scan",
+            {"threshold_scan": {"pairs": [{"L": 1e-10, "delta": 1e300}]}},
+            "config error: data: target_mass must be positive, got 0.0",
+            id="scan-threshold-underflow"),
+    ])
+    def test_rejected_before_stepping(self, tmp_path, capsys, monkeypatch, command,
+                                      overrides, message):
+        forbid_stepping(monkeypatch)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(str(out), **overrides))
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
+        if command == "threshold-scan":
+            assert "threshold_scan.pairs[0]" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        # the default scan pairs' dt and N are not read by simulate
+        pytest.param("simulate", {"sim": {"dt": 1e-5, "T": 1e-4}},
+                     id="simulate-T-below-default-pair-dt"),
+        pytest.param("simulate", {"grid": {"N": 256}, "sim": {"dt": 1e-3, "T": 0.005},
+                                  "data": {"kind": "plane_wave", "mode": 50}},
+                     id="simulate-mode-outside-default-pair-band"),
+        # gn-audit builds no data
+        pytest.param("gn-audit", {"data": {"kind": "plane_wave", "mode": 40},
+                                  "gn_audit": {"num_fields": 2, "L_values": [1.0],
+                                               "delta_values": [0.5], "N": 32}},
+                     id="gn-audit-data-outside-band"),
+    ])
+    def test_blocks_a_command_does_not_read_are_not_checked(self, tmp_path, command,
+                                                            overrides):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(str(out), **overrides))
+        assert main([command, "--config", cfg, "--quiet"]) == 0
+        assert (out / "summary.json").exists()
 
 
 class TestFloatFormat:

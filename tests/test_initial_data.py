@@ -59,6 +59,12 @@ class TestBump:
         with pytest.raises(ValueError):
             build(DataSpec(kind="bump", width=-0.1), grid)
 
+    @pytest.mark.parametrize("width", [1e-300, 5e-324])
+    def test_rejects_width_whose_scale_overflows(self, grid, width):
+        # (L/(2 pi width))^2 overflows; at 5e-324 the ratio itself is inf
+        with pytest.raises(ValueError, match="too narrow"):
+            build(DataSpec(kind="bump", width=width), grid)
+
 
 class TestRescaling:
     def test_target_mass_exact(self, grid):
