@@ -2,7 +2,9 @@
 
 The schema is the dataclasses below, dynamics.SimConfig and
 initial_data.DataSpec; parsing and the canonical echo derive from their fields
-and annotations. Unknown keys anywhere are rejected before any computation.
+and annotations. Each of them checks its own ranges when it is built, so a
+config built in code holds no out-of-range block either. Unknown keys anywhere
+are rejected before any computation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 from .dynamics import SimConfig
-from .grid import MIN_NODES
+from .grid import check_grid
 from .initial_data import DataSpec
 
 
@@ -24,10 +26,21 @@ class ConfigError(ValueError):
     command, before it steps, for data or scan pairs that do not fit."""
 
 
+FORMAT_CHOICES = ("csv", "json", "frames", "plot")
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class GridBlock:
     L: float = 2.0 * math.pi
     N: int = 256
+
+    def __post_init__(self):
+        check_grid(self.L, self.N)
 
 
 @dataclass(frozen=True)
@@ -35,11 +48,19 @@ class OutputsBlock:
     dir: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
+    def __post_init__(self):
+        for i, fmt in enumerate(self.formats):
+            _check(fmt in FORMAT_CHOICES,
+                   f"formats[{i}] must be one of {FORMAT_CHOICES}, got {fmt!r}")
+
 
 @dataclass(frozen=True)
 class GaugeCheckBlock:
     beta: float = 0.75
     tolerance: float = 1e-6
+
+    def __post_init__(self):
+        _check(self.tolerance > 0, f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +72,16 @@ class GnAuditBlock:
     max_mode: int = 16
     seed: int = 7
     corrupt_constant: float = 1.0
-    include_zero_field: bool = True
+
+    def __post_init__(self):
+        for L in self.L_values or (1.0,):  # N is checked even with no L
+            check_grid(L, self.N)
+        _check(self.num_fields >= 1, f"num_fields must be >= 1, got {self.num_fields}")
+        _check(all(d > 0 for d in self.delta_values), "delta_values must be positive")
+        _check(self.max_mode >= 1, f"max_mode must be >= 1, got {self.max_mode}")
+        _check(self.corrupt_constant > 0, f"corrupt_constant must be positive, "
+               f"got {self.corrupt_constant}")
+        _check(self.seed >= 0, f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +91,11 @@ class ScanPair:
     dt: float | None = None
     N: int | None = None
 
+    def __post_init__(self):
+        check_grid(self.L, self.N)
+        _check(self.delta > 0, f"delta must be positive, got {self.delta}")
+        _check(self.dt is None or self.dt > 0, f"dt must be positive, got {self.dt}")
+
 
 @dataclass(frozen=True)
 class ThresholdScanBlock:
@@ -69,6 +104,9 @@ class ThresholdScanBlock:
         ScanPair(L=2.0 * math.pi, delta=1.0, dt=2e-4, N=128),
         ScanPair(L=1.0, delta=0.1, dt=2e-5, N=128),
     )
+
+    def __post_init__(self):
+        _check(all(fr > 0 for fr in self.mass_fractions), "mass_fractions must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,8 +120,8 @@ class RunConfig:
     gn_audit: GnAuditBlock = GnAuditBlock()
     threshold_scan: ThresholdScanBlock = ThresholdScanBlock()
 
-
-FORMAT_CHOICES = ("csv", "json", "frames", "plot")
+    def __post_init__(self):
+        _check(self.delta > 0, f"delta must be positive, got {self.delta}")
 
 _type_hints = functools.cache(typing.get_type_hints)
 
@@ -135,51 +173,9 @@ def _coerce(tp, v, path, default=None):
     return v
 
 
-def _even_nodes(N: int) -> bool:
-    return N >= MIN_NODES and N % 2 == 0
-
-
-def _check_ranges(cfg: RunConfig) -> None:
-    """Per-block range checks that the field types do not express. Whether the
-    data fits a grid, and a scan pair's dt against sim.T, are checked by the
-    commands that use them, on the grids they use."""
-    ga, ts = cfg.gn_audit, cfg.threshold_scan
-    checks = [
-        (cfg.grid.L > 0, "grid.L: must be positive"),
-        (_even_nodes(cfg.grid.N), "grid.N: must be an even integer >= 8"),
-        (cfg.delta > 0, "delta: must be positive"),
-        (cfg.data.seed >= 0, "data.seed: must be >= 0"),
-        (cfg.gauge_check.tolerance > 0, "gauge_check.tolerance: must be positive"),
-        (ga.num_fields >= 1, "gn_audit.num_fields: must be >= 1"),
-        (all(L > 0 for L in ga.L_values), "gn_audit.L_values: must be positive"),
-        (all(d > 0 for d in ga.delta_values), "gn_audit.delta_values: must be positive"),
-        (_even_nodes(ga.N), "gn_audit.N: must be an even integer >= 8"),
-        (ga.max_mode >= 1, "gn_audit.max_mode: must be >= 1"),
-        (ga.corrupt_constant > 0, "gn_audit.corrupt_constant: must be positive"),
-        (ga.seed >= 0, "gn_audit.seed: must be >= 0"),
-        (all(fr > 0 for fr in ts.mass_fractions),
-         "threshold_scan.mass_fractions: must be positive"),
-    ]
-    checks += [(fmt in FORMAT_CHOICES,
-                f"outputs.formats[{i}]: expected one of {FORMAT_CHOICES}, got {fmt!r}")
-               for i, fmt in enumerate(cfg.outputs.formats)]
-    for i, p in enumerate(ts.pairs):
-        path = f"threshold_scan.pairs[{i}]"
-        checks += [
-            (p.L > 0 and p.delta > 0, f"{path}: L and delta must be positive"),
-            (p.dt is None or p.dt > 0, f"{path}.dt: must be positive"),
-            (p.N is None or _even_nodes(p.N), f"{path}.N: must be an even integer >= 8"),
-        ]
-    failed = next((msg for ok, msg in checks if not ok), None)
-    if failed:
-        raise ConfigError(failed)
-
-
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document and build a RunConfig."""
-    cfg = _parse_block(RunConfig, doc, "config", RunConfig())
-    _check_ranges(cfg)
-    return cfg
+    return _parse_block(RunConfig, doc, "config", RunConfig())
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -19,7 +19,6 @@ import numpy as np
 from .functionals import mu
 from .grid import Field, TorusGrid
 
-DEALIAS_CHOICES = ("two_thirds", "none")
 INTEGRATOR_CHOICES = ("ifrk4", "etdrk4")
 EQUATION_CHOICES = ("dnls1", "dnls2")
 
@@ -61,7 +60,6 @@ class SimConfig:
     dt: float
     T: float
     record_stride: int = 1
-    dealias: str = "two_thirds"
     integrator: str = "ifrk4"
     equation: str = "dnls1"
     beta: float = 0.75
@@ -76,8 +74,6 @@ class SimConfig:
             raise ValueError(f"dt = {self.dt} exceeds horizon T = {self.T}")
         if int(self.record_stride) < 1:
             raise ValueError(f"record_stride must be >= 1, got {self.record_stride}")
-        if self.dealias not in DEALIAS_CHOICES:
-            raise ValueError(f"dealias must be one of {DEALIAS_CHOICES}, got {self.dealias!r}")
         if self.integrator not in INTEGRATOR_CHOICES:
             raise ValueError(f"integrator must be one of {INTEGRATOR_CHOICES}, got {self.integrator!r}")
         if self.equation not in EQUATION_CHOICES:
@@ -123,18 +119,14 @@ def dispersion_symbol(grid: TorusGrid) -> np.ndarray:
     return -1j * grid.k ** 2
 
 
-def _dealias_drop(grid: TorusGrid, dealias: str) -> slice:
-    """The modes the dealiasing rule zeroes, as one slice of FFT order.
+def _dealias_drop(grid: TorusGrid) -> slice:
+    """The modes the 2/3 rule zeroes, as one slice of FFT order.
 
-    The 2/3 rule drops |m| > N//3 (the complement of grid.dealias_keep): in
-    FFT order the contiguous run N//3 + 1 .. N - N//3 - 1. Zeroing a basic
-    slice costs less per call than the fancy indexing of a boolean mask.
+    The rule drops |m| > N//3 (the complement of grid.dealias_keep): in FFT
+    order the contiguous run N//3 + 1 .. N - N//3 - 1. Zeroing a basic slice
+    costs less per call than the fancy indexing of a boolean mask.
     """
-    if dealias == "two_thirds":
-        return slice(grid.N // 3 + 1, grid.N - grid.N // 3)
-    if dealias == "none":
-        return slice(0, 0)
-    raise ValueError(f"dealias must be one of {DEALIAS_CHOICES}, got {dealias!r}")
+    return slice(grid.N // 3 + 1, grid.N - grid.N // 3)
 
 
 def _nl_dnls1(grid: TorusGrid, drop: slice, F: np.ndarray) -> np.ndarray:
@@ -186,7 +178,7 @@ def _nl_dnls2(grid: TorusGrid, drop: slice, beta: float,
     return out
 
 
-def _make_nonlinear(grid: TorusGrid, equation: str, beta: float, dealias: str,
+def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
                     mu_val: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The nonlinear part of the chosen flow, on spectra of shape (..., N).
 
@@ -194,7 +186,7 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float, dealias: str,
     the ungauged one, and sharing the kernel makes the identity exact
     discretely, not just analytically.
     """
-    drop = _dealias_drop(grid, dealias)
+    drop = _dealias_drop(grid)
     if equation == "dnls1" or beta == 0.0:
         return lambda F: _nl_dnls1(grid, drop, F)
     return lambda F: _nl_dnls2(grid, drop, beta, mu_val, F)
@@ -251,14 +243,13 @@ def _rhs(grid: TorusGrid, nl: Callable, U: np.ndarray) -> np.ndarray:
     return np.fft.ifft(dispersion_symbol(grid) * F + nl(F))
 
 
-def rhs_dnls1(u: Field, dealias: str = "two_thirds") -> Field:
+def rhs_dnls1(u: Field) -> Field:
     """Full right-hand side du/dt = i*u_xx + d/dx(|u|^2 u)."""
-    nl = _make_nonlinear(u.grid, "dnls1", 0.0, dealias, 0.0)
+    nl = _make_nonlinear(u.grid, "dnls1", 0.0, 0.0)
     return Field(u.grid, _rhs(u.grid, nl, u.values))
 
 
-def rhs_dnls2(v: Field, beta: float, mu_val: float,
-              dealias: str = "two_thirds") -> Field:
+def rhs_dnls2(v: Field, beta: float, mu_val: float) -> Field:
     """Full right-hand side of the gauged flow,
 
     dv/dt = i*v_xx - i*[ 2(1-b) i |v|^2 v_x + (1-2b) i v^2 conj(v_x)
@@ -266,7 +257,7 @@ def rhs_dnls2(v: Field, beta: float, mu_val: float,
     """
     if mu_val < 0:
         raise ValueError("mu_val must be nonnegative")
-    nl = _make_nonlinear(v.grid, "dnls2", beta, dealias, mu_val)
+    nl = _make_nonlinear(v.grid, "dnls2", beta, mu_val)
     return Field(v.grid, _rhs(v.grid, nl, v.values))
 
 
@@ -335,8 +326,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     values = [u0.values for u0 in u0s]
     F = np.fft.fft(values[0] if len(values) == 1 else np.stack(values))
     mu_col = np.array(mu_vals).reshape(F.shape[:-1] + (1,))
-    kernel = lambda mu_col: _make_nonlinear(grid, config.equation, config.beta,
-                                            config.dealias, mu_col)
+    kernel = lambda mu_col: _make_nonlinear(grid, config.equation, config.beta, mu_col)
     nl = kernel(mu_col)
     guard0 = np.atleast_1d(_h1dot_from_spectrum(grid, F))
     # A NaN/Inf sample makes the seminorm NaN or Inf. With the limit capped
@@ -394,8 +384,7 @@ def _stop_error(F: np.ndarray, h1: float, guard_limit: float, t: float,
 
 
 def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,
-                 mu_val: float | None = None,
-                 dealias: str = "two_thirds") -> np.ndarray:
+                 mu_val: float | None = None) -> np.ndarray:
     """Per interior frame, the L^2 norm of D_t u - rhs(u), D_t the centered
     difference over the (uniform) frame spacing.
 
@@ -418,7 +407,7 @@ def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,
         raise ValueError("mu_val must be nonnegative")
 
     grid = traj.grid
-    nl = _make_nonlinear(grid, equation, beta, dealias, mu_val)
+    nl = _make_nonlinear(grid, equation, beta, mu_val)
     U = np.stack([f.values for _, f in frames])
     dt_u = (U[2:] - U[:-2]) / (2.0 * float(spacings[0]))
     diff = dt_u - _rhs(grid, nl, U[1:-1])

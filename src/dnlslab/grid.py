@@ -15,6 +15,15 @@ import numpy as np
 MIN_NODES = 8
 
 
+def check_grid(L: float, N: int | None) -> None:
+    """The grid rule: L finite and > 0, N an even integer >= MIN_NODES (None
+    skips N). Raises ValueError; builds nothing, so a huge N costs nothing."""
+    if not np.isfinite(L) or L <= 0:
+        raise ValueError(f"period L must be positive and finite, got {L}")
+    if N is not None and (N % 2 != 0 or N < MIN_NODES):
+        raise ValueError(f"node count N must be an even integer >= {MIN_NODES}, got {N}")
+
+
 class TorusGrid:
     """Discretized circle of circumference L with N equispaced nodes.
 
@@ -29,13 +38,8 @@ class TorusGrid:
     """
 
     def __init__(self, L: float, N: int):
-        if not np.isfinite(L) or L <= 0:
-            raise ValueError(f"period L must be positive and finite, got {L}")
         N = int(N)
-        if N % 2 != 0:
-            raise ValueError(f"node count N must be even, got {N}")
-        if N < MIN_NODES:
-            raise ValueError(f"node count N must be >= {MIN_NODES}, got {N}")
+        check_grid(L, N)
         self.L = float(L)
         self.N = N
         self.x = np.arange(N) * (self.L / N)

@@ -168,7 +168,7 @@ def run_gauge_check(cfg: RunConfig) -> Outcome:
         uniform = _uniform_prefix(gauged)
         if len(uniform.frames) >= 3:
             mu0 = mu(traj_u.frames[0][1])
-            inner = pde_residual(uniform, "dnls2", beta, mu0, cfg.sim.dealias)
+            inner = pde_residual(uniform, "dnls2", beta, mu0)
             for i, r in enumerate(inner):
                 residuals[i + 1] = float(r)
         rows = [(t, d, r) for (t, _), d, r
@@ -197,14 +197,11 @@ def _uniform_prefix(traj: Trajectory) -> Trajectory:
 
 def audit_coefficients(block: GnAuditBlock) -> list[np.ndarray]:
     """Deterministic corpus of random band-limited spectra, FFT order, length
-    block.N; one entry per field id (the zero field, when included, is id 0
-    and prepended)."""
+    block.N; one entry per field id, the zero field first, as id 0."""
     rng = np.random.default_rng(block.seed)
     band = min(block.max_mode, block.N // 3)
     envelope_scale = max(2.0, band / 3.0)
-    coeffs = []
-    if block.include_zero_field:
-        coeffs.append(np.zeros(block.N, dtype=np.complex128))
+    coeffs = [np.zeros(block.N, dtype=np.complex128)]
     for _ in range(block.num_fields):
         c = np.zeros(block.N, dtype=np.complex128)
         scale = 10.0 ** rng.uniform(-1.0, 1.0)

@@ -51,6 +51,8 @@ class DataSpec:
             raise ValueError("amplitudes and modes must have equal length")
         if self.kind == "bump" and not self.width > 0:
             raise ValueError(f"bump width must be positive, got {self.width}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_band(spec: DataSpec, N: int):

@@ -96,7 +96,7 @@ def test_batch_equals_serial(members, integrator, equation, beta):
 
 @pytest.mark.parametrize("beta", [0.75, 0.5, 0.0])
 def test_kernels_and_steps_act_row_by_row(grid, members, beta):
-    drop = _dealias_drop(grid, "two_thirds")
+    drop = _dealias_drop(grid)
     F = np.fft.fft(np.stack([u.values for u in members]))
     mu = np.array([[0.3], [1.1], [2.0]])
     assert np.array_equal(_nl_dnls1(grid, drop, F),
@@ -122,15 +122,13 @@ def test_kernels_and_steps_act_row_by_row(grid, members, beta):
 @pytest.mark.parametrize("N", [8, 10, 12, 32, 128, 256])
 def test_dealias_slice_drops_what_dealias_keep_drops(N):
     grid = TorusGrid(TWO_PI, N)
-    for dealias, want in (("two_thirds", grid.dealias_keep),
-                          ("none", np.ones(N, dtype=bool))):
-        kept = np.ones(N, dtype=bool)
-        kept[_dealias_drop(grid, dealias)] = False
-        assert np.array_equal(kept, want)
+    kept = np.ones(N, dtype=bool)
+    kept[_dealias_drop(grid)] = False
+    assert np.array_equal(kept, grid.dealias_keep)
 
 
 def test_quartic_skip_at_three_quarters_equals_unskipped_kernel(grid, members):
-    drop = _dealias_drop(grid, "two_thirds")
+    drop = _dealias_drop(grid)
     for u in members:
         F = np.fft.fft(u.values)
         for mu_val in (0.0, 0.7):
