@@ -108,9 +108,16 @@ def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
                  ) -> tuple[list[ConservedReport], list[CaseRecord], int, int, str]:
     """Conserved reports, case records and flagged-frame count of a gauged
     trajectory, then the exit code and reason: a flagged frame turns an ok
-    exit into a bound-chain violation."""
+    exit into a bound-chain violation. An overflow or a division by an
+    underflowed norm in the case report ends the analysis with no records,
+    and turns an ok exit into non-finite."""
     reports = [conserved_report(f, t) for t, f in vtraj.frames]
-    records = case_report(vtraj, delta, reports[0])
+    try:
+        records = case_report(vtraj, delta, reports[0])
+    except ArithmeticError:
+        records = []
+        if exit_code == EXIT_OK:
+            exit_code, reason = EXIT_NONFINITE, "non-finite"
     n_flagged = sum(1 for r in records if r.flagged)
     if n_flagged and exit_code == EXIT_OK:
         exit_code, reason = EXIT_VERIFICATION, "bound-chain-violation"

@@ -69,8 +69,9 @@ def build(spec: DataSpec, grid: TorusGrid) -> Field:
 
     This is the one rule for whether a spec fits a grid: it raises ValueError
     for a wavenumber outside the band of grid.N, for a bump too narrow for
-    grid.L to compute, and for a target mass on data that builds the zero
-    field (zero amplitudes, or a bump so narrow that every sample underflows).
+    grid.L to compute, for a field whose mass overflows, and for a target
+    mass on data that builds the zero field (zero amplitudes, or a bump so
+    narrow that every sample underflows).
     """
     _check_band(spec, grid.N)
     x = grid.x
@@ -96,8 +97,11 @@ def build(spec: DataSpec, grid: TorusGrid) -> Field:
         values = values.astype(np.complex128)
 
     f = Field(grid, values)
-    if spec.target_mass is not None:
+    with np.errstate(over="ignore"):
         m = mass(f)
+    if not math.isfinite(m):
+        raise ValueError("the mass of the built field overflows")
+    if spec.target_mass is not None:
         if m == 0.0:
             raise ValueError("cannot rescale the zero field to a positive mass")
         f = Field(grid, f.values * np.sqrt(spec.target_mass / m))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -37,9 +38,20 @@ def content_hash(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _finite_or_none(v):
+    """v with each non-finite float in it, at any depth, replaced by None."""
+    if isinstance(v, dict):
+        return {k: _finite_or_none(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_none(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def write_summary(path: str, payload: dict) -> None:
+    """payload as strict JSON: a non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_none(payload), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

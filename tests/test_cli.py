@@ -36,6 +36,10 @@ def base_doc(out_dir, **overrides):
 NARROW_BUMP = {"kind": "bump", "width": 1e-4, "center": 0.1}
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def no_stepping(*args, **kwargs):
     raise AssertionError("a member was stepped")
 
@@ -358,6 +362,11 @@ class TestDataCheckedWhereBuilt:
             "threshold-scan", {"data": {"kind": "bump", "width": 1e-300}},
             "config error: data: bump width 1e-300 is too narrow",
             id="scan-bump-scale-overflow"),
+        *[pytest.param(
+            command, {"data": {"kind": "plane_wave", "amplitude": 1e200}},
+            "config error: data: the mass of the built field overflows",
+            id=f"{command}-mass-overflow")
+          for command in ("simulate", "gauge-check", "diagnose", "threshold-scan")],
         # delta/L overflows, so the threshold and every target mass are 0
         pytest.param(
             "threshold-scan",
@@ -396,6 +405,41 @@ class TestDataCheckedWhereBuilt:
         cfg = write_config(tmp_path, base_doc(str(out), **overrides))
         assert main([command, "--config", cfg, "--quiet"]) == 0
         assert (out / "summary.json").exists()
+
+
+class TestLateNumericTrouble:
+    """Periods so large or small that the numbers overflow or underflow after
+    the data is built: the run ends with an exit code, strict JSON and no
+    traceback."""
+
+    @staticmethod
+    def _run(tmp_path, command, L):
+        out = tmp_path / "out"
+        doc = base_doc(str(out), grid={"L": L, "N": 32}, sim={"dt": 1e-4, "T": 3e-4})
+        cfg = write_config(tmp_path, doc)
+        code = main([command, "--config", cfg])
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        return code, summary, out
+
+    def test_simulate_writes_non_finite_values_as_null(self, tmp_path):
+        code, summary, _ = self._run(tmp_path, "simulate", 1e-300)
+        assert code == 3 and summary["exit_reason"] == "non-finite"
+        assert summary["max_drifts"]["E"] is None
+
+    def test_gauge_check_writes_infinite_discrepancy_as_null(self, tmp_path, capsys):
+        code, summary, _ = self._run(tmp_path, "gauge-check", 1e308)
+        assert code == 5 and summary["exit_reason"] == "verification-failed"
+        assert "max discrepancy inf" in capsys.readouterr().out
+        assert summary["max_discrepancy"] is None
+
+    @pytest.mark.parametrize("L", [1e308, 1e-300])
+    def test_diagnose_bound_chain_trouble_exits_3(self, tmp_path, capsys, L):
+        code, summary, out = self._run(tmp_path, "diagnose", L)
+        assert code == 3 and summary["exit_reason"] == "non-finite"
+        assert capsys.readouterr().out.startswith("diagnose: non-finite, ")
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1
+        assert len((out / "conserved.csv").read_text().splitlines()) > 1
 
 
 class TestFloatFormat:

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dnlslab.config import (ConfigError, RunConfig, config_to_dict, load_config,
-                            parse_config)
+from dnlslab.config import (ConfigError, GaugeCheckBlock, GnAuditBlock, GridBlock,
+                            OutputsBlock, RunConfig, ScanPair, ThresholdScanBlock,
+                            config_to_dict, load_config, parse_config)
+from dnlslab.grid import TorusGrid
+from dnlslab.initial_data import DataSpec
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 SHIPPED = sorted(os.path.join(CONFIG_DIR, name) for name in os.listdir(CONFIG_DIR))
@@ -110,10 +113,51 @@ def test_one_unknown_key_anywhere_is_rejected(data):
     {"gn_audit": {"fields": 10}},
     {"threshold_scan": {"pairs": [{"L": 1.0, "delta": 0.1, "steps": 5}]}},
     {"sim": {"dt": 1e-3, "seed": 0}},
+    # options that are constants now: the 2/3 rule, and the zero field as id 0
+    {"sim": {"dealias": "two_thirds"}},
+    {"gn_audit": {"include_zero_field": True}},
 ])
 def test_unknown_keys_rejected(doc):
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+OUT_OF_RANGE = [
+    (GridBlock, {"N": 15}),
+    (GridBlock, {"L": -1.0}),
+    (ScanPair, {"L": 1.0, "delta": 0.1, "N": 33}),
+    (ScanPair, {"L": 1.0, "delta": 0.0}),
+    (ScanPair, {"L": 1.0, "delta": 0.1, "dt": -1e-4}),
+    (GnAuditBlock, {"max_mode": 0}),
+    (GnAuditBlock, {"L_values": (1.0, math.nan)}),
+    (GnAuditBlock, {"L_values": (), "N": 33}),
+    (GaugeCheckBlock, {"tolerance": 0.0}),
+    (ThresholdScanBlock, {"mass_fractions": (-0.1,)}),
+    (OutputsBlock, {"formats": ("pdf",)}),
+    (RunConfig, {"delta": 0.0}),
+    (DataSpec, {"seed": -1}),
+]
+
+
+@pytest.mark.parametrize("cls, kw", OUT_OF_RANGE,
+                         ids=[f"{c.__name__}-{'-'.join(kw)}" for c, kw in OUT_OF_RANGE])
+def test_blocks_built_in_code_check_their_ranges(cls, kw):
+    with pytest.raises(ValueError):
+        cls(**kw)
+
+
+@PROPERTY
+@given(L=st.floats() | st.sampled_from([5e-324, 1e-300, 1e308, -0.0]),
+       N=st.integers(-4, 300))
+def test_grid_block_and_torus_grid_share_one_rule(L, N):
+    def rejects(make):
+        try:
+            make()
+        except ValueError:
+            return True
+        return False
+
+    assert rejects(lambda: TorusGrid(L, N)) == rejects(lambda: GridBlock(L=L, N=N))
 
 
 @pytest.mark.parametrize("doc", [
