@@ -28,6 +28,7 @@ class TestSimConfig:
     @pytest.mark.parametrize("kw", [
         dict(dt=-1e-3, T=1.0), dict(dt=1e-3, T=-1.0),
         dict(dt=1e-3, T=1.0, record_stride=0),
+        dict(dt=1e-3, T=1.0, beta=math.nan),
         dict(dt=1e-3, T=1.0, integrator="euler"),
         dict(dt=1e-3, T=1.0, equation="kdv"),
         dict(dt=1e-3, T=1.0, guard_factor=0.0),
