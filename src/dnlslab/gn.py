@@ -10,7 +10,8 @@ is this module's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,15 +88,17 @@ def base_shift(f: Field) -> tuple[Field, int]:
     return Field(f.grid, np.roll(f.values, -idx)), idx
 
 
-def flap_integrals(f0_abs: float, delta: float) -> ExtensionProfile:
-    """Exact flap contributions for boundary value |f(0)| and width delta."""
+def flap_integrals(f0_abs: float, delta: float,
+                   base_index: int = 0) -> ExtensionProfile:
+    """Exact flap contributions for boundary value |f(0)| and width delta;
+    base_index is the grid node the field was rotated by to bring it to 0."""
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if f0_abs < 0:
         raise ValueError(f"f0_abs must be nonnegative, got {f0_abs}")
     return ExtensionProfile(
         delta=float(delta),
-        base_index=0,
+        base_index=base_index,
         f0_abs=float(f0_abs),
         flap_l2grad=2.0 * f0_abs ** 2 / delta,
         flap_l4=2.0 * delta * f0_abs ** 4 / 5.0,
@@ -117,10 +120,13 @@ class FieldNorms:
 
 
 def field_norms(f: Field) -> FieldNorms:
-    shifted, idx = base_shift(f)
+    """The norms of f, and the base node and |f| there that base_shift gives,
+    read off f without rotating it."""
+    modulus = np.abs(f.values)
+    idx = int(np.argmin(modulus))
     return FieldNorms(L=f.grid.L, l4=lp_norm(f, 4), l6=lp_norm(f, 6),
-                      grad_sq=h1dot_sq(f),
-                      f0_abs=float(np.abs(shifted.values[0])), base_index=idx)
+                      grad_sq=h1dot_sq(f), f0_abs=float(modulus[idx]),
+                      base_index=idx)
 
 
 def gn1_record(norms: FieldNorms, delta: float,
@@ -131,7 +137,7 @@ def gn1_record(norms: FieldNorms, delta: float,
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    bracket = norms.grad_sq + 2.0 / (delta * np.sqrt(norms.L)) * norms.l4 ** 2
+    bracket = norms.grad_sq + 2.0 / (delta * math.sqrt(norms.L)) * norms.l4 ** 2
     rhs = (constant * (1.0 + 2.0 * delta / (5.0 * norms.L)) ** (2.0 / 9.0)
            * bracket ** (1.0 / 18.0) * norms.l4 ** (8.0 / 9.0))
     return GnAuditRecord(lhs=norms.l6, rhs=rhs, slack=rhs - norms.l6,
@@ -146,8 +152,7 @@ def gn0_extension_record(norms: FieldNorms, delta: float,
     The rhs computed here is enlarged, term by term, into the rhs of the
     periodic record, which is the content of the derivation chain.
     """
-    prof = replace(flap_integrals(norms.f0_abs, delta),
-                   base_index=norms.base_index)
+    prof = flap_integrals(norms.f0_abs, delta, norms.base_index)
     lhs = (norms.l6 ** 6 + prof.flap_l6) ** (1.0 / 6.0)
     grad_sq = norms.grad_sq + prof.flap_l2grad
     l4_4 = norms.l4 ** 4 + prof.flap_l4

@@ -16,7 +16,8 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError, GnAuditBlock, RunConfig
-from .diagnostics import CaseRecord, DiagnosticsSample, case_report
+from .diagnostics import (CaseRecord, DiagnosticsSample, ZeroFieldError,
+                          case_report)
 from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, pde_residual, simulate,
                        simulate_batch, step_count)
@@ -109,12 +110,13 @@ def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
     """Conserved reports, case records and flagged-frame count of a gauged
     trajectory, then the exit code and reason: a flagged frame turns an ok
     exit into a bound-chain violation. An overflow or a division by an
-    underflowed norm in the case report ends the analysis with no records,
-    and turns an ok exit into non-finite."""
+    underflowed norm in the case report, or a nonzero frame whose norm
+    underflows to zero there, ends the analysis with no records, and turns an
+    ok exit into non-finite."""
     reports = [conserved_report(f, t) for t, f in vtraj.frames]
     try:
         records = case_report(vtraj, delta, reports[0])
-    except ArithmeticError:
+    except (ArithmeticError, ZeroFieldError):
         records = []
         if exit_code == EXIT_OK:
             exit_code, reason = EXIT_NONFINITE, "non-finite"
@@ -208,13 +210,17 @@ def audit_coefficients(block: GnAuditBlock) -> list[np.ndarray]:
     rng = np.random.default_rng(block.seed)
     band = min(block.max_mode, block.N // 3)
     envelope_scale = max(2.0, band / 3.0)
+    modes = range(-band, band + 1)
+    slots = np.array(modes) % block.N
+    envelope = np.array([math.exp(-abs(m) / envelope_scale) for m in modes])
     coeffs = [np.zeros(block.N, dtype=np.complex128)]
     for _ in range(block.num_fields):
         c = np.zeros(block.N, dtype=np.complex128)
         scale = 10.0 ** rng.uniform(-1.0, 1.0)
-        for m in range(-band, band + 1):
-            z = rng.standard_normal() + 1j * rng.standard_normal()
-            c[m % block.N] = scale * z * math.exp(-abs(m) / envelope_scale)
+        # the draws of mode m, from -band up: its real part, then its imaginary
+        normals = rng.standard_normal(2 * len(modes))
+        z = normals[0::2] + 1j * normals[1::2]
+        c[slots] = scale * z * envelope
         coeffs.append(c)
     return coeffs
 

@@ -24,12 +24,27 @@ def fmt_value(v) -> str:
     return str(v)
 
 
+# fmt_value's fast path: the formatter of each common exact type, giving the
+# string fmt_value gives. A type not listed, a subclass included, goes through
+# fmt_value itself.
+_FORMATTERS = {
+    float: lambda v: format(v, ".17g"),
+    np.float64: lambda v: format(float(v), ".17g"),
+    int: str,
+    str: str,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "",
+}
+
+
 def write_csv(path: str, header, rows) -> None:
+    """header, then rows, each value written as fmt_value writes it."""
+    formatter = _FORMATTERS.get
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_value(v) for v in row])
+        writer.writerows([formatter(type(v), fmt_value)(v) for v in row]
+                         for row in rows)
 
 
 def content_hash(doc: dict) -> str:

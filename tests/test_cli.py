@@ -1,5 +1,6 @@
 """CLI wiring: exit codes, CSV schemas, determinism, fault injection."""
 
+import csv
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from dnlslab.cli import main
-from dnlslab.runio import fmt_value
+from dnlslab.runio import fmt_value, write_csv
 
 TWO_PI = 2 * math.pi
 
@@ -441,6 +442,23 @@ class TestLateNumericTrouble:
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1
         assert len((out / "conserved.csv").read_text().splitlines()) > 1
 
+    @pytest.mark.parametrize("L", [1e308, 1e200])
+    def test_scan_member_with_underflowing_norms_exits_3(self, tmp_path, capsys, L):
+        # rescaled to a mass near 4 pi, the member's max|u|^2 is so small
+        # that the CFL rate and its L6 norm underflow to 0
+        out = tmp_path / "out"
+        doc = base_doc(str(out), grid={"L": L, "N": 32}, sim={"dt": 1e-4, "T": 3e-4},
+                       threshold_scan={"mass_fractions": [0.5],
+                                       "pairs": [{"L": L, "delta": 1.0}]})
+        code = main(["threshold-scan", "--config", write_config(tmp_path, doc)])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("threshold-scan: non-finite, ")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert summary["exit_reason"] == "non-finite"
+        rows = (out / "scan_summary.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].endswith(",non-finite")
+
 
 class TestFloatFormat:
     def test_seventeen_significant_digits(self):
@@ -448,6 +466,20 @@ class TestFloatFormat:
         assert fmt_value(None) == ""
         assert fmt_value(True) == "true"
         assert fmt_value(np.float64(0.1)) == "0.10000000000000001"
+
+    def test_write_csv_formats_every_value_as_fmt_value(self, tmp_path):
+        values = [math.pi, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf,
+                  np.float64(0.1), np.float64(math.nan), np.float64(-math.inf),
+                  np.float32(0.1), np.float32(math.inf), 3, -7, np.int64(42),
+                  True, False, np.True_, np.False_, None, "ok", "a,b", ""]
+        rows = [tuple(values), tuple(reversed(values)), ()]
+        write_csv(str(tmp_path / "fast.csv"), ("a", "b"), rows)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(("a", "b"))
+            for row in rows:
+                writer.writerow([fmt_value(v) for v in row])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_jobs_validation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(str(tmp_path / "o")))

@@ -1,5 +1,7 @@
 """Sharp constant, flap integrals, inequality audits, and the mass threshold."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,7 +10,11 @@ from scipy.integrate import quad
 
 from dnlslab import (Field, TorusGrid, base_shift, cgn, check_gn0_on_extension,
                      check_gn1, flap_integrals, lp_norm, mass_threshold)
-from dnlslab.gn import CGN_POW_M18, CGN_POW_M92, field_norms, gn1_record
+from dnlslab.config import GnAuditBlock
+from dnlslab.functionals import h1dot_sq
+from dnlslab.gn import CGN, CGN_POW_M18, CGN_POW_M92, field_norms, gn1_record
+from dnlslab.grid import Spectrum
+from dnlslab.harness import GN_AUDIT_COLUMNS, audit_coefficients, run_gn_audit
 
 from conftest import plane_wave, random_band_field
 
@@ -183,3 +189,81 @@ class TestGn0OnExtension:
                     assert rec0.satisfied and rec1.satisfied
                     # the periodic rhs is an enlargement of the line rhs
                     assert rec0.rhs <= rec1.rhs * (1 + 1e-12)
+
+
+def scalar_corpus(block):
+    """The audit corpus drawn one normal at a time: mode by mode from -band
+    up, the real part first."""
+    rng = np.random.default_rng(block.seed)
+    band = min(block.max_mode, block.N // 3)
+    envelope_scale = max(2.0, band / 3.0)
+    coeffs = [np.zeros(block.N, dtype=np.complex128)]
+    for _ in range(block.num_fields):
+        c = np.zeros(block.N, dtype=np.complex128)
+        scale = 10.0 ** rng.uniform(-1.0, 1.0)
+        for m in range(-band, band + 1):
+            z = rng.standard_normal() + 1j * rng.standard_normal()
+            c[m % block.N] = scale * z * math.exp(-abs(m) / envelope_scale)
+        coeffs.append(c)
+    return coeffs
+
+
+def reference_rows(block):
+    """gn_audit.csv rows rebuilt from the rotated field and the GN formulas."""
+    rows = []
+    for L in block.L_values:
+        grid = TorusGrid(L, block.N)
+        for field_id, c in enumerate(scalar_corpus(block)):
+            f = Spectrum(grid, c).field()
+            shifted, _ = base_shift(f)
+            f0 = float(np.abs(shifted.values[0]))
+            l4, l6, grad_sq = lp_norm(f, 4), lp_norm(f, 6), h1dot_sq(f)
+            for delta in block.delta_values:
+                bracket = grad_sq + 2.0 / (delta * np.sqrt(L)) * l4 ** 2
+                rhs1 = (CGN * (1.0 + 2.0 * delta / (5.0 * L)) ** (2.0 / 9.0)
+                        * bracket ** (1.0 / 18.0) * l4 ** (8.0 / 9.0))
+                flap_l2grad = 2.0 * f0 ** 2 / delta
+                flap_l4 = 2.0 * delta * f0 ** 4 / 5.0
+                flap_l6 = 2.0 * delta * f0 ** 6 / 7.0
+                lhs0 = (l6 ** 6 + flap_l6) ** (1.0 / 6.0)
+                rhs0 = (CGN * (grad_sq + flap_l2grad) ** (1.0 / 18.0)
+                        * (l4 ** 4 + flap_l4) ** (2.0 / 9.0))
+                ok = (rhs1 - l6 >= -1e-12 * rhs1 and rhs0 - lhs0 >= -1e-12 * rhs0
+                      and rhs0 <= rhs1 * (1.0 + 1e-12))
+                rows.append((field_id, L, delta, l6, rhs1, rhs1 - l6, ok,
+                             flap_l2grad, flap_l4, flap_l6))
+    return rows
+
+
+class TestAuditRowPath:
+    """The audit's corpus, norms and rows against their per-item references."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("N, max_mode", [(32, 16), (128, 5)])
+    def test_corpus_equals_scalar_draws(self, seed, N, max_mode):
+        block = GnAuditBlock(num_fields=12, N=N, max_mode=max_mode, seed=seed)
+        got, want = audit_coefficients(block), scalar_corpus(block)
+        assert len(got) == len(want) == 13
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_field_norms_base_equals_base_shift(self):
+        grid = TorusGrid(1.0, 64)
+        block = GnAuditBlock(num_fields=40, N=64, seed=3)
+        fields = [Spectrum(grid, c).field() for c in audit_coefficients(block)]
+        fields.append(Field(grid, np.cos(grid.x)))
+        for f in fields:
+            shifted, idx = base_shift(f)
+            norms = field_norms(f)
+            assert norms.base_index == idx
+            assert norms.f0_abs == float(np.abs(shifted.values[0]))
+
+    def test_rows_equal_reference(self):
+        block = GnAuditBlock(num_fields=19, L_values=(1.0, 2 * np.pi),
+                             delta_values=(0.1, 1.0), N=32)
+        outcome = run_gn_audit(block)
+        columns, rows = outcome.tables["gn_audit.csv"]
+        assert columns == GN_AUDIT_COLUMNS
+        want = reference_rows(block)
+        assert len(rows) == len(want) == 20 * 2 * 2
+        assert rows == want
+        assert outcome.exit_code == 0
