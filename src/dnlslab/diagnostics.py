@@ -178,8 +178,6 @@ def case_report(traj: Trajectory, delta: float,
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if not traj.frames:
-        raise ValueError("case_report needs a non-empty trajectory")
     L = traj.grid.L
     M0, P0, E0 = conserved0.M, conserved0.P, conserved0.Ecal
     threshold = mass_threshold(L, delta)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -84,34 +85,38 @@ class SimConfig:
             raise ValueError("guard_factor must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded frames (t_i, Field) of one simulation, t_0 = 0, t strictly
-    increasing, all frames on one grid."""
+    """Recorded samples of one simulation on one grid: times of shape (n,),
+    t_0 = 0 and strictly increasing, and values of shape (n, N), one row of
+    finite samples per time. Both are stored read-only: an array of the right
+    dtype is kept, not copied, and made read-only."""
 
-    frames: tuple
+    grid: TorusGrid
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        if not self.frames:
-            raise ValueError("trajectory must contain at least one frame")
-        grid = self.frames[0][1].grid
-        t_prev = None
-        for t, f in self.frames:
-            if f.grid != grid:
-                raise ValueError("all frames must share one grid")
-            if t_prev is not None and not t > t_prev:
-                raise ValueError("frame times must be strictly increasing")
-            t_prev = t
-        if self.frames[0][0] != 0.0:
+        times = np.asarray(self.times, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.complex128)
+        if times.ndim != 1 or times.size == 0 or values.shape != (times.size, self.grid.N):
+            raise ValueError("a trajectory needs one or more times, and one row of "
+                             f"grid.N = {self.grid.N} samples per time")
+        if times[0] != 0.0:
             raise ValueError("first frame must be at t = 0")
+        if not np.all(np.diff(times) > 0):
+            raise ValueError("frame times must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field samples must be finite (no NaN/Inf)")
+        for name, arr in (("times", times), ("values", values)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-    @property
-    def grid(self) -> TorusGrid:
-        return self.frames[0][1].grid
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.frames])
+    @cached_property
+    def frames(self) -> tuple:
+        """(t, Field) pairs, one per time; each Field shares its row of values."""
+        return tuple((t, Field(self.grid, row))
+                     for t, row in zip(self.times.tolist(), self.values))
 
 
 def dispersion_symbol(grid: TorusGrid) -> np.ndarray:
@@ -337,8 +342,16 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
         np.where(guard0 > 0, config.guard_factor * guard0, math.inf),
         np.finfo(np.float64).max)
 
+    # Steps 0, every stride-th and the last are recorded, each member's rows
+    # into its slice of one store; a stopped member's trajectory is a prefix.
+    steps = list(range(0, n_steps + 1, stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    times = np.array(steps) * config.dt
+    store = np.empty((len(u0s), len(steps), grid.N), dtype=np.complex128)
+    store[:, 0] = values
+    n_rec = 1
     members = list(range(len(u0s)))  # member index of each batch row
-    frames = [[(0.0, u0)] for u0 in u0s]
     results: list = [None] * len(u0s)
     for i in range(1, n_steps + 1):
         F = advance(F, nl)
@@ -351,20 +364,19 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
             rows = F.reshape(-1, grid.N)
             for row in np.flatnonzero(~keep):
                 m = members[row]
+                partial = Trajectory(grid, times[:n_rec], store[m, :n_rec])
                 results[m] = _stop_error(rows[row], float(h1[row]),
-                                         float(guard_limit[row]), t,
-                                         Trajectory(tuple(frames[m])))
+                                         float(guard_limit[row]), t, partial)
             members = [m for m, k in zip(members, keep) if k]
             if not members:
                 break
             F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
             nl = kernel(mu_col)
-        if i % stride == 0 or i == n_steps:
-            U = np.fft.ifft(F).reshape(-1, grid.N)
-            for row, m in enumerate(members):
-                frames[m].append((t, Field(grid, U[row])))
+        if i == steps[n_rec]:
+            store[members, n_rec] = np.fft.ifft(F).reshape(-1, grid.N)
+            n_rec += 1
     for m in members:
-        results[m] = Trajectory(tuple(frames[m]))
+        results[m] = Trajectory(grid, times, store[m])
     return results
 
 
@@ -393,23 +405,21 @@ def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,
     the centered difference, O(spacing^2), once the trajectory itself is
     accurate.
     """
-    frames = traj.frames
-    if len(frames) < 3:
+    times, U = traj.times, traj.values
+    if len(times) < 3:
         raise ValueError("pde_residual needs at least 3 recorded frames")
-    times = np.array([t for t, _ in frames])
     spacings = np.diff(times)
     if np.max(np.abs(spacings - spacings[0])) > 1e-9 * spacings[0]:
         raise ValueError("pde_residual requires uniformly spaced frames")
     if equation not in EQUATION_CHOICES:
         raise ValueError(f"equation must be one of {EQUATION_CHOICES}, got {equation!r}")
     if equation == "dnls2" and mu_val is None:
-        mu_val = mu(frames[0][1])
+        mu_val = mu(traj.frames[0][1])
     if equation == "dnls2" and mu_val < 0:
         raise ValueError("mu_val must be nonnegative")
 
     grid = traj.grid
     nl = _make_nonlinear(grid, equation, beta, mu_val)
-    U = np.stack([f.values for _, f in frames])
     dt_u = (U[2:] - U[:-2]) / (2.0 * float(spacings[0]))
     diff = dt_u - _rhs(grid, nl, U[1:-1])
     return np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1) * grid.dx)

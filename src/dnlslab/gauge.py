@@ -63,14 +63,12 @@ def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     s = 2*beta*mu*t, with mu frozen at its value on the first frame (it is a
     conserved density).
     """
-    if not traj.frames:
-        raise ValueError("cannot gauge an empty trajectory")
     mu0 = mu(traj.frames[0][1])
-    frames = []
-    for t, u in traj.frames:
+    values = np.empty_like(traj.values)
+    for row, (t, u) in enumerate(traj.frames):
         w = gauge_profile(u, beta)
         s = 2.0 * beta * mu0 * t
         # s = 0 (first frame, or beta = 0) is an exact identity; skipping the
         # spectral round trip keeps it exact discretely as well
-        frames.append((t, translate(w, s) if s != 0.0 else w))
-    return Trajectory(frames=tuple(frames))
+        values[row] = (translate(w, s) if s != 0.0 else w).values
+    return Trajectory(traj.grid, traj.times, values)

@@ -52,9 +52,6 @@ class ExtensionProfile:
     integral and |f(0)|^2/delta to the gradient integral.
     """
 
-    delta: float
-    base_index: int
-    f0_abs: float
     flap_l2grad: float
     flap_l4: float
     flap_l6: float
@@ -88,18 +85,13 @@ def base_shift(f: Field) -> tuple[Field, int]:
     return Field(f.grid, np.roll(f.values, -idx)), idx
 
 
-def flap_integrals(f0_abs: float, delta: float,
-                   base_index: int = 0) -> ExtensionProfile:
-    """Exact flap contributions for boundary value |f(0)| and width delta;
-    base_index is the grid node the field was rotated by to bring it to 0."""
+def flap_integrals(f0_abs: float, delta: float) -> ExtensionProfile:
+    """Exact flap contributions for boundary value |f(0)| and width delta."""
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if f0_abs < 0:
         raise ValueError(f"f0_abs must be nonnegative, got {f0_abs}")
     return ExtensionProfile(
-        delta=float(delta),
-        base_index=base_index,
-        f0_abs=float(f0_abs),
         flap_l2grad=2.0 * f0_abs ** 2 / delta,
         flap_l4=2.0 * delta * f0_abs ** 4 / 5.0,
         flap_l6=2.0 * delta * f0_abs ** 6 / 7.0,
@@ -116,17 +108,13 @@ class FieldNorms:
     l6: float
     grad_sq: float
     f0_abs: float
-    base_index: int
 
 
 def field_norms(f: Field) -> FieldNorms:
-    """The norms of f, and the base node and |f| there that base_shift gives,
-    read off f without rotating it."""
-    modulus = np.abs(f.values)
-    idx = int(np.argmin(modulus))
+    """The norms of f, and |f| at the base node base_shift rotates to the
+    origin (its minimum), read off f without rotating it."""
     return FieldNorms(L=f.grid.L, l4=lp_norm(f, 4), l6=lp_norm(f, 6),
-                      grad_sq=h1dot_sq(f), f0_abs=float(modulus[idx]),
-                      base_index=idx)
+                      grad_sq=h1dot_sq(f), f0_abs=float(np.abs(f.values).min()))
 
 
 def gn1_record(norms: FieldNorms, delta: float,
@@ -152,7 +140,7 @@ def gn0_extension_record(norms: FieldNorms, delta: float,
     The rhs computed here is enlarged, term by term, into the rhs of the
     periodic record, which is the content of the derivation chain.
     """
-    prof = flap_integrals(norms.f0_abs, delta, norms.base_index)
+    prof = flap_integrals(norms.f0_abs, delta)
     lhs = (norms.l6 ** 6 + prof.flap_l6) ** (1.0 / 6.0)
     grad_sq = norms.grad_sq + prof.flap_l2grad
     l4_4 = norms.l4 ** 4 + prof.flap_l4

@@ -104,7 +104,8 @@ class TorusGrid:
 class Field:
     """One complex-valued function sampled on a TorusGrid at a fixed time.
 
-    Samples must all be finite; the array is stored read-only.
+    Samples must all be finite; the array is stored read-only. An array that
+    is read-only already, such as a Trajectory row, is shared, not copied.
     """
 
     __slots__ = ("grid", "values")
@@ -115,8 +116,9 @@ class Field:
             raise ValueError(f"expected {grid.N} samples, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field samples must be finite (no NaN/Inf)")
-        v = v.copy()
-        v.flags.writeable = False
+        if v.flags.writeable:
+            v = v.copy()
+            v.flags.writeable = False
         self.grid = grid
         self.values = v
 

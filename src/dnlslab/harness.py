@@ -170,18 +170,15 @@ def run_gauge_check(cfg: RunConfig) -> Outcome:
     rows, max_disc, max_res = [], None, None  # None when a flow stopped early
     if code == EXIT_OK:
         gauged = gauge_trajectory(traj_u, beta)
-        discrepancies = [
-            math.sqrt(float(np.sum(np.abs(vg.values - vs.values) ** 2)) * grid.dx)
-            for (_, vg), (_, vs) in zip(gauged.frames, traj_v.frames)]
-        residuals = [None] * len(gauged.frames)
+        discrepancies = [math.sqrt(float(np.sum(np.abs(d) ** 2)) * grid.dx)
+                         for d in gauged.values - traj_v.values]
+        residuals = [None] * len(gauged.times)
         uniform = _uniform_prefix(gauged)
-        if len(uniform.frames) >= 3:
+        if len(uniform.times) >= 3:
             mu0 = mu(traj_u.frames[0][1])
             inner = pde_residual(uniform, "dnls2", beta, mu0)
-            for i, r in enumerate(inner):
-                residuals[i + 1] = float(r)
-        rows = [(t, d, r) for (t, _), d, r
-                in zip(gauged.frames, discrepancies, residuals)]
+            residuals[1:1 + len(inner)] = inner.tolist()
+        rows = list(zip(gauged.times.tolist(), discrepancies, residuals))
         max_disc = max(discrepancies)
         max_res = max((r for r in residuals if r is not None), default=None)
         if not max_disc < tol:
@@ -200,7 +197,7 @@ def _uniform_prefix(traj: Trajectory) -> Trajectory:
     times = traj.times
     if len(times) >= 3 and not math.isclose(times[-1] - times[-2],
                                             times[1] - times[0], rel_tol=1e-9):
-        return Trajectory(traj.frames[:-1])
+        return Trajectory(traj.grid, times[:-1], traj.values[:-1])
     return traj
 
 
@@ -231,10 +228,12 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
     (field, L, delta) combination.
 
     corrupt_constant multiplies the sharp constant inside the audited bounds
-    only (a fault-injection hook; 1.0 in production)."""
+    only (a fault-injection hook; 1.0 in production). A row whose norms
+    overflow (an lhs or rhs that is not finite) audits nothing: it is not a
+    violation, and it makes the exit non-finite."""
     constant = CGN * block.corrupt_constant
     rows = []
-    n_violations = 0
+    n_violations = n_non_finite = 0
     corpus = audit_coefficients(block)
     for L in block.L_values:
         grid = TorusGrid(L, block.N)
@@ -245,15 +244,19 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
                 rec0, prof = gn0_extension_record(norms, delta, constant)
                 chain_ok = rec0.rhs <= rec1.rhs * (1.0 + 1e-12)
                 ok = rec1.satisfied and rec0.satisfied and chain_ok
-                if not ok:
+                if not all(map(math.isfinite, (rec1.lhs, rec1.rhs, rec0.lhs, rec0.rhs))):
+                    n_non_finite += 1
+                elif not ok:
                     n_violations += 1
                 rows.append((field_id, L, delta, rec1.lhs, rec1.rhs, rec1.slack,
                              ok, prof.flap_l2grad, prof.flap_l4, prof.flap_l6))
-    code = EXIT_OK if n_violations == 0 else EXIT_GN_VIOLATION
+    code, reason = ((EXIT_NONFINITE, "non-finite") if n_non_finite
+                    else (EXIT_GN_VIOLATION, "gn-violations") if n_violations
+                    else (EXIT_OK, "ok"))
     return Outcome({"gn_audit.csv": (GN_AUDIT_COLUMNS, rows)},
                    {"rows": len(rows), "violations": n_violations},
                    f"{len(rows)} rows, {n_violations} violations",
-                   code, "ok" if code == EXIT_OK else "gn-violations")
+                   code, reason)
 
 
 def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
@@ -350,16 +353,16 @@ def run_diagnose(cfg: RunConfig) -> Outcome:
     is simulated from the gauged data directly.
     """
     u0 = _build_data(cfg.data, grid_of(cfg))
-    gauge_after = cfg.sim.equation == "dnls1"
-    if gauge_after:
+    if cfg.sim.equation == "dnls1":
         traj, exit_code, reason, _ = _simulate_partial(u0, cfg.sim)
+        # rebinding frees the ungauged stack before the analysis
+        traj = gauge_trajectory(traj, GAUGE_BETA)
     else:
         traj, exit_code, reason, _ = _simulate_partial(
             gauge_profile(u0, GAUGE_BETA), replace(cfg.sim, beta=GAUGE_BETA))
-    vtraj = gauge_trajectory(traj, GAUGE_BETA) if gauge_after else traj
 
     reports, records, n_violations, exit_code, reason = _bound_chain(
-        vtraj, cfg.delta, exit_code, reason)
+        traj, cfg.delta, exit_code, reason)
     tables, summary = _conserved_outputs(reports)
     table = _table(DiagnosticsSample, [r.sample for r in records])
     return Outcome({"diagnostics.csv": table, **tables},

@@ -71,10 +71,8 @@ def write_summary(path: str, payload: dict) -> None:
 
 
 def write_frames(path: str, traj: Trajectory) -> None:
-    """Trajectory frames as a compressed npz (times, stacked values, L)."""
-    times = np.array([t for t, _ in traj.frames])
-    values = np.stack([f.values for _, f in traj.frames])
-    np.savez_compressed(path, t=times, values=values,
+    """Trajectory frames as a compressed npz (times, stacked values, L, N)."""
+    np.savez_compressed(path, t=traj.times, values=traj.values,
                         L=traj.grid.L, N=traj.grid.N)
 
 

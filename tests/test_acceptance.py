@@ -149,7 +149,8 @@ def test_criterion_4_gauge_consistency(grid256, dnls1_fine_mass4, dnls2_runs):
     mu0 = mu(dnls1_fine_mass4.frames[0][1])
     res = {}
     for step_, spacing in ((2, 0.005), (1, 0.0025)):
-        subtraj = Trajectory(tuple(gauged.frames[::step_]))
+        subtraj = Trajectory(grid256, gauged.times[::step_],
+                             gauged.values[::step_])
         res[spacing] = float(np.max(pde_residual(subtraj, "dnls2", beta, mu0)))
     ratio = res[0.005] / res[0.0025]
 

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from dnlslab import DataSpec, SimConfig, TorusGrid, build, simulate
 from dnlslab.cli import main
 from dnlslab.runio import fmt_value, write_csv
 
@@ -138,8 +139,14 @@ class TestSimulateCommand:
         doc["outputs"]["formats"] = ["csv", "json", "frames", "plot"]
         cfg = write_config(tmp_path, doc)
         assert main(["simulate", "--config", cfg, "--quiet"]) == 0
+        grid = TorusGrid(TWO_PI, 64)
+        traj = simulate(build(DataSpec(**doc["data"]), grid), SimConfig(**doc["sim"]))
         data = np.load(tmp_path / "out" / "frames.npz")
         assert data["values"].shape == (6, 64)
+        for key, want in (("t", traj.times), ("values", traj.values),
+                          ("L", np.float64(TWO_PI)), ("N", np.int64(64))):
+            assert data[key].dtype == want.dtype
+            assert data[key].tobytes() == want.tobytes(), key
         assert (tmp_path / "out" / "plot_drift.py").exists()
 
     def test_out_override(self, tmp_path):
@@ -441,6 +448,21 @@ class TestLateNumericTrouble:
         assert capsys.readouterr().out.startswith("diagnose: non-finite, ")
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1
         assert len((out / "conserved.csv").read_text().splitlines()) > 1
+
+    @pytest.mark.parametrize("L", [1e308, 1e-300])
+    def test_gn_audit_with_overflowing_norms_exits_3(self, tmp_path, capsys, L):
+        # at 1e308 lhs and rhs are both inf; at 1e-300 only rhs is: neither
+        # row audits anything, so neither is a violation nor ok
+        out = tmp_path / "out"
+        doc = base_doc(str(out), gn_audit={"num_fields": 2, "L_values": [L],
+                                           "delta_values": [1.0], "N": 32})
+        code = main(["gn-audit", "--config", write_config(tmp_path, doc)])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("gn-audit: non-finite, 3 rows, 0 violations")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert summary["exit_reason"] == "non-finite"
+        assert (summary["rows"], summary["violations"]) == (3, 0)
 
     @pytest.mark.parametrize("L", [1e308, 1e200])
     def test_scan_member_with_underflowing_norms_exits_3(self, tmp_path, capsys, L):

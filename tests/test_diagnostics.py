@@ -168,9 +168,8 @@ class TestM1Identity:
 def gauged_plane_wave_trajectory(grid, A, m, beta, times):
     k = 2 * np.pi * m / grid.L
     omega2 = k**2 - (1 - 2 * beta) * k * A**2
-    frames = tuple(
-        (t, Field(grid, A * np.exp(1j * (k * grid.x - omega2 * t)))) for t in times)
-    return Trajectory(frames)
+    values = [A * np.exp(1j * (k * grid.x - omega2 * t)) for t in times]
+    return Trajectory(grid, times, values)
 
 
 class TestCaseReport:
@@ -227,7 +226,7 @@ class TestCaseReport:
 
     def test_degenerate_zero_frame(self, grid2pi):
         z = Field(grid2pi, np.zeros(grid2pi.N))
-        traj = Trajectory(((0.0, z), (0.1, z)))
+        traj = Trajectory(grid2pi, [0.0, 0.1], [z.values] * 2)
         records = case_report(traj, 1.0, conserved_report(z))
         assert all(r.sample.case_tag == "degenerate" for r in records)
         assert all(not r.violations for r in records)
@@ -241,6 +240,6 @@ class TestCaseReport:
             M = mass(v)
             if M >= mass_threshold(grid2pi.L, delta):
                 continue
-            traj = Trajectory(((0.0, v),))
+            traj = Trajectory(grid2pi, [0.0], [v.values])
             records = case_report(traj, delta, conserved_report(v))
             assert records[0].defect < 0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
                      SimConfig, TorusGrid, Trajectory, dispersion_symbol,
@@ -40,17 +42,32 @@ class TestSimConfig:
 
 class TestTrajectory:
     def test_requires_t0_zero_and_increasing(self, grid2pi):
-        f = plane_wave(grid2pi)
+        f = plane_wave(grid2pi).values
         with pytest.raises(ValueError):
-            Trajectory(((0.1, f), (0.2, f)))
+            Trajectory(grid2pi, [0.1, 0.2], [f, f])
         with pytest.raises(ValueError):
-            Trajectory(((0.0, f), (0.0, f)))
+            Trajectory(grid2pi, [0.0, 0.0], [f, f])
 
-    def test_requires_common_grid(self, grid2pi):
-        f = plane_wave(grid2pi)
-        g = plane_wave(TorusGrid(grid2pi.L, 64))
-        with pytest.raises(ValueError):
-            Trajectory(((0.0, f), (1.0, g)))
+    def test_requires_one_finite_row_per_time(self, grid2pi):
+        f = plane_wave(grid2pi).values
+        nan, inf = f.copy(), f.copy()
+        nan[3], inf[3] = math.nan, math.inf
+        for times, values in (([], np.empty((0, grid2pi.N))),  # no frame
+                              ([0.0, 1.0], [f]),               # one row, two times
+                              ([0.0, 1.0], np.ones((2, 64))),  # another grid's N
+                              ([0.0, 1.0], [f, nan]), ([0.0, 1.0], [f, inf])):
+            with pytest.raises(ValueError):
+                Trajectory(grid2pi, times, values)
+
+    def test_stores_read_only_without_copy_and_frames_share_rows(self, grid2pi):
+        values = np.stack([plane_wave(grid2pi).values] * 3)
+        traj = Trajectory(grid2pi, np.array([0.0, 0.5, 1.0]), values)
+        assert traj.values is values and not values.flags.writeable
+        assert not traj.times.flags.writeable
+        assert traj.frames is traj.frames
+        for (t, f), want_t, row in zip(traj.frames, [0.0, 0.5, 1.0], values):
+            assert type(t) is float and t == want_t
+            assert np.shares_memory(f.values, row) and f.grid == grid2pi
 
 
 class TestRhsDnls1:
@@ -216,7 +233,7 @@ class TestSimulate:
 class TestPdeResidual:
     def test_zero_trajectory(self, grid2pi):
         z = Field(grid2pi, np.zeros(grid2pi.N))
-        traj = Trajectory(tuple((0.1 * i, z) for i in range(5)))
+        traj = Trajectory(grid2pi, 0.1 * np.arange(5), [z.values] * 5)
         assert np.max(pde_residual(traj, "dnls1")) == 0.0
 
     def test_analytic_plane_wave_second_order(self):
@@ -224,28 +241,28 @@ class TestPdeResidual:
         A, m = 1.0, 2
         res = []
         for h in (0.02, 0.01):
-            frames = tuple((i * h, exact_plane_wave(grid, A, m, i * h))
-                           for i in range(9))
-            traj = Trajectory(frames)
+            times = h * np.arange(9)
+            traj = Trajectory(grid, times, [exact_plane_wave(grid, A, m, t).values
+                                            for t in times])
             res.append(np.max(pde_residual(traj, "dnls1")))
         ratio = res[0] / res[1]
         assert 4 * 0.7 < ratio < 4 * 1.3
 
     def test_requires_three_frames(self, grid2pi):
         f = plane_wave(grid2pi)
-        traj = Trajectory(((0.0, f), (0.1, f)))
+        traj = Trajectory(grid2pi, [0.0, 0.1], [f.values] * 2)
         with pytest.raises(ValueError):
             pde_residual(traj, "dnls1")
 
     def test_dnls2_rejects_negative_mu(self, grid2pi):
         f = plane_wave(grid2pi)
-        traj = Trajectory(tuple((0.1 * i, f) for i in range(3)))
+        traj = Trajectory(grid2pi, [0.0, 0.1, 0.2], [f.values] * 3)
         with pytest.raises(ValueError):
             pde_residual(traj, "dnls2", 0.75, -1.0)
 
     def test_requires_uniform_spacing(self, grid2pi):
         f = plane_wave(grid2pi)
-        traj = Trajectory(((0.0, f), (0.1, f), (0.3, f)))
+        traj = Trajectory(grid2pi, [0.0, 0.1, 0.3], [f.values] * 3)
         with pytest.raises(ValueError):
             pde_residual(traj, "dnls1")
 
@@ -254,10 +271,9 @@ class TestPdeResidual:
         k = 2 * np.pi * m / grid2pi.L
         omega2 = k**2 - (1 - 2 * beta) * k * A**2
         h = 0.005
-        frames = tuple(
-            (i * h, Field(grid2pi, A * np.exp(1j * (k * grid2pi.x - omega2 * i * h))))
-            for i in range(7))
-        traj = Trajectory(frames)
+        times = h * np.arange(7)
+        traj = Trajectory(grid2pi, times,
+                          A * np.exp(1j * (k * grid2pi.x - omega2 * times[:, None])))
         res = pde_residual(traj, "dnls2", beta=beta)
         assert np.max(res) < 1e-3  # centered-difference truncation only
 
@@ -281,3 +297,32 @@ class TestPdeResidual:
             want.append(math.sqrt(float(np.sum(np.abs(dt_u - r.values) ** 2))
                                   * grid2pi.dx))
         assert np.array_equal(pde_residual(traj, equation, beta, mu0), want)
+
+
+class TestPeriodIndependence:
+    """u(x, t) -> lam^(1/2) u(lam x, lam^2 t) maps a solution of period L to
+    one of period L/lam, for both flows; the grid keeps its N nodes, so the
+    rescaled run steps the same samples times lam^(1/2)."""
+
+    STEPS = 50
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(lam=st.floats(0.1, 10.0),
+           flow=st.sampled_from([("dnls1", 0.75), ("dnls2", 0.5), ("dnls2", 0.75)]),
+           integrator=st.sampled_from(["ifrk4", "etdrk4"]))
+    def test_rescaled_run_is_the_rescaled_trajectory(self, lam, flow, integrator):
+        equation, beta = flow
+        grid = TorusGrid(2 * np.pi, 64)
+        u0 = random_band_field(grid, np.random.default_rng(7), band=6, scale=0.3)
+        dt = 1e-3
+
+        def run(L, scale, dt):
+            sim = SimConfig(dt=dt, T=self.STEPS * dt, record_stride=10,
+                            integrator=integrator, equation=equation, beta=beta)
+            return simulate(Field(TorusGrid(L, grid.N), scale * u0.values), sim)
+
+        ref = run(grid.L, 1.0, dt)
+        scaled = run(grid.L / lam, math.sqrt(lam), dt / lam ** 2)
+        np.testing.assert_allclose(scaled.times * lam ** 2, ref.times, rtol=1e-12)
+        back = scaled.values / math.sqrt(lam)
+        assert np.max(np.abs(back - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))

@@ -85,10 +85,8 @@ class TestGaugeTrajectory:
     def _plane_wave_trajectory(self, grid, A, m, times):
         k = 2 * np.pi * m / grid.L
         omega = k**2 - k * A**2
-        frames = tuple(
-            (t, Field(grid, A * np.exp(1j * (k * grid.x - omega * t))))
-            for t in times)
-        return Trajectory(frames), omega, k
+        values = [A * np.exp(1j * (k * grid.x - omega * t)) for t in times]
+        return Trajectory(grid, times, values), omega, k
 
     def test_plane_wave_closed_form(self, grid2pi):
         A, m, beta = 1.1, 1, 0.75
@@ -108,6 +106,6 @@ class TestGaugeTrajectory:
 
     def test_initial_frame_has_no_shift(self, grid2pi, rng):
         f = random_band_field(grid2pi, rng, band=16)
-        traj = Trajectory(((0.0, f), (0.5, f)))
+        traj = Trajectory(grid2pi, [0.0, 0.5], [f.values] * 2)
         gauged = gauge_trajectory(traj, 0.75)
         assert l2_dist(gauged.frames[0][1], gauge_profile(f, 0.75)) < 1e-13

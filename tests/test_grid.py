@@ -53,6 +53,13 @@ class TestField:
         with pytest.raises(ValueError):
             f.values[0] = 0.0
 
+    def test_copies_writeable_samples_and_shares_read_only_ones(self, grid2pi):
+        v = np.ones(grid2pi.N, dtype=complex)
+        f = Field(grid2pi, v)
+        v[0] = 2.0
+        assert f.values[0] == 1.0 and v.flags.writeable
+        assert Field(grid2pi, f.values).values is f.values
+
     def test_spectrum_round_trip(self, grid2pi, rng):
         f = random_band_field(grid2pi, rng)
         g = f.spectrum().field()
