@@ -74,9 +74,11 @@ class GnAuditBlock:
     corrupt_constant: float = 1.0
 
     def __post_init__(self):
-        for L in self.L_values or (1.0,):  # N is checked even with no L
+        _check(len(self.L_values) > 0, "L_values must not be empty")
+        for L in self.L_values:
             check_grid(L, self.N)
         _check(self.num_fields >= 1, f"num_fields must be >= 1, got {self.num_fields}")
+        _check(len(self.delta_values) > 0, "delta_values must not be empty")
         _check(all(d > 0 for d in self.delta_values), "delta_values must be positive")
         _check(self.max_mode >= 1, f"max_mode must be >= 1, got {self.max_mode}")
         _check(self.corrupt_constant > 0, f"corrupt_constant must be positive, "
@@ -106,7 +108,9 @@ class ThresholdScanBlock:
     )
 
     def __post_init__(self):
+        _check(len(self.mass_fractions) > 0, "mass_fractions must not be empty")
         _check(all(fr > 0 for fr in self.mass_fractions), "mass_fractions must be positive")
+        _check(len(self.pairs) > 0, "pairs must not be empty")
 
 
 @dataclass(frozen=True)

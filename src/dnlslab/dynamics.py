@@ -147,15 +147,19 @@ def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
     """Exact int |v|^4 per spectrum of shape (..., N), via the 2x padded grid;
     shape (..., 1)."""
     v2 = 2.0 * np.fft.ifft(grid.pad2(F))
-    return np.sum(np.abs(v2) ** 4, axis=-1, keepdims=True) * (grid.L / (2 * grid.N))
+    return (np.abs(v2) ** 4).sum(axis=-1, keepdims=True) * (grid.L / (2 * grid.N))
 
 
-def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray) -> np.ndarray:
+def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray,
+                  ik_imag: np.ndarray | None = None) -> np.ndarray:
     """The integral part of the nonlocal coefficient psi,
     (beta/L) int [2 Im(v conj(v_x)) + (3/2 - 2b)|v|^4], per spectrum of shape
-    (..., N); shape (..., 1)."""
-    im_mom = -(grid.L / grid.N ** 2) * np.sum(grid._ik.imag * np.abs(F) ** 2,
-                                             axis=-1, keepdims=True)
+    (..., N); shape (..., 1). ik_imag is grid._ik.imag, which a stepping
+    kernel passes in once per run."""
+    if ik_imag is None:
+        ik_imag = grid._ik.imag
+    im_mom = -(grid.L / grid.N ** 2) * (ik_imag * np.abs(F) ** 2).sum(
+        axis=-1, keepdims=True)
     # The quartic factor is exactly 0.0 at beta = 3/4, so the padded transform
     # is skipped there; fac * 0.0 keeps the arithmetic of the unskipped kernel.
     fac = 1.5 - 2.0 * beta
@@ -163,18 +167,33 @@ def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray) -> np.ndarray:
     return beta / grid.L * (2.0 * im_mom + fac * q)
 
 
-def _nl_dnls2(grid: TorusGrid, drop: slice, beta: float,
-              mu_val: float | np.ndarray, F: np.ndarray) -> np.ndarray:
+def _gauged_constants(grid: TorusGrid, beta: float, mu_val: float | np.ndarray):
+    """What _nl_dnls2 needs besides the spectrum, computed once per run: beta,
+    beta*mu, beta^2*mu^2 (mu a scalar or a (..., 1) column) and grid._ik.imag."""
+    return beta, beta * mu_val, beta * beta * mu_val * mu_val, grid._ik.imag.copy()
+
+
+def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
-    for spectra of shape (..., N); mu_val is a scalar or a (..., 1) column."""
-    v = np.fft.ifft(F)
-    vx = np.fft.ifft(grid._ik * F)
+    for spectra of shape (..., N), with the constants of _gauged_constants.
+
+    v and v_x come from one inverse transform of the (2, ..., N) stack of F
+    and ik*F; each row of it equals a transform of its own, bit for bit.
+    """
+    beta, bmu, b2mu2, ik_imag = consts
+    stack = np.empty((2,) + F.shape, dtype=np.complex128)
+    stack[0] = F
+    np.multiply(grid._ik, F, out=stack[1])
+    v, vx = np.fft.ifft(stack)
+    # freed now, not at return: held through the products below, it raised
+    # the peak RSS of gauge-check by 128 KiB
+    del stack
     absq = np.abs(v) ** 2
-    psi_val = _psi_integral(grid, beta, F) + beta * beta * mu_val * mu_val
+    psi_val = _psi_integral(grid, beta, F, ik_imag) + b2mu2
     nl = (
         2.0 * (1.0 - beta) * absq * vx
         + (1.0 - 2.0 * beta) * v * v * np.conj(vx)
-        - 1j * (beta * mu_val * absq * v
+        - 1j * (bmu * absq * v
                 + beta * (0.5 - beta) * absq ** 2 * v
                 - psi_val * v)
     )
@@ -185,7 +204,8 @@ def _nl_dnls2(grid: TorusGrid, drop: slice, beta: float,
 
 def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
                     mu_val: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The nonlinear part of the chosen flow, on spectra of shape (..., N).
+    """The nonlinear part of the chosen flow, on spectra of shape (..., N);
+    mu_val is a scalar or a (..., 1) column.
 
     The one kernel-selection rule: at beta = 0 the gauged flow coincides with
     the ungauged one, and sharing the kernel makes the identity exact
@@ -194,22 +214,34 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
     drop = _dealias_drop(grid)
     if equation == "dnls1" or beta == 0.0:
         return lambda F: _nl_dnls1(grid, drop, F)
-    return lambda F: _nl_dnls2(grid, drop, beta, mu_val, F)
+    consts = _gauged_constants(grid, beta, mu_val)
+    return lambda F: _nl_dnls2(grid, drop, consts, F)
 
 
-def _ifrk4_step(F: np.ndarray, dt: float, nl: Callable, E1: np.ndarray,
-                E2: np.ndarray) -> np.ndarray:
-    """One integrating-factor RK4 step of spectra of shape (..., N);
-    E1 = exp(symbol*dt/2), E2 = E1^2."""
+def _ifrk4_coeffs(symbol: np.ndarray, dt: float):
+    """Integrating-factor RK4 coefficients: dt/2, dt/6, E1 = exp(symbol*dt/2),
+    E2 = E1^2, dt*E1 and 2*E1."""
+    E1 = np.exp(0.5 * dt * symbol)
+    return 0.5 * dt, dt / 6.0, E1, E1 * E1, dt * E1, 2.0 * E1
+
+
+def _ifrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
+    """One integrating-factor RK4 step of spectra of shape (..., N), with the
+    coefficients of _ifrk4_coeffs."""
+    half_dt, sixth_dt, E1, E2, dt_E1, two_E1 = coeffs
+    E2F = E2 * F
     a = nl(F)
-    b = nl(E1 * (F + 0.5 * dt * a))
-    c = nl(E1 * F + 0.5 * dt * b)
-    d = nl(E2 * F + dt * E1 * c)
-    return E2 * F + (dt / 6.0) * (E2 * a + 2.0 * E1 * (b + c) + d)
+    b = nl(E1 * (F + half_dt * a))
+    c = nl(E1 * F + half_dt * b)
+    d = nl(E2F + dt_E1 * c)
+    # np.multiply, not "*": above 256 KiB numpy may reuse the temporary b + c
+    # for the product and swap the operands, which changes the last bit
+    return E2F + sixth_dt * (E2 * a + np.multiply(two_E1, b + c) + d)
 
 
 def _etdrk4_coeffs(symbol: np.ndarray, dt: float, n_contour: int = 32):
-    """ETDRK4 update coefficients via contour quadrature around symbol*dt.
+    """ETDRK4 update coefficients via contour quadrature around symbol*dt:
+    E, E2, Q, f1, 2*f2, f3 (f2 doubled, as the step uses it).
 
     The symbol is complex (purely imaginary here), so the contour mean is kept
     complex rather than projected to its real part.
@@ -224,21 +256,23 @@ def _etdrk4_coeffs(symbol: np.ndarray, dt: float, n_contour: int = 32):
     f3 = dt * ((-4.0 - 3.0 * LR - LR ** 2 + expLR * (4.0 - LR)) / LR ** 3).mean(axis=1)
     E = np.exp(lc)
     E2 = np.exp(lc / 2.0)
-    return E, E2, Q, f1, f2, f3
+    return E, E2, Q, f1, 2.0 * f2, f3
 
 
 def _etdrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
     """One ETDRK4 step of spectra of shape (..., N); the per-mode coefficients
-    broadcast over the leading axes."""
-    E, E2, Q, f1, f2, f3 = coeffs
+    of _etdrk4_coeffs broadcast over the leading axes."""
+    E, E2, Q, f1, two_f2, f3 = coeffs
+    E2F = E2 * F
     Nv = nl(F)
-    a = E2 * F + Q * Nv
+    a = E2F + Q * Nv
     Na = nl(a)
-    b = E2 * F + Q * Na
+    b = E2F + Q * Na
     Nb = nl(b)
     c = E2 * a + Q * (2.0 * Nb - Nv)
     Nc = nl(c)
-    return E * F + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+    # np.multiply for the operand order, as in _ifrk4_step
+    return E * F + f1 * Nv + np.multiply(two_f2, Na + Nb) + f3 * Nc
 
 
 def _rhs(grid: TorusGrid, nl: Callable, U: np.ndarray) -> np.ndarray:
@@ -269,7 +303,7 @@ def rhs_dnls2(v: Field, beta: float, mu_val: float) -> Field:
 def _h1dot_from_spectrum(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
     """H^1 seminorm per spectrum of shape (..., N)."""
     return np.sqrt(grid.L / grid.N ** 2
-                   * np.sum(np.abs(grid._ik * F) ** 2, axis=-1))
+                   * (np.abs(grid._ik * F) ** 2).sum(axis=-1))
 
 
 def step_count(T: float, dt: float) -> int:
@@ -320,12 +354,9 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
 
     symbol = dispersion_symbol(grid)
     if config.integrator == "ifrk4":
-        E1 = np.exp(0.5 * config.dt * symbol)
-        E2 = E1 * E1
-        advance = lambda F, nl: _ifrk4_step(F, config.dt, nl, E1, E2)
+        step, coeffs = _ifrk4_step, _ifrk4_coeffs(symbol, config.dt)
     else:
-        coeffs = _etdrk4_coeffs(symbol, config.dt)
-        advance = lambda F, nl: _etdrk4_step(F, nl, coeffs)
+        step, coeffs = _etdrk4_step, _etdrk4_coeffs(symbol, config.dt)
 
     # A lone member steps as a 1-D spectrum: at small N, broadcasting against
     # the per-mode coefficients would cost more per call than the arithmetic.
@@ -354,7 +385,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     members = list(range(len(u0s)))  # member index of each batch row
     results: list = [None] * len(u0s)
     for i in range(1, n_steps + 1):
-        F = advance(F, nl)
+        F = step(F, nl, coeffs)
         t = i * config.dt
         with np.errstate(over="ignore", invalid="ignore"):
             h1 = _h1dot_from_spectrum(grid, F)

@@ -9,11 +9,12 @@ import pytest
 
 from dnlslab import (BlowupGuardError, Field, NonFiniteError, SimConfig,
                      TorusGrid, simulate)
+from dnlslab import mu as mu_of
 from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
 from dnlslab.dynamics import (_dealias_drop, _etdrk4_coeffs, _etdrk4_step,
-                              _ifrk4_step, _nl_dnls1, _nl_dnls2,
-                              _quartic_integral, dispersion_symbol,
-                              simulate_batch)
+                              _gauged_constants, _ifrk4_coeffs, _ifrk4_step,
+                              _nl_dnls1, _nl_dnls2, _quartic_integral,
+                              dispersion_symbol, simulate_batch)
 from dnlslab.harness import run_threshold_scan
 from dnlslab.initial_data import DataSpec
 
@@ -85,6 +86,90 @@ def unskipped_nl_dnls2(grid, beta, mu_val, F):
     return out
 
 
+def frozen_nl_dnls1(grid, F):
+    """The ungauged kernel with a boolean dealiasing mask, serial."""
+    u = np.fft.ifft(F)
+    cubic = np.fft.fft(np.abs(u) ** 2 * u)
+    cubic[~grid.dealias_keep] = 0.0
+    return grid._ik * cubic
+
+
+def frozen_ifrk4_step(F, dt, nl, E1, E2):
+    """The IFRK4 step with every coefficient formed inside the step."""
+    a = nl(F)
+    b = nl(E1 * (F + 0.5 * dt * a))
+    c = nl(E1 * F + 0.5 * dt * b)
+    d = nl(E2 * F + dt * E1 * c)
+    return E2 * F + (dt / 6.0) * (E2 * a + 2.0 * E1 * (b + c) + d)
+
+
+def frozen_etdrk4_coeffs(symbol, dt, n_contour=32):
+    """The ETDRK4 contour coefficients E, E2, Q, f1, f2, f3."""
+    lc = symbol * dt
+    r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    LR = lc[:, None] + r[None, :]
+    expLR = np.exp(LR)
+    Q = dt * ((np.exp(LR / 2.0) - 1.0) / LR).mean(axis=1)
+    f1 = dt * ((-4.0 - LR + expLR * (4.0 - 3.0 * LR + LR ** 2)) / LR ** 3).mean(axis=1)
+    f2 = dt * ((2.0 + LR + expLR * (LR - 2.0)) / LR ** 3).mean(axis=1)
+    f3 = dt * ((-4.0 - 3.0 * LR - LR ** 2 + expLR * (4.0 - LR)) / LR ** 3).mean(axis=1)
+    return np.exp(lc), np.exp(lc / 2.0), Q, f1, f2, f3
+
+
+def frozen_etdrk4_step(F, nl, coeffs):
+    """The ETDRK4 step with E2*F and 2*f2 formed where they are used."""
+    E, E2, Q, f1, f2, f3 = coeffs
+    Nv = nl(F)
+    a = E2 * F + Q * Nv
+    Na = nl(a)
+    b = E2 * F + Q * Na
+    Nb = nl(b)
+    c = E2 * a + Q * (2.0 * Nb - Nv)
+    Nc = nl(c)
+    return E * F + f1 * Nv + 2.0 * f2 * (Na + Nb) + f3 * Nc
+
+
+@pytest.mark.parametrize("N", [32, 128, 256])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+def test_gauged_kernel_equals_the_serial_reference(N, B, beta):
+    grid = TorusGrid(TWO_PI, N)
+    rng = np.random.default_rng(N + B)
+    F = np.fft.fft(np.stack([random_band_field(grid, rng, band=6, scale=0.5).values
+                             for _ in range(B)]))
+    mu = np.linspace(0.2, 1.4, B).reshape(B, 1)
+    if B == 1:  # a lone member steps as a 1-D spectrum, as in simulate_batch
+        F, mu = F[0], mu[0]
+    got = _nl_dnls2(grid, _dealias_drop(grid), _gauged_constants(grid, beta, mu), F)
+    for m, row, out in zip(np.ravel(mu), np.atleast_2d(F), np.atleast_2d(got)):
+        assert np.array_equal(out, unskipped_nl_dnls2(grid, beta, float(m), row))
+
+
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),
+                                           ("dnls2", 0.5)])
+@pytest.mark.parametrize("B", [1, 3])
+def test_twenty_steps_equal_the_frozen_reference(members, integrator, equation,
+                                                 beta, B):
+    grid, dt, n = members[0].grid, 1e-3, 20
+    u0s = members[:B]
+    config = SimConfig(dt=dt, T=n * dt, record_stride=n, equation=equation,
+                       beta=beta, integrator=integrator)
+    symbol = dispersion_symbol(grid)
+    E1 = np.exp(0.5 * dt * symbol)
+    coeffs = frozen_etdrk4_coeffs(symbol, dt)
+    for u0, traj in zip(u0s, simulate_batch(u0s, config), strict=True):
+        if equation == "dnls1":
+            nl = lambda G: frozen_nl_dnls1(grid, G)
+        else:
+            nl = lambda G, m=mu_of(u0): unskipped_nl_dnls2(grid, beta, m, G)
+        F = np.fft.fft(u0.values)
+        for _ in range(n):
+            F = (frozen_ifrk4_step(F, dt, nl, E1, E1 * E1) if integrator == "ifrk4"
+                 else frozen_etdrk4_step(F, nl, coeffs))
+        assert np.array_equal(traj.values[-1], np.fft.ifft(F))
+
+
 @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
 @pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),
                                            ("dnls2", 0.5), ("dnls2", 0.0)])
@@ -101,21 +186,23 @@ def test_kernels_and_steps_act_row_by_row(grid, members, beta):
     mu = np.array([[0.3], [1.1], [2.0]])
     assert np.array_equal(_nl_dnls1(grid, drop, F),
                           np.stack([_nl_dnls1(grid, drop, row) for row in F]))
-    rows = [_nl_dnls2(grid, drop, beta, float(m), row) for m, row in zip(mu[:, 0], F)]
-    assert np.array_equal(_nl_dnls2(grid, drop, beta, mu, F), np.stack(rows))
+    rows = [_nl_dnls2(grid, drop, _gauged_constants(grid, beta, float(m)), row)
+            for m, row in zip(mu[:, 0], F)]
+    assert np.array_equal(_nl_dnls2(grid, drop, _gauged_constants(grid, beta, mu), F),
+                          np.stack(rows))
     assert np.array_equal(_quartic_integral(grid, F)[:, 0],
                           [_quartic_integral(grid, row)[0] for row in F])
 
     dt = 1e-3
     symbol = dispersion_symbol(grid)
-    E1 = np.exp(0.5 * dt * symbol)
-    coeffs = _etdrk4_coeffs(symbol, dt)
-    batched_nl = lambda G: _nl_dnls2(grid, drop, beta, mu, G)
-    for one_step in (lambda G, nl: _ifrk4_step(G, dt, nl, E1, E1 * E1),
-                     lambda G, nl: _etdrk4_step(G, nl, coeffs)):
+    ifrk4, etdrk4 = _ifrk4_coeffs(symbol, dt), _etdrk4_coeffs(symbol, dt)
+    batched_nl = lambda G: _nl_dnls2(grid, drop, _gauged_constants(grid, beta, mu), G)
+    for one_step in (lambda G, nl: _ifrk4_step(G, nl, ifrk4),
+                     lambda G, nl: _etdrk4_step(G, nl, etdrk4)):
         batched = one_step(F, batched_nl)
         for m, row, got in zip(mu[:, 0], F, batched):
-            row_nl = lambda G, m=float(m): _nl_dnls2(grid, drop, beta, m, G)
+            row_nl = lambda G, m=float(m): _nl_dnls2(
+                grid, drop, _gauged_constants(grid, beta, m), G)
             assert np.array_equal(got, one_step(row, row_nl))
 
 
@@ -132,8 +219,9 @@ def test_quartic_skip_at_three_quarters_equals_unskipped_kernel(grid, members):
     for u in members:
         F = np.fft.fft(u.values)
         for mu_val in (0.0, 0.7):
-            assert np.array_equal(_nl_dnls2(grid, drop, 0.75, mu_val, F),
-                                  unskipped_nl_dnls2(grid, 0.75, mu_val, F))
+            assert np.array_equal(
+                _nl_dnls2(grid, drop, _gauged_constants(grid, 0.75, mu_val), F),
+                unskipped_nl_dnls2(grid, 0.75, mu_val, F))
 
 
 def test_pad2_is_the_refine2_pad_on_the_trailing_axis(grid, members):

@@ -415,6 +415,27 @@ class TestDataCheckedWhereBuilt:
         assert (out / "summary.json").exists()
 
 
+class TestNothingToRun:
+    """A list that would leave a command nothing to audit or scan is a config
+    error, not a run that exits 0 having done nothing."""
+
+    @pytest.mark.parametrize("command, block, key", [
+        ("gn-audit", "gn_audit", "L_values"),
+        ("gn-audit", "gn_audit", "delta_values"),
+        ("threshold-scan", "threshold_scan", "mass_fractions"),
+        ("threshold-scan", "threshold_scan", "pairs"),
+    ])
+    def test_empty_list_exits_1(self, tmp_path, capsys, monkeypatch, command,
+                                block, key):
+        forbid_stepping(monkeypatch)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(str(out), **{block: {key: []}}))
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {block}: {key} must not be empty\n")
+        assert not out.exists()
+
+
 class TestLateNumericTrouble:
     """Periods so large or small that the numbers overflow or underflow after
     the data is built: the run ends with an exit code, strict JSON and no

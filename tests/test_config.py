@@ -131,6 +131,11 @@ OUT_OF_RANGE = [
     (GnAuditBlock, {"max_mode": 0}),
     (GnAuditBlock, {"L_values": (1.0, math.nan)}),
     (GnAuditBlock, {"L_values": (), "N": 33}),
+    # an empty list would make the command audit or scan nothing
+    (GnAuditBlock, {"L_values": ()}),
+    (GnAuditBlock, {"delta_values": ()}),
+    (ThresholdScanBlock, {"mass_fractions": ()}),
+    (ThresholdScanBlock, {"pairs": ()}),
     (GaugeCheckBlock, {"tolerance": 0.0}),
     (ThresholdScanBlock, {"mass_fractions": (-0.1,)}),
     (OutputsBlock, {"formats": ("pdf",)}),
@@ -139,8 +144,14 @@ OUT_OF_RANGE = [
 ]
 
 
+def case_id(cls, kw):
+    """Block and keys; a lone empty list is marked, so its id is its own."""
+    empty = "-empty" if list(kw.values()) == [()] else ""
+    return f"{cls.__name__}-{'-'.join(kw)}{empty}"
+
+
 @pytest.mark.parametrize("cls, kw", OUT_OF_RANGE,
-                         ids=[f"{c.__name__}-{'-'.join(kw)}" for c, kw in OUT_OF_RANGE])
+                         ids=[case_id(c, kw) for c, kw in OUT_OF_RANGE])
 def test_blocks_built_in_code_check_their_ranges(cls, kw):
     with pytest.raises(ValueError):
         cls(**kw)

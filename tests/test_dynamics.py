@@ -1,6 +1,7 @@
 """Integrators, right-hand sides, guards, and the residual instrument."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
                      SimConfig, TorusGrid, Trajectory, dispersion_symbol,
                      gauge_profile, hamiltonian_u, mass, mu, pde_residual,
                      rhs_dnls1, rhs_dnls2, simulate)
-from dnlslab.dynamics import _ifrk4_step, _make_nonlinear
+from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
+from dnlslab.dynamics import _ifrk4_coeffs, _ifrk4_step, _make_nonlinear
+from dnlslab.harness import SCAN_COLUMNS, run_threshold_scan
+from dnlslab.initial_data import DataSpec
 
 from conftest import l2_dist, plane_wave, random_band_field
 
@@ -115,9 +119,8 @@ class TestStep:
 
     @staticmethod
     def ifrk4(f, dt, nl):
-        E1 = np.exp(0.5 * dt * dispersion_symbol(f.grid))
-        return Field(f.grid, np.fft.ifft(_ifrk4_step(np.fft.fft(f.values), dt, nl,
-                                                     E1, E1 * E1)))
+        coeffs = _ifrk4_coeffs(dispersion_symbol(f.grid), dt)
+        return Field(f.grid, np.fft.ifft(_ifrk4_step(np.fft.fft(f.values), nl, coeffs)))
 
     def test_linear_only_is_exact_for_any_dt(self, grid2pi):
         f = plane_wave(grid2pi, A=1.0, m=3)
@@ -229,6 +232,30 @@ class TestSimulate:
         want = A * np.exp(1j * (k * grid2pi.x - omega2 * T))
         assert np.max(np.abs(traj.frames[-1][1].values - want)) < 1e-9
 
+    @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("equation,beta,most", [
+        ("dnls1", 0.75, 8), ("dnls2", 0.75, 8), ("dnls2", 0.5, 12)])
+    def test_fft_calls_per_step(self, monkeypatch, integrator, equation, beta, most):
+        # four kernel calls per step; at small N the number of transforms,
+        # not their size, sets the cost
+        grid = TorusGrid(2 * np.pi, 32)
+        u0 = random_band_field(grid, np.random.default_rng(3), band=4, scale=0.3)
+        calls = []
+        for name in ("fft", "ifft"):
+            transform = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name, lambda *a, transform=transform, **kw:
+                                calls.append(transform) or transform(*a, **kw))
+
+        def count(n):
+            calls.clear()
+            simulate(u0, SimConfig(dt=1e-3, T=n * 1e-3, record_stride=n,
+                                   integrator=integrator, equation=equation,
+                                   beta=beta))
+            return len(calls)
+
+        # the set-up transform and the two recorded frames cancel
+        assert (count(20) - count(10)) / 10 <= most
+
 
 class TestPdeResidual:
     def test_zero_trajectory(self, grid2pi):
@@ -326,3 +353,40 @@ class TestPeriodIndependence:
         np.testing.assert_allclose(scaled.times * lam ** 2, ref.times, rtol=1e-12)
         back = scaled.values / math.sqrt(lam)
         assert np.max(np.abs(back - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
+
+    @pytest.mark.parametrize("lam", [2 * np.pi, 0.37, 3.0])
+    def test_rescaled_scan_gives_the_same_rows(self, lam):
+        # The pairs reach case 1 and case 2 frames; at 30 times the threshold
+        # mass one member ends non-finite and the other at the guard.
+        def scan(s):
+            cfg = RunConfig(
+                sim=SimConfig(dt=1e-3 / s ** 2, T=0.02 / s ** 2, record_stride=4,
+                              equation="dnls2"),
+                data=DataSpec(kind="multimode", modes=(1, 2, -1),
+                              amplitudes=(1.0, 0.4, 0.3), seed=5),
+                threshold_scan=ThresholdScanBlock(
+                    mass_fractions=(0.5, 0.99, 30.0),
+                    pairs=tuple(ScanPair(L=2 * np.pi / s, delta=delta / s, N=32)
+                                for delta in (0.05, 1.0))))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CflWarning)
+                outcome = run_threshold_scan(cfg)
+            rows = outcome.tables["scan_summary.csv"][1]
+            return outcome, [dict(zip(SCAN_COLUMNS, row)) for row in rows]
+
+        ref, ref_rows = scan(1.0)
+        got, got_rows = scan(lam)
+        assert (got.exit_code, got.exit_reason) == (ref.exit_code, ref.exit_reason)
+        assert {r["exit_reason"] for r in ref_rows} == {"ok", "non-finite", "blowup-guard"}
+        assert sum(r["n_case1"] for r in ref_rows) and sum(r["n_case2"] for r in ref_rows)
+        for want, row in zip(ref_rows, got_rows, strict=True):
+            for key in ("mass_fraction", "below_threshold", "n_case1", "n_case2",
+                        "n_violations", "exit_reason"):
+                assert row[key] == want[key], key
+            # invariant values to 1e-12 relative; the drifts are relative to
+            # their conserved quantity, so they get max(|drift|, 1) as scale
+            for key in ("mass", "threshold", "h1dot_ratio"):
+                assert row[key] == pytest.approx(want[key], rel=1e-12, abs=0), key
+            assert row["max_h1dot"] == pytest.approx(lam * want["max_h1dot"], rel=1e-12)
+            for key in ("drift_M", "drift_P", "drift_Ecal"):
+                assert abs(row[key] - want[key]) <= 1e-12 * max(abs(want[key]), 1.0), key
