@@ -4,17 +4,15 @@ nonlinear Schroedinger equation on the circle."""
 __version__ = "0.1.0"
 
 from .grid import (Field, Spectrum, TorusGrid, antideriv_meanzero, deriv,
-                   integrate, lp_norm, translate)
+                   lp_norm, translate)
 from .functionals import (ConservedReport, DEFAULT_TERM_FORM, conserved_report,
                           ecal, energy_u, gauged_E, gauged_H, hamiltonian_u,
                           im_momentum, mass, momentum_v, mu)
-from .gauge import (DEFAULT_SIGN_MU2, gauge_profile, gauge_trajectory, psi,
-                    ungauge_profile)
+from .gauge import DEFAULT_SIGN_MU2, gauge_profile, gauge_trajectory, psi
 from .dynamics import (BlowupGuardError, CflWarning, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, dispersion_symbol,
                        pde_residual, rhs_dnls1, rhs_dnls2, simulate)
-from .gn import (CGN, ExtensionProfile, GnAuditRecord, base_shift, cgn,
-                 check_gn0_on_extension, check_gn1, flap_integrals,
+from .gn import (CGN, ExtensionProfile, GnAuditRecord, cgn, flap_integrals,
                  mass_threshold)
 from .diagnostics import (Case1NotApplicable, CaseRecord, DiagnosticsSample,
                           ZeroFieldError, alpha_choice, case_report, f_ratio,
@@ -23,17 +21,16 @@ from .initial_data import DataSpec, build
 
 __all__ = [
     "Field", "Spectrum", "TorusGrid", "antideriv_meanzero", "deriv",
-    "integrate", "lp_norm", "translate",
+    "lp_norm", "translate",
     "ConservedReport", "DEFAULT_TERM_FORM", "conserved_report", "ecal",
     "energy_u", "gauged_E", "gauged_H", "hamiltonian_u", "im_momentum",
     "mass", "momentum_v", "mu",
     "DEFAULT_SIGN_MU2", "gauge_profile", "gauge_trajectory", "psi",
-    "ungauge_profile",
     "BlowupGuardError", "CflWarning", "NonFiniteError", "SimConfig",
     "SimulationError", "Trajectory", "dispersion_symbol", "pde_residual",
     "rhs_dnls1", "rhs_dnls2", "simulate",
-    "CGN", "ExtensionProfile", "GnAuditRecord", "base_shift", "cgn",
-    "check_gn0_on_extension", "check_gn1", "flap_integrals", "mass_threshold",
+    "CGN", "ExtensionProfile", "GnAuditRecord", "cgn", "flap_integrals",
+    "mass_threshold",
     "Case1NotApplicable", "CaseRecord", "DiagnosticsSample", "ZeroFieldError",
     "alpha_choice", "case_report", "f_ratio", "m1_identity_check", "modulate",
     "proof_sample",

@@ -58,6 +58,17 @@ def _write_outcome(command: str, cfg: RunConfig, quiet: bool, outcome: Outcome) 
     return outcome.exit_code
 
 
+def _check_out_dir(path: str) -> None:
+    """Reject an output directory that os.makedirs could not create because
+    it, or its nearest existing ancestor, is not a directory."""
+    head = os.path.normpath(path)
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise ConfigError(f"output directory {path!r} cannot be created: "
+                          f"{head!r} is not a directory")
+
+
 # The drivers are looked up in the module globals at call time, so that a
 # patched cli.run_* is the one called.
 _COMMANDS = {
@@ -91,8 +102,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
-        if args.out:
-            cfg = replace(cfg, outputs=replace(cfg.outputs, dir=args.out))
+        if args.out is not None:
+            try:
+                cfg = replace(cfg, outputs=replace(cfg.outputs, dir=args.out))
+            except ValueError as e:
+                raise ConfigError(f"--out: {e}") from e
+        _check_out_dir(cfg.outputs.dir)
         outcome = _COMMANDS[args.command](cfg, args.jobs)
         return _write_outcome(args.command, cfg, args.quiet, outcome)
     except ConfigError as e:

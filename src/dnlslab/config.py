@@ -49,6 +49,7 @@ class OutputsBlock:
     formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
+        _check(self.dir != "", "dir must not be empty")
         for i, fmt in enumerate(self.formats):
             _check(fmt in FORMAT_CHOICES,
                    f"formats[{i}] must be one of {FORMAT_CHOICES}, got {fmt!r}")

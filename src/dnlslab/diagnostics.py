@@ -18,8 +18,6 @@ from .functionals import ConservedReport, ecal, h1dot_sq, mass, momentum_v, mu
 from .gn import CGN_POW_M18, CGN_POW_M92, mass_threshold
 from .grid import Field, lp_norm
 
-CASE_TAGS = ("case1", "case2", "degenerate")
-
 
 class ZeroFieldError(ValueError):
     """Raised when a quantity undefined on the zero field is requested."""

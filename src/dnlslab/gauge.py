@@ -25,16 +25,12 @@ DEFAULT_SIGN_MU2 = "plus"
 def gauge_profile(f: Field, beta: float) -> Field:
     """Multiply f by exp(-i*beta*I(f)), I the mean-zero antiderivative of |f|^2.
 
-    Preserves |f| pointwise, hence also the mass and every L^p norm.
+    Preserves |f| pointwise, hence also the mass and every L^p norm; as I
+    depends only on |f|, gauge_profile(f, -beta) is its exact inverse.
     """
     absq = Field(f.grid, np.abs(f.values) ** 2)
     I = antideriv_meanzero(absq)
     return Field(f.grid, np.exp(-1j * beta * I.values.real) * f.values)
-
-
-def ungauge_profile(f: Field, beta: float) -> Field:
-    """Exact inverse of gauge_profile (I depends only on |f|)."""
-    return gauge_profile(f, -beta)
 
 
 def psi(v: Field, beta: float, mu_val: float,

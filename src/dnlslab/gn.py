@@ -65,24 +65,10 @@ class GnAuditRecord:
     rhs: float
     slack: float
     satisfied: bool
-    delta: float
-    L: float
 
 
 def _satisfied(lhs: float, rhs: float) -> bool:
     return bool(rhs - lhs >= -1e-12 * rhs)
-
-
-def base_shift(f: Field) -> tuple[Field, int]:
-    """Rotate the samples so the new origin is the grid node minimizing |f|.
-
-    At the minimum, |f(0)|^4 * L <= int |f|^4, so the rotated field satisfies
-    |f(0)| <= L^(-1/4) ||f||_L4 up to quadrature slack.
-    """
-    idx = int(np.argmin(np.abs(f.values)))
-    if idx == 0:
-        return f, 0
-    return Field(f.grid, np.roll(f.values, -idx)), idx
 
 
 def flap_integrals(f0_abs: float, delta: float) -> ExtensionProfile:
@@ -111,8 +97,9 @@ class FieldNorms:
 
 
 def field_norms(f: Field) -> FieldNorms:
-    """The norms of f, and |f| at the base node base_shift rotates to the
-    origin (its minimum), read off f without rotating it."""
+    """The norms of f, and f0_abs = min |f| over the nodes: the extension is
+    based at the node minimizing |f|, where |f|^4 * L <= int |f|^4, so
+    f0_abs <= L^(-1/4) ||f||_L4 up to quadrature slack."""
     return FieldNorms(L=f.grid.L, l4=lp_norm(f, 4), l6=lp_norm(f, 6),
                       grad_sq=h1dot_sq(f), f0_abs=float(np.abs(f.values).min()))
 
@@ -129,8 +116,7 @@ def gn1_record(norms: FieldNorms, delta: float,
     rhs = (constant * (1.0 + 2.0 * delta / (5.0 * norms.L)) ** (2.0 / 9.0)
            * bracket ** (1.0 / 18.0) * norms.l4 ** (8.0 / 9.0))
     return GnAuditRecord(lhs=norms.l6, rhs=rhs, slack=rhs - norms.l6,
-                         satisfied=_satisfied(norms.l6, rhs),
-                         delta=float(delta), L=norms.L)
+                         satisfied=_satisfied(norms.l6, rhs))
 
 
 def gn0_extension_record(norms: FieldNorms, delta: float,
@@ -146,18 +132,6 @@ def gn0_extension_record(norms: FieldNorms, delta: float,
     l4_4 = norms.l4 ** 4 + prof.flap_l4
     rhs = constant * grad_sq ** (1.0 / 18.0) * l4_4 ** (2.0 / 9.0)
     rec = GnAuditRecord(lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                        satisfied=_satisfied(lhs, rhs),
-                        delta=float(delta), L=norms.L)
+                        satisfied=_satisfied(lhs, rhs))
     return rec, prof
 
-
-def check_gn1(f: Field, delta: float, constant: float = CGN) -> GnAuditRecord:
-    """Audit the periodic inequality on one field."""
-    return gn1_record(field_norms(f), delta, constant)
-
-
-def check_gn0_on_extension(f: Field, delta: float,
-                           constant: float = CGN) -> GnAuditRecord:
-    """Audit the line inequality on the flap extension of f."""
-    rec, _ = gn0_extension_record(field_norms(f), delta, constant)
-    return rec

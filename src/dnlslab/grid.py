@@ -1,4 +1,4 @@
-"""Spectral grid on the circle: differentiation, antidifferentiation, quadrature, norms, shifts.
+"""Spectral grid on the circle: differentiation, antidifferentiation, norms, shifts.
 
 All fields live on an equispaced grid of N nodes over [0, L) and are represented
 by their samples; spectral operations go through the FFT with coefficients
@@ -175,12 +175,6 @@ def antideriv_meanzero(g: Field) -> Field:
     F = np.fft.fft(v.real)
     I = np.fft.ifft(F * mult).real
     return Field(grid, I.astype(np.complex128))
-
-
-def integrate(f: Field) -> complex:
-    """Rectangle-rule quadrature (L/N) * sum_j f(x_j); spectrally exact for
-    band-limited integrands."""
-    return complex(np.sum(f.values)) * (f.grid.L / f.grid.N)
 
 
 def lp_norm(f: Field, p: int) -> float:

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import ConfigError, GnAuditBlock, RunConfig
+from .config import ConfigError, GnAuditBlock, RunConfig, ScanPair
 from .diagnostics import (CaseRecord, DiagnosticsSample, ZeroFieldError,
                           case_report)
 from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
@@ -292,6 +292,11 @@ def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
     return results
 
 
+def diagnostics_name(pair: ScanPair, frac: float) -> str:
+    """The diagnostics file of one scan member."""
+    return f"diagnostics_L{pair.L:g}_d{pair.delta:g}_f{frac:g}.csv"
+
+
 def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
     """Run the gauged simulation for every (pair, mass fraction) and collect
     per-frame diagnostics.
@@ -299,10 +304,10 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
     Exit is nonzero only when a BELOW-threshold run violates the bound chain
     (or its numerics fail); above-threshold rows are reported but never gate.
     Every member's data is built on its pair's grid before anything is
-    stepped, so a pair dt above sim.T, or data that does not build there,
-    is a ConfigError.
+    stepped, so a pair dt above sim.T, data that does not build there, or
+    two members whose diagnostics files would share a name, is a ConfigError.
     """
-    members = []
+    members, names = [], {}
     for i, pair in enumerate(cfg.threshold_scan.pairs):
         pair = replace(pair, N=pair.N or cfg.grid.N, dt=pair.dt or cfg.sim.dt)
         if not pair.dt <= cfg.sim.T:
@@ -312,6 +317,11 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
                  f"(L = {pair.L:g}, N = {pair.N})")
         threshold = mass_threshold(pair.L, pair.delta)
         for frac in cfg.threshold_scan.mass_fractions:
+            name = diagnostics_name(pair, frac)
+            if name in names:
+                raise ConfigError(f"{names[name]} and threshold_scan.pairs[{i}] at "
+                                  f"mass fraction {frac!r} both write {name}")
+            names[name] = f"threshold_scan.pairs[{i}] at mass fraction {frac!r}"
             u0 = _build_data(cfg.data, grid, where, target_mass=frac * threshold)
             members.append((pair, frac, gauge_profile(u0, GAUGE_BETA)))
     # Members sharing (L, N, dt) are stepped as one batch; groups keep the
@@ -337,9 +347,7 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
     exit_code, reason = next(((code, row[-1]) for row, _, code in results
                               if row[below] and code != EXIT_OK), (EXIT_OK, "ok"))
     tables = {"scan_summary.csv": (SCAN_COLUMNS, [row for row, _, _ in results])}
-    for (pair, frac, _), (_, diagnostics, _) in zip(members, results):
-        name = f"diagnostics_L{pair.L:g}_d{pair.delta:g}_f{frac:g}.csv"
-        tables[name] = diagnostics
+    tables.update(zip(names, (diagnostics for _, diagnostics, _ in results)))
     return Outcome(tables, {"runs": len(results)}, f"{len(results)} runs",
                    exit_code, reason)
 

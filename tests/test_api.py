@@ -1,0 +1,56 @@
+"""The public API: exactly the names dnlslab.__all__ lists, each importable."""
+
+import dnlslab
+
+PUBLIC = {
+    "__version__",
+    # grid
+    "Field", "Spectrum", "TorusGrid", "antideriv_meanzero", "deriv", "lp_norm",
+    "translate",
+    # functionals
+    "ConservedReport", "DEFAULT_TERM_FORM", "conserved_report", "ecal",
+    "energy_u", "gauged_E", "gauged_H", "hamiltonian_u", "im_momentum", "mass",
+    "momentum_v", "mu",
+    # gauge
+    "DEFAULT_SIGN_MU2", "gauge_profile", "gauge_trajectory", "psi",
+    # dynamics
+    "BlowupGuardError", "CflWarning", "NonFiniteError", "SimConfig",
+    "SimulationError", "Trajectory", "dispersion_symbol", "pde_residual",
+    "rhs_dnls1", "rhs_dnls2", "simulate",
+    # gn
+    "CGN", "ExtensionProfile", "GnAuditRecord", "cgn", "flap_integrals",
+    "mass_threshold",
+    # diagnostics
+    "Case1NotApplicable", "CaseRecord", "DiagnosticsSample", "ZeroFieldError",
+    "alpha_choice", "case_report", "f_ratio", "m1_identity_check", "modulate",
+    "proof_sample",
+    # initial_data
+    "DataSpec", "build",
+}
+
+# thin copies of public steps, each replaced by a one-line call (see README)
+REMOVED = {"integrate", "ungauge_profile", "base_shift", "check_gn1",
+           "check_gn0_on_extension"}
+
+
+def test_all_has_no_duplicates():
+    assert len(dnlslab.__all__) == len(set(dnlslab.__all__))
+
+
+def test_every_name_resolves():
+    missing = [name for name in dnlslab.__all__ if not hasattr(dnlslab, name)]
+    assert missing == []
+
+
+def test_all_is_the_public_set():
+    assert set(dnlslab.__all__) == PUBLIC
+
+
+def test_removed_names_are_gone():
+    assert not REMOVED & set(dnlslab.__all__)
+    assert not [name for name in REMOVED if hasattr(dnlslab, name)]
+
+
+def test_record_fields():
+    fields = set(dnlslab.GnAuditRecord.__dataclass_fields__)
+    assert fields == {"lhs", "rhs", "slack", "satisfied"}

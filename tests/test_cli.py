@@ -381,6 +381,35 @@ class TestDataCheckedWhereBuilt:
             {"threshold_scan": {"pairs": [{"L": 1e-10, "delta": 1e300}]}},
             "config error: data: target_mass must be positive, got 0.0",
             id="scan-threshold-underflow"),
+        # diagnostics file names format L, delta and the fraction with :g,
+        # so these members would overwrite each other's file
+        pytest.param(
+            "threshold-scan",
+            {"threshold_scan": {"mass_fractions": [0.5, 0.5000001],
+                                "pairs": [{"L": 1.0, "delta": 0.1, "N": 32},
+                                          {"L": 1.0000001, "delta": 0.1},
+                                          {"L": 1.0, "delta": 0.1, "N": 64}]}},
+            "config error: threshold_scan.pairs[0] at mass fraction 0.5 and "
+            "threshold_scan.pairs[0] at mass fraction 0.5000001 both write "
+            "diagnostics_L1_d0.1_f0.5.csv",
+            id="scan-fractions-share-a-file-name"),
+        pytest.param(
+            "threshold-scan",
+            {"threshold_scan": {"mass_fractions": [0.5],
+                                "pairs": [{"L": 1.0, "delta": 0.1, "N": 32},
+                                          {"L": 1.0000001, "delta": 0.1}]}},
+            "config error: threshold_scan.pairs[0] at mass fraction 0.5 and "
+            "threshold_scan.pairs[1] at mass fraction 0.5 both write "
+            "diagnostics_L1_d0.1_f0.5.csv",
+            id="scan-pairs-share-a-file-name"),
+        pytest.param(
+            "threshold-scan",
+            {"threshold_scan": {"mass_fractions": [0.5, 0.5],
+                                "pairs": [{"L": 1.0, "delta": 0.1}]}},
+            "config error: threshold_scan.pairs[0] at mass fraction 0.5 and "
+            "threshold_scan.pairs[0] at mass fraction 0.5 both write "
+            "diagnostics_L1_d0.1_f0.5.csv",
+            id="scan-repeated-fraction"),
     ])
     def test_rejected_before_stepping(self, tmp_path, capsys, monkeypatch, command,
                                       overrides, message):
@@ -413,6 +442,45 @@ class TestDataCheckedWhereBuilt:
         cfg = write_config(tmp_path, base_doc(str(out), **overrides))
         assert main([command, "--config", cfg, "--quiet"]) == 0
         assert (out / "summary.json").exists()
+
+
+class TestOutputDirectory:
+    """An output directory that cannot be created is a config error found
+    before the command runs, not a traceback after it."""
+
+    @pytest.mark.parametrize("command", ["simulate", "threshold-scan"])
+    def test_empty_dir_in_config(self, tmp_path, capsys, monkeypatch, command):
+        forbid_stepping(monkeypatch)
+        cfg = write_config(tmp_path, base_doc(""))
+        assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: outputs: dir must not be empty"]
+
+    def test_empty_out_is_not_ignored(self, tmp_path, capsys, monkeypatch):
+        forbid_stepping(monkeypatch)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(str(out)))
+        assert main(["simulate", "--config", cfg, "--out", ""]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: --out: dir must not be empty"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via_out", [True, False])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_dir_at_a_file(self, tmp_path, capsys, monkeypatch, via_out, below):
+        forbid_stepping(monkeypatch)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        target = str(blocker / below) if below else str(blocker)
+        cfg_dir, extra = ((str(tmp_path / "out"), ["--out", target]) if via_out
+                          else (target, []))
+        cfg = write_config(tmp_path, base_doc(cfg_dir))
+        assert main(["gauge-check", "--config", cfg, *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: output directory {target!r} cannot be "
+                       f"created: {str(blocker)!r} is not a directory"]
+        assert blocker.read_text() == "keep"
+        assert not (tmp_path / "out").exists()
 
 
 class TestNothingToRun:

@@ -180,6 +180,7 @@ def test_grid_block_and_torus_grid_share_one_rule(L, N):
     {"grid": {"N": 64.0}},
     {"data": {"kind": "plane_wave", "target_mass": -1.0}},
     {"outputs": {"formats": ["csv", "pdf"]}},
+    {"outputs": {"dir": ""}},
     {"threshold_scan": {"mass_fractions": [0.5, -0.1]}},
     {"gn_audit": {"corrupt_constant": 0.0}},
     [],

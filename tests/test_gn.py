@@ -8,11 +8,11 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from dnlslab import (Field, TorusGrid, base_shift, cgn, check_gn0_on_extension,
-                     check_gn1, flap_integrals, lp_norm, mass_threshold)
+from dnlslab import Field, TorusGrid, cgn, flap_integrals, lp_norm, mass_threshold
 from dnlslab.config import GnAuditBlock
 from dnlslab.functionals import h1dot_sq
-from dnlslab.gn import CGN, CGN_POW_M18, CGN_POW_M92, field_norms, gn1_record
+from dnlslab.gn import (CGN, CGN_POW_M18, CGN_POW_M92, field_norms,
+                        gn0_extension_record, gn1_record)
 from dnlslab.grid import Spectrum
 from dnlslab.harness import GN_AUDIT_COLUMNS, audit_coefficients, run_gn_audit
 
@@ -67,31 +67,29 @@ class TestMassThreshold:
 
 
 class TestBaseShift:
+    """The base value f0_abs of the flap extension: |f| at its minimum node,
+    which is at most L^(-1/4) ||f||_L4."""
+
     def test_constant_modulus_saturation(self, grid2pi):
         f = plane_wave(grid2pi, A=1.3, m=2)
-        shifted, _ = base_shift(f)
-        f0 = abs(shifted.values[0])
+        f0 = field_norms(f).f0_abs
         bound = grid2pi.L ** -0.25 * lp_norm(f, 4)
         assert f0 <= bound * (1 + 1e-9)
         assert_allclose(f0, bound, rtol=1e-12)
 
     def test_cosine_base_at_zero_crossing(self, grid2pi):
         f = Field(grid2pi, np.cos(grid2pi.x))
-        shifted, idx = base_shift(f)
-        assert abs(shifted.values[0]) < 1e-12
-        assert idx in (grid2pi.N // 4, 3 * grid2pi.N // 4)
+        assert field_norms(f).f0_abs < 1e-12
 
     def test_zero_field(self, grid2pi):
         z = Field(grid2pi, np.zeros(grid2pi.N))
-        shifted, idx = base_shift(z)
-        assert idx == 0 and abs(shifted.values[0]) == 0.0
+        assert field_norms(z).f0_abs == 0.0
 
     def test_bound_on_random_fields(self, grid2pi, rng):
         for _ in range(25):
             f = random_band_field(grid2pi, rng, band=16)
-            shifted, _ = base_shift(f)
             bound = grid2pi.L ** -0.25 * lp_norm(f, 4)
-            assert abs(shifted.values[0]) <= bound * (1 + 1e-9)
+            assert field_norms(f).f0_abs <= bound * (1 + 1e-9)
 
 
 class TestFlapIntegrals:
@@ -125,13 +123,13 @@ class TestFlapIntegrals:
 
 class TestCheckGn1:
     def test_zero_field(self, grid2pi):
-        rec = check_gn1(Field(grid2pi, np.zeros(grid2pi.N)), 1.0)
+        rec = gn1_record(field_norms(Field(grid2pi, np.zeros(grid2pi.N))), 1.0)
         assert rec.lhs == rec.rhs == 0.0 and rec.satisfied
 
     def test_constant_field_closed_forms(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
-        rec = check_gn1(f, 1.0)
+        rec = gn1_record(field_norms(f), 1.0)
         L = 2 * np.pi
         assert_allclose(rec.lhs, L ** (1 / 6), rtol=1e-13)
         want_rhs = (cgn() * (1 + 1 / (5 * np.pi)) ** (2 / 9)
@@ -141,7 +139,7 @@ class TestCheckGn1:
 
     def test_rejects_nonpositive_delta(self, grid2pi):
         with pytest.raises(ValueError):
-            check_gn1(plane_wave(grid2pi), 0.0)
+            gn1_record(field_norms(plane_wave(grid2pi)), 0.0)
 
     def test_random_corpus_zero_violations(self, rng):
         for L in (0.5, 2 * np.pi, 10.0):
@@ -150,19 +148,20 @@ class TestCheckGn1:
                 f = random_band_field(grid, rng, band=16,
                                       scale=10 ** rng.uniform(-1, 1))
                 for delta in (0.1, 1.0, 10.0):
-                    assert check_gn1(f, delta).satisfied
+                    assert gn1_record(field_norms(f), delta).satisfied
 
 
 class TestGn0OnExtension:
     def test_zero_field(self, grid2pi):
-        rec = check_gn0_on_extension(Field(grid2pi, np.zeros(grid2pi.N)), 1.0)
+        zero = Field(grid2pi, np.zeros(grid2pi.N))
+        rec, _ = gn0_extension_record(field_norms(zero), 1.0)
         assert rec.satisfied
 
     def test_constant_field_assembly(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
         delta = 1.0
-        rec = check_gn0_on_extension(f, delta)
+        rec, _ = gn0_extension_record(field_norms(f), delta)
         L = 2 * np.pi
         # flap-only gradient, torus-plus-flap L^p integrals
         lhs = (L + 2 * delta / 7) ** (1 / 6)
@@ -173,7 +172,7 @@ class TestGn0OnExtension:
 
     def test_extension_enlarges_l6(self, grid2pi, rng):
         f = random_band_field(grid2pi, rng, band=16)
-        rec = check_gn0_on_extension(f, 0.5)
+        rec, _ = gn0_extension_record(field_norms(f), 0.5)
         assert rec.lhs >= lp_norm(f, 6)
 
     def test_chain_and_satisfaction_on_corpus(self, rng):
@@ -184,7 +183,7 @@ class TestGn0OnExtension:
                                       scale=10 ** rng.uniform(-1, 1))
                 norms = field_norms(f)
                 for delta in (0.1, 1.0, 10.0):
-                    rec0 = check_gn0_on_extension(f, delta)
+                    rec0, _ = gn0_extension_record(norms, delta)
                     rec1 = gn1_record(norms, delta)
                     assert rec0.satisfied and rec1.satisfied
                     # the periodic rhs is an enlargement of the line rhs
@@ -215,8 +214,7 @@ def reference_rows(block):
         grid = TorusGrid(L, block.N)
         for field_id, c in enumerate(scalar_corpus(block)):
             f = Spectrum(grid, c).field()
-            shifted, _ = base_shift(f)
-            f0 = float(np.abs(shifted.values[0]))
+            f0 = float(np.abs(f.values[np.argmin(np.abs(f.values))]))
             l4, l6, grad_sq = lp_norm(f, 4), lp_norm(f, 6), h1dot_sq(f)
             for delta in block.delta_values:
                 bracket = grad_sq + 2.0 / (delta * np.sqrt(L)) * l4 ** 2
@@ -252,8 +250,8 @@ class TestAuditRowPath:
         fields = [Spectrum(grid, c).field() for c in audit_coefficients(block)]
         fields.append(Field(grid, np.cos(grid.x)))
         for f in fields:
-            shifted, _ = base_shift(f)
-            assert field_norms(f).f0_abs == float(np.abs(shifted.values[0]))
+            base = f.values[np.argmin(np.abs(f.values))]
+            assert field_norms(f).f0_abs == float(np.abs(base))
 
     def test_rows_equal_reference(self):
         block = GnAuditBlock(num_fields=19, L_values=(1.0, 2 * np.pi),
