@@ -59,14 +59,29 @@ def _write_outcome(command: str, cfg: RunConfig, quiet: bool, outcome: Outcome) 
 
 
 def _check_out_dir(path: str) -> None:
-    """Reject an output directory that os.makedirs could not create because
-    it, or its nearest existing ancestor, is not a directory."""
-    head = os.path.normpath(path)
+    """Reject an output directory that os.makedirs would refuse, before the
+    command runs. A non-directory in the way is named; any other refusal, such
+    as a name too long for the file system, is found by creating the missing
+    part of the path and removing it again."""
+    missing = []
+    head = path
     while head and not os.path.exists(head):
+        missing.append(head)
         head = os.path.dirname(head)
     if head and not os.path.isdir(head):
         raise ConfigError(f"output directory {path!r} cannot be created: "
                           f"{head!r} is not a directory")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"output directory {path!r} cannot be created: "
+                          f"{getattr(e, 'strerror', None) or e}") from e
+    finally:
+        for made in missing:  # deepest first
+            try:
+                os.rmdir(made)
+            except OSError:
+                pass
 
 
 # The drivers are looked up in the module globals at call time, so that a

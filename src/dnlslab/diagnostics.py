@@ -10,13 +10,14 @@ trade gauged energy against momentum on the frequency lattice 2*pi*Z/L.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .functionals import ConservedReport, ecal, h1dot_sq, mass, momentum_v, mu
 from .gn import CGN_POW_M18, CGN_POW_M92, mass_threshold
-from .grid import Field, lp_norm
+from .grid import Field, lp_norm, per_row
 
 
 class ZeroFieldError(ValueError):
@@ -79,33 +80,47 @@ def f_ratio(v: Field) -> float:
     return lp_norm(v, 4) ** 4 / l6 ** 3
 
 
-def proof_sample(v: Field, delta: float, ecal_val: float,
-                 t: float = 0.0) -> DiagnosticsSample:
-    """Evaluate the bound-chain quantities on one field.
+def _columns(v: Field) -> tuple:
+    """The reductions a DiagnosticsSample is built from, each one call on all
+    rows of v: ||v||_L6, ||v||_L4, mu, ||v_x||^2 and the mass."""
+    return lp_norm(v, 6), lp_norm(v, 4), mu(v), h1dot_sq(v), mass(v)
 
-    Everything is computed from v itself except ecal_val, which the caller
-    supplies (the conserved value frozen at t = 0 along trajectories, or
-    ecal(v) for standalone audits).
-    """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    l6 = lp_norm(v, 6)
+
+def _sample(delta: float, ecal_val: float, L: float, t: float, l6: float,
+            l4: float, mu_val: float, h1dot_sq_val: float,
+            mass_val: float) -> DiagnosticsSample:
+    """One row's DiagnosticsSample from its entries of _columns."""
     if l6 == 0.0:
         raise ZeroFieldError("proof_sample is undefined on the zero field")
-    L = v.grid.L
-    l4 = lp_norm(v, 4)
     f = l4 ** 4 / l6 ** 3
-    mu_val = mu(v)
     gamma = (2.0 / (delta * np.sqrt(L)) - 0.375 * mu_val * l4 ** 2) * l4 ** 2 / l6 ** 6
     shape = 1.0 + 2.0 * delta / (5.0 * L)
     eta = 1.0 / 16.0 - shape ** -4 * CGN_POW_M18 / f ** 4
     base = 1.0 + 16.0 * ecal_val / l6 ** 6 + 16.0 * gamma
     lower = 2.0 * CGN_POW_M92 / shape * base ** -0.25 if base > 0 else None
     return DiagnosticsSample(
-        t=float(t), l4=l4, l6=l6, h1dot=float(np.sqrt(h1dot_sq(v))), f=f,
+        t=float(t), l4=l4, l6=l6, h1dot=float(np.sqrt(h1dot_sq_val)), f=f,
         gamma=gamma, eta=eta, lower_bound_f=lower,
-        holder_upper=float(np.sqrt(mass(v))), alpha=None,
+        holder_upper=float(np.sqrt(mass_val)), alpha=None,
         case_tag="case1" if eta + gamma <= 0 else "case2")
+
+
+def proof_sample(v: Field, delta: float, ecal_val: float,
+                 t: float | np.ndarray = 0.0
+                 ) -> DiagnosticsSample | list[DiagnosticsSample]:
+    """Evaluate the bound-chain quantities on one field, or on each row of a
+    stack, with t its time or one time per row.
+
+    Everything is computed from v itself except ecal_val, which the caller
+    supplies (the conserved value frozen at t = 0 along trajectories, or
+    ecal(v) for standalone audits). A row whose L6 norm is zero raises
+    ZeroFieldError.
+    """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    times = np.broadcast_to(t, v.values.shape[:-1]).tolist()
+    return per_row(v, partial(_sample, delta, ecal_val, v.grid.L), times,
+                   *_columns(v))
 
 
 def alpha_choice(sample: DiagnosticsSample, M_val: float, L: float) -> float:
@@ -155,6 +170,19 @@ def _degenerate_sample(t: float) -> DiagnosticsSample:
                              case_tag="degenerate")
 
 
+def _frame_samples(traj: Trajectory, delta: float, ecal_val: float):
+    """(t, DiagnosticsSample) per frame of traj, in order, with None for a
+    zero frame. The norms are reduced once per chunk of Trajectory.chunks; a
+    frame's sample is built when it is reached, so a frame raises where it
+    would alone."""
+    L = traj.grid.L
+    for rows, v in traj.chunks():
+        zero = np.abs(v.values).max(axis=-1) == 0.0
+        for t, is_zero, *columns in zip(traj.times[rows].tolist(), zero.tolist(),
+                                        *_columns(v)):
+            yield t, None if is_zero else _sample(delta, ecal_val, L, t, *columns)
+
+
 # Tolerances of the per-frame checks. Hoelder and the GN lower bound carry the
 # contract tolerances; the case inequality and the defect sign absorb the
 # conserved-quantity drift budget as well.
@@ -184,12 +212,11 @@ def case_report(traj: Trajectory, delta: float,
     defect_const = 16.0 * shape ** -4 * CGN_POW_M18
 
     records = []
-    for t, v in traj.frames:
-        if float(np.max(np.abs(v.values))) == 0.0:
+    for t, sample in _frame_samples(traj, delta, E0):
+        if sample is None:
             records.append(CaseRecord(_degenerate_sample(t), None, None, None,
                                       below, ()))
             continue
-        sample = proof_sample(v, delta, E0, t)
         violations = []
         if sample.f > sample.holder_upper * (1.0 + HOLDER_TOL):
             violations.append("holder")

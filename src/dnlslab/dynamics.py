@@ -118,6 +118,12 @@ class Trajectory:
         return tuple((t, Field(self.grid, row))
                      for t, row in zip(self.times.tolist(), self.values))
 
+    def chunks(self) -> list[tuple[slice, Field]]:
+        """(rows, Field) per chunk of grid.row_chunks: the analysis works on
+        these stacks, one call per chunk; each Field shares its rows."""
+        return [(rows, Field(self.grid, self.values[rows]))
+                for rows in self.grid.row_chunks(len(self.times))]
+
 
 def dispersion_symbol(grid: TorusGrid) -> np.ndarray:
     """Per-mode multiplier of the linear part i*d^2/dx^2, FFT order."""
@@ -445,7 +451,7 @@ def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,
     if equation not in EQUATION_CHOICES:
         raise ValueError(f"equation must be one of {EQUATION_CHOICES}, got {equation!r}")
     if equation == "dnls2" and mu_val is None:
-        mu_val = mu(traj.frames[0][1])
+        mu_val = mu(Field(traj.grid, traj.values[0]))
     if equation == "dnls2" and mu_val < 0:
         raise ValueError("mu_val must be nonnegative")
 

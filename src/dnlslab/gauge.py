@@ -57,14 +57,16 @@ def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:
 
     Per frame (u(t), t): apply gauge_profile first, then translate by
     s = 2*beta*mu*t, with mu frozen at its value on the first frame (it is a
-    conserved density).
+    conserved density). The frames are gauged one chunk of
+    Trajectory.chunks at a time.
     """
-    mu0 = mu(traj.frames[0][1])
+    mu0 = mu(Field(traj.grid, traj.values[0]))
+    shifts = np.array([2.0 * beta * mu0 * t for t in traj.times.tolist()])
     values = np.empty_like(traj.values)
-    for row, (t, u) in enumerate(traj.frames):
+    for rows, u in traj.chunks():
         w = gauge_profile(u, beta)
-        s = 2.0 * beta * mu0 * t
-        # s = 0 (first frame, or beta = 0) is an exact identity; skipping the
-        # spectral round trip keeps it exact discretely as well
-        values[row] = (translate(w, s) if s != 0.0 else w).values
+        s = shifts[rows]
+        # s = 0 (first frame, or beta = 0) is an exact identity; keeping the
+        # gauged row, not its spectral round trip, keeps it exact discretely
+        values[rows] = np.where((s == 0.0)[:, None], w.values, translate(w, s).values)
     return Trajectory(traj.grid, traj.times, values)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, lp_norm
+from .grid import Field, lp_norm, per_row
 from .functionals import h1dot_sq
 
 #: Sharp constant of the line inequality, 3^(1/6) * (2*pi)^(-1/9).
@@ -96,12 +96,15 @@ class FieldNorms:
     f0_abs: float
 
 
-def field_norms(f: Field) -> FieldNorms:
-    """The norms of f, and f0_abs = min |f| over the nodes: the extension is
-    based at the node minimizing |f|, where |f|^4 * L <= int |f|^4, so
-    f0_abs <= L^(-1/4) ||f||_L4 up to quadrature slack."""
-    return FieldNorms(L=f.grid.L, l4=lp_norm(f, 4), l6=lp_norm(f, 6),
-                      grad_sq=h1dot_sq(f), f0_abs=float(np.abs(f.values).min()))
+def field_norms(f: Field) -> FieldNorms | list[FieldNorms]:
+    """The norms of f, or of each row of a stack, and f0_abs = min |f| over
+    the nodes: the extension is based at the node minimizing |f|, where
+    |f|^4 * L <= int |f|^4, so f0_abs <= L^(-1/4) ||f||_L4 up to quadrature
+    slack."""
+    L = f.grid.L
+    return per_row(f, lambda *norms: FieldNorms(L, *norms), lp_norm(f, 4),
+                   lp_norm(f, 6), h1dot_sq(f),
+                   per_row(f, float, np.abs(f.values).min(axis=-1)))
 
 
 def gn1_record(norms: FieldNorms, delta: float,

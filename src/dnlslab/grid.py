@@ -4,6 +4,11 @@ All fields live on an equispaced grid of N nodes over [0, L) and are represented
 by their samples; spectral operations go through the FFT with coefficients
 normalized so that f(x_j) = sum_m c_m exp(i k_m x_j), k_m = 2*pi*m/L,
 m in [-N/2, N/2).
+
+A Field holds one row of samples, shape (N,), or a stack of rows, shape
+(n, N). Every operation here takes either: transforms, products and
+reductions run once on the whole stack, and a stack gives one result per row,
+equal bit for bit to what that row gives alone.
 """
 
 from __future__ import annotations
@@ -13,6 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 MIN_NODES = 8
+
+# numpy may reuse a temporary array of this many bytes or more as the output
+# of a commutative operation, swapping its operands (temporary elision); a
+# complex product with swapped operands can differ in the last bit.
+ELIDE_BYTES = 256 * 1024
 
 
 def check_grid(L: float, N: int | None) -> None:
@@ -84,6 +94,14 @@ class TorusGrid:
         F2[..., 2 * N - N // 2 :] = F[..., N // 2 :]
         return F2
 
+    def row_chunks(self, n: int) -> list[slice]:
+        """Slices that cover rows 0..n-1 once, in order, in as few chunks as
+        keep a chunk's padded (rows, 2N) complex stack under ELIDE_BYTES: a
+        stack analysed in these chunks gives each row the bits it gets alone.
+        A row too long for that forms a chunk by itself, as it would alone."""
+        rows = max(1, (ELIDE_BYTES - 1) // (2 * self.N * 16))
+        return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
+
     def refine2(self, values: np.ndarray) -> np.ndarray:
         """Resample onto the 2x refined grid by zero padding the spectrum.
 
@@ -102,18 +120,19 @@ class TorusGrid:
 
 
 class Field:
-    """One complex-valued function sampled on a TorusGrid at a fixed time.
+    """A complex-valued function sampled on a TorusGrid at a fixed time, shape
+    (N,), or a stack of n of them, shape (n, N).
 
     Samples must all be finite; the array is stored read-only. An array that
-    is read-only already, such as a Trajectory row, is shared, not copied.
+    is read-only already, such as Trajectory rows, is shared, not copied.
     """
 
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: TorusGrid, values: np.ndarray):
         v = np.asarray(values, dtype=np.complex128)
-        if v.shape != (grid.N,):
-            raise ValueError(f"expected {grid.N} samples, got shape {v.shape}")
+        if v.ndim not in (1, 2) or v.shape[-1] != grid.N:
+            raise ValueError(f"expected rows of {grid.N} samples, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field samples must be finite (no NaN/Inf)")
         if v.flags.writeable:
@@ -131,7 +150,8 @@ class Field:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Fourier coefficients of a Field, FFT mode order (see TorusGrid.modes).
+    """Fourier coefficients of a Field, FFT mode order (see TorusGrid.modes),
+    shape (N,), or (n, N) for a stack.
 
     Normalization: f(x_j) = sum_m coefficients[m] * exp(i k_m x_j).
     """
@@ -141,14 +161,26 @@ class Spectrum:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != (self.grid.N,):
-            raise ValueError(f"expected {self.grid.N} coefficients, got shape {c.shape}")
+        if c.ndim not in (1, 2) or c.shape[-1] != self.grid.N:
+            raise ValueError(f"expected rows of {self.grid.N} coefficients, "
+                             f"got shape {c.shape}")
         c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coefficients", c)
 
     def field(self) -> Field:
         return Field(self.grid, np.fft.ifft(self.coefficients * self.grid.N))
+
+
+def per_row(f: Field, fn, *columns):
+    """fn of each row's entry of every column, the per-row results of f (a
+    float or a list, or a reduction along the rows): one value for one row, a
+    list for a stack; per_row(f, float, x) gives a reduction as Python floats.
+    Scalar steps after a reduction run here, row by row, so a stack keeps
+    each row's bits."""
+    if f.values.ndim == 1:
+        return fn(*columns)
+    return [fn(*row) for row in zip(*columns)]
 
 
 def deriv(f: Field) -> Field:
@@ -158,16 +190,16 @@ def deriv(f: Field) -> Field:
 
 
 def antideriv_meanzero(g: Field) -> Field:
-    """Mean-zero antiderivative I of a real-valued field.
+    """Mean-zero antiderivative I of a real-valued field, row by row.
 
     Satisfies dI/dx = g - mean(g) and mean(I) = 0, via the coefficient map
-    c_m -> c_m/(i k_m) for m != 0 and c_0 -> 0. Rejects input whose imaginary
+    c_m -> c_m/(i k_m) for m != 0 and c_0 -> 0. Rejects a row whose imaginary
     part exceeds 1e-12 of its magnitude; the result is real by construction
     (sub-tolerance imaginary noise is discarded).
     """
     v = g.values
-    scale = float(np.max(np.abs(v))) if v.size else 0.0
-    if float(np.max(np.abs(v.imag), initial=0.0)) > 1e-12 * scale:
+    scale = np.max(np.abs(v), axis=-1, initial=0.0)
+    if np.any(np.max(np.abs(v.imag), axis=-1, initial=0.0) > 1e-12 * scale):
         raise ValueError("antideriv_meanzero expects a real-valued field")
     grid = g.grid
     mult = np.zeros(grid.N, dtype=np.complex128)
@@ -177,8 +209,8 @@ def antideriv_meanzero(g: Field) -> Field:
     return Field(grid, I.astype(np.complex128))
 
 
-def lp_norm(f: Field, p: int) -> float:
-    """L^p norm for p in {2, 4, 6}.
+def lp_norm(f: Field, p: int) -> float | list[float]:
+    """L^p norm for p in {2, 4, 6}, per row.
 
     For p in {4, 6} the integrand |f|^p exceeds the band limit of the stored
     samples, so it is evaluated on the 2x zero-padded refinement before
@@ -186,18 +218,24 @@ def lp_norm(f: Field, p: int) -> float:
     """
     grid = f.grid
     if p == 2:
-        return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * grid.dx))
+        squares = np.sum(np.abs(f.values) ** 2, axis=-1)
+        return per_row(f, float, np.sqrt(squares * grid.dx))
     if p in (4, 6):
         v2 = grid.refine2(f.values)
-        total = np.sum(np.abs(v2) ** p) * (grid.L / (2 * grid.N))
-        return float(total ** (1.0 / p))
+        totals = np.sum(np.abs(v2) ** p, axis=-1) * (grid.L / (2 * grid.N))
+        # the root of each row as a numpy scalar: an array power can differ
+        # in the last bit
+        return per_row(f, lambda total: float(total ** (1.0 / p)), totals)
     raise ValueError(f"unsupported p = {p}, expected one of 2, 4, 6")
 
 
-def translate(f: Field, s: float) -> Field:
+def translate(f: Field, s: float | np.ndarray) -> Field:
     """Shifted field g(x) = f(x - s), realized by spectral phase factors.
 
-    Exact for band-limited f; s may be any real number.
+    Exact for band-limited f; s may be any real number, or for a stack one
+    number per row.
     """
     F = np.fft.fft(f.values)
+    if np.ndim(s):
+        s = np.asarray(s, dtype=np.float64)[:, None]
     return Field(f.grid, np.fft.ifft(F * np.exp(-1j * f.grid.k * s)))

@@ -105,6 +105,13 @@ def _conserved_outputs(reports: list[ConservedReport]) -> tuple[dict, dict]:
             {"max_drifts": drift_stats(reports), "conserved_initial": initial})
 
 
+def _conserved_reports(traj: Trajectory) -> list[ConservedReport]:
+    """conserved_report of every frame of traj, one call per chunk of
+    Trajectory.chunks."""
+    return [report for rows, f in traj.chunks()
+            for report in conserved_report(f, traj.times[rows])]
+
+
 def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
                  ) -> tuple[list[ConservedReport], list[CaseRecord], int, int, str]:
     """Conserved reports, case records and flagged-frame count of a gauged
@@ -113,7 +120,7 @@ def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
     underflowed norm in the case report, or a nonzero frame whose norm
     underflows to zero there, ends the analysis with no records, and turns an
     ok exit into non-finite."""
-    reports = [conserved_report(f, t) for t, f in vtraj.frames]
+    reports = _conserved_reports(vtraj)
     try:
         records = case_report(vtraj, delta, reports[0])
     except (ArithmeticError, ZeroFieldError):
@@ -150,8 +157,7 @@ def run_simulation(cfg: RunConfig) -> Outcome:
     """Simulate the configured equation from the configured data."""
     u0 = _build_data(cfg.data, grid_of(cfg))
     traj, code, reason, guard_t = _simulate_partial(u0, cfg.sim)
-    tables, summary = _conserved_outputs(
-        [conserved_report(f, t) for t, f in traj.frames])
+    tables, summary = _conserved_outputs(_conserved_reports(traj))
     return Outcome(tables, {**summary, "guard_time": guard_t},
                    f"max drifts {summary['max_drifts']}", code, reason, traj)
 
@@ -175,7 +181,7 @@ def run_gauge_check(cfg: RunConfig) -> Outcome:
         residuals = [None] * len(gauged.times)
         uniform = _uniform_prefix(gauged)
         if len(uniform.times) >= 3:
-            mu0 = mu(traj_u.frames[0][1])
+            mu0 = mu(Field(grid, traj_u.values[0]))
             inner = pde_residual(uniform, "dnls2", beta, mu0)
             residuals[1:1 + len(inner)] = inner.tolist()
         rows = list(zip(gauged.times.tolist(), discrepancies, residuals))
@@ -201,24 +207,22 @@ def _uniform_prefix(traj: Trajectory) -> Trajectory:
     return traj
 
 
-def audit_coefficients(block: GnAuditBlock) -> list[np.ndarray]:
-    """Deterministic corpus of random band-limited spectra, FFT order, length
-    block.N; one entry per field id, the zero field first, as id 0."""
+def audit_coefficients(block: GnAuditBlock) -> np.ndarray:
+    """Deterministic corpus of random band-limited spectra, FFT order: one
+    row of length block.N per field id, the zero field first, as id 0."""
     rng = np.random.default_rng(block.seed)
     band = min(block.max_mode, block.N // 3)
     envelope_scale = max(2.0, band / 3.0)
     modes = range(-band, band + 1)
     slots = np.array(modes) % block.N
     envelope = np.array([math.exp(-abs(m) / envelope_scale) for m in modes])
-    coeffs = [np.zeros(block.N, dtype=np.complex128)]
-    for _ in range(block.num_fields):
-        c = np.zeros(block.N, dtype=np.complex128)
+    coeffs = np.zeros((block.num_fields + 1, block.N), dtype=np.complex128)
+    for c in coeffs[1:]:
         scale = 10.0 ** rng.uniform(-1.0, 1.0)
         # the draws of mode m, from -band up: its real part, then its imaginary
         normals = rng.standard_normal(2 * len(modes))
         z = normals[0::2] + 1j * normals[1::2]
         c[slots] = scale * z * envelope
-        coeffs.append(c)
     return coeffs
 
 
@@ -230,15 +234,17 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
     corrupt_constant multiplies the sharp constant inside the audited bounds
     only (a fault-injection hook; 1.0 in production). A row whose norms
     overflow (an lhs or rhs that is not finite) audits nothing: it is not a
-    violation, and it makes the exit non-finite."""
+    violation, and it makes the exit non-finite. The norms of each L are
+    computed on the corpus in the chunks of TorusGrid.row_chunks."""
     constant = CGN * block.corrupt_constant
     rows = []
     n_violations = n_non_finite = 0
     corpus = audit_coefficients(block)
     for L in block.L_values:
         grid = TorusGrid(L, block.N)
-        for field_id, c in enumerate(corpus):
-            norms = field_norms(Spectrum(grid, c).field())
+        norms_of = [norms for rows in grid.row_chunks(len(corpus))
+                    for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
+        for field_id, norms in enumerate(norms_of):
             for delta in block.delta_values:
                 rec1 = gn1_record(norms, delta, constant)
                 rec0, prof = gn0_extension_record(norms, delta, constant)

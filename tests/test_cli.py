@@ -482,6 +482,22 @@ class TestOutputDirectory:
         assert blocker.read_text() == "keep"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("via_out", [True, False])
+    def test_name_too_long(self, tmp_path, capsys, monkeypatch, via_out):
+        # refused by os.makedirs with nothing in the way; the missing parent
+        # made while finding that out is removed again
+        forbid_stepping(monkeypatch)
+        target = str(tmp_path / "out" / ("x" * 300))
+        cfg_dir, extra = ((str(tmp_path / "out"), ["--out", target]) if via_out
+                          else (target, []))
+        cfg = write_config(tmp_path, base_doc(cfg_dir))
+        assert main(["simulate", "--config", cfg, *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: output directory {target!r} "
+                                 "cannot be created: ")
+        assert os.listdir(tmp_path) == ["config.json"]
+
 
 class TestNothingToRun:
     """A list that would leave a command nothing to audit or scan is a config

@@ -1,0 +1,298 @@
+"""Stacked (n, N) analysis against per-row Field calls, bit for bit, and the
+chunk rule that keeps it so."""
+
+import json
+import os
+import warnings
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from dnlslab import (ConservedReport, DiagnosticsSample, Field, Spectrum,
+                     TorusGrid, Trajectory, ZeroFieldError, case_report,
+                     conserved_report, gauge_profile, gauge_trajectory, mu,
+                     proof_sample, simulate, translate)
+from dnlslab import harness
+from dnlslab.config import GnAuditBlock, load_config
+from dnlslab.gn import CGN_POW_M18, CGN_POW_M92, FieldNorms, field_norms
+from dnlslab.grid import ELIDE_BYTES
+from dnlslab.harness import audit_coefficients
+from dnlslab.initial_data import build
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def config_path(name):
+    return os.path.join(ROOT, "configs", name)
+
+
+def same(a, b):
+    """Equal under == on every field of two records; NaN matches NaN."""
+    assert type(a) is type(b)
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x == y or (x != x and y != y), (f.name, x, y)
+
+
+# The one-field arithmetic before the functions took stacks, frozen: a row of
+# a stack, and a Field of one row, must give these bits, not only agree with
+# each other (an array power, say, would change both the same way).
+
+
+def frozen_lp(f, p):
+    g = f.grid
+    total = np.sum(np.abs(g.refine2(f.values)) ** p) * (g.L / (2 * g.N))
+    return float(total ** (1.0 / p))
+
+
+def frozen_parts(f):
+    """mass, Im int f conj(f_x), int |f_x|^2, the standard cubic term."""
+    g = f.grid
+    df = np.fft.ifft(g._ik * np.fft.fft(f.values))
+    v2, dv2 = g.refine2(f.values), g.refine2(df)
+    cubic = np.abs(v2) ** 2 * v2 * np.conj(dv2)
+    return (float(np.sum(np.abs(f.values) ** 2) * g.dx),
+            float(np.sum((f.values * np.conj(df)).imag) * g.dx),
+            float(np.sum(np.abs(df) ** 2) * g.dx),
+            float(np.sum(cubic.imag) * (g.L / (2 * g.N))))
+
+
+def frozen_report(f, t):
+    M, im, h1, cubic = frozen_parts(f)
+    l4, l6, m = frozen_lp(f, 4), frozen_lp(f, 6), M / f.grid.L
+    return ConservedReport(float(t), M, im + 0.5 * l4 ** 4,
+                           h1 + 1.5 * cubic + 0.5 * l6 ** 6, im - 0.25 * l4 ** 4,
+                           m, h1 - l6 ** 6 / 16.0 + 0.375 * m * l4 ** 4)
+
+
+def frozen_norms(f):
+    return FieldNorms(f.grid.L, frozen_lp(f, 4), frozen_lp(f, 6),
+                      frozen_parts(f)[2], float(np.abs(f.values).min()))
+
+
+def frozen_sample(v, delta, ecal_val, t):
+    L = v.grid.L
+    M, _, h1, _ = frozen_parts(v)
+    l6, l4, mu_val = frozen_lp(v, 6), frozen_lp(v, 4), M / L
+    f = l4 ** 4 / l6 ** 3
+    gamma = (2.0 / (delta * np.sqrt(L)) - 0.375 * mu_val * l4 ** 2) * l4 ** 2 / l6 ** 6
+    shape = 1.0 + 2.0 * delta / (5.0 * L)
+    eta = 1.0 / 16.0 - shape ** -4 * CGN_POW_M18 / f ** 4
+    base = 1.0 + 16.0 * ecal_val / l6 ** 6 + 16.0 * gamma
+    lower = 2.0 * CGN_POW_M92 / shape * base ** -0.25 if base > 0 else None
+    return DiagnosticsSample(float(t), l4, l6, float(np.sqrt(h1)), f, gamma, eta,
+                             lower, float(np.sqrt(M)), None,
+                             "case1" if eta + gamma <= 0 else "case2")
+
+
+def frozen_gauged(u, beta, s):
+    """gauge_profile, then translate by s unless s is 0."""
+    g = u.grid
+    mult = np.zeros(g.N, dtype=np.complex128)
+    mult[1:] = 1.0 / (1j * g.k[1:])
+    I = np.fft.ifft(np.fft.fft(np.abs(u.values) ** 2) * mult).real
+    w = np.exp(-1j * beta * I) * u.values
+    return np.fft.ifft(np.fft.fft(w) * np.exp(-1j * g.k * s)) if s != 0.0 else w
+
+
+def stacks(traj):
+    """(times, Field) per chunk of traj."""
+    return [(traj.times[rows], f) for rows, f in traj.chunks()]
+
+
+def rows_of(traj):
+    """(t, Field) per frame of traj, each Field one row."""
+    return [(t, Field(traj.grid, row))
+            for t, row in zip(traj.times.tolist(), traj.values)]
+
+
+@pytest.mark.parametrize("N", [32, 128])
+def test_field_norms_of_a_stack_equal_each_row(N):
+    with open(config_path("gn_audit.json")) as fh:
+        doc = json.load(fh)["gn_audit"]
+    corpus = audit_coefficients(GnAuditBlock(**{**doc, "N": N}))
+    for L in doc["L_values"]:
+        grid = TorusGrid(L, N)
+        chunks = grid.row_chunks(len(corpus))
+        assert len(chunks) < len(corpus)
+        stacked = [norms for rows in chunks
+                   for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
+        assert len(stacked) == len(corpus)
+        for norms, c in zip(stacked, corpus):
+            f = Spectrum(grid, c).field()
+            same(norms, field_norms(f))
+            same(norms, frozen_norms(f))
+
+
+@pytest.fixture(scope="module")
+def frames_traj():
+    """The gauged trajectory of the diagnose config at N = 256, 301 frames:
+    1,500 ungauged steps, every 5th recorded, then gauged at beta = 3/4."""
+    cfg = load_config(config_path("diagnose.json"))
+    grid = TorusGrid(cfg.grid.L, cfg.grid.N)
+    u0 = build(cfg.data, grid)
+    traj = simulate(u0, replace(cfg.sim, T=0.15, record_stride=5))
+    assert traj.values.shape == (301, 256)
+    return gauge_trajectory(traj, 0.75)
+
+
+def assert_reports_equal_rows(traj):
+    stacked = [r for t, f in stacks(traj) for r in conserved_report(f, t)]
+    assert len(stacked) == len(traj.times)
+    for report, (t, f) in zip(stacked, rows_of(traj)):
+        same(report, conserved_report(f, t))
+        same(report, frozen_report(f, t))
+    return stacked
+
+
+def assert_case_report_equals_rows(traj, delta=1.0):
+    reports = assert_reports_equal_rows(traj)
+    records = case_report(traj, delta, reports[0])
+    assert len(records) == len(traj.times)
+    for rec, (t, f) in zip(records, rows_of(traj)):
+        # the record of one frame alone, moved to time t
+        (alone,) = case_report(Trajectory(traj.grid, [0.0], f.values[None]),
+                               delta, reports[0])
+        same(rec.sample, replace(alone.sample, t=t))
+        assert (rec.case_lhs, rec.case_rhs, rec.defect, rec.below_threshold,
+                rec.violations) == (alone.case_lhs, alone.case_rhs, alone.defect,
+                                    alone.below_threshold, alone.violations)
+        if alone.sample.case_tag != "degenerate":
+            same(rec.sample, replace(frozen_sample(f, delta, reports[0].Ecal, t),
+                                     alpha=rec.sample.alpha))
+    return records
+
+
+def test_conserved_and_case_reports_of_chunks_equal_each_frame(frames_traj):
+    assert len(frames_traj.chunks()) > 1
+    records = assert_case_report_equals_rows(frames_traj)
+    assert {r.sample.case_tag for r in records} <= {"case1", "case2"}
+
+
+def test_proof_sample_of_a_stack_equals_each_row(frames_traj):
+    rows, stack = frames_traj.chunks()[1]
+    times = frames_traj.times[rows]
+    samples = proof_sample(stack, 1.0, 0.5, times)
+    assert len(samples) == len(times)
+    for sample, t, row in zip(samples, times.tolist(), stack.values):
+        f = Field(frames_traj.grid, row)
+        same(sample, proof_sample(f, 1.0, 0.5, t))
+        same(sample, frozen_sample(f, 1.0, 0.5, t))
+
+
+def with_rows(traj, rows):
+    """traj with the given frames (index -> samples) replaced."""
+    values = traj.values.copy()
+    for i, row in rows.items():
+        values[i] = row
+    return Trajectory(traj.grid, traj.times, values)
+
+
+def test_a_chunk_with_a_zero_frame_equals_each_frame(frames_traj):
+    traj = with_rows(frames_traj, {40: 0.0})
+    records = assert_case_report_equals_rows(traj)
+    assert records[40].sample.case_tag == "degenerate"
+    assert records[41].sample.case_tag != "degenerate"
+
+
+def test_a_chunk_with_an_underflowing_frame_raises_as_the_frame_does(frames_traj):
+    tiny = 1e-300 * frames_traj.values[40]
+    traj = with_rows(frames_traj, {40: tiny})
+    assert_reports_equal_rows(traj)
+    with pytest.raises(ZeroFieldError):
+        proof_sample(Field(traj.grid, tiny), 1.0, 0.5)
+    with pytest.raises(ZeroFieldError):
+        case_report(traj, 1.0, conserved_report(Field(traj.grid, traj.values[0])))
+
+
+def test_the_first_failing_frame_of_a_chunk_sets_the_error(frames_traj):
+    # a frame whose L6 norm overflows (its f is 0, and eta divides by it)
+    # before one whose L6 norm underflows, in the same chunk: case_report
+    # raises what the first of them raises alone
+    grid = frames_traj.grid
+    huge, tiny = 1e60 * frames_traj.values[38], 1e-300 * frames_traj.values[40]
+    traj = with_rows(frames_traj, {38: huge, 40: tiny})
+    assert any(rows.start <= 38 and 40 < rows.stop for rows, _ in traj.chunks())
+    c0 = conserved_report(Field(grid, traj.values[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ZeroDivisionError):
+            proof_sample(Field(grid, huge), 1.0, c0.Ecal)
+        with pytest.raises(ZeroDivisionError):
+            case_report(traj, 1.0, c0)
+
+
+@pytest.mark.parametrize("beta", [0.75, 0.5])
+def test_gauge_trajectory_of_chunks_equals_each_frame(frames_traj, beta):
+    traj = frames_traj
+    got = gauge_trajectory(traj, beta)
+    mu0 = mu(Field(traj.grid, traj.values[0]))
+    for (t, u), row in zip(rows_of(traj), got.values):
+        w = gauge_profile(u, beta)
+        s = 2.0 * beta * mu0 * t
+        want = (translate(w, s) if s != 0.0 else w).values
+        assert np.array_equal(row, want)
+        assert np.array_equal(row, frozen_gauged(u, beta, s))
+
+
+def test_row_chunks_cover_the_rows_in_order_under_the_elision_size():
+    for N in range(8, 4097, 2):
+        grid = TorusGrid(1.0, N)
+        row_bytes = 2 * N * 16  # one complex row of the 2x padded grid
+        for n in (1, 301):
+            chunks = grid.row_chunks(n)
+            covered = [i for rows in chunks for i in range(rows.start, rows.stop)]
+            assert covered == list(range(n))
+            sizes = [rows.stop - rows.start for rows in chunks]
+            assert all(size * row_bytes < ELIDE_BYTES for size in sizes)
+            # as few chunks as the rule allows
+            assert all((size + 1) * row_bytes >= ELIDE_BYTES for size in sizes[:-1])
+        assert grid.row_chunks(0) == []
+
+
+def count_transforms(monkeypatch):
+    """Wrap np.fft.fft and ifft; return the list each call appends to."""
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, transform=transform, **kw:
+                            calls.append(transform) or transform(*a, **kw))
+    return calls
+
+
+def test_gn_audit_transforms_per_chunk_not_per_field(monkeypatch):
+    calls = count_transforms(monkeypatch)
+    block = GnAuditBlock(num_fields=300, L_values=(1.0, 2.0), delta_values=(0.5,),
+                         N=32)
+    chunks = len(TorusGrid(1.0, 32).row_chunks(301))
+    assert chunks == 2
+    outcome = harness.run_gn_audit(block)
+    assert outcome.summary["rows"] == 2 * 301
+    # per chunk: one inverse transform of the corpus, two for each of the L4
+    # and L6 pads, and two for the derivative
+    assert len(calls) <= 7 * chunks * len(block.L_values)
+
+
+def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
+    calls = count_transforms(monkeypatch)
+    in_analysis = []
+    bound_chain = harness._bound_chain
+
+    def counted(*args):
+        before = len(calls)
+        result = bound_chain(*args)
+        in_analysis.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(harness, "_bound_chain", counted)
+    cfg = load_config(config_path("diagnose.json"))
+    cfg = replace(cfg, grid=replace(cfg.grid, N=64),
+                  sim=replace(cfg.sim, T=0.03, record_stride=1))
+    outcome = harness.run_diagnose(cfg)
+    assert outcome.exit_code == 0
+    frames = len(outcome.tables["diagnostics.csv"][1])
+    chunks = len(TorusGrid(1.0, 64).row_chunks(frames))
+    assert (frames, chunks) == (301, 3)
+    # per chunk: 26 in the conserved report, 6 in the case report
+    assert in_analysis == [in_analysis[0]] and in_analysis[0] <= 32 * chunks
