@@ -79,7 +79,8 @@ def _im_cubic_term(f: Field, term_form: str) -> float | list[float]:
     if term_form == "standard":
         v2 = grid.refine2(f.values)
         dv2 = grid.refine2(deriv(f).values)
-        integrand = np.abs(v2) ** 2 * v2 * np.conj(dv2)
+        integrand = np.abs(v2) ** 2 * v2
+        integrand *= np.conj(dv2, out=dv2)
     elif term_form == "literal":
         v2 = grid.refine2(f.values)
         w = v2 * v2

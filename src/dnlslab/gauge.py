@@ -66,7 +66,8 @@ def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     for rows, u in traj.chunks():
         w = gauge_profile(u, beta)
         s = shifts[rows]
+        values[rows] = translate(w, s).values
         # s = 0 (first frame, or beta = 0) is an exact identity; keeping the
         # gauged row, not its spectral round trip, keeps it exact discretely
-        values[rows] = np.where((s == 0.0)[:, None], w.values, translate(w, s).values)
+        values[rows][s == 0.0] = w.values[s == 0.0]
     return Trajectory(traj.grid, traj.times, values)

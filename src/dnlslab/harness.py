@@ -235,15 +235,17 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
     only (a fault-injection hook; 1.0 in production). A row whose norms
     overflow (an lhs or rhs that is not finite) audits nothing: it is not a
     violation, and it makes the exit non-finite. The norms of each L are
-    computed on the corpus in the chunks of TorusGrid.row_chunks."""
+    computed on the corpus in the chunks of TorusGrid.row_chunks, with
+    numpy's overflow warnings off: the exit code reports an overflow."""
     constant = CGN * block.corrupt_constant
     rows = []
     n_violations = n_non_finite = 0
     corpus = audit_coefficients(block)
     for L in block.L_values:
         grid = TorusGrid(L, block.N)
-        norms_of = [norms for rows in grid.row_chunks(len(corpus))
-                    for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms_of = [norms for rows in grid.row_chunks(len(corpus))
+                        for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
         for field_id, norms in enumerate(norms_of):
             for delta in block.delta_values:
                 rec1 = gn1_record(norms, delta, constant)

@@ -37,14 +37,47 @@ _FORMATTERS = {
 }
 
 
+# The %-format of each exact type whose fmt_value text csv.writer never
+# quotes; a bool goes in as its fmt_value text.
+_TEMPLATE_FIELDS = {float: "%.17g", np.float64: "%.17g", int: "%d", bool: "%s"}
+
+
+def _row_template(types: tuple) -> tuple[str, list[int]] | None:
+    """The %-template of a row whose values have these exact types, and the
+    positions of its bools; None for the empty row or a type not in
+    _TEMPLATE_FIELDS, which csv.writer writes."""
+    if not types or not all(t in _TEMPLATE_FIELDS for t in types):
+        return None
+    return (",".join(_TEMPLATE_FIELDS[t] for t in types) + "\n",
+            [i for i, t in enumerate(types) if t is bool])
+
+
 def write_csv(path: str, header, rows) -> None:
-    """header, then rows, each value written as fmt_value writes it."""
+    """header, then rows, each value written as fmt_value writes it.
+
+    A row of floats, np.float64s, ints and bools is written through one
+    %-template per tuple of value types, made once per table; it gives the
+    bytes csv.writer gives. Every other row goes through csv.writer."""
     formatter = _FORMATTERS.get
+    bool_text = _FORMATTERS[bool]
+    templates: dict = {}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([formatter(type(v), fmt_value)(v) for v in row]
-                         for row in rows)
+        for row in rows:
+            types = tuple(map(type, row))
+            if types not in templates:
+                templates[types] = _row_template(types)
+            template = templates[types]
+            if template is None:
+                writer.writerow([formatter(type(v), fmt_value)(v) for v in row])
+                continue
+            text, bools = template
+            if bools:
+                row = list(row)
+                for i in bools:
+                    row[i] = bool_text(row[i])
+            fh.write(text % tuple(row))
 
 
 def content_hash(doc: dict) -> str:

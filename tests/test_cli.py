@@ -4,13 +4,16 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnlslab import DataSpec, SimConfig, TorusGrid, build, simulate
 from dnlslab.cli import main
-from dnlslab.runio import fmt_value, write_csv
+from dnlslab.runio import _row_template, fmt_value, write_csv
 
 TWO_PI = 2 * math.pi
 
@@ -31,6 +34,20 @@ def base_doc(out_dir, **overrides):
         "outputs": {"dir": out_dir, "formats": ["csv", "json"]},
     }
     doc.update(overrides)
+    return doc
+
+
+def all_formats_doc(out_dir):
+    """A tiny config of every command, with every output format requested."""
+    doc = base_doc(out_dir)
+    doc["outputs"]["formats"] = ["csv", "json", "frames", "plot"]
+    doc["data"] = {"kind": "multimode", "modes": [1, 2, -1],
+                   "amplitudes": [1.0, 0.4, 0.3], "seed": 5,
+                   "target_mass": 4.0}
+    doc["gn_audit"] = {"num_fields": 2, "L_values": [1.0],
+                       "delta_values": [0.5, 2.0], "N": 32}
+    doc["threshold_scan"] = {"mass_fractions": [0.5, 0.9],
+                             "pairs": [{"L": TWO_PI, "delta": 1.0}]}
     return doc
 
 
@@ -569,6 +586,16 @@ class TestLateNumericTrouble:
         assert summary["exit_reason"] == "non-finite"
         assert (summary["rows"], summary["violations"]) == (3, 0)
 
+    @pytest.mark.parametrize("L", [1e308, 1e-300])
+    def test_gn_audit_overflow_prints_no_numpy_warning(self, tmp_path, L):
+        # the overflow is reported by the exit code, not by numpy
+        doc = base_doc(str(tmp_path / "out"), gn_audit={
+            "num_fields": 1, "L_values": [L], "delta_values": [1.0], "N": 8})
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gn-audit", "--config", cfg, "--quiet"]) == 3
+
     @pytest.mark.parametrize("L", [1e308, 1e200])
     def test_scan_member_with_underflowing_norms_exits_3(self, tmp_path, capsys, L):
         # rescaled to a mass near 4 pi, the member's max|u|^2 is so small
@@ -587,6 +614,33 @@ class TestLateNumericTrouble:
         assert len(rows) == 2 and rows[1].endswith(",non-finite")
 
 
+def write_reference_csv(path, header, rows):
+    """The CSV write_csv must match: csv.writer on fmt_value of each value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_value(v) for v in row])
+
+
+def assert_writes_as_reference(tmp_path, header, rows):
+    write_csv(str(tmp_path / "fast.csv"), header, rows)
+    write_reference_csv(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# values of every exact type write_csv formats, a few that need csv quoting,
+# and the float and int extremes
+CSV_VALUES = (st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, math.inf])
+              | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+              | st.integers() | st.sampled_from([2 ** 200, -(10 ** 300)])
+              | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+              | st.booleans() | st.sampled_from([np.True_, np.False_])
+              | st.none() | st.text(alphabet='a,"\n\r 1.e-'))
+NUMBER_VALUES = (st.floats() | st.floats().map(np.float64) | st.integers()
+                 | st.booleans())
+
+
 class TestFloatFormat:
     def test_seventeen_significant_digits(self):
         assert fmt_value(math.pi) == f"{math.pi:.17g}"
@@ -600,13 +654,51 @@ class TestFloatFormat:
                   np.float32(0.1), np.float32(math.inf), 3, -7, np.int64(42),
                   True, False, np.True_, np.False_, None, "ok", "a,b", ""]
         rows = [tuple(values), tuple(reversed(values)), ()]
-        write_csv(str(tmp_path / "fast.csv"), ("a", "b"), rows)
-        with open(tmp_path / "ref.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("a", "b"))
-            for row in rows:
-                writer.writerow([fmt_value(v) for v in row])
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_writes_as_reference(tmp_path, ("a", "b"), rows)
+
+    def test_rows_of_numbers_take_the_template(self, tmp_path):
+        numbers = [math.pi, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf,
+                   -math.inf, np.float64(0.1), np.float64(-math.inf), 0, -7,
+                   2 ** 200, -(10 ** 300), True, False]
+        rows = [
+            tuple(numbers),                       # every template type
+            (1.5, 2.5), (3, -4), (True, False),   # one type per row
+            (True, 1.0, False, 2, True),          # bools in several columns
+            (math.nan,), (-0.0,), (10 ** 30,), (False,),  # one value
+            (0.1, 2), (None, 2), (0.1, 2),        # a None between template rows
+            (np.float64(0.1), 2),                 # np.float64 in a float column
+            ("x", 2), (), (0.25, 3),              # str and empty rows between
+        ]
+        takes_template = [_row_template(tuple(map(type, row))) is not None
+                          for row in rows]
+        assert takes_template == [True] * 9 + [True, False, True, True,
+                                               False, False, True]
+        assert_writes_as_reference(tmp_path, ("a", "b"), rows)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.lists(NUMBER_VALUES, max_size=6)
+                         | st.lists(CSV_VALUES, max_size=6), max_size=8))
+    def test_write_csv_matches_csv_writer_property(self, tmp_path_factory, rows):
+        assert_writes_as_reference(tmp_path_factory.mktemp("csv"), ("a", "b"), rows)
+
+    @pytest.mark.parametrize("command", ["simulate", "gauge-check", "gn-audit",
+                                         "threshold-scan", "diagnose"])
+    def test_command_tables_match_csv_writer(self, tmp_path, monkeypatch, command):
+        written = []
+
+        def both_ways(path, header, rows):
+            ref = str(tmp_path / ("ref_" + os.path.basename(path)))
+            write_csv(path, header, rows)
+            write_reference_csv(ref, header, rows)
+            written.append((path, ref))
+
+        monkeypatch.setattr("dnlslab.cli.write_csv", both_ways)
+        cfg = write_config(tmp_path, all_formats_doc(str(tmp_path / "out")))
+        assert main([command, "--config", cfg, "--quiet"]) == 0
+        assert written
+        for path, ref in written:
+            with open(path, "rb") as fast, open(ref, "rb") as slow:
+                assert fast.read() == slow.read(), path
 
     def test_jobs_validation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, base_doc(str(tmp_path / "o")))
@@ -633,16 +725,7 @@ class TestOutputFiles:
     ])
     def test_files_and_status_line(self, tmp_path, capsys, command, files, status):
         out = tmp_path / "out"
-        doc = base_doc(str(out))
-        doc["outputs"]["formats"] = ["csv", "json", "frames", "plot"]
-        doc["data"] = {"kind": "multimode", "modes": [1, 2, -1],
-                       "amplitudes": [1.0, 0.4, 0.3], "seed": 5,
-                       "target_mass": 4.0}
-        doc["gn_audit"] = {"num_fields": 2, "L_values": [1.0],
-                           "delta_values": [0.5, 2.0], "N": 32}
-        doc["threshold_scan"] = {"mass_fractions": [0.5, 0.9],
-                                 "pairs": [{"L": TWO_PI, "delta": 1.0}]}
-        cfg = write_config(tmp_path, doc)
+        cfg = write_config(tmp_path, all_formats_doc(str(out)))
         assert main([command, "--config", cfg]) == 0
         assert set(os.listdir(out)) == files | {"summary.json"}
         lines = capsys.readouterr().out.splitlines()
