@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .functionals import mu
-from .grid import Field, TorusGrid
+from .grid import Field, TorusGrid, fft, ifft
 
 INTEGRATOR_CHOICES = ("ifrk4", "etdrk4")
 EQUATION_CHOICES = ("dnls1", "dnls2")
@@ -140,32 +140,37 @@ def _dealias_drop(grid: TorusGrid) -> slice:
     return slice(grid.N // 3 + 1, grid.N - grid.N // 3)
 
 
-def _nl_dnls1(grid: TorusGrid, drop: slice, F: np.ndarray) -> np.ndarray:
+def _nl_dnls1(grid: TorusGrid, drop: slice, F: np.ndarray,
+              u: np.ndarray | None = None) -> np.ndarray:
     """Spectral nonlinear term d/dx(|u|^2 u) of the ungauged flow, for spectra
-    of shape (..., N)."""
-    u = np.fft.ifft(F)
-    cubic = np.fft.fft(np.abs(u) ** 2 * u)
+    of shape (..., N); u, when given, is an array of F's shape that takes the
+    samples."""
+    u = ifft(F, u)
+    cubic = np.abs(u) ** 2 * u
+    fft(cubic, cubic)
     cubic[..., drop] = 0.0
     return grid._ik * cubic
 
 
-def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
+def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray | np.float64:
     """Exact int |v|^4 per spectrum of shape (..., N), via the 2x padded grid;
-    shape (..., 1)."""
-    v2 = 2.0 * np.fft.ifft(grid.pad2(F))
-    return (np.abs(v2) ** 4).sum(axis=-1, keepdims=True) * (grid.L / (2 * grid.N))
+    shape (..., 1) for a stack, a scalar for one spectrum."""
+    padded = grid.pad2(F)
+    v2 = 2.0 * ifft(padded, padded)
+    return (np.add.reduce(np.abs(v2) ** 4, axis=-1, keepdims=F.ndim > 1)
+            * (grid.L / (2 * grid.N)))
 
 
 def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray,
-                  ik_imag: np.ndarray | None = None) -> np.ndarray:
+                  ik_imag: np.ndarray | None = None) -> np.ndarray | np.float64:
     """The integral part of the nonlocal coefficient psi,
     (beta/L) int [2 Im(v conj(v_x)) + (3/2 - 2b)|v|^4], per spectrum of shape
-    (..., N); shape (..., 1). ik_imag is grid._ik.imag, which a stepping
-    kernel passes in once per run."""
+    (..., N); shape (..., 1) for a stack, a scalar for one spectrum. ik_imag
+    is grid._ik.imag, which a stepping kernel passes in once per run."""
     if ik_imag is None:
         ik_imag = grid._ik.imag
-    im_mom = -(grid.L / grid.N ** 2) * (ik_imag * np.abs(F) ** 2).sum(
-        axis=-1, keepdims=True)
+    im_mom = -(grid.L / grid.N ** 2) * np.add.reduce(
+        ik_imag * np.abs(F) ** 2, axis=-1, keepdims=F.ndim > 1)
     # The quartic factor is exactly 0.0 at beta = 3/4, so the padded transform
     # is skipped there; fac * 0.0 keeps the arithmetic of the unskipped kernel.
     fac = 1.5 - 2.0 * beta
@@ -179,21 +184,21 @@ def _gauged_constants(grid: TorusGrid, beta: float, mu_val: float | np.ndarray):
     return beta, beta * mu_val, beta * beta * mu_val * mu_val, grid._ik.imag.copy()
 
 
-def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray) -> np.ndarray:
+def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray,
+              stack: np.ndarray | None = None) -> np.ndarray:
     """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
     for spectra of shape (..., N), with the constants of _gauged_constants.
 
-    v and v_x come from one inverse transform of the (2, ..., N) stack of F
-    and ik*F; each row of it equals a transform of its own, bit for bit.
+    v and v_x come from one inverse transform, in place, of the (2, ..., N)
+    stack of F and ik*F; each row of it equals a transform of its own, bit for
+    bit. stack, when given, is the array of that shape to use.
     """
     beta, bmu, b2mu2, ik_imag = consts
-    stack = np.empty((2,) + F.shape, dtype=np.complex128)
+    if stack is None:
+        stack = np.empty((2,) + F.shape, dtype=np.complex128)
     stack[0] = F
     np.multiply(grid._ik, F, out=stack[1])
-    v, vx = np.fft.ifft(stack)
-    # freed now, not at return: held through the products below, it raised
-    # the peak RSS of gauge-check by 128 KiB
-    del stack
+    v, vx = ifft(stack, stack)
     absq = np.abs(v) ** 2
     psi_val = _psi_integral(grid, beta, F, ik_imag) + b2mu2
     nl = (
@@ -203,25 +208,30 @@ def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray) -> np.
                 + beta * (0.5 - beta) * absq ** 2 * v
                 - psi_val * v)
     )
-    out = np.fft.fft(nl)
-    out[..., drop] = 0.0
-    return out
+    fft(nl, nl)
+    nl[..., drop] = 0.0
+    return nl
 
 
 def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
-                    mu_val: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The nonlinear part of the chosen flow, on spectra of shape (..., N);
-    mu_val is a scalar or a (..., 1) column.
+                    mu_val: float | np.ndarray, lead: tuple = ()
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    """The nonlinear part of the chosen flow, on spectra of shape lead + (N,);
+    mu_val is a scalar or a lead + (1,) column.
 
-    The one kernel-selection rule: at beta = 0 the gauged flow coincides with
-    the ungauged one, and sharing the kernel makes the identity exact
-    discretely, not just analytically.
+    The kernel owns the array its inverse transform writes into, so it takes
+    spectra of that one shape; what it returns is new on every call. The one
+    kernel-selection rule: at beta = 0 the gauged flow coincides with the
+    ungauged one, and sharing the kernel makes the identity exact discretely,
+    not just analytically.
     """
     drop = _dealias_drop(grid)
     if equation == "dnls1" or beta == 0.0:
-        return lambda F: _nl_dnls1(grid, drop, F)
+        u = np.empty(lead + (grid.N,), dtype=np.complex128)
+        return lambda F: _nl_dnls1(grid, drop, F, u)
     consts = _gauged_constants(grid, beta, mu_val)
-    return lambda F: _nl_dnls2(grid, drop, consts, F)
+    stack = np.empty((2,) + lead + (grid.N,), dtype=np.complex128)
+    return lambda F: _nl_dnls2(grid, drop, consts, F, stack)
 
 
 def _ifrk4_coeffs(symbol: np.ndarray, dt: float):
@@ -284,13 +294,13 @@ def _etdrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
 def _rhs(grid: TorusGrid, nl: Callable, U: np.ndarray) -> np.ndarray:
     """Full right-hand side ifft(symbol*F + nl(F)), F = fft(U), for samples
     of shape (..., N)."""
-    F = np.fft.fft(U)
-    return np.fft.ifft(dispersion_symbol(grid) * F + nl(F))
+    F = fft(U)
+    return ifft(dispersion_symbol(grid) * F + nl(F))
 
 
 def rhs_dnls1(u: Field) -> Field:
     """Full right-hand side du/dt = i*u_xx + d/dx(|u|^2 u)."""
-    nl = _make_nonlinear(u.grid, "dnls1", 0.0, 0.0)
+    nl = _make_nonlinear(u.grid, "dnls1", 0.0, 0.0, u.values.shape[:-1])
     return Field(u.grid, _rhs(u.grid, nl, u.values))
 
 
@@ -302,14 +312,14 @@ def rhs_dnls2(v: Field, beta: float, mu_val: float) -> Field:
     """
     if mu_val < 0:
         raise ValueError("mu_val must be nonnegative")
-    nl = _make_nonlinear(v.grid, "dnls2", beta, mu_val)
+    nl = _make_nonlinear(v.grid, "dnls2", beta, mu_val, v.values.shape[:-1])
     return Field(v.grid, _rhs(v.grid, nl, v.values))
 
 
-def _h1dot_from_spectrum(grid: TorusGrid, F: np.ndarray) -> np.ndarray:
-    """H^1 seminorm per spectrum of shape (..., N)."""
-    return np.sqrt(grid.L / grid.N ** 2
-                   * (np.abs(grid._ik * F) ** 2).sum(axis=-1))
+def _h1dot_from_spectrum(ik: np.ndarray, scale: float, F: np.ndarray) -> np.ndarray:
+    """H^1 seminorm per spectrum of shape (..., N), with ik = grid._ik and
+    scale = L/N^2 given once per run."""
+    return np.sqrt(scale * np.add.reduce(np.abs(ik * F) ** 2, axis=-1))
 
 
 def step_count(T: float, dt: float) -> int:
@@ -364,20 +374,15 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     else:
         step, coeffs = _etdrk4_step, _etdrk4_coeffs(symbol, config.dt)
 
-    # A lone member steps as a 1-D spectrum: at small N, broadcasting against
-    # the per-mode coefficients would cost more per call than the arithmetic.
+    # A lone member steps as a 1-D spectrum, with scalar constants: at small
+    # N, broadcasting against the per-mode coefficients, or against (1,)
+    # columns, would cost more per call than the arithmetic.
     values = [u0.values for u0 in u0s]
-    F = np.fft.fft(values[0] if len(values) == 1 else np.stack(values))
-    mu_col = np.array(mu_vals).reshape(F.shape[:-1] + (1,))
-    kernel = lambda mu_col: _make_nonlinear(grid, config.equation, config.beta, mu_col)
-    nl = kernel(mu_col)
-    guard0 = np.atleast_1d(_h1dot_from_spectrum(grid, F))
-    # A NaN/Inf sample makes the seminorm NaN or Inf. With the limit capped
-    # at the largest float, "h1 <= limit" fails for exactly the rows to stop:
-    # the non-finite ones and those past the guard.
-    guard_limit = np.minimum(
-        np.where(guard0 > 0, config.guard_factor * guard0, math.inf),
-        np.finfo(np.float64).max)
+    F = fft(values[0] if len(values) == 1 else np.stack(values))
+    mu_col = mu_vals[0] if F.ndim == 1 else np.array(mu_vals).reshape(-1, 1)
+    kernel = lambda mu_col, F: _make_nonlinear(grid, config.equation, config.beta,
+                                               mu_col, F.shape[:-1])
+    nl = kernel(mu_col, F)
 
     # Steps 0, every stride-th and the last are recorded, each member's rows
     # into its slice of one store; a stopped member's trajectory is a prefix.
@@ -390,28 +395,41 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     n_rec = 1
     members = list(range(len(u0s)))  # member index of each batch row
     results: list = [None] * len(u0s)
-    for i in range(1, n_steps + 1):
-        F = step(F, nl, coeffs)
-        t = i * config.dt
-        with np.errstate(over="ignore", invalid="ignore"):
-            h1 = _h1dot_from_spectrum(grid, F)
-        keep = h1 <= guard_limit
-        if not keep.all():
-            h1 = np.atleast_1d(h1)
-            rows = F.reshape(-1, grid.N)
-            for row in np.flatnonzero(~keep):
-                m = members[row]
-                partial = Trajectory(grid, times[:n_rec], store[m, :n_rec])
-                results[m] = _stop_error(rows[row], float(h1[row]),
-                                         float(guard_limit[row]), t, partial)
-            members = [m for m, k in zip(members, keep) if k]
-            if not members:
-                break
-            F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
-            nl = kernel(mu_col)
-        if i == steps[n_rec]:
-            store[members, n_rec] = np.fft.ifft(F).reshape(-1, grid.N)
-            n_rec += 1
+    ik, h1_scale = grid._ik, grid.L / grid.N ** 2
+    # Overflow and NaN, in a step or in the guard limit, are caught by the
+    # guard, which stops the member; numpy is told once per run not to warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        guard0 = np.atleast_1d(_h1dot_from_spectrum(ik, h1_scale, F))
+        # A NaN/Inf sample makes the seminorm NaN or Inf. With the limit
+        # capped at the largest float, "h1 <= limit" fails for exactly the
+        # rows to stop: the non-finite ones and those past the guard.
+        guard_limit = np.minimum(
+            np.where(guard0 > 0, config.guard_factor * guard0, math.inf),
+            np.finfo(np.float64).max)
+        for i in range(1, n_steps + 1):
+            F = step(F, nl, coeffs)
+            h1 = _h1dot_from_spectrum(ik, h1_scale, F)
+            keep = h1 <= guard_limit
+            if not keep.all():
+                t = i * config.dt
+                h1 = np.atleast_1d(h1)
+                rows = F.reshape(-1, grid.N)
+                for row in np.flatnonzero(~keep):
+                    m = members[row]
+                    partial = Trajectory(grid, times[:n_rec], store[m, :n_rec])
+                    results[m] = _stop_error(rows[row], float(h1[row]),
+                                             float(guard_limit[row]), t, partial)
+                members = [m for m, k in zip(members, keep) if k]
+                if not members:
+                    break
+                F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
+                nl = kernel(mu_col, F)
+            if i == steps[n_rec]:
+                if len(members) == len(u0s):  # straight into the store rows
+                    ifft(F, store[0, n_rec] if F.ndim == 1 else store[:, n_rec])
+                else:
+                    store[members, n_rec] = ifft(F)
+                n_rec += 1
     for m in members:
         results[m] = Trajectory(grid, times, store[m])
     return results
@@ -456,7 +474,8 @@ def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,
         raise ValueError("mu_val must be nonnegative")
 
     grid = traj.grid
-    nl = _make_nonlinear(grid, equation, beta, mu_val)
+    inner = U[1:-1]
+    nl = _make_nonlinear(grid, equation, beta, mu_val, inner.shape[:-1])
     dt_u = (U[2:] - U[:-2]) / (2.0 * float(spacings[0]))
-    diff = dt_u - _rhs(grid, nl, U[1:-1])
+    diff = dt_u - _rhs(grid, nl, inner)
     return np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1) * grid.dx)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, deriv, lp_norm, per_row
+from .grid import Field, deriv, fft, ifft, lp_norm, per_row
 
 # The cubic term of the energy admits two readings that differ by a factor of
 # two in the integral. The conservation oracle (energy drift vanishing at the
@@ -84,7 +84,7 @@ def _im_cubic_term(f: Field, term_form: str) -> float | list[float]:
     elif term_form == "literal":
         v2 = grid.refine2(f.values)
         w = v2 * v2
-        wx = np.fft.ifft(np.fft.fft(w) * grid.refined._ik)
+        wx = ifft(fft(w) * grid.refined._ik)
         integrand = w * np.conj(wx)
     else:
         raise ValueError(f"unknown term_form {term_form!r}, expected one of {TERM_FORMS}")

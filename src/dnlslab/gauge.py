@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _psi_integral
 from .functionals import mu
-from .grid import Field, antideriv_meanzero, translate
+from .grid import Field, antideriv_meanzero, fft, translate
 
 # Sign of the beta^2*mu^2 offset in the nonlocal coefficient psi. Fixed by the
 # gauge-consistency oracle: with "plus", the gauged plane wave solves the
@@ -49,7 +49,7 @@ def psi(v: Field, beta: float, mu_val: float,
     offset = beta * beta * mu_val * mu_val
     if sign_mu2 == "minus":
         offset = -offset
-    return float(_psi_integral(v.grid, beta, np.fft.fft(v.values))[0]) + offset
+    return float(_psi_integral(v.grid, beta, fft(v.values))) + offset
 
 
 def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:

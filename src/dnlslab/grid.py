@@ -13,6 +13,7 @@ equal bit for bit to what that row gives alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +26,40 @@ MIN_NODES = 8
 ELIDE_BYTES = 256 * 1024
 
 
+def fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The forward transform of every package call: np.fft.fft along the
+    last axis, written into out when given (out may be a, in place).
+
+    np.fft.fft is looked up on each call, so a patch of numpy.fft sees every
+    transform. An out array skips numpy's own result-type and allocation
+    work; the bits are those of np.fft.fft(a).
+    """
+    return np.fft.fft(a, a.shape[-1], -1, None, out)
+
+
+def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse transform of every package call; see fft."""
+    return np.fft.ifft(a, a.shape[-1], -1, None, out)
+
+
 def check_grid(L: float, N: int | None) -> None:
     """The grid rule: L finite and > 0, N an even integer >= MIN_NODES (None
-    skips N). Raises ValueError; builds nothing, so a huge N costs nothing."""
+    skips N), and the largest wavenumber (2 pi/L)*(N/2), or 2 pi/L when N is
+    None, finite. Raises ValueError; builds nothing, so a huge N costs
+    nothing."""
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"period L must be positive and finite, got {L}")
     if N is not None and (N % 2 != 0 or N < MIN_NODES):
         raise ValueError(f"node count N must be an even integer >= {MIN_NODES}, got {N}")
+    # k_max as TorusGrid forms it; an N too large for a float overflows too
+    try:
+        kmax = (2.0 * math.pi / L) * (1 if N is None else N // 2)
+    except OverflowError:
+        kmax = math.inf
+    if not math.isfinite(kmax):
+        what = "2*pi/L" if N is None else f"(2*pi/L)*(N/2) at N = {N}"
+        raise ValueError(f"period L = {L} is too small: the largest wavenumber "
+                         f"{what} is not finite")
 
 
 class TorusGrid:
@@ -107,7 +135,7 @@ class TorusGrid:
 
         Exact for the trigonometric interpolant with modes in [-N/2, N/2).
         """
-        return 2.0 * np.fft.ifft(self.pad2(np.fft.fft(values)))
+        return 2.0 * ifft(self.pad2(fft(values)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TorusGrid) and self.L == other.L and self.N == other.N
@@ -142,7 +170,7 @@ class Field:
         self.values = v
 
     def spectrum(self) -> "Spectrum":
-        return Spectrum(self.grid, np.fft.fft(self.values) / self.grid.N)
+        return Spectrum(self.grid, fft(self.values) / self.grid.N)
 
     def __repr__(self) -> str:
         return f"Field(grid={self.grid!r}, max|f|={np.max(np.abs(self.values)):.3g})"
@@ -169,7 +197,7 @@ class Spectrum:
         object.__setattr__(self, "coefficients", c)
 
     def field(self) -> Field:
-        return Field(self.grid, np.fft.ifft(self.coefficients * self.grid.N))
+        return Field(self.grid, ifft(self.coefficients * self.grid.N))
 
 
 def per_row(f: Field, fn, *columns):
@@ -185,8 +213,8 @@ def per_row(f: Field, fn, *columns):
 
 def deriv(f: Field) -> Field:
     """Spectral derivative d/dx; the Nyquist mode is mapped to zero."""
-    F = np.fft.fft(f.values)
-    return Field(f.grid, np.fft.ifft(f.grid._ik * F))
+    F = fft(f.values)
+    return Field(f.grid, ifft(f.grid._ik * F))
 
 
 def antideriv_meanzero(g: Field) -> Field:
@@ -204,8 +232,8 @@ def antideriv_meanzero(g: Field) -> Field:
     grid = g.grid
     mult = np.zeros(grid.N, dtype=np.complex128)
     mult[1:] = 1.0 / (1j * grid.k[1:])
-    F = np.fft.fft(v.real)
-    I = np.fft.ifft(F * mult).real
+    F = fft(v.real)
+    I = ifft(F * mult).real
     return Field(grid, I.astype(np.complex128))
 
 
@@ -235,7 +263,7 @@ def translate(f: Field, s: float | np.ndarray) -> Field:
     Exact for band-limited f; s may be any real number, or for a stack one
     number per row.
     """
-    F = np.fft.fft(f.values)
+    F = fft(f.values)
     if np.ndim(s):
         s = np.asarray(s, dtype=np.float64)[:, None]
-    return Field(f.grid, np.fft.ifft(F * np.exp(-1j * f.grid.k * s)))
+    return Field(f.grid, ifft(F * np.exp(-1j * f.grid.k * s)))

@@ -317,7 +317,10 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
     """
     members, names = [], {}
     for i, pair in enumerate(cfg.threshold_scan.pairs):
-        pair = replace(pair, N=pair.N or cfg.grid.N, dt=pair.dt or cfg.sim.dt)
+        try:  # the grid rule again, at the resolved N
+            pair = replace(pair, N=pair.N or cfg.grid.N, dt=pair.dt or cfg.sim.dt)
+        except ValueError as e:
+            raise ConfigError(f"threshold_scan.pairs[{i}]: {e}") from e
         if not pair.dt <= cfg.sim.T:
             raise ConfigError(f"threshold_scan.pairs[{i}].dt: must be in (0, sim.T]")
         grid = TorusGrid(pair.L, pair.N)

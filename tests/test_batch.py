@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dnlslab import (BlowupGuardError, Field, NonFiniteError, SimConfig,
-                     TorusGrid, simulate)
+from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
+                     SimConfig, TorusGrid, simulate)
 from dnlslab import mu as mu_of
 from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
 from dnlslab.dynamics import (_dealias_drop, _etdrk4_coeffs, _etdrk4_step,
@@ -191,7 +191,7 @@ def test_kernels_and_steps_act_row_by_row(grid, members, beta):
     assert np.array_equal(_nl_dnls2(grid, drop, _gauged_constants(grid, beta, mu), F),
                           np.stack(rows))
     assert np.array_equal(_quartic_integral(grid, F)[:, 0],
-                          [_quartic_integral(grid, row)[0] for row in F])
+                          [_quartic_integral(grid, row) for row in F])
 
     dt = 1e-3
     symbol = dispersion_symbol(grid)
@@ -247,6 +247,29 @@ def test_stopped_members_leave_the_batch_and_the_rest_carry_on(grid, members):
         "Trajectory"]
     assert len(batched[1].partial.frames) > 1
     assert batched[1].t < config.T
+    assert_same_results(batched, want)
+
+
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("equation", ["dnls1", "dnls2"])
+def test_a_guard_stop_at_256_nodes_leaves_the_rest_equal_to_serial(integrator,
+                                                                   equation):
+    # frames before the stop go straight into the store rows, frames after it
+    # through the rows of the members left
+    grid = TorusGrid(TWO_PI, 256)
+    rng = np.random.default_rng(7)
+    light = [random_band_field(grid, rng, band=4, scale=s) for s in (0.1, 0.4, 0.8)]
+    heavy = random_band_field(grid, np.random.default_rng(7), band=4, scale=2.0)
+    u0s = [light[0], heavy, light[1], light[2]]
+    config = SimConfig(dt=1e-3, T=0.05, record_stride=3, equation=equation,
+                       integrator=integrator, guard_factor=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        batched = simulate_batch(u0s, config)
+        want = serial(u0s, config)
+    assert type(batched[0]).__name__ == "Trajectory"
+    assert isinstance(batched[1], BlowupGuardError)
+    assert 1 < len(batched[1].partial.times) < len(batched[0].times) - 1
     assert_same_results(batched, want)
 
 

@@ -150,6 +150,23 @@ class TestSimulateCommand:
         with pytest.warns(Warning):
             assert main(["simulate", "--config", cfg, "--quiet"]) == 3
 
+    @pytest.mark.parametrize("equation, amplitude", [("dnls1", 1e20), ("dnls2", 1e30)])
+    def test_overflow_in_a_step_prints_no_numpy_warning(self, tmp_path, equation,
+                                                        amplitude):
+        # the first step overflows: exit 3 at its time, reported by the run,
+        # not by numpy (only the CFL heuristic warns)
+        doc = base_doc(str(tmp_path / "out"), sim={"dt": 1e-3, "T": 0.01,
+                                                   "equation": equation})
+        doc["data"]["amplitude"] = amplitude
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", cfg, "--quiet"]) == 3
+        assert [w.category.__name__ for w in caught] == ["CflWarning"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["exit_reason"] == "non-finite"
+        assert summary["guard_time"] == 1e-3
+
     def test_frames_and_plot_formats(self, tmp_path):
         out = str(tmp_path / "out")
         doc = base_doc(out)
@@ -534,6 +551,41 @@ class TestNothingToRun:
         assert main([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == (
             f"config error: {block}: {key} must not be empty\n")
+        assert not out.exists()
+
+
+class TestGridRule:
+    """A period whose largest wavenumber (2 pi/L)*(N/2) overflows breaks the
+    one grid rule wherever a grid is named: exit 1 with one config error
+    line, no numpy warning, nothing stepped or written."""
+
+    @pytest.mark.parametrize("command, overrides, message", [
+        pytest.param("simulate", {"grid": {"L": 5e-324, "N": 64}},
+                     "config error: grid: period L = 5e-324 is too small",
+                     id="simulate-grid-L"),
+        *[pytest.param("gn-audit", {"gn_audit": {"num_fields": 2, "L_values": [L],
+                                                 "delta_values": [1.0], "N": 32}},
+                       f"config error: gn_audit: period L = {L} is too small",
+                       id=f"gn-audit-L_values-{L}")
+          for L in (5e-324, 2e-308)],
+        # 2 pi/L is finite, so the pair parses; at the grid's N it is not
+        pytest.param("threshold-scan",
+                     {"threshold_scan": {"mass_fractions": [0.5],
+                                         "pairs": [{"L": 1e-307, "delta": 1.0}]}},
+                     "config error: threshold_scan.pairs[0]: period L = 1e-307 "
+                     "is too small: the largest wavenumber (2*pi/L)*(N/2) at N = 64",
+                     id="scan-pair-at-resolved-N"),
+    ])
+    def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch, command,
+                                    overrides, message):
+        forbid_stepping(monkeypatch)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, base_doc(str(out), **overrides))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
         assert not out.exists()
 
 

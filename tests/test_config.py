@@ -157,8 +157,9 @@ def test_blocks_built_in_code_check_their_ranges(cls, kw):
         cls(**kw)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @PROPERTY
-@given(L=st.floats() | st.sampled_from([5e-324, 1e-300, 1e308, -0.0]),
+@given(L=st.floats() | st.sampled_from([5e-324, 2.2e-313, 1e-300, 1e308, -0.0]),
        N=st.integers(-4, 300))
 def test_grid_block_and_torus_grid_share_one_rule(L, N):
     def rejects(make):

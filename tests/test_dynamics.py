@@ -201,6 +201,17 @@ class TestSimulate:
             with pytest.raises(NonFiniteError):
                 simulate(u0, cfg)
 
+    @pytest.mark.filterwarnings("ignore::dnlslab.CflWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("equation", ["dnls1", "dnls2"])
+    def test_overflow_in_a_step_stops_with_no_numpy_warning(self, equation):
+        # the first step overflows; the guard reports it, numpy does not
+        u0 = plane_wave(TorusGrid(2 * np.pi, 64), A=1e30, m=2)
+        with pytest.raises(NonFiniteError) as info:
+            simulate(u0, SimConfig(dt=1e-3, T=0.01, equation=equation))
+        assert info.value.t == 1e-3
+        assert len(info.value.partial.times) == 1
+
     def test_cfl_warning(self, grid2pi):
         u0 = plane_wave(grid2pi, A=2.0, m=1)
         with pytest.warns(CflWarning):
@@ -233,11 +244,13 @@ class TestSimulate:
         assert np.max(np.abs(traj.frames[-1][1].values - want)) < 1e-9
 
     @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
-    @pytest.mark.parametrize("equation,beta,most", [
+    @pytest.mark.parametrize("equation,beta,design", [
         ("dnls1", 0.75, 8), ("dnls2", 0.75, 8), ("dnls2", 0.5, 12)])
-    def test_fft_calls_per_step(self, monkeypatch, integrator, equation, beta, most):
+    def test_fft_calls_per_step(self, monkeypatch, integrator, equation, beta, design):
         # four kernel calls per step; at small N the number of transforms,
-        # not their size, sets the cost
+        # not their size, sets the cost. Exactly the design count: every
+        # transform must reach numpy.fft through the package seam, so a
+        # seam that bound numpy.fft.fft once would read 0 here
         grid = TorusGrid(2 * np.pi, 32)
         u0 = random_band_field(grid, np.random.default_rng(3), band=4, scale=0.3)
         calls = []
@@ -254,7 +267,27 @@ class TestSimulate:
             return len(calls)
 
         # the set-up transform and the two recorded frames cancel
-        assert (count(20) - count(10)) / 10 <= most
+        assert (count(20) - count(10)) / 10 == design
+
+
+@pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),
+                                           ("dnls2", 0.5)])
+@pytest.mark.parametrize("B", [None, 3])
+def test_kernel_result_is_unchanged_by_its_next_call(grid2pi, rng, equation, beta, B):
+    # the kernel writes its inverse transforms into arrays it owns; what it
+    # returns must not be one of them
+    shape = (grid2pi.N,) if B is None else (B, grid2pi.N)
+    mu_val = 0.4 if B is None else np.full((B, 1), 0.4)
+    nl = _make_nonlinear(grid2pi, equation, beta, mu_val, shape[:-1])
+    F, G = (np.fft.fft(random_band_field(grid2pi, rng, band=8, scale=0.3).values
+                       * np.ones(shape)) for _ in range(2))
+    first = nl(F)
+    kept = first.copy()
+    second = nl(G)
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, second)
+    fresh = _make_nonlinear(grid2pi, equation, beta, mu_val, shape[:-1])
+    assert np.array_equal(nl(F), fresh(F)) and np.array_equal(second, fresh(G))
 
 
 class TestPdeResidual:

@@ -7,6 +7,8 @@ from numpy.testing import assert_allclose
 from dnlslab import (Field, TorusGrid, antideriv_meanzero, deriv, lp_norm,
                      mass, translate)
 
+from dnlslab.grid import check_grid
+
 from conftest import l2_dist, plane_wave, random_band_field
 
 
@@ -31,6 +33,20 @@ class TestTorusGrid:
     def test_rejects_bad_parameters(self, L, N):
         with pytest.raises(ValueError):
             TorusGrid(L, N)
+
+    @pytest.mark.parametrize("L,N", [(5e-324, 256), (2e-308, 128), (2e-308, None),
+                                     (1e-307, 8), (1.0, 10 ** 400)])
+    def test_rejects_a_period_whose_largest_wavenumber_overflows(self, L, N):
+        with pytest.raises(ValueError, match="largest wavenumber"):
+            check_grid(L, N)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("L,N", [(1e-307, None), (1e-305, 256)])
+    def test_a_period_just_inside_the_rule_builds_finite_wavenumbers(self, L, N):
+        check_grid(L, N)
+        if N is not None:
+            grid = TorusGrid(L, N)
+            assert np.all(np.isfinite(grid.k)) and np.all(np.isfinite(grid._ik))
 
     def test_equality_is_by_shape(self):
         assert TorusGrid(1.0, 16) == TorusGrid(1.0, 16)
