@@ -141,9 +141,9 @@ def _dealias_drop(grid: TorusGrid) -> slice:
 
 
 def _nl_dnls1(grid: TorusGrid, drop: slice, F: np.ndarray,
-              u: np.ndarray | None = None) -> np.ndarray:
+              u: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term d/dx(|u|^2 u) of the ungauged flow, for spectra
-    of shape (..., N); u, when given, is an array of F's shape that takes the
+    of shape (..., N); u is a complex array of F's shape that takes the
     samples."""
     u = ifft(F, u)
     cubic = np.abs(u) ** 2 * u
@@ -185,17 +185,15 @@ def _gauged_constants(grid: TorusGrid, beta: float, mu_val: float | np.ndarray):
 
 
 def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray,
-              stack: np.ndarray | None = None) -> np.ndarray:
+              stack: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
     for spectra of shape (..., N), with the constants of _gauged_constants.
 
-    v and v_x come from one inverse transform, in place, of the (2, ..., N)
-    stack of F and ik*F; each row of it equals a transform of its own, bit for
-    bit. stack, when given, is the array of that shape to use.
+    v and v_x come from one inverse transform, in place, of stack, a complex
+    (2, ..., N) array that takes F and ik*F; each row of it equals a
+    transform of its own, bit for bit.
     """
     beta, bmu, b2mu2, ik_imag = consts
-    if stack is None:
-        stack = np.empty((2,) + F.shape, dtype=np.complex128)
     stack[0] = F
     np.multiply(grid._ik, F, out=stack[1])
     v, vx = ifft(stack, stack)
@@ -425,10 +423,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
                 F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
                 nl = kernel(mu_col, F)
             if i == steps[n_rec]:
-                if len(members) == len(u0s):  # straight into the store rows
-                    ifft(F, store[0, n_rec] if F.ndim == 1 else store[:, n_rec])
-                else:
-                    store[members, n_rec] = ifft(F)
+                store[members, n_rec] = ifft(F)
                 n_rec += 1
     for m in members:
         results[m] = Trajectory(grid, times, store[m])

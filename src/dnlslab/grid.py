@@ -46,7 +46,11 @@ def check_grid(L: float, N: int | None) -> None:
     """The grid rule: L finite and > 0, N an even integer >= MIN_NODES (None
     skips N), and the largest wavenumber (2 pi/L)*(N/2), or 2 pi/L when N is
     None, finite. Raises ValueError; builds nothing, so a huge N costs
-    nothing."""
+    nothing.
+
+    The rule checks the grid it is given, not its 2x refinement: for L within
+    a factor 2 of the limit, (L, N) passes and (L, 2N) fails, so that grid's
+    refined property raises."""
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"period L must be positive and finite, got {L}")
     if N is not None and (N % 2 != 0 or N < MIN_NODES):
@@ -104,7 +108,9 @@ class TorusGrid:
 
     @property
     def refined(self) -> "TorusGrid":
-        """The 2x refinement of this grid (same L, 2N nodes), cached."""
+        """The 2x refinement of this grid (same L, 2N nodes), cached. Raises
+        ValueError where (L, 2N) breaks the grid rule, which a grid (L, N)
+        can pass; see check_grid."""
         if self._refined is None:
             self._refined = TorusGrid(self.L, 2 * self.N)
         return self._refined

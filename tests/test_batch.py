@@ -28,6 +28,16 @@ def grid():
     return TorusGrid(TWO_PI, 32)
 
 
+def nl1(grid, drop, F):
+    """_nl_dnls1 on a buffer of its own."""
+    return _nl_dnls1(grid, drop, F, np.empty(F.shape, dtype=complex))
+
+
+def nl2(grid, drop, consts, F):
+    """_nl_dnls2 on a stack of its own."""
+    return _nl_dnls2(grid, drop, consts, F, np.empty((2,) + F.shape, dtype=complex))
+
+
 @pytest.fixture
 def members(grid):
     rng = np.random.default_rng(7)
@@ -140,7 +150,7 @@ def test_gauged_kernel_equals_the_serial_reference(N, B, beta):
     mu = np.linspace(0.2, 1.4, B).reshape(B, 1)
     if B == 1:  # a lone member steps as a 1-D spectrum, as in simulate_batch
         F, mu = F[0], mu[0]
-    got = _nl_dnls2(grid, _dealias_drop(grid), _gauged_constants(grid, beta, mu), F)
+    got = nl2(grid, _dealias_drop(grid), _gauged_constants(grid, beta, mu), F)
     for m, row, out in zip(np.ravel(mu), np.atleast_2d(F), np.atleast_2d(got)):
         assert np.array_equal(out, unskipped_nl_dnls2(grid, beta, float(m), row))
 
@@ -184,11 +194,11 @@ def test_kernels_and_steps_act_row_by_row(grid, members, beta):
     drop = _dealias_drop(grid)
     F = np.fft.fft(np.stack([u.values for u in members]))
     mu = np.array([[0.3], [1.1], [2.0]])
-    assert np.array_equal(_nl_dnls1(grid, drop, F),
-                          np.stack([_nl_dnls1(grid, drop, row) for row in F]))
-    rows = [_nl_dnls2(grid, drop, _gauged_constants(grid, beta, float(m)), row)
+    assert np.array_equal(nl1(grid, drop, F),
+                          np.stack([nl1(grid, drop, row) for row in F]))
+    rows = [nl2(grid, drop, _gauged_constants(grid, beta, float(m)), row)
             for m, row in zip(mu[:, 0], F)]
-    assert np.array_equal(_nl_dnls2(grid, drop, _gauged_constants(grid, beta, mu), F),
+    assert np.array_equal(nl2(grid, drop, _gauged_constants(grid, beta, mu), F),
                           np.stack(rows))
     assert np.array_equal(_quartic_integral(grid, F)[:, 0],
                           [_quartic_integral(grid, row) for row in F])
@@ -196,12 +206,12 @@ def test_kernels_and_steps_act_row_by_row(grid, members, beta):
     dt = 1e-3
     symbol = dispersion_symbol(grid)
     ifrk4, etdrk4 = _ifrk4_coeffs(symbol, dt), _etdrk4_coeffs(symbol, dt)
-    batched_nl = lambda G: _nl_dnls2(grid, drop, _gauged_constants(grid, beta, mu), G)
+    batched_nl = lambda G: nl2(grid, drop, _gauged_constants(grid, beta, mu), G)
     for one_step in (lambda G, nl: _ifrk4_step(G, nl, ifrk4),
                      lambda G, nl: _etdrk4_step(G, nl, etdrk4)):
         batched = one_step(F, batched_nl)
         for m, row, got in zip(mu[:, 0], F, batched):
-            row_nl = lambda G, m=float(m): _nl_dnls2(
+            row_nl = lambda G, m=float(m): nl2(
                 grid, drop, _gauged_constants(grid, beta, m), G)
             assert np.array_equal(got, one_step(row, row_nl))
 
@@ -220,7 +230,7 @@ def test_quartic_skip_at_three_quarters_equals_unskipped_kernel(grid, members):
         F = np.fft.fft(u.values)
         for mu_val in (0.0, 0.7):
             assert np.array_equal(
-                _nl_dnls2(grid, drop, _gauged_constants(grid, 0.75, mu_val), F),
+                nl2(grid, drop, _gauged_constants(grid, 0.75, mu_val), F),
                 unskipped_nl_dnls2(grid, 0.75, mu_val, F))
 
 
@@ -254,8 +264,8 @@ def test_stopped_members_leave_the_batch_and_the_rest_carry_on(grid, members):
 @pytest.mark.parametrize("equation", ["dnls1", "dnls2"])
 def test_a_guard_stop_at_256_nodes_leaves_the_rest_equal_to_serial(integrator,
                                                                    equation):
-    # frames before the stop go straight into the store rows, frames after it
-    # through the rows of the members left
+    # frames before the stop are recorded from all four rows, frames after it
+    # from the rows of the members left
     grid = TorusGrid(TWO_PI, 256)
     rng = np.random.default_rng(7)
     light = [random_band_field(grid, rng, band=4, scale=s) for s in (0.1, 0.4, 0.8)]
