@@ -366,12 +366,6 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
                 f"0.5/(k_max*max|u|^2) = {0.5 / rate:g}",
                 CflWarning, stacklevel=3)
 
-    symbol = dispersion_symbol(grid)
-    if config.integrator == "ifrk4":
-        step, coeffs = _ifrk4_step, _ifrk4_coeffs(symbol, config.dt)
-    else:
-        step, coeffs = _etdrk4_step, _etdrk4_coeffs(symbol, config.dt)
-
     # A lone member steps as a 1-D spectrum, with scalar constants: at small
     # N, broadcasting against the per-mode coefficients, or against (1,)
     # columns, would cost more per call than the arithmetic.
@@ -380,7 +374,6 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     mu_col = mu_vals[0] if F.ndim == 1 else np.array(mu_vals).reshape(-1, 1)
     kernel = lambda mu_col, F: _make_nonlinear(grid, config.equation, config.beta,
                                                mu_col, F.shape[:-1])
-    nl = kernel(mu_col, F)
 
     # Steps 0, every stride-th and the last are recorded, each member's rows
     # into its slice of one store; a stopped member's trajectory is a prefix.
@@ -394,9 +387,16 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     members = list(range(len(u0s)))  # member index of each batch row
     results: list = [None] * len(u0s)
     ik, h1_scale = grid._ik, grid.L / grid.N ** 2
-    # Overflow and NaN, in a step or in the guard limit, are caught by the
-    # guard, which stops the member; numpy is told once per run not to warn.
+    # Overflow and NaN, in the integrator set-up (k^2 overflows for a tiny
+    # period), in a step or in the guard limit, are caught by the guard,
+    # which stops the member; numpy is told once per run not to warn.
     with np.errstate(over="ignore", invalid="ignore"):
+        symbol = dispersion_symbol(grid)
+        if config.integrator == "ifrk4":
+            step, coeffs = _ifrk4_step, _ifrk4_coeffs(symbol, config.dt)
+        else:
+            step, coeffs = _etdrk4_step, _etdrk4_coeffs(symbol, config.dt)
+        nl = kernel(mu_col, F)
         guard0 = np.atleast_1d(_h1dot_from_spectrum(ik, h1_scale, F))
         # A NaN/Inf sample makes the seminorm NaN or Inf. With the limit
         # capped at the largest float, "h1 <= limit" fails for exactly the

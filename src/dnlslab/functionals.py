@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, deriv, fft, ifft, lp_norm, per_row
+from .grid import Field, deriv_values, fft, ifft, lp_norm, per_row
 
 # The cubic term of the energy admits two readings that differ by a factor of
 # two in the integral. The conservation oracle (energy drift vanishing at the
@@ -56,15 +56,15 @@ def mu(f: Field) -> float | list[float]:
 
 def im_momentum(f: Field) -> float | list[float]:
     """Im of the integral of f * conj(df/dx)."""
-    df = deriv(f)
-    products = np.sum((f.values * np.conj(df.values)).imag, axis=-1)
+    df = deriv_values(f)
+    products = np.sum((f.values * np.conj(df)).imag, axis=-1)
     return per_row(f, float, products * f.grid.dx)
 
 
 def h1dot_sq(f: Field) -> float | list[float]:
     """Squared homogeneous H^1 seminorm, integral of |df/dx|^2."""
-    df = deriv(f)
-    squares = np.sum(np.abs(df.values) ** 2, axis=-1)
+    df = deriv_values(f)
+    squares = np.sum(np.abs(df) ** 2, axis=-1)
     return per_row(f, float, squares * f.grid.dx)
 
 
@@ -78,7 +78,7 @@ def _im_cubic_term(f: Field, term_form: str) -> float | list[float]:
     grid = f.grid
     if term_form == "standard":
         v2 = grid.refine2(f.values)
-        dv2 = grid.refine2(deriv(f).values)
+        dv2 = grid.refine2(deriv_values(f))
         integrand = np.abs(v2) ** 2 * v2
         integrand *= np.conj(dv2, out=dv2)
     elif term_form == "literal":

@@ -11,6 +11,7 @@ is this module's job.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,23 +68,6 @@ class GnAuditRecord:
     satisfied: bool
 
 
-def _satisfied(lhs: float, rhs: float) -> bool:
-    return bool(rhs - lhs >= -1e-12 * rhs)
-
-
-def flap_integrals(f0_abs: float, delta: float) -> ExtensionProfile:
-    """Exact flap contributions for boundary value |f(0)| and width delta."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if f0_abs < 0:
-        raise ValueError(f"f0_abs must be nonnegative, got {f0_abs}")
-    return ExtensionProfile(
-        flap_l2grad=2.0 * f0_abs ** 2 / delta,
-        flap_l4=2.0 * delta * f0_abs ** 4 / 5.0,
-        flap_l6=2.0 * delta * f0_abs ** 6 / 7.0,
-    )
-
-
 @dataclass(frozen=True)
 class FieldNorms:
     """Per-field quantities the audited bounds are assembled from; computing
@@ -107,34 +91,103 @@ def field_norms(f: Field) -> FieldNorms | list[FieldNorms]:
                    per_row(f, float, np.abs(f.values).min(axis=-1)))
 
 
-def gn1_record(norms: FieldNorms, delta: float,
-               constant: float = CGN) -> GnAuditRecord:
-    """Periodic inequality from precomputed norms:
-    lhs = ||f||_L6, rhs = C (1 + 2d/5L)^(2/9)
-          (||f_x||^2 + (2/(d*sqrt(L))) ||f||_L4^2)^(1/18) ||f||_L4^(8/9).
+def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
+                constant: float = CGN) -> Iterator[tuple]:
+    """The audit of each field against each delta, in Python floats: for
+    every field in order, then every delta in order, one tuple
+
+        (ok, finite, periodic, line, flaps)
+
+    periodic and line are (lhs, rhs, slack, satisfied) of the periodic
+    inequality and of the line inequality on the flap extension, flaps is
+    (flap_l2grad, flap_l4, flap_l6), ok says both inequalities hold and the
+    line rhs is within 1e-12 of the periodic one (the enlargement chain), and
+    finite says all four lhs and rhs are finite.
+
+    Every audit formula is written here once (gn1_record,
+    gn0_extension_record and flap_integrals state them): a factor of
+    (L, delta) is computed once per period, a power of a norm once per field,
+    and each keeps the IEEE operations and operand order of its formula, so
+    every value has the bits of the formula evaluated row by row. The norms
+    of one period come in a run: the factors are recomputed where L changes.
+    The deltas are not checked. A power of a norm that overflows a Python
+    float raises OverflowError, before any tuple of that field.
     """
+    L = None
+    for norms in norms_of:
+        if norms.L != L:
+            L, root_L = norms.L, math.sqrt(norms.L)
+            # per delta: 2/(delta sqrt(L)), C (1 + 2 delta/5L)^(2/9), 2 delta
+            per_delta = [(2.0 / (delta * root_L),
+                          constant * (1.0 + 2.0 * delta / (5.0 * L)) ** (2.0 / 9.0),
+                          2.0 * delta, delta) for delta in deltas]
+        l4, l6, grad_sq, f0 = norms.l4, norms.l6, norms.grad_sq, norms.f0_abs
+        l4_2, l4_89, l4_4 = l4 ** 2, l4 ** (8.0 / 9.0), l4 ** 4
+        l6_6, l6_finite = l6 ** 6, math.isfinite(l6)
+        two_f0_2, f0_4, f0_6 = 2.0 * f0 ** 2, f0 ** 4, f0 ** 6
+        for scale, growth, two_delta, delta in per_delta:
+            rhs = growth * (grad_sq + scale * l4_2) ** (1.0 / 18.0) * l4_89
+            slack = rhs - l6
+            l2grad = two_f0_2 / delta
+            flap_l4 = two_delta * f0_4 / 5.0
+            flap_l6 = two_delta * f0_6 / 7.0
+            line_lhs = (l6_6 + flap_l6) ** (1.0 / 6.0)
+            line_rhs = (constant * (grad_sq + l2grad) ** (1.0 / 18.0)
+                        * (l4_4 + flap_l4) ** (2.0 / 9.0))
+            line_slack = line_rhs - line_lhs
+            satisfied = slack >= -1e-12 * rhs
+            line_satisfied = line_slack >= -1e-12 * line_rhs
+            yield ((satisfied and line_satisfied and line_rhs <= rhs * (1.0 + 1e-12)),
+                   (l6_finite and math.isfinite(rhs) and math.isfinite(line_lhs)
+                    and math.isfinite(line_rhs)),
+                   (l6, rhs, slack, satisfied),
+                   (line_lhs, line_rhs, line_slack, line_satisfied),
+                   (l2grad, flap_l4, flap_l6))
+
+
+def _at(norms: FieldNorms, delta: float, constant: float,
+        check_base: bool = False) -> tuple:
+    """audit_sweep of one field at one delta, after the argument checks of
+    the record functions (f0_abs only where check_base)."""
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    bracket = norms.grad_sq + 2.0 / (delta * math.sqrt(norms.L)) * norms.l4 ** 2
-    rhs = (constant * (1.0 + 2.0 * delta / (5.0 * norms.L)) ** (2.0 / 9.0)
-           * bracket ** (1.0 / 18.0) * norms.l4 ** (8.0 / 9.0))
-    return GnAuditRecord(lhs=norms.l6, rhs=rhs, slack=rhs - norms.l6,
-                         satisfied=_satisfied(norms.l6, rhs))
+    if check_base and norms.f0_abs < 0:
+        raise ValueError(f"f0_abs must be nonnegative, got {norms.f0_abs}")
+    return next(audit_sweep((norms,), (delta,), constant))
+
+
+def _record(lhs, rhs, slack, satisfied) -> GnAuditRecord:
+    return GnAuditRecord(lhs, rhs, slack, bool(satisfied))
+
+
+def flap_integrals(f0_abs: float, delta: float) -> ExtensionProfile:
+    """Exact flap contributions for boundary value |f(0)| and width delta:
+    the flaps of audit_sweep."""
+    # the flaps depend on f0_abs and delta alone; the other norms are 0
+    norms = FieldNorms(1.0, 0.0, 0.0, 0.0, f0_abs)
+    return ExtensionProfile(*_at(norms, delta, CGN, check_base=True)[4])
+
+
+def gn1_record(norms: FieldNorms, delta: float,
+               constant: float = CGN) -> GnAuditRecord:
+    """Periodic inequality from precomputed norms, the periodic record of
+    audit_sweep: lhs = ||f||_L6, rhs = C (1 + 2d/5L)^(2/9)
+    (||f_x||^2 + (2/(d*sqrt(L))) ||f||_L4^2)^(1/18) ||f||_L4^(8/9).
+
+    As a view of the whole sweep it raises OverflowError where a power of
+    the extension's norms (||f||_L6^6, |f(0)|^6) overflows a float, as
+    gn0_extension_record does.
+    """
+    return _record(*_at(norms, delta, constant)[2])
 
 
 def gn0_extension_record(norms: FieldNorms, delta: float,
                          constant: float = CGN) -> tuple[GnAuditRecord, ExtensionProfile]:
-    """Line inequality on the flap extension, from precomputed norms.
+    """Line inequality on the flap extension, from precomputed norms: the line
+    record and flaps of audit_sweep.
 
     The rhs computed here is enlarged, term by term, into the rhs of the
     periodic record, which is the content of the derivation chain.
     """
-    prof = flap_integrals(norms.f0_abs, delta)
-    lhs = (norms.l6 ** 6 + prof.flap_l6) ** (1.0 / 6.0)
-    grad_sq = norms.grad_sq + prof.flap_l2grad
-    l4_4 = norms.l4 ** 4 + prof.flap_l4
-    rhs = constant * grad_sq ** (1.0 / 18.0) * l4_4 ** (2.0 / 9.0)
-    rec = GnAuditRecord(lhs=lhs, rhs=rhs, slack=rhs - lhs,
-                        satisfied=_satisfied(lhs, rhs))
-    return rec, prof
-
+    _, _, _, line, flaps = _at(norms, delta, constant, check_base=True)
+    return _record(*line), ExtensionProfile(*flaps)

@@ -219,8 +219,13 @@ def per_row(f: Field, fn, *columns):
 
 def deriv(f: Field) -> Field:
     """Spectral derivative d/dx; the Nyquist mode is mapped to zero."""
-    F = fft(f.values)
-    return Field(f.grid, ifft(f.grid._ik * F))
+    return Field(f.grid, deriv_values(f))
+
+
+def deriv_values(f: Field) -> np.ndarray:
+    """The samples of deriv(f) as a plain array, unchecked: where ik*F
+    overflows they hold inf or NaN, which a Field would reject."""
+    return ifft(f.grid._ik * fft(f.values))
 
 
 def antideriv_meanzero(g: Field) -> Field:

@@ -12,6 +12,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
                        simulate_batch, step_count)
 from .functionals import ConservedReport, conserved_report, mu
 from .gauge import gauge_profile, gauge_trajectory
-from .gn import (CGN, field_norms, gn0_extension_record, gn1_record,
-                 mass_threshold)
+from .gn import CGN, audit_sweep, field_norms, mass_threshold
+# bench/spans.py times these two by name; run_gn_audit no longer calls them
+from .gn import gn0_extension_record, gn1_record  # noqa: F401
 from .grid import Field, Spectrum, TorusGrid
 from .initial_data import DataSpec, build
 
@@ -107,9 +109,11 @@ def _conserved_outputs(reports: list[ConservedReport]) -> tuple[dict, dict]:
 
 def _conserved_reports(traj: Trajectory) -> list[ConservedReport]:
     """conserved_report of every frame of traj, one call per chunk of
-    Trajectory.chunks."""
-    return [report for rows, f in traj.chunks()
-            for report in conserved_report(f, traj.times[rows])]
+    Trajectory.chunks, with numpy's overflow warnings off: a value that
+    overflows is written as it is, and the exit code reports the run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [report for rows, f in traj.chunks()
+                for report in conserved_report(f, traj.times[rows])]
 
 
 def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
@@ -117,12 +121,18 @@ def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
     """Conserved reports, case records and flagged-frame count of a gauged
     trajectory, then the exit code and reason: a flagged frame turns an ok
     exit into a bound-chain violation. An overflow or a division by an
-    underflowed norm in the case report, or a nonzero frame whose norm
-    underflows to zero there, ends the analysis with no records, and turns an
-    ok exit into non-finite."""
+    underflowed norm in the case report (raised, or a norm that is not
+    finite), or a nonzero frame whose norm underflows to zero there, ends the
+    analysis with no records, and turns an ok exit into non-finite; numpy is
+    told not to warn."""
     reports = _conserved_reports(vtraj)
     try:
-        records = case_report(vtraj, delta, reports[0])
+        # 2/(delta sqrt(L)) divides by 0 where delta sqrt(L) underflows
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            records = case_report(vtraj, delta, reports[0])
+        if not all(map(math.isfinite, (n for r in records for n in (
+                r.sample.l4, r.sample.l6, r.sample.h1dot, r.sample.holder_upper)))):
+            raise OverflowError("a norm of the case report is not finite")
     except (ArithmeticError, ZeroFieldError):
         records = []
         if exit_code == EXIT_OK:
@@ -236,7 +246,8 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
     overflow (an lhs or rhs that is not finite) audits nothing: it is not a
     violation, and it makes the exit non-finite. The norms of each L are
     computed on the corpus in the chunks of TorusGrid.row_chunks, with
-    numpy's overflow warnings off: the exit code reports an overflow."""
+    numpy's overflow warnings off: the exit code reports an overflow. The
+    rows of each L are one gn.audit_sweep of its norms."""
     constant = CGN * block.corrupt_constant
     rows = []
     n_violations = n_non_finite = 0
@@ -246,18 +257,14 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
         with np.errstate(over="ignore", invalid="ignore"):
             norms_of = [norms for rows in grid.row_chunks(len(corpus))
                         for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
-        for field_id, norms in enumerate(norms_of):
-            for delta in block.delta_values:
-                rec1 = gn1_record(norms, delta, constant)
-                rec0, prof = gn0_extension_record(norms, delta, constant)
-                chain_ok = rec0.rhs <= rec1.rhs * (1.0 + 1e-12)
-                ok = rec1.satisfied and rec0.satisfied and chain_ok
-                if not all(map(math.isfinite, (rec1.lhs, rec1.rhs, rec0.lhs, rec0.rhs))):
-                    n_non_finite += 1
-                elif not ok:
-                    n_violations += 1
-                rows.append((field_id, L, delta, rec1.lhs, rec1.rhs, rec1.slack,
-                             ok, prof.flap_l2grad, prof.flap_l4, prof.flap_l6))
+        sweep = zip(product(range(len(norms_of)), block.delta_values),
+                    audit_sweep(norms_of, block.delta_values, constant))
+        for (field_id, delta), (ok, finite, (lhs, rhs, slack, _), _, flaps) in sweep:
+            if not finite:
+                n_non_finite += 1
+            elif not ok:
+                n_violations += 1
+            rows.append((field_id, L, delta, lhs, rhs, slack, ok, *flaps))
     code, reason = ((EXIT_NONFINITE, "non-finite") if n_non_finite
                     else (EXIT_GN_VIOLATION, "gn-violations") if n_violations
                     else (EXIT_OK, "ok"))

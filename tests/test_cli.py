@@ -648,6 +648,56 @@ class TestLateNumericTrouble:
             warnings.simplefilter("error")
             assert main(["gn-audit", "--config", cfg, "--quiet"]) == 3
 
+    # the data of configs/diagnose.json: at L = 1e-300 its amplitude is about
+    # 2e150, so i k F overflows in the derivative of the analysed frames
+    DIAGNOSE_DATA = {"kind": "multimode", "modes": [1, 2, 3, -1],
+                     "amplitudes": [1.0, 0.5, 0.25, 0.3], "target_mass": 4.0, "seed": 4}
+
+    @pytest.mark.parametrize("command", ["simulate", "diagnose"])
+    def test_overflowing_derivative_exits_3_with_no_numpy_warning(
+            self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        doc = base_doc(str(out), grid={"L": 1e-300, "N": 32},
+                       sim={"dt": 1e-4, "T": 3e-4}, data=self.DIAGNOSE_DATA)
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", cfg])
+        assert code == 3
+        assert capsys.readouterr().out.startswith(f"{command}: non-finite, ")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert summary["exit_reason"] == "non-finite"
+        assert len((out / "conserved.csv").read_text().splitlines()) > 1
+        if command == "diagnose":
+            assert len((out / "diagnostics.csv").read_text().splitlines()) == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scan_member_with_overflowing_derivative_exits_3(self, tmp_path, capsys,
+                                                             jobs):
+        # delta sqrt(L) underflows to 0 as well; the second pair makes a
+        # second batch, so that two jobs use the process pool
+        out = tmp_path / "out"
+        doc = base_doc(str(out), grid={"L": 1e-300, "N": 32},
+                       sim={"dt": 1e-4, "T": 3e-4}, data=self.DIAGNOSE_DATA,
+                       threshold_scan={"mass_fractions": [0.5], "pairs": [
+                           {"L": 1e-300, "delta": 1e-301, "N": 32},
+                           {"L": 2e-300, "delta": 1e-301, "N": 32}]})
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["threshold-scan", "--config", cfg, "--jobs", str(jobs)])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("threshold-scan: non-finite, 2 runs")
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert summary["exit_reason"] == "non-finite"
+        rows = (out / "scan_summary.csv").read_text().splitlines()
+        assert len(rows) == 3 and all(row.endswith(",non-finite") for row in rows[1:])
+        diagnostics = sorted(out.glob("diagnostics_*.csv"))
+        assert len(diagnostics) == 2
+        assert all(len(p.read_text().splitlines()) == 1 for p in diagnostics)
+
     @pytest.mark.parametrize("L", [1e308, 1e200])
     def test_scan_member_with_underflowing_norms_exits_3(self, tmp_path, capsys, L):
         # rescaled to a mass near 4 pi, the member's max|u|^2 is so small

@@ -5,14 +5,16 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from dnlslab import Field, TorusGrid, cgn, flap_integrals, lp_norm, mass_threshold
 from dnlslab.config import GnAuditBlock
 from dnlslab.functionals import h1dot_sq
-from dnlslab.gn import (CGN, CGN_POW_M18, CGN_POW_M92, field_norms,
-                        gn0_extension_record, gn1_record)
+from dnlslab.gn import (CGN, CGN_POW_M18, CGN_POW_M92, FieldNorms, audit_sweep,
+                        field_norms, gn0_extension_record, gn1_record)
 from dnlslab.grid import Spectrum
 from dnlslab.harness import GN_AUDIT_COLUMNS, audit_coefficients, run_gn_audit
 
@@ -190,6 +192,69 @@ class TestGn0OnExtension:
                     assert rec0.rhs <= rec1.rhs * (1 + 1e-12)
 
 
+# The per-row formulas of the record functions as they were before
+# audit_sweep, frozen: the sweep, and the record functions that are views of
+# it, must give these values and types bit for bit.
+def frozen_flaps(f0_abs, delta):
+    return (2.0 * f0_abs ** 2 / delta, 2.0 * delta * f0_abs ** 4 / 5.0,
+            2.0 * delta * f0_abs ** 6 / 7.0)
+
+
+def frozen_satisfied(lhs, rhs):
+    return bool(rhs - lhs >= -1e-12 * rhs)
+
+
+def frozen_gn1(norms, delta, constant=CGN):
+    """(lhs, rhs, slack, satisfied) of the periodic inequality."""
+    bracket = norms.grad_sq + 2.0 / (delta * math.sqrt(norms.L)) * norms.l4 ** 2
+    rhs = (constant * (1.0 + 2.0 * delta / (5.0 * norms.L)) ** (2.0 / 9.0)
+           * bracket ** (1.0 / 18.0) * norms.l4 ** (8.0 / 9.0))
+    return norms.l6, rhs, rhs - norms.l6, frozen_satisfied(norms.l6, rhs)
+
+
+def frozen_gn0(norms, delta, constant=CGN):
+    """(lhs, rhs, slack, satisfied) of the line inequality on the extension,
+    and the flaps."""
+    flaps = frozen_flaps(norms.f0_abs, delta)
+    lhs = (norms.l6 ** 6 + flaps[2]) ** (1.0 / 6.0)
+    rhs = (constant * (norms.grad_sq + flaps[0]) ** (1.0 / 18.0)
+           * (norms.l4 ** 4 + flaps[1]) ** (2.0 / 9.0))
+    return (lhs, rhs, rhs - lhs, frozen_satisfied(lhs, rhs)), flaps
+
+
+def frozen_case(norms, delta, constant=CGN):
+    """(ok, finite, periodic, line, flaps) of one field at one delta, as
+    run_gn_audit formed them from the two records."""
+    periodic = frozen_gn1(norms, delta, constant)
+    line, flaps = frozen_gn0(norms, delta, constant)
+    ok = periodic[3] and line[3] and line[1] <= periodic[1] * (1.0 + 1e-12)
+    finite = all(map(math.isfinite, (periodic[0], periodic[1], line[0], line[1])))
+    return ok, finite, periodic, line, flaps
+
+
+def frozen_rows(L, norms_of, deltas, constant):
+    """The rows of one period of gn_audit.csv, and the violation and
+    non-finite counts, row by row from frozen_case."""
+    rows, n_violations, n_non_finite = [], 0, 0
+    for field_id, norms in enumerate(norms_of):
+        for delta in deltas:
+            ok, finite, periodic, _, flaps = frozen_case(norms, delta, constant)
+            if not finite:
+                n_non_finite += 1
+            elif not ok:
+                n_violations += 1
+            rows.append((field_id, L, delta, *periodic[:3], ok, *flaps))
+    return rows, n_violations, n_non_finite
+
+
+def bits(value):
+    """value with each number replaced by (type, repr), recursively: equal
+    bits of equal types compare equal, NaN and -0.0 included."""
+    if isinstance(value, (tuple, list)):
+        return [bits(v) for v in value]
+    return type(value).__name__, repr(value)
+
+
 def scalar_corpus(block):
     """The audit corpus drawn one normal at a time: mode by mode from -band
     up, the real part first."""
@@ -208,29 +273,24 @@ def scalar_corpus(block):
 
 
 def reference_rows(block):
-    """gn_audit.csv rows rebuilt from the rotated field and the GN formulas."""
-    rows = []
+    """gn_audit.csv rows, and the violation and non-finite counts, rebuilt
+    field by field from the rotated field and the frozen formulas."""
+    rows, n_violations, n_non_finite = [], 0, 0
     for L in block.L_values:
         grid = TorusGrid(L, block.N)
-        for field_id, c in enumerate(scalar_corpus(block)):
-            f = Spectrum(grid, c).field()
-            f0 = float(np.abs(f.values[np.argmin(np.abs(f.values))]))
-            l4, l6, grad_sq = lp_norm(f, 4), lp_norm(f, 6), h1dot_sq(f)
-            for delta in block.delta_values:
-                bracket = grad_sq + 2.0 / (delta * np.sqrt(L)) * l4 ** 2
-                rhs1 = (CGN * (1.0 + 2.0 * delta / (5.0 * L)) ** (2.0 / 9.0)
-                        * bracket ** (1.0 / 18.0) * l4 ** (8.0 / 9.0))
-                flap_l2grad = 2.0 * f0 ** 2 / delta
-                flap_l4 = 2.0 * delta * f0 ** 4 / 5.0
-                flap_l6 = 2.0 * delta * f0 ** 6 / 7.0
-                lhs0 = (l6 ** 6 + flap_l6) ** (1.0 / 6.0)
-                rhs0 = (CGN * (grad_sq + flap_l2grad) ** (1.0 / 18.0)
-                        * (l4 ** 4 + flap_l4) ** (2.0 / 9.0))
-                ok = (rhs1 - l6 >= -1e-12 * rhs1 and rhs0 - lhs0 >= -1e-12 * rhs0
-                      and rhs0 <= rhs1 * (1.0 + 1e-12))
-                rows.append((field_id, L, delta, l6, rhs1, rhs1 - l6, ok,
-                             flap_l2grad, flap_l4, flap_l6))
-    return rows
+        norms_of = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in scalar_corpus(block):
+                f = Spectrum(grid, c).field()
+                f0 = float(np.abs(f.values[np.argmin(np.abs(f.values))]))
+                norms_of.append(FieldNorms(L, lp_norm(f, 4), lp_norm(f, 6),
+                                           h1dot_sq(f), f0))
+        got = frozen_rows(L, norms_of, block.delta_values,
+                          CGN * block.corrupt_constant)
+        rows += got[0]
+        n_violations += got[1]
+        n_non_finite += got[2]
+    return rows, n_violations, n_non_finite
 
 
 class TestAuditRowPath:
@@ -259,7 +319,144 @@ class TestAuditRowPath:
         outcome = run_gn_audit(block)
         columns, rows = outcome.tables["gn_audit.csv"]
         assert columns == GN_AUDIT_COLUMNS
-        want = reference_rows(block)
+        want, _, _ = reference_rows(block)
         assert len(rows) == len(want) == 20 * 2 * 2
         assert rows == want
         assert outcome.exit_code == 0
+
+    @pytest.mark.parametrize("L_values, corrupt, code", [
+        ((0.5, 1.0, 2 * np.pi, 10.0), 1.0, 0),
+        ((0.5, 1.0, 2 * np.pi, 10.0), 0.8934, 0),
+        ((0.5, 1.0, 2 * np.pi, 10.0), 0.5, 4),
+        ((1e-300, 1.0, 1e308), 1.0, 3),
+    ])
+    def test_table_and_counts_equal_reference_bit_for_bit(self, L_values, corrupt, code):
+        block = GnAuditBlock(num_fields=19, L_values=L_values, seed=11,
+                             delta_values=(0.1, 1.0, 10.0), N=32,
+                             corrupt_constant=corrupt)
+        outcome = run_gn_audit(block)
+        _, rows = outcome.tables["gn_audit.csv"]
+        want, n_violations, n_non_finite = reference_rows(block)
+        assert len(rows) == 20 * len(L_values) * 3
+        assert bits(rows) == bits(want)
+        assert outcome.summary == {"rows": len(want), "violations": n_violations}
+        assert outcome.exit_code == code
+        assert (n_violations > 0) == (code == 4) and (n_non_finite > 0) == (code == 3)
+
+
+def sweep_rows(L, norms_of, deltas, constant):
+    """frozen_rows from audit_sweep, assembled as run_gn_audit does."""
+    rows, n_violations, n_non_finite = [], 0, 0
+    cases = [(i, d) for i in range(len(norms_of)) for d in deltas]
+    for (field_id, delta), (ok, finite, periodic, _, flaps) in zip(
+            cases, audit_sweep(norms_of, deltas, constant), strict=True):
+        if not finite:
+            n_non_finite += 1
+        elif not ok:
+            n_violations += 1
+        rows.append((field_id, L, delta, *periodic[:3], ok, *flaps))
+    return rows, n_violations, n_non_finite
+
+
+def audit_norms(block):
+    """field_norms of the audit corpus of block on each of its periods, the
+    zero field first."""
+    corpus = audit_coefficients(block)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {L: field_norms(Spectrum(TorusGrid(L, block.N), corpus).field())
+                for L in block.L_values}
+
+
+# norms from real fields: the zero field, finite ones, and the inf/NaN norms
+# of the periods 1e308 (l4, l6, grad_sq overflow) and 1e-300 (grad_sq)
+REAL_NORMS = [n for norms in audit_norms(GnAuditBlock(
+    num_fields=3, N=32, L_values=(1e-300, 1.0, 2 * np.pi, 1e308))).values() for n in norms]
+BIG_BASE = FieldNorms(1.0, 1.0, 1.0, 1.0, 1e60)
+BIG_L6 = FieldNorms(1.0, 1.0, 1e60, 1.0, 1.0)
+TINY_L = FieldNorms(1e-300, 1.0, 1.0, 1.0, 0.5)
+SPECIAL = st.sampled_from([0.0, 5e-324, math.inf, math.nan])
+# bounded so that no power of a norm overflows a Python float, and no
+# delta*sqrt(L) underflows; TestAuditSweep covers those raising cases
+NORMS = st.one_of(
+    st.sampled_from(REAL_NORMS),
+    st.builds(FieldNorms, st.floats(1e-100, 1e100) | st.sampled_from([1e-300, 1e308]),
+              st.floats(0.0, 1e50) | SPECIAL, st.floats(0.0, 1e50) | SPECIAL,
+              st.floats(0.0, 1e300) | SPECIAL, st.floats(0.0, 1e50) | SPECIAL))
+DELTAS = st.lists(st.floats(1e-100, 1e100) | st.sampled_from([0.1, 1.0, 10.0]),
+                  min_size=1, max_size=3)
+CONSTANTS = st.sampled_from([0.5, 0.8934, 1.0]).map(lambda c: CGN * c)
+
+
+class TestAuditSweep:
+    """audit_sweep and its views against the frozen per-row formulas."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(norms_of=st.lists(NORMS, min_size=1, max_size=4), deltas=DELTAS,
+           constant=CONSTANTS)
+    def test_sweep_equals_frozen_formulas(self, norms_of, deltas, constant):
+        got = list(audit_sweep(norms_of, deltas, constant))
+        want = [frozen_case(n, d, constant) for n in norms_of for d in deltas]
+        assert bits(got) == bits(want)
+        assert all(type(ok) is bool and type(finite) is bool
+                   for ok, finite, *_ in got)
+        L = norms_of[0].L
+        assert bits(sweep_rows(L, norms_of, deltas, constant)) == bits(
+            frozen_rows(L, norms_of, deltas, constant))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(norms=NORMS, delta=DELTAS.map(lambda d: d[0]), constant=CONSTANTS)
+    def test_record_functions_equal_frozen_formulas(self, norms, delta, constant):
+        rec1 = gn1_record(norms, delta, constant)
+        rec0, prof = gn0_extension_record(norms, delta, constant)
+        line, flaps = frozen_gn0(norms, delta, constant)
+        assert bits((rec1.lhs, rec1.rhs, rec1.slack, rec1.satisfied)) == bits(
+            frozen_gn1(norms, delta, constant))
+        assert bits((rec0.lhs, rec0.rhs, rec0.slack, rec0.satisfied)) == bits(line)
+        want_flaps = bits(frozen_flaps(norms.f0_abs, delta))
+        assert bits((prof.flap_l2grad, prof.flap_l4, prof.flap_l6)) == want_flaps
+        prof = flap_integrals(norms.f0_abs, delta)
+        assert bits((prof.flap_l2grad, prof.flap_l4, prof.flap_l6)) == want_flaps
+
+    def test_special_fields(self):
+        """The zero field, a zero base value, and overflowing norms."""
+        zero = REAL_NORMS[0]
+        assert (zero.l4, zero.l6, zero.grad_sq, zero.f0_abs) == (0.0, 0.0, 0.0, 0.0)
+        ok, finite, periodic, line, flaps = next(audit_sweep([zero], [1.0]))
+        assert ok is True and finite is True
+        assert periodic == (0.0, 0.0, 0.0, True) and flaps == (0.0, 0.0, 0.0)
+        base0 = FieldNorms(1.0, 1.0, 1.0, 1.0, 0.0)
+        assert bits(next(audit_sweep([base0], [0.1]))) == bits(frozen_case(base0, 0.1))
+        norms = audit_norms(GnAuditBlock(num_fields=3, N=32, L_values=(1e308, 1e-300)))
+        for L in (1e308, 1e-300):
+            assert not any(finite for _, finite, *_ in audit_sweep(norms[L][1:], [1.0]))
+
+    @pytest.mark.parametrize("view, frozen", [
+        # f0_abs ** 6 overflows a Python float
+        (lambda: flap_integrals(1e60, 1.0), lambda: frozen_flaps(1e60, 1.0)),
+        (lambda: gn0_extension_record(BIG_BASE, 1.0), lambda: frozen_gn0(BIG_BASE, 1.0)),
+        # ||f||_L6 ** 6 overflows
+        (lambda: gn0_extension_record(BIG_L6, 1.0), lambda: frozen_gn0(BIG_L6, 1.0)),
+        # delta * sqrt(L) underflows to 0
+        (lambda: gn1_record(TINY_L, 1e-200), lambda: frozen_gn1(TINY_L, 1e-200)),
+        (lambda: list(audit_sweep([TINY_L], [1.0, 1e-200])),
+         lambda: frozen_case(TINY_L, 1e-200)),
+    ])
+    def test_sweep_raises_where_the_frozen_formulas_raise(self, view, frozen):
+        with pytest.raises(ArithmeticError) as want:
+            frozen()
+        with pytest.raises(want.type):
+            view()
+
+    def test_record_functions_keep_their_argument_checks(self):
+        norms = FieldNorms(1.0, 1.0, 1.0, 1.0, -0.5)
+        # a negative base value is checked only where the flaps are asked for
+        rec = gn1_record(norms, 1.0)
+        assert bits((rec.lhs, rec.rhs, rec.slack, rec.satisfied)) == bits(
+            frozen_gn1(norms, 1.0))
+        with pytest.raises(ValueError, match="f0_abs must be nonnegative"):
+            gn0_extension_record(norms, 1.0)
+        with pytest.raises(ValueError, match="f0_abs must be nonnegative"):
+            flap_integrals(-0.5, 1.0)
+        for fn in (gn1_record, gn0_extension_record):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                fn(norms, math.nan)
