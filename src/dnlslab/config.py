@@ -15,6 +15,7 @@ import math
 import types
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from itertools import product
 
 from .dynamics import SimConfig
 from .grid import check_grid
@@ -81,6 +82,10 @@ class GnAuditBlock:
         _check(self.num_fields >= 1, f"num_fields must be >= 1, got {self.num_fields}")
         _check(len(self.delta_values) > 0, "delta_values must not be empty")
         _check(all(d > 0 for d in self.delta_values), "delta_values must be positive")
+        # the audit divides by delta*sqrt(L)
+        for L, d in product(self.L_values, self.delta_values):
+            _check(d * math.sqrt(L) > 0, f"delta * sqrt(L) underflows to 0 at "
+                   f"L = {L}, delta = {d}")
         _check(self.max_mode >= 1, f"max_mode must be >= 1, got {self.max_mode}")
         _check(self.corrupt_constant > 0, f"corrupt_constant must be positive, "
                f"got {self.corrupt_constant}")

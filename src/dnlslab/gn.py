@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,7 @@ class GnAuditRecord:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class FieldNorms:
+class FieldNorms(NamedTuple):
     """Per-field quantities the audited bounds are assembled from; computing
     them once per field lets a batch audit sweep delta values cheaply."""
 
@@ -85,24 +86,28 @@ def field_norms(f: Field) -> FieldNorms | list[FieldNorms]:
     the nodes: the extension is based at the node minimizing |f|, where
     |f|^4 * L <= int |f|^4, so f0_abs <= L^(-1/4) ||f||_L4 up to quadrature
     slack."""
-    L = f.grid.L
-    return per_row(f, lambda *norms: FieldNorms(L, *norms), lp_norm(f, 4),
-                   lp_norm(f, 6), h1dot_sq(f),
-                   per_row(f, float, np.abs(f.values).min(axis=-1)))
+    return per_row(f, partial(FieldNorms, f.grid.L), lp_norm(f, 4),
+                   lp_norm(f, 6), h1dot_sq(f), np.abs(f.values).min(axis=-1))
+
+
+# the periodic record, the line record and the flaps of an audit_sweep tuple
+_PERIODIC, _LINE, _FLAPS = slice(2, 6), slice(6, 10), slice(10, 13)
 
 
 def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
                 constant: float = CGN) -> Iterator[tuple]:
     """The audit of each field against each delta, in Python floats: for
-    every field in order, then every delta in order, one tuple
+    every field in order, then every delta in order, one flat tuple
 
-        (ok, finite, periodic, line, flaps)
+        (ok, finite, lhs, rhs, slack, satisfied,
+         line_lhs, line_rhs, line_slack, line_satisfied,
+         flap_l2grad, flap_l4, flap_l6)
 
-    periodic and line are (lhs, rhs, slack, satisfied) of the periodic
-    inequality and of the line inequality on the flap extension, flaps is
-    (flap_l2grad, flap_l4, flap_l6), ok says both inequalities hold and the
-    line rhs is within 1e-12 of the periodic one (the enlargement chain), and
-    finite says all four lhs and rhs are finite.
+    (lhs, rhs, slack, satisfied) is the periodic inequality, the line_ four
+    the line inequality on the flap extension, and the last three the flaps;
+    ok says both inequalities hold and the line rhs is within 1e-12 of the
+    periodic one (the enlargement chain), and finite says all four lhs and
+    rhs are finite.
 
     Every audit formula is written here once (gn1_record,
     gn0_extension_record and flap_integrals state them): a factor of
@@ -114,14 +119,13 @@ def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
     float raises OverflowError, before any tuple of that field.
     """
     L = None
-    for norms in norms_of:
-        if norms.L != L:
-            L, root_L = norms.L, math.sqrt(norms.L)
+    for norms_L, l4, l6, grad_sq, f0 in norms_of:
+        if norms_L != L:
+            L, root_L = norms_L, math.sqrt(norms_L)
             # per delta: 2/(delta sqrt(L)), C (1 + 2 delta/5L)^(2/9), 2 delta
             per_delta = [(2.0 / (delta * root_L),
                           constant * (1.0 + 2.0 * delta / (5.0 * L)) ** (2.0 / 9.0),
                           2.0 * delta, delta) for delta in deltas]
-        l4, l6, grad_sq, f0 = norms.l4, norms.l6, norms.grad_sq, norms.f0_abs
         l4_2, l4_89, l4_4 = l4 ** 2, l4 ** (8.0 / 9.0), l4 ** 4
         l6_6, l6_finite = l6 ** 6, math.isfinite(l6)
         two_f0_2, f0_4, f0_6 = 2.0 * f0 ** 2, f0 ** 4, f0 ** 6
@@ -140,9 +144,9 @@ def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
             yield ((satisfied and line_satisfied and line_rhs <= rhs * (1.0 + 1e-12)),
                    (l6_finite and math.isfinite(rhs) and math.isfinite(line_lhs)
                     and math.isfinite(line_rhs)),
-                   (l6, rhs, slack, satisfied),
-                   (line_lhs, line_rhs, line_slack, line_satisfied),
-                   (l2grad, flap_l4, flap_l6))
+                   l6, rhs, slack, satisfied,
+                   line_lhs, line_rhs, line_slack, line_satisfied,
+                   l2grad, flap_l4, flap_l6)
 
 
 def _at(norms: FieldNorms, delta: float, constant: float,
@@ -165,7 +169,7 @@ def flap_integrals(f0_abs: float, delta: float) -> ExtensionProfile:
     the flaps of audit_sweep."""
     # the flaps depend on f0_abs and delta alone; the other norms are 0
     norms = FieldNorms(1.0, 0.0, 0.0, 0.0, f0_abs)
-    return ExtensionProfile(*_at(norms, delta, CGN, check_base=True)[4])
+    return ExtensionProfile(*_at(norms, delta, CGN, check_base=True)[_FLAPS])
 
 
 def gn1_record(norms: FieldNorms, delta: float,
@@ -178,7 +182,7 @@ def gn1_record(norms: FieldNorms, delta: float,
     the extension's norms (||f||_L6^6, |f(0)|^6) overflows a float, as
     gn0_extension_record does.
     """
-    return _record(*_at(norms, delta, constant)[2])
+    return _record(*_at(norms, delta, constant)[_PERIODIC])
 
 
 def gn0_extension_record(norms: FieldNorms, delta: float,
@@ -189,5 +193,5 @@ def gn0_extension_record(norms: FieldNorms, delta: float,
     The rhs computed here is enlarged, term by term, into the rhs of the
     periodic record, which is the content of the derivation chain.
     """
-    _, _, _, line, flaps = _at(norms, delta, constant, check_base=True)
-    return _record(*line), ExtensionProfile(*flaps)
+    case = _at(norms, delta, constant, check_base=True)
+    return _record(*case[_LINE]), ExtensionProfile(*case[_FLAPS])

@@ -211,7 +211,13 @@ def per_row(f: Field, fn, *columns):
     float or a list, or a reduction along the rows): one value for one row, a
     list for a stack; per_row(f, float, x) gives a reduction as Python floats.
     Scalar steps after a reduction run here, row by row, so a stack keeps
-    each row's bits."""
+    each row's bits.
+
+    A float64 column, array or scalar, reaches fn as Python floats (one
+    tolist each, same bits), so fn runs Python float arithmetic on a row and
+    on a stack alike."""
+    columns = [c.tolist() if isinstance(c, (np.ndarray, np.float64))
+               and c.dtype == np.float64 else c for c in columns]
     if f.values.ndim == 1:
         return fn(*columns)
     return [fn(*row) for row in zip(*columns)]
@@ -262,9 +268,9 @@ def lp_norm(f: Field, p: int) -> float | list[float]:
     if p in (4, 6):
         v2 = grid.refine2(f.values)
         totals = np.sum(np.abs(v2) ** p, axis=-1) * (grid.L / (2 * grid.N))
-        # the root of each row as a numpy scalar: an array power can differ
-        # in the last bit
-        return per_row(f, lambda total: float(total ** (1.0 / p)), totals)
+        # the root of each row as a Python float power, libm pow as a numpy
+        # scalar power is: an array power can differ in the last bit
+        return per_row(f, lambda total: float(total) ** (1.0 / p), totals)
     raise ValueError(f"unsupported p = {p}, expected one of 2, 4, 6")
 
 

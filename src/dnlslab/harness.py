@@ -226,13 +226,19 @@ def audit_coefficients(block: GnAuditBlock) -> np.ndarray:
     modes = range(-band, band + 1)
     slots = np.array(modes) % block.N
     envelope = np.array([math.exp(-abs(m) / envelope_scale) for m in modes])
+    # per field, in draw order: its scale, then the draws of mode m, from
+    # -band up, its real part and then its imaginary part; z views the draws
+    # as complex numbers, and scale*z*envelope is formed in place
+    scales = np.empty((block.num_fields, 1))
+    normals = np.empty((block.num_fields, len(modes), 2))
+    for scale, draws in zip(scales, normals):
+        scale[0] = 10.0 ** rng.uniform(-1.0, 1.0)
+        rng.standard_normal(out=draws)
+    z = normals.view(np.complex128)[..., 0]
+    np.multiply(scales, z, out=z)
+    np.multiply(z, envelope, out=z)
     coeffs = np.zeros((block.num_fields + 1, block.N), dtype=np.complex128)
-    for c in coeffs[1:]:
-        scale = 10.0 ** rng.uniform(-1.0, 1.0)
-        # the draws of mode m, from -band up: its real part, then its imaginary
-        normals = rng.standard_normal(2 * len(modes))
-        z = normals[0::2] + 1j * normals[1::2]
-        c[slots] = scale * z * envelope
+    coeffs[1:, slots] = z
     return coeffs
 
 
@@ -259,12 +265,14 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
                         for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
         sweep = zip(product(range(len(norms_of)), block.delta_values),
                     audit_sweep(norms_of, block.delta_values, constant))
-        for (field_id, delta), (ok, finite, (lhs, rhs, slack, _), _, flaps) in sweep:
+        for ((field_id, delta), (ok, finite, lhs, rhs, slack, _, _, _, _, _,
+                                 l2grad, flap_l4, flap_l6)) in sweep:
             if not finite:
                 n_non_finite += 1
             elif not ok:
                 n_violations += 1
-            rows.append((field_id, L, delta, lhs, rhs, slack, ok, *flaps))
+            rows.append((field_id, L, delta, lhs, rhs, slack, ok,
+                         l2grad, flap_l4, flap_l6))
     code, reason = ((EXIT_NONFINITE, "non-finite") if n_non_finite
                     else (EXIT_GN_VIOLATION, "gn-violations") if n_violations
                     else (EXIT_OK, "ok"))

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,46 +39,70 @@ _FORMATTERS = {
 
 
 # The %-format of each exact type whose fmt_value text csv.writer never
-# quotes; a bool goes in as its fmt_value text.
-_TEMPLATE_FIELDS = {float: "%.17g", np.float64: "%.17g", int: "%d", bool: "%s"}
+# quotes; a bool's text goes into the {} slot when a row's bool values are
+# known, and its own value is consumed by %.0s.
+_TEMPLATE_FIELDS = {float: "%.17g", np.float64: "%.17g", int: "%d", bool: "{}%.0s"}
 
 
 def _row_template(types: tuple) -> tuple[str, list[int]] | None:
-    """The %-template of a row whose values have these exact types, and the
-    positions of its bools; None for the empty row or a type not in
-    _TEMPLATE_FIELDS, which csv.writer writes."""
+    """The %-template of a row whose values have these exact types, with a
+    {} slot for each bool's text, and the positions of its bools; None for
+    the empty row or a type not in _TEMPLATE_FIELDS, which csv.writer
+    writes."""
     if not types or not all(t in _TEMPLATE_FIELDS for t in types):
         return None
     return (",".join(_TEMPLATE_FIELDS[t] for t in types) + "\n",
             [i for i, t in enumerate(types) if t is bool])
 
 
+class _Cache(dict):
+    """A dict that makes the value of a missing key with make(key), once."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _baked_templates(types: tuple):
+    """What write_csv keeps per tuple of value types: None for a row that
+    csv.writer writes, else (bools, baked). For a row with no bools, bools
+    is None and baked its template; else bools reads a row's bool values
+    (one bool, or a tuple of several), and baked maps them to the template
+    with their texts in its {} slots."""
+    template = _row_template(types)
+    if template is None:
+        return None
+    text, positions = template
+    if not positions:
+        return None, text
+    several = len(positions) > 1
+    return itemgetter(*positions), _Cache(lambda values: text.format(
+        *map(fmt_value, values if several else (values,))))
+
+
 def write_csv(path: str, header, rows) -> None:
     """header, then rows, each value written as fmt_value writes it.
 
     A row of floats, np.float64s, ints and bools is written through one
-    %-template per tuple of value types, made once per table; it gives the
-    bytes csv.writer gives. Every other row goes through csv.writer."""
+    %-template per tuple of value types and of bool values, made once per
+    table, with each bool's text baked in; it gives the bytes csv.writer
+    gives. Every other row goes through csv.writer."""
     formatter = _FORMATTERS.get
-    bool_text = _FORMATTERS[bool]
-    templates: dict = {}
+    templates = _Cache(_baked_templates)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            types = tuple(map(type, row))
-            if types not in templates:
-                templates[types] = _row_template(types)
-            template = templates[types]
-            if template is None:
+            entry = templates[tuple(map(type, row))]
+            if entry is None:
                 writer.writerow([formatter(type(v), fmt_value)(v) for v in row])
                 continue
-            text, bools = template
-            if bools:
-                row = list(row)
-                for i in bools:
-                    row[i] = bool_text(row[i])
-            fh.write(text % tuple(row))
+            bools, baked = entry
+            fh.write((baked if bools is None else baked[bools(row)]) % tuple(row))
 
 
 def content_hash(doc: dict) -> str:

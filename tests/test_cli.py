@@ -282,6 +282,28 @@ class TestGnAuditCommand:
         assert main(["gn-audit", "--config", cfg, "--quiet"]) == 4
 
 
+class TestGnAuditUnderflow:
+    """A (L, delta) whose delta*sqrt(L), the product the audit divides by,
+    underflows to 0 is a config error: exit 1 with one line, before the
+    corpus is built, and no output directory."""
+
+    def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def no_corpus(block):
+            raise AssertionError("the audit corpus was built")
+
+        monkeypatch.setattr("dnlslab.harness.audit_coefficients", no_corpus)
+        out = tmp_path / "out"
+        doc = base_doc(str(out), gn_audit={"num_fields": 2, "L_values": [1.0, 1e-300],
+                                           "delta_values": [1.0, 1e-200], "N": 32})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gn-audit", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: gn_audit: delta * sqrt(L) underflows to 0 "
+                       "at L = 1e-300, delta = 1e-200"]
+        assert not out.exists()
+
+
 class TestThresholdScanCommand:
     def _doc(self, out, jobs_safe=True):
         return {
@@ -743,6 +765,31 @@ NUMBER_VALUES = (st.floats() | st.floats().map(np.float64) | st.integers()
                  | st.booleans())
 
 
+@st.composite
+def bool_tables(draw):
+    """Rows of one tuple of template types with two or more bools, at
+    positions drawn once, and bool values drawn per row."""
+    numbers = draw(st.lists(st.floats() | st.integers(), max_size=5))
+    positions = sorted(draw(st.lists(st.integers(0, len(numbers)), min_size=2,
+                                     max_size=4)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = list(numbers)
+        for i, position in enumerate(positions):
+            row.insert(position + i, draw(st.booleans()))
+        rows.append(row)
+    return rows
+
+
+# a table of rows of any values, of number rows, or of bool_tables, each row
+# a list or a tuple
+CSV_TABLES = (st.lists(st.lists(NUMBER_VALUES, max_size=6)
+                       | st.lists(CSV_VALUES, max_size=6), max_size=8)
+              | bool_tables()).flatmap(
+    lambda rows: st.tuples(*[st.sampled_from([row, tuple(row)]) for row in rows])
+    .map(list))
+
+
 class TestFloatFormat:
     def test_seventeen_significant_digits(self):
         assert fmt_value(math.pi) == f"{math.pi:.17g}"
@@ -778,8 +825,7 @@ class TestFloatFormat:
         assert_writes_as_reference(tmp_path, ("a", "b"), rows)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(rows=st.lists(st.lists(NUMBER_VALUES, max_size=6)
-                         | st.lists(CSV_VALUES, max_size=6), max_size=8))
+    @given(rows=CSV_TABLES)
     def test_write_csv_matches_csv_writer_property(self, tmp_path_factory, rows):
         assert_writes_as_reference(tmp_path_factory.mktemp("csv"), ("a", "b"), rows)
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,8 @@ OUT_OF_RANGE = [
     # an empty list would make the command audit or scan nothing
     (GnAuditBlock, {"L_values": ()}),
     (GnAuditBlock, {"delta_values": ()}),
+    # delta*sqrt(L), which the audit divides by, underflows to 0
+    (GnAuditBlock, {"L_values": (1.0, 1e-300), "delta_values": (1e-200,)}),
     (ThresholdScanBlock, {"mass_fractions": ()}),
     (ThresholdScanBlock, {"pairs": ()}),
     (GaugeCheckBlock, {"tolerance": 0.0}),
@@ -155,6 +158,13 @@ def case_id(cls, kw):
 def test_blocks_built_in_code_check_their_ranges(cls, kw):
     with pytest.raises(ValueError):
         cls(**kw)
+
+
+def test_gn_audit_accepts_a_subnormal_delta_sqrt_L():
+    # delta*sqrt(L) = 1e-320 > 0: 2/(delta sqrt(L)) reads inf, and the audit
+    # counts its rows as non-finite
+    block = GnAuditBlock(L_values=(1e-300,), delta_values=(1e-170,), N=32)
+    assert 0.0 < block.delta_values[0] * math.sqrt(block.L_values[0]) < sys.float_info.min
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -232,6 +232,12 @@ def frozen_case(norms, delta, constant=CGN):
     return ok, finite, periodic, line, flaps
 
 
+def flat(case):
+    """A frozen_case as the one flat tuple audit_sweep yields."""
+    ok, finite, periodic, line, flaps = case
+    return (ok, finite, *periodic, *line, *flaps)
+
+
 def frozen_rows(L, norms_of, deltas, constant):
     """The rows of one period of gn_audit.csv, and the violation and
     non-finite counts, row by row from frozen_case."""
@@ -348,13 +354,14 @@ def sweep_rows(L, norms_of, deltas, constant):
     """frozen_rows from audit_sweep, assembled as run_gn_audit does."""
     rows, n_violations, n_non_finite = [], 0, 0
     cases = [(i, d) for i in range(len(norms_of)) for d in deltas]
-    for (field_id, delta), (ok, finite, periodic, _, flaps) in zip(
+    for (field_id, delta), case in zip(
             cases, audit_sweep(norms_of, deltas, constant), strict=True):
+        ok, finite, lhs, rhs, slack = case[:5]
         if not finite:
             n_non_finite += 1
         elif not ok:
             n_violations += 1
-        rows.append((field_id, L, delta, *periodic[:3], ok, *flaps))
+        rows.append((field_id, L, delta, lhs, rhs, slack, ok, *case[10:]))
     return rows, n_violations, n_non_finite
 
 
@@ -395,7 +402,7 @@ class TestAuditSweep:
            constant=CONSTANTS)
     def test_sweep_equals_frozen_formulas(self, norms_of, deltas, constant):
         got = list(audit_sweep(norms_of, deltas, constant))
-        want = [frozen_case(n, d, constant) for n in norms_of for d in deltas]
+        want = [flat(frozen_case(n, d, constant)) for n in norms_of for d in deltas]
         assert bits(got) == bits(want)
         assert all(type(ok) is bool and type(finite) is bool
                    for ok, finite, *_ in got)
@@ -421,11 +428,12 @@ class TestAuditSweep:
         """The zero field, a zero base value, and overflowing norms."""
         zero = REAL_NORMS[0]
         assert (zero.l4, zero.l6, zero.grad_sq, zero.f0_abs) == (0.0, 0.0, 0.0, 0.0)
-        ok, finite, periodic, line, flaps = next(audit_sweep([zero], [1.0]))
-        assert ok is True and finite is True
-        assert periodic == (0.0, 0.0, 0.0, True) and flaps == (0.0, 0.0, 0.0)
+        case = next(audit_sweep([zero], [1.0]))
+        assert case[0] is True and case[1] is True
+        assert case[2:6] == (0.0, 0.0, 0.0, True) and case[10:] == (0.0, 0.0, 0.0)
         base0 = FieldNorms(1.0, 1.0, 1.0, 1.0, 0.0)
-        assert bits(next(audit_sweep([base0], [0.1]))) == bits(frozen_case(base0, 0.1))
+        assert bits(next(audit_sweep([base0], [0.1]))) == bits(
+            flat(frozen_case(base0, 0.1)))
         norms = audit_norms(GnAuditBlock(num_fields=3, N=32, L_values=(1e308, 1e-300)))
         for L in (1e308, 1e-300):
             assert not any(finite for _, finite, *_ in audit_sweep(norms[L][1:], [1.0]))

@@ -1,7 +1,12 @@
 """Spectral grid operations against closed forms and exact identities."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dnlslab import (Field, TorusGrid, antideriv_meanzero, deriv, energy_u, lp_norm,
@@ -177,6 +182,37 @@ class TestLpNorm:
         coeffs = f.spectrum().coefficients
         rhs = grid2pi.L * np.sum(np.abs(coeffs) ** 2)
         assert_allclose(lp_norm(f, 2) ** 2, rhs, rtol=1e-12)
+
+
+def float_bits(x):
+    return struct.pack("<d", x)
+
+
+# non-negative floats: normal, subnormal and the extremes an L^p total can
+# take, 0, 1.7e308, inf and NaN
+TOTALS = (st.floats(0.0, allow_infinity=True)
+          | st.floats(0.0, 2.2250738585072014e-308)
+          | st.sampled_from([0.0, 5e-324, 1e-310, 1.7e308, math.inf, math.nan]))
+
+
+class TestRoot:
+    """lp_norm's root is a Python float power: libm pow, as a numpy float64
+    scalar power is, so the two give equal bits."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(x=TOTALS, p=st.sampled_from([4, 6]))
+    def test_python_float_power_equals_numpy_scalar_power(self, x, p):
+        with np.errstate(all="raise"):
+            want = float(np.float64(x) ** (1.0 / p))
+        assert float_bits(float(x) ** (1.0 / p)) == float_bits(want)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_a_row_and_a_stack_give_python_floats(self, grid2pi, rng, p):
+        f = random_band_field(grid2pi, rng)
+        assert type(lp_norm(f, p)) is float
+        stack = lp_norm(Field(grid2pi, np.stack([f.values, 2.0 * f.values])), p)
+        assert [type(x) for x in stack] == [float, float]
+        assert float_bits(stack[0]) == float_bits(lp_norm(f, p))
 
 
 class TestTranslate:

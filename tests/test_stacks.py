@@ -28,11 +28,13 @@ def config_path(name):
 
 
 def same(a, b):
-    """Equal under == on every field of two records; NaN matches NaN."""
+    """Equal under == on every field of two records, dataclasses or
+    NamedTuples; NaN matches NaN."""
     assert type(a) is type(b)
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert x == y or (x != x and y != y), (f.name, x, y)
+    names = a._fields if isinstance(a, tuple) else [f.name for f in fields(a)]
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x == y or (x != x and y != y), (name, x, y)
 
 
 # The one-field arithmetic before the functions took stacks, frozen: a row of
