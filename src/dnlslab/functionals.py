@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, deriv_values, fft, ifft, lp_norm, per_row
+from .grid import Field, TorusGrid, deriv_values, fft, ifft, lp_norm, per_row
 
 # The cubic term of the energy admits two readings that differ by a factor of
 # two in the integral. The conservation oracle (energy drift vanishing at the
@@ -63,9 +63,19 @@ def im_momentum(f: Field) -> float | list[float]:
 
 def h1dot_sq(f: Field) -> float | list[float]:
     """Squared homogeneous H^1 seminorm, integral of |df/dx|^2."""
-    df = deriv_values(f)
+    return h1dot_sq_from_spectrum(f, fft(f.values), f.grid)
+
+
+def h1dot_sq_from_spectrum(f: Field, spectrum: np.ndarray,
+                           grid: TorusGrid) -> float | list[float]:
+    """h1dot_sq of f's samples taken on grid, whose period may differ from
+    f's, from their forward transform spectrum = fft(f.values). i k is
+    imaginary, so i k * spectrum has the same bits whichever operand numpy
+    puts first (see grid.ELIDE_BYTES), up to the sign of a zero, which
+    |df|^2 drops."""
+    df = ifft(grid._ik * spectrum)
     squares = np.sum(np.abs(df) ** 2, axis=-1)
-    return per_row(f, float, squares * f.grid.dx)
+    return per_row(f, float, squares * grid.dx)
 
 
 def _im_cubic_term(f: Field, term_form: str) -> float | list[float]:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, lp_norm, per_row
-from .functionals import h1dot_sq
+from .grid import Field, TorusGrid, fft, lp_from_power_sum, power_sum
+from .functionals import h1dot_sq_from_spectrum
 
 #: Sharp constant of the line inequality, 3^(1/6) * (2*pi)^(-1/9).
 CGN = 3.0 ** (1.0 / 6.0) * (2.0 * np.pi) ** (-1.0 / 9.0)
@@ -81,13 +80,36 @@ class FieldNorms(NamedTuple):
     f0_abs: float
 
 
-def field_norms(f: Field) -> FieldNorms | list[FieldNorms]:
-    """The norms of f, or of each row of a stack, and f0_abs = min |f| over
-    the nodes: the extension is based at the node minimizing |f|, where
-    |f|^4 * L <= int |f|^4, so f0_abs <= L^(-1/4) ||f||_L4 up to quadrature
-    slack."""
-    return per_row(f, partial(FieldNorms, f.grid.L), lp_norm(f, 4),
-                   lp_norm(f, 6), h1dot_sq(f), np.abs(f.values).min(axis=-1))
+def field_norms(f: Field, periods: Sequence[float] | None = None) -> np.ndarray:
+    """The norms of f's samples taken on the grid of each period L in periods
+    (f's own period by default), one FieldNorms per row and period, as a
+    float64 array of shape (len(periods), 5) for one row, or
+    (len(periods), 5, n) for a stack of n rows: axis 1 holds the fields of
+    FieldNorms in order, so FieldNorms(*norms[i].tolist()) is a row's record
+    at periods[i].
+
+    f0_abs = min |f| over the nodes: the extension is based at the node
+    minimizing |f|, where |f|^4 * L <= int |f|^4, so f0_abs <= L^(-1/4)
+    ||f||_L4 up to quadrature slack.
+
+    The samples fix the pads, the power sums, the spectrum and f0_abs, so
+    these are computed once; only the quadrature weight with its root and
+    the derivative's i k_L are taken per period. Every value has the bits of
+    lp_norm, h1dot_sq and min |f| of the same samples on TorusGrid(L, N).
+    """
+    periods = (f.grid.L,) if periods is None else periods
+    v = f.values
+    sums4, sums6 = power_sum(f, 4), power_sum(f, 6)
+    spectrum = fft(v)
+    out = np.empty((len(periods), len(FieldNorms._fields)) + v.shape[:-1])
+    out[:, 4] = np.abs(v).min(axis=-1)
+    for norms, L in zip(out, periods):
+        grid = f.grid if L == f.grid.L else TorusGrid(L, f.grid.N)
+        norms[0] = grid.L
+        norms[1] = lp_from_power_sum(f, sums4, grid, 4)
+        norms[2] = lp_from_power_sum(f, sums6, grid, 6)
+        norms[3] = h1dot_sq_from_spectrum(f, spectrum, grid)
+    return out
 
 
 # the periodic record, the line record and the flaps of an audit_sweep tuple

@@ -259,19 +259,34 @@ def lp_norm(f: Field, p: int) -> float | list[float]:
 
     For p in {4, 6} the integrand |f|^p exceeds the band limit of the stored
     samples, so it is evaluated on the 2x zero-padded refinement before
-    rectangle quadrature; p = 2 is already exact on the native grid.
+    rectangle quadrature (power_sum, then lp_from_power_sum); p = 2 is
+    already exact on the native grid.
     """
     grid = f.grid
     if p == 2:
         squares = np.sum(np.abs(f.values) ** 2, axis=-1)
         return per_row(f, float, np.sqrt(squares * grid.dx))
     if p in (4, 6):
-        v2 = grid.refine2(f.values)
-        totals = np.sum(np.abs(v2) ** p, axis=-1) * (grid.L / (2 * grid.N))
-        # the root of each row as a Python float power, libm pow as a numpy
-        # scalar power is: an array power can differ in the last bit
-        return per_row(f, lambda total: float(total) ** (1.0 / p), totals)
+        return lp_from_power_sum(f, power_sum(f, p), grid, p)
     raise ValueError(f"unsupported p = {p}, expected one of 2, 4, 6")
+
+
+def power_sum(f: Field, p: int) -> np.ndarray:
+    """The sum of |f|^p over the nodes of the 2x refined grid, per row, for
+    p in {4, 6}: the L^p integral of lp_norm before its quadrature weight.
+    The samples fix it; the period does not enter."""
+    return np.sum(np.abs(f.grid.refine2(f.values)) ** p, axis=-1)
+
+
+def lp_from_power_sum(f: Field, sums: np.ndarray, grid: TorusGrid,
+                      p: int) -> float | list[float]:
+    """The L^p norm of each row of f's samples taken on grid, whose period
+    may differ from f's (p in {4, 6}), from their power_sum: the rectangle
+    weight L/(2N) of the refined grid, then the root of each row as a Python
+    float power, libm pow as a numpy scalar power is: an array power can
+    differ in the last bit."""
+    totals = sums * (grid.L / (2 * grid.N))
+    return per_row(f, lambda total: total ** (1.0 / p), totals)
 
 
 def translate(f: Field, s: float | np.ndarray) -> Field:

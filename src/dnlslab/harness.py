@@ -24,10 +24,10 @@ from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
                        simulate_batch, step_count)
 from .functionals import ConservedReport, conserved_report, mu
 from .gauge import gauge_profile, gauge_trajectory
-from .gn import CGN, audit_sweep, field_norms, mass_threshold
+from .gn import CGN, FieldNorms, audit_sweep, field_norms, mass_threshold
 # bench/spans.py times these two by name; run_gn_audit no longer calls them
 from .gn import gn0_extension_record, gn1_record  # noqa: F401
-from .grid import Field, Spectrum, TorusGrid
+from .grid import Field, TorusGrid, ifft
 from .initial_data import DataSpec, build
 
 EXIT_OK = 0
@@ -250,21 +250,27 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
     corrupt_constant multiplies the sharp constant inside the audited bounds
     only (a fault-injection hook; 1.0 in production). A row whose norms
     overflow (an lhs or rhs that is not finite) audits nothing: it is not a
-    violation, and it makes the exit non-finite. The norms of each L are
-    computed on the corpus in the chunks of TorusGrid.row_chunks, with
-    numpy's overflow warnings off: the exit code reports an overflow. The
-    rows of each L are one gn.audit_sweep of its norms."""
+    violation, and it makes the exit non-finite. The corpus is sampled in the
+    chunks of TorusGrid.row_chunks, each chunk once, and gn.field_norms gives
+    its norms on every period in one call, with numpy's overflow warnings
+    off: the exit code reports an overflow. The rows of each L are one
+    gn.audit_sweep of its norms, period by period in the order of L_values."""
     constant = CGN * block.corrupt_constant
     rows = []
     n_violations = n_non_finite = 0
     corpus = audit_coefficients(block)
-    for L in block.L_values:
-        grid = TorusGrid(L, block.N)
-        with np.errstate(over="ignore", invalid="ignore"):
-            norms_of = [norms for rows in grid.row_chunks(len(corpus))
-                        for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
-        sweep = zip(product(range(len(norms_of)), block.delta_values),
-                    audit_sweep(norms_of, block.delta_values, constant))
+    grid = TorusGrid(block.L_values[0], block.N)
+    # per period, the columns of FieldNorms over the whole corpus
+    norms = np.empty((len(block.L_values), len(FieldNorms._fields), len(corpus)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in grid.row_chunks(len(corpus)):
+            samples = ifft(corpus[chunk] * block.N)
+            samples.flags.writeable = False
+            norms[..., chunk] = field_norms(Field(grid, samples), block.L_values)
+    for L, columns in zip(block.L_values, norms):
+        sweep = zip(product(range(len(corpus)), block.delta_values),
+                    audit_sweep(zip(*columns.tolist()), block.delta_values,
+                                constant))
         for ((field_id, delta), (ok, finite, lhs, rhs, slack, _, _, _, _, _,
                                  l2grad, flap_l4, flap_l6)) in sweep:
             if not finite:

@@ -1,6 +1,7 @@
 """Sharp constant, flap integrals, inequality audits, and the mass threshold."""
 
 import math
+from collections import Counter
 
 import mpmath as mp
 import numpy as np
@@ -16,9 +17,15 @@ from dnlslab.functionals import h1dot_sq
 from dnlslab.gn import (CGN, CGN_POW_M18, CGN_POW_M92, FieldNorms, audit_sweep,
                         field_norms, gn0_extension_record, gn1_record)
 from dnlslab.grid import Spectrum
+from dnlslab import harness
 from dnlslab.harness import GN_AUDIT_COLUMNS, audit_coefficients, run_gn_audit
 
 from conftest import plane_wave, random_band_field
+
+
+def row_norms(f):
+    """The FieldNorms of one row f on its own period."""
+    return FieldNorms(*field_norms(f)[0].tolist())
 
 
 class TestSharpConstant:
@@ -74,24 +81,24 @@ class TestBaseShift:
 
     def test_constant_modulus_saturation(self, grid2pi):
         f = plane_wave(grid2pi, A=1.3, m=2)
-        f0 = field_norms(f).f0_abs
+        f0 = row_norms(f).f0_abs
         bound = grid2pi.L ** -0.25 * lp_norm(f, 4)
         assert f0 <= bound * (1 + 1e-9)
         assert_allclose(f0, bound, rtol=1e-12)
 
     def test_cosine_base_at_zero_crossing(self, grid2pi):
         f = Field(grid2pi, np.cos(grid2pi.x))
-        assert field_norms(f).f0_abs < 1e-12
+        assert row_norms(f).f0_abs < 1e-12
 
     def test_zero_field(self, grid2pi):
         z = Field(grid2pi, np.zeros(grid2pi.N))
-        assert field_norms(z).f0_abs == 0.0
+        assert row_norms(z).f0_abs == 0.0
 
     def test_bound_on_random_fields(self, grid2pi, rng):
         for _ in range(25):
             f = random_band_field(grid2pi, rng, band=16)
             bound = grid2pi.L ** -0.25 * lp_norm(f, 4)
-            assert field_norms(f).f0_abs <= bound * (1 + 1e-9)
+            assert row_norms(f).f0_abs <= bound * (1 + 1e-9)
 
 
 class TestFlapIntegrals:
@@ -125,13 +132,13 @@ class TestFlapIntegrals:
 
 class TestCheckGn1:
     def test_zero_field(self, grid2pi):
-        rec = gn1_record(field_norms(Field(grid2pi, np.zeros(grid2pi.N))), 1.0)
+        rec = gn1_record(row_norms(Field(grid2pi, np.zeros(grid2pi.N))), 1.0)
         assert rec.lhs == rec.rhs == 0.0 and rec.satisfied
 
     def test_constant_field_closed_forms(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
-        rec = gn1_record(field_norms(f), 1.0)
+        rec = gn1_record(row_norms(f), 1.0)
         L = 2 * np.pi
         assert_allclose(rec.lhs, L ** (1 / 6), rtol=1e-13)
         want_rhs = (cgn() * (1 + 1 / (5 * np.pi)) ** (2 / 9)
@@ -141,7 +148,7 @@ class TestCheckGn1:
 
     def test_rejects_nonpositive_delta(self, grid2pi):
         with pytest.raises(ValueError):
-            gn1_record(field_norms(plane_wave(grid2pi)), 0.0)
+            gn1_record(row_norms(plane_wave(grid2pi)), 0.0)
 
     def test_random_corpus_zero_violations(self, rng):
         for L in (0.5, 2 * np.pi, 10.0):
@@ -150,20 +157,20 @@ class TestCheckGn1:
                 f = random_band_field(grid, rng, band=16,
                                       scale=10 ** rng.uniform(-1, 1))
                 for delta in (0.1, 1.0, 10.0):
-                    assert gn1_record(field_norms(f), delta).satisfied
+                    assert gn1_record(row_norms(f), delta).satisfied
 
 
 class TestGn0OnExtension:
     def test_zero_field(self, grid2pi):
         zero = Field(grid2pi, np.zeros(grid2pi.N))
-        rec, _ = gn0_extension_record(field_norms(zero), 1.0)
+        rec, _ = gn0_extension_record(row_norms(zero), 1.0)
         assert rec.satisfied
 
     def test_constant_field_assembly(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
         delta = 1.0
-        rec, _ = gn0_extension_record(field_norms(f), delta)
+        rec, _ = gn0_extension_record(row_norms(f), delta)
         L = 2 * np.pi
         # flap-only gradient, torus-plus-flap L^p integrals
         lhs = (L + 2 * delta / 7) ** (1 / 6)
@@ -174,7 +181,7 @@ class TestGn0OnExtension:
 
     def test_extension_enlarges_l6(self, grid2pi, rng):
         f = random_band_field(grid2pi, rng, band=16)
-        rec, _ = gn0_extension_record(field_norms(f), 0.5)
+        rec, _ = gn0_extension_record(row_norms(f), 0.5)
         assert rec.lhs >= lp_norm(f, 6)
 
     def test_chain_and_satisfaction_on_corpus(self, rng):
@@ -183,7 +190,7 @@ class TestGn0OnExtension:
             for _ in range(15):
                 f = random_band_field(grid, rng, band=16,
                                       scale=10 ** rng.uniform(-1, 1))
-                norms = field_norms(f)
+                norms = row_norms(f)
                 for delta in (0.1, 1.0, 10.0):
                     rec0, _ = gn0_extension_record(norms, delta)
                     rec1 = gn1_record(norms, delta)
@@ -317,7 +324,7 @@ class TestAuditRowPath:
         fields.append(Field(grid, np.cos(grid.x)))
         for f in fields:
             base = f.values[np.argmin(np.abs(f.values))]
-            assert field_norms(f).f0_abs == float(np.abs(base))
+            assert row_norms(f).f0_abs == float(np.abs(base))
 
     def test_rows_equal_reference(self):
         block = GnAuditBlock(num_fields=19, L_values=(1.0, 2 * np.pi),
@@ -349,6 +356,26 @@ class TestAuditRowPath:
         assert outcome.exit_code == code
         assert (n_violations > 0) == (code == 4) and (n_non_finite > 0) == (code == 3)
 
+    def test_each_chunk_is_analysed_once_for_all_periods(self, monkeypatch):
+        """Per chunk of the corpus, one field_norms call with its two pads,
+        however many periods are audited."""
+        block = GnAuditBlock(num_fields=150, L_values=(0.5, 1.0, 10.0), N=128)
+        calls = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(TorusGrid, "refine2", counted("refine2", TorusGrid.refine2))
+        monkeypatch.setattr(harness, "field_norms",
+                            counted("field_norms", harness.field_norms))
+        run_gn_audit(block)
+        chunks = TorusGrid(1.0, block.N).row_chunks(block.num_fields + 1)
+        assert len(chunks) == 3
+        assert calls == {"refine2": 2 * len(chunks), "field_norms": len(chunks)}
+
 
 def sweep_rows(L, norms_of, deltas, constant):
     """frozen_rows from audit_sweep, assembled as run_gn_audit does."""
@@ -369,9 +396,11 @@ def audit_norms(block):
     """field_norms of the audit corpus of block on each of its periods, the
     zero field first."""
     corpus = audit_coefficients(block)
+    f = Spectrum(TorusGrid(block.L_values[0], block.N), corpus).field()
     with np.errstate(over="ignore", invalid="ignore"):
-        return {L: field_norms(Spectrum(TorusGrid(L, block.N), corpus).field())
-                for L in block.L_values}
+        norms = field_norms(f, block.L_values)
+    return {L: [FieldNorms(*row) for row in zip(*columns.tolist())]
+            for L, columns in zip(block.L_values, norms)}
 
 
 # norms from real fields: the zero field, finite ones, and the inf/NaN norms

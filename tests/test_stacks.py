@@ -8,13 +8,16 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnlslab import (ConservedReport, DiagnosticsSample, Field, Spectrum,
                      TorusGrid, Trajectory, ZeroFieldError, case_report,
                      conserved_report, gauge_profile, gauge_trajectory, mu,
-                     proof_sample, simulate, translate)
+                     lp_norm, proof_sample, simulate, translate)
 from dnlslab import harness
 from dnlslab.config import GnAuditBlock, load_config
+from dnlslab.functionals import h1dot_sq
 from dnlslab.gn import CGN_POW_M18, CGN_POW_M92, FieldNorms, field_norms
 from dnlslab.grid import ELIDE_BYTES
 from dnlslab.harness import audit_coefficients
@@ -109,22 +112,69 @@ def rows_of(traj):
             for t, row in zip(traj.times.tolist(), traj.values)]
 
 
+def chunked_norms(grid, values, periods):
+    """field_norms of a stack of samples, in the chunks of grid.row_chunks,
+    as run_gn_audit takes them: shape (len(periods), 5, rows)."""
+    return np.concatenate([field_norms(Field(grid, values[rows]), periods)
+                           for rows in grid.row_chunks(len(values))], axis=-1)
+
+
 @pytest.mark.parametrize("N", [32, 128])
 def test_field_norms_of_a_stack_equal_each_row(N):
     with open(config_path("gn_audit.json")) as fh:
         doc = json.load(fh)["gn_audit"]
     corpus = audit_coefficients(GnAuditBlock(**{**doc, "N": N}))
-    for L in doc["L_values"]:
-        grid = TorusGrid(L, N)
-        chunks = grid.row_chunks(len(corpus))
-        assert len(chunks) < len(corpus)
-        stacked = [norms for rows in chunks
-                   for norms in field_norms(Spectrum(grid, corpus[rows]).field())]
-        assert len(stacked) == len(corpus)
-        for norms, c in zip(stacked, corpus):
-            f = Spectrum(grid, c).field()
-            same(norms, field_norms(f))
+    periods = doc["L_values"]
+    grid = TorusGrid(periods[0], N)
+    assert len(grid.row_chunks(len(corpus))) < len(corpus)
+    stacked = chunked_norms(grid, Spectrum(grid, corpus).field().values, periods)
+    for L, columns in zip(periods, stacked):
+        rows = [FieldNorms(*row) for row in zip(*columns.tolist())]
+        assert len(rows) == len(corpus)
+        for norms, c in zip(rows, corpus):
+            f = Spectrum(TorusGrid(L, N), c).field()
+            same(norms, FieldNorms(*field_norms(f)[0].tolist()))
             same(norms, frozen_norms(f))
+
+
+# periods of every size, with 1e-300, where k^2 overflows, and 1e308, where
+# the quadrature weight makes the power sums overflow
+PERIODS = st.lists(st.sampled_from([1e-300, 0.5, 1.0, 2 * np.pi, 10.0, 1e308])
+                   | st.floats(1e-3, 1e3), min_size=1, max_size=4)
+
+
+def bits(values):
+    return [(type(x), repr(x)) for x in values]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 70), zero=st.integers(0, 69),
+       seed=st.integers(0, 2 ** 32 - 1), periods=PERIODS)
+@example(n=70, zero=69, seed=0, periods=[1e-300, 1.0, 1e308])
+def test_field_norms_equal_the_norms_on_each_period(n, zero, seed, periods):
+    """Each row's norms on each period, computed once for all periods, are
+    those of its samples on TorusGrid(L, N): lp_norm at p = 4 and 6,
+    h1dot_sq and min |f|, bit for bit. Up to 70 rows cross the 63-row chunk
+    at N = 128; one row is the zero row."""
+    N = 128
+    rng = np.random.default_rng(seed)
+    modes = np.arange(-(N // 4), N // 4 + 1)
+    draws = rng.standard_normal((n, len(modes))) + 1j * rng.standard_normal((n, len(modes)))
+    c = np.zeros((n, N), dtype=np.complex128)
+    c[:, modes % N] = (10.0 ** rng.uniform(-1.0, 1.0, (n, 1)) * draws
+                       * np.exp(-np.abs(modes) / (N / 12)))
+    c[zero % n] = 0.0
+    grid = TorusGrid(periods[0], N)
+    values = Spectrum(grid, c).field().values
+    with np.errstate(all="ignore"):
+        got = chunked_norms(grid, values, periods)
+        for L, columns in zip(periods, got):
+            grid_L = TorusGrid(L, N)
+            for row, v in zip(zip(*columns.tolist()), values, strict=True):
+                f = Field(grid_L, v)
+                want = (grid_L.L, lp_norm(f, 4), lp_norm(f, 6), h1dot_sq(f),
+                        float(np.abs(v).min()))
+                assert bits(row) == bits(want)
 
 
 @pytest.fixture(scope="module")
@@ -271,9 +321,10 @@ def test_gn_audit_transforms_per_chunk_not_per_field(monkeypatch):
     assert chunks == 2
     outcome = harness.run_gn_audit(block)
     assert outcome.summary["rows"] == 2 * 301
-    # per chunk: one inverse transform of the corpus, two for each of the L4
-    # and L6 pads, and two for the derivative
-    assert len(calls) <= 7 * chunks * len(block.L_values)
+    # per chunk, for all periods: one inverse transform of the corpus, two
+    # for each of the L4 and L6 pads and the forward one of the derivative;
+    # per chunk and period, the derivative's inverse transform
+    assert len(calls) == (6 + len(block.L_values)) * chunks
 
 
 def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
