@@ -80,13 +80,13 @@ class FieldNorms(NamedTuple):
     f0_abs: float
 
 
-def field_norms(f: Field, periods: Sequence[float] | None = None) -> np.ndarray:
-    """The norms of f's samples taken on the grid of each period L in periods
-    (f's own period by default), one FieldNorms per row and period, as a
-    float64 array of shape (len(periods), 5) for one row, or
-    (len(periods), 5, n) for a stack of n rows: axis 1 holds the fields of
-    FieldNorms in order, so FieldNorms(*norms[i].tolist()) is a row's record
-    at periods[i].
+def field_norms(f: Field, grids: Sequence[TorusGrid] | None = None) -> np.ndarray:
+    """The norms of f's samples taken on each grid in grids (f's own grid by
+    default), one FieldNorms per row and grid, as a float64 array of shape
+    (len(grids), 5) for one row, or (len(grids), 5, n) for a stack of n rows:
+    axis 1 holds the fields of FieldNorms in order, so
+    FieldNorms(*norms[i].tolist()) is a row's record on grids[i]. Every grid
+    has f's N; its period L may differ from f's.
 
     f0_abs = min |f| over the nodes: the extension is based at the node
     minimizing |f|, where |f|^4 * L <= int |f|^4, so f0_abs <= L^(-1/4)
@@ -94,17 +94,18 @@ def field_norms(f: Field, periods: Sequence[float] | None = None) -> np.ndarray:
 
     The samples fix the pads, the power sums, the spectrum and f0_abs, so
     these are computed once; only the quadrature weight with its root and
-    the derivative's i k_L are taken per period. Every value has the bits of
-    lp_norm, h1dot_sq and min |f| of the same samples on TorusGrid(L, N).
+    the derivative's i k_L are taken per grid. Every value has the bits of
+    lp_norm, h1dot_sq and min |f| of the same samples on that grid.
     """
-    periods = (f.grid.L,) if periods is None else periods
+    grids = (f.grid,) if grids is None else grids
+    if any(grid.N != f.grid.N for grid in grids):
+        raise ValueError(f"every grid must have N = {f.grid.N}")
     v = f.values
     sums4, sums6 = power_sum(f, 4), power_sum(f, 6)
     spectrum = fft(v)
-    out = np.empty((len(periods), len(FieldNorms._fields)) + v.shape[:-1])
+    out = np.empty((len(grids), len(FieldNorms._fields)) + v.shape[:-1])
     out[:, 4] = np.abs(v).min(axis=-1)
-    for norms, L in zip(out, periods):
-        grid = f.grid if L == f.grid.L else TorusGrid(L, f.grid.N)
+    for norms, grid in zip(out, grids):
         norms[0] = grid.L
         norms[1] = lp_from_power_sum(f, sums4, grid, 4)
         norms[2] = lp_from_power_sum(f, sums6, grid, 6)

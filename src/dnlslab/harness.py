@@ -12,7 +12,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .gn import CGN, FieldNorms, audit_sweep, field_norms, mass_threshold
 from .gn import gn0_extension_record, gn1_record  # noqa: F401
 from .grid import Field, TorusGrid, ifft
 from .initial_data import DataSpec, build
+from .runio import BOOL_TEXT, FLOAT_FORMAT
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -52,12 +52,14 @@ GAUGE_CHECK_COLUMNS = ("t", "discrepancy", "residual")
 class Outcome:
     """What one command produces.
 
-    tables: CSV file name -> (columns, rows); summary: the fields summary.json
-    adds to the config echo; status: the console text after
+    tables: CSV file name -> (columns, rows), where a row is a tuple of
+    values or, in gn-audit's table, its text line (a str ending in a
+    newline), which runio.write_csv writes verbatim; summary: the fields
+    summary.json adds to the config echo; status: the console text after
     "<command>: <exit_reason>, "; traj: the trajectory behind frames.npz and
     the drift plot script, set by simulate only.
     """
-    tables: dict[str, tuple[tuple[str, ...], list[tuple]]]
+    tables: dict[str, tuple[tuple[str, ...], list[tuple | str]]]
     summary: dict
     status: str
     exit_code: int
@@ -242,6 +244,25 @@ def audit_coefficients(block: GnAuditBlock) -> np.ndarray:
     return coeffs
 
 
+def _corpus_norms(block: GnAuditBlock) -> np.ndarray:
+    """Per period of block, the columns of FieldNorms over its whole corpus,
+    of shape (len(L_values), 5, num_fields + 1). The corpus is sampled in
+    the chunks of TorusGrid.row_chunks, each chunk once, and gn.field_norms
+    gives its norms on the grid of every period, each grid built once per
+    run, in one call, with numpy's overflow warnings off: the exit code
+    reports an overflow. The corpus is freed on return, before the table is
+    made."""
+    corpus = audit_coefficients(block)
+    grids = [TorusGrid(L, block.N) for L in block.L_values]
+    norms = np.empty((len(grids), len(FieldNorms._fields), len(corpus)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in grids[0].row_chunks(len(corpus)):
+            samples = ifft(corpus[chunk] * block.N)
+            samples.flags.writeable = False
+            norms[..., chunk] = field_norms(Field(grids[0], samples), grids)
+    return norms
+
+
 def run_gn_audit(block: GnAuditBlock) -> Outcome:
     """Audit the periodic inequality, the line inequality on the flap
     extension, and the enlargement chain between their right sides, for every
@@ -250,41 +271,50 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
     corrupt_constant multiplies the sharp constant inside the audited bounds
     only (a fault-injection hook; 1.0 in production). A row whose norms
     overflow (an lhs or rhs that is not finite) audits nothing: it is not a
-    violation, and it makes the exit non-finite. The corpus is sampled in the
-    chunks of TorusGrid.row_chunks, each chunk once, and gn.field_norms gives
-    its norms on every period in one call, with numpy's overflow warnings
-    off: the exit code reports an overflow. The rows of each L are one
-    gn.audit_sweep of its norms, period by period in the order of L_values."""
+    violation, and it makes the exit non-finite. The rows of each L are one
+    gn.audit_sweep of its norms from _corpus_norms, period by period in the
+    order of L_values.
+
+    The table's rows are its text lines, each formatted here in the number
+    format of runio, and every repeated number is formatted once: L and
+    delta once per run, a field's lhs once per period, and its flaps once
+    per delta, in the first period, for audit_sweep forms them from f0_abs
+    and delta alone, which no period changes. Only rhs, slack and satisfied
+    are formatted per row."""
     constant = CGN * block.corrupt_constant
-    rows = []
     n_violations = n_non_finite = 0
-    corpus = audit_coefficients(block)
-    grid = TorusGrid(block.L_values[0], block.N)
-    # per period, the columns of FieldNorms over the whole corpus
-    norms = np.empty((len(block.L_values), len(FieldNorms._fields), len(corpus)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for chunk in grid.row_chunks(len(corpus)):
-            samples = ifft(corpus[chunk] * block.N)
-            samples.flags.writeable = False
-            norms[..., chunk] = field_norms(Field(grid, samples), block.L_values)
+    norms = _corpus_norms(block)
+    # the text of one float; a row's line: its head "field_id,L,delta,lhs,",
+    # rhs, slack, satisfied, and the text of its flaps with the newline
+    number = f"{{:{FLOAT_FORMAT}}}".format
+    line = f"%s%{FLOAT_FORMAT},%{FLOAT_FORMAT},%s,%s"
+    deltas = [number(delta) for delta in block.delta_values]
+    lines, flaps = [], []
     for L, columns in zip(block.L_values, norms):
-        sweep = zip(product(range(len(corpus)), block.delta_values),
-                    audit_sweep(zip(*columns.tolist()), block.delta_values,
-                                constant))
-        for ((field_id, delta), (ok, finite, lhs, rhs, slack, _, _, _, _, _,
-                                 l2grad, flap_l4, flap_l6)) in sweep:
+        values = columns.tolist()
+        L_text = number(L)
+        # the lhs of a field is its l6
+        heads = [f"{field_id},{L_text},{delta},{lhs},"
+                 for field_id, lhs in enumerate(map(number, values[2]))
+                 for delta in deltas]
+        # the first period formats the flaps, and every later one reuses them
+        first = not flaps
+        cases = audit_sweep(zip(*values), block.delta_values, constant)
+        for k, (head, case) in enumerate(zip(heads, cases)):
+            ok, finite, _, rhs, slack, _, _, _, _, _, l2grad, flap_l4, flap_l6 = case
+            if first:
+                flaps.append(f"{number(l2grad)},{number(flap_l4)},{number(flap_l6)}\n")
             if not finite:
                 n_non_finite += 1
             elif not ok:
                 n_violations += 1
-            rows.append((field_id, L, delta, lhs, rhs, slack, ok,
-                         l2grad, flap_l4, flap_l6))
+            lines.append(line % (head, rhs, slack, BOOL_TEXT[ok], flaps[k]))
     code, reason = ((EXIT_NONFINITE, "non-finite") if n_non_finite
                     else (EXIT_GN_VIOLATION, "gn-violations") if n_violations
                     else (EXIT_OK, "ok"))
-    return Outcome({"gn_audit.csv": (GN_AUDIT_COLUMNS, rows)},
-                   {"rows": len(rows), "violations": n_violations},
-                   f"{len(rows)} rows, {n_violations} violations",
+    return Outcome({"gn_audit.csv": (GN_AUDIT_COLUMNS, lines)},
+                   {"rows": len(lines), "violations": n_violations},
+                   f"{len(lines)} rows, {n_violations} violations",
                    code, reason)
 
 

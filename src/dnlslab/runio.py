@@ -15,13 +15,20 @@ import numpy as np
 from .dynamics import Trajectory
 
 
+# The one number format of every CSV table: a float is written as
+# format(x, FLOAT_FORMAT), which "%" + FLOAT_FORMAT gives too, and a bool as
+# its BOOL_TEXT.
+FLOAT_FORMAT = ".17g"
+BOOL_TEXT = {False: "false", True: "true"}
+
+
 def fmt_value(v) -> str:
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
+        return BOOL_TEXT[bool(v)]
     if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
+        return format(float(v), FLOAT_FORMAT)
     return str(v)
 
 
@@ -29,11 +36,11 @@ def fmt_value(v) -> str:
 # string fmt_value gives. A type not listed, a subclass included, goes through
 # fmt_value itself.
 _FORMATTERS = {
-    float: lambda v: format(v, ".17g"),
-    np.float64: lambda v: format(float(v), ".17g"),
+    float: lambda v: format(v, FLOAT_FORMAT),
+    np.float64: lambda v: format(float(v), FLOAT_FORMAT),
     int: str,
     str: str,
-    bool: lambda v: "true" if v else "false",
+    bool: BOOL_TEXT.__getitem__,
     type(None): lambda v: "",
 }
 
@@ -41,7 +48,8 @@ _FORMATTERS = {
 # The %-format of each exact type whose fmt_value text csv.writer never
 # quotes; a bool's text goes into the {} slot when a row's bool values are
 # known, and its own value is consumed by %.0s.
-_TEMPLATE_FIELDS = {float: "%.17g", np.float64: "%.17g", int: "%d", bool: "{}%.0s"}
+_TEMPLATE_FIELDS = {float: "%" + FLOAT_FORMAT, np.float64: "%" + FLOAT_FORMAT,
+                    int: "%d", bool: "{}%.0s"}
 
 
 def _row_template(types: tuple) -> tuple[str, list[int]] | None:
@@ -87,16 +95,21 @@ def _baked_templates(types: tuple):
 def write_csv(path: str, header, rows) -> None:
     """header, then rows, each value written as fmt_value writes it.
 
-    A row of floats, np.float64s, ints and bools is written through one
-    %-template per tuple of value types and of bool values, made once per
-    table, with each bool's text baked in; it gives the bytes csv.writer
-    gives. Every other row goes through csv.writer."""
+    A row that is a str is a line its maker has formatted already, its
+    terminating newline included, and is written verbatim. A row of floats,
+    np.float64s, ints and bools is written through one %-template per tuple
+    of value types and of bool values, made once per table, with each bool's
+    text baked in; it gives the bytes csv.writer gives. Every other row goes
+    through csv.writer."""
     formatter = _FORMATTERS.get
     templates = _Cache(_baked_templates)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
+            if type(row) is str:
+                fh.write(row)
+                continue
             entry = templates[tuple(map(type, row))]
             if entry is None:
                 writer.writerow([formatter(type(v), fmt_value)(v) for v in row])

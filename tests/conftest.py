@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from dnlslab import Field, Spectrum, TorusGrid
+from dnlslab.runio import fmt_value
 
 
 @pytest.fixture
@@ -35,3 +38,12 @@ def plane_wave(grid: TorusGrid, A: float = 1.0, m: int = 1) -> Field:
 
 def l2_dist(a: Field, b: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(a.values - b.values) ** 2) * a.grid.dx))
+
+
+def write_reference_csv(path, header, rows):
+    """The CSV write_csv must match: csv.writer on fmt_value of each value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_value(v) for v in row])

@@ -1,6 +1,5 @@
 """CLI wiring: exit codes, CSV schemas, determinism, fault injection."""
 
-import csv
 import json
 import math
 import os
@@ -13,7 +12,11 @@ from hypothesis import strategies as st
 
 from dnlslab import DataSpec, SimConfig, TorusGrid, build, simulate
 from dnlslab.cli import main
+from dnlslab.config import load_config
 from dnlslab.runio import _row_template, fmt_value, write_csv
+
+from conftest import write_reference_csv
+from test_gn import reference_rows
 
 TWO_PI = 2 * math.pi
 
@@ -738,15 +741,6 @@ class TestLateNumericTrouble:
         assert len(rows) == 2 and rows[1].endswith(",non-finite")
 
 
-def write_reference_csv(path, header, rows):
-    """The CSV write_csv must match: csv.writer on fmt_value of each value."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_value(v) for v in row])
-
-
 def assert_writes_as_reference(tmp_path, header, rows):
     write_csv(str(tmp_path / "fast.csv"), header, rows)
     write_reference_csv(tmp_path / "ref.csv", header, rows)
@@ -829,19 +823,42 @@ class TestFloatFormat:
     def test_write_csv_matches_csv_writer_property(self, tmp_path_factory, rows):
         assert_writes_as_reference(tmp_path_factory.mktemp("csv"), ("a", "b"), rows)
 
+    def test_str_rows_are_written_verbatim_among_value_rows(self, tmp_path):
+        lines = ["1,2.5,true\n", 'x,"a,b",\n', "\n", "no newline, no quotes"]
+        values = [(True, None, 0.1), (math.nan, "a,b", 'say "hi"'), (1.5, 2),
+                  (False, -0.0), ("line\nbreak", None), (), (np.float64(0.1), 3)]
+        rows = [lines[0], values[0], values[1], lines[1], lines[2], values[2],
+                values[3], values[4], values[5], lines[3], values[6]]
+        write_csv(str(tmp_path / "mixed.csv"), ("a", "b"), rows)
+        # each value row as csv.writer writes it: the reference file of that
+        # row alone, without its header line
+        want = b"a,b\n"
+        for row in rows:
+            if type(row) is str:
+                want += row.encode()
+            else:
+                write_reference_csv(tmp_path / "one.csv", ("a", "b"), [row])
+                want += (tmp_path / "one.csv").read_bytes().removeprefix(b"a,b\n")
+        assert (tmp_path / "mixed.csv").read_bytes() == want
+        assert b'"a,b"' in want and b'"say ""hi"""' in want and b'"line\nbreak"' in want
+
     @pytest.mark.parametrize("command", ["simulate", "gauge-check", "gn-audit",
                                          "threshold-scan", "diagnose"])
     def test_command_tables_match_csv_writer(self, tmp_path, monkeypatch, command):
         written = []
+        cfg = write_config(tmp_path, all_formats_doc(str(tmp_path / "out")))
 
         def both_ways(path, header, rows):
             ref = str(tmp_path / ("ref_" + os.path.basename(path)))
             write_csv(path, header, rows)
+            if os.path.basename(path) == "gn_audit.csv":
+                # the audit's rows are its own text lines: its reference is
+                # the table of the frozen formulas
+                rows, _, _ = reference_rows(load_config(cfg).gn_audit)
             write_reference_csv(ref, header, rows)
             written.append((path, ref))
 
         monkeypatch.setattr("dnlslab.cli.write_csv", both_ways)
-        cfg = write_config(tmp_path, all_formats_doc(str(tmp_path / "out")))
         assert main([command, "--config", cfg, "--quiet"]) == 0
         assert written
         for path, ref in written:

@@ -19,8 +19,9 @@ from dnlslab.gn import (CGN, CGN_POW_M18, CGN_POW_M92, FieldNorms, audit_sweep,
 from dnlslab.grid import Spectrum
 from dnlslab import harness
 from dnlslab.harness import GN_AUDIT_COLUMNS, audit_coefficients, run_gn_audit
+from dnlslab.runio import write_csv
 
-from conftest import plane_wave, random_band_field
+from conftest import plane_wave, random_band_field, write_reference_csv
 
 
 def row_norms(f):
@@ -306,6 +307,27 @@ def reference_rows(block):
     return rows, n_violations, n_non_finite
 
 
+def audit_bytes(tmp_path, outcome):
+    """The bytes write_csv writes for the audit's table."""
+    columns, lines = outcome.tables["gn_audit.csv"]
+    write_csv(str(tmp_path / "gn_audit.csv"), columns, lines)
+    return (tmp_path / "gn_audit.csv").read_bytes()
+
+
+def reference_bytes(tmp_path, rows):
+    """The bytes csv.writer writes for rows under the audit's header."""
+    write_reference_csv(tmp_path / "reference.csv", GN_AUDIT_COLUMNS, rows)
+    return (tmp_path / "reference.csv").read_bytes()
+
+
+# periods with the overflowing 1e-300 and 1e308, and deltas, each list with
+# repeats or not
+AUDIT_PERIODS = st.lists(st.sampled_from([1e-300, 0.5, 1.0, 2 * np.pi, 10.0, 1e308]),
+                         min_size=1, max_size=4)
+AUDIT_DELTAS = st.lists(st.sampled_from([0.1, 1.0, 10.0]) | st.floats(1e-3, 1e3),
+                        min_size=1, max_size=3)
+
+
 class TestAuditRowPath:
     """The audit's corpus, norms and rows against their per-item references."""
 
@@ -326,15 +348,17 @@ class TestAuditRowPath:
             base = f.values[np.argmin(np.abs(f.values))]
             assert row_norms(f).f0_abs == float(np.abs(base))
 
-    def test_rows_equal_reference(self):
+    def test_rows_equal_reference(self, tmp_path):
         block = GnAuditBlock(num_fields=19, L_values=(1.0, 2 * np.pi),
                              delta_values=(0.1, 1.0), N=32)
         outcome = run_gn_audit(block)
-        columns, rows = outcome.tables["gn_audit.csv"]
+        columns, lines = outcome.tables["gn_audit.csv"]
         assert columns == GN_AUDIT_COLUMNS
+        # the table holds its text lines, no value tuples
+        assert all(type(line) is str for line in lines)
         want, _, _ = reference_rows(block)
-        assert len(rows) == len(want) == 20 * 2 * 2
-        assert rows == want
+        assert len(lines) == len(want) == 20 * 2 * 2
+        assert audit_bytes(tmp_path, outcome) == reference_bytes(tmp_path, want)
         assert outcome.exit_code == 0
 
     @pytest.mark.parametrize("L_values, corrupt, code", [
@@ -343,23 +367,45 @@ class TestAuditRowPath:
         ((0.5, 1.0, 2 * np.pi, 10.0), 0.5, 4),
         ((1e-300, 1.0, 1e308), 1.0, 3),
     ])
-    def test_table_and_counts_equal_reference_bit_for_bit(self, L_values, corrupt, code):
+    def test_table_and_counts_equal_reference_bit_for_bit(self, tmp_path, L_values,
+                                                           corrupt, code):
         block = GnAuditBlock(num_fields=19, L_values=L_values, seed=11,
                              delta_values=(0.1, 1.0, 10.0), N=32,
                              corrupt_constant=corrupt)
         outcome = run_gn_audit(block)
-        _, rows = outcome.tables["gn_audit.csv"]
+        _, lines = outcome.tables["gn_audit.csv"]
         want, n_violations, n_non_finite = reference_rows(block)
-        assert len(rows) == 20 * len(L_values) * 3
-        assert bits(rows) == bits(want)
+        assert len(lines) == 20 * len(L_values) * 3
+        assert audit_bytes(tmp_path, outcome) == reference_bytes(tmp_path, want)
         assert outcome.summary == {"rows": len(want), "violations": n_violations}
         assert outcome.exit_code == code
         assert (n_violations > 0) == (code == 4) and (n_non_finite > 0) == (code == 3)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(num_fields=st.integers(1, 40), L_values=AUDIT_PERIODS,
+           delta_values=AUDIT_DELTAS, corrupt=st.sampled_from([0.5, 0.8934, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_file_equals_reference_property(self, tmp_path_factory, num_fields,
+                                            L_values, delta_values, corrupt, seed):
+        """Small audits, periods and deltas repeated or not: the written file
+        is the csv.writer file of the frozen-formula rows, and the summary
+        and exit code follow from their counts. A text of one period or
+        delta reused for another (an lhs, a flap) shows here."""
+        block = GnAuditBlock(num_fields=num_fields, L_values=tuple(L_values),
+                             delta_values=tuple(delta_values), N=32, seed=seed,
+                             corrupt_constant=corrupt)
+        outcome = run_gn_audit(block)
+        want, n_violations, n_non_finite = reference_rows(block)
+        tmp = tmp_path_factory.mktemp("audit")
+        assert audit_bytes(tmp, outcome) == reference_bytes(tmp, want)
+        assert outcome.summary == {"rows": len(want), "violations": n_violations}
+        assert outcome.exit_code == (3 if n_non_finite else 4 if n_violations else 0)
+
     def test_each_chunk_is_analysed_once_for_all_periods(self, monkeypatch):
         """Per chunk of the corpus, one field_norms call with its two pads,
-        however many periods are audited."""
+        however many periods are audited; and one grid per period per run."""
         block = GnAuditBlock(num_fields=150, L_values=(0.5, 1.0, 10.0), N=128)
+        chunks = TorusGrid(1.0, block.N).row_chunks(block.num_fields + 1)
         calls = Counter()
 
         def counted(name, fn):
@@ -369,12 +415,18 @@ class TestAuditRowPath:
             return call
 
         monkeypatch.setattr(TorusGrid, "refine2", counted("refine2", TorusGrid.refine2))
+        monkeypatch.setattr(TorusGrid, "__init__", counted("grid", TorusGrid.__init__))
         monkeypatch.setattr(harness, "field_norms",
                             counted("field_norms", harness.field_norms))
         run_gn_audit(block)
-        chunks = TorusGrid(1.0, block.N).row_chunks(block.num_fields + 1)
         assert len(chunks) == 3
-        assert calls == {"refine2": 2 * len(chunks), "field_norms": len(chunks)}
+        assert calls == {"refine2": 2 * len(chunks), "field_norms": len(chunks),
+                         "grid": len(block.L_values)}
+
+    def test_field_norms_takes_grids_of_its_own_n_only(self):
+        f = Field(TorusGrid(1.0, 32), np.ones(32))
+        with pytest.raises(ValueError, match="every grid must have N = 32"):
+            field_norms(f, [TorusGrid(1.0, 32), TorusGrid(2.0, 64)])
 
 
 def sweep_rows(L, norms_of, deltas, constant):
@@ -397,8 +449,9 @@ def audit_norms(block):
     zero field first."""
     corpus = audit_coefficients(block)
     f = Spectrum(TorusGrid(block.L_values[0], block.N), corpus).field()
+    grids = [TorusGrid(L, block.N) for L in block.L_values]
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = field_norms(f, block.L_values)
+        norms = field_norms(f, grids)
     return {L: [FieldNorms(*row) for row in zip(*columns.tolist())]
             for L, columns in zip(block.L_values, norms)}
 

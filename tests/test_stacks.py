@@ -113,9 +113,11 @@ def rows_of(traj):
 
 
 def chunked_norms(grid, values, periods):
-    """field_norms of a stack of samples, in the chunks of grid.row_chunks,
-    as run_gn_audit takes them: shape (len(periods), 5, rows)."""
-    return np.concatenate([field_norms(Field(grid, values[rows]), periods)
+    """field_norms of a stack of samples on the grid of each period, in the
+    chunks of grid.row_chunks, as run_gn_audit takes them: shape
+    (len(periods), 5, rows)."""
+    grids = [TorusGrid(L, grid.N) for L in periods]
+    return np.concatenate([field_norms(Field(grid, values[rows]), grids)
                            for rows in grid.row_chunks(len(values))], axis=-1)
 
 
