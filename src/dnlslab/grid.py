@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 MIN_NODES = 8
 
@@ -26,20 +27,39 @@ MIN_NODES = 8
 ELIDE_BYTES = 256 * 1024
 
 
+# np.fft.fft and np.fft.ifft as numpy bound them at import; after their
+# argument checks they call the gufuncs _pocketfft.fft and _pocketfft.ifft.
+_NUMPY_FFT = np.fft.fft
+_NUMPY_IFFT = np.fft.ifft
+
+
 def fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The forward transform of every package call: np.fft.fft along the
-    last axis, written into out when given (out may be a, in place).
+    last axis, written into out when given (out may be a, in place), else
+    into a new complex128 array. a is float64 or complex128.
 
-    np.fft.fft is looked up on each call, so a patch of numpy.fft sees every
-    transform. An out array skips numpy's own result-type and allocation
-    work; the bits are those of np.fft.fft(a).
+    It calls numpy's pocketfft gufunc with factor 1, as np.fft.fft does
+    after its checks, so the bits are those of np.fft.fft(a) and the
+    checks' cost per call is saved. While numpy.fft.fft is not the function
+    numpy bound at import (a counter patched in), the seam calls that
+    replacement instead, so a patch of numpy.fft sees every transform.
     """
-    return np.fft.fft(a, a.shape[-1], -1, None, out)
+    if np.fft.fft is not _NUMPY_FFT:
+        return np.fft.fft(a, a.shape[-1], -1, None, out)
+    if out is None:
+        out = np.empty(a.shape, np.complex128)
+    return _pocketfft.fft(a, 1, out=out)
 
 
 def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The inverse transform of every package call; see fft."""
-    return np.fft.ifft(a, a.shape[-1], -1, None, out)
+    """The inverse transform of every package call: the gufunc with factor
+    1/n, as np.fft.ifft calls it, or a replacement of numpy.fft.ifft; see
+    fft."""
+    if np.fft.ifft is not _NUMPY_IFFT:
+        return np.fft.ifft(a, a.shape[-1], -1, None, out)
+    if out is None:
+        out = np.empty(a.shape, np.complex128)
+    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
 
 
 def check_grid(L: float, N: int | None) -> None:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
                      SimConfig, TorusGrid, Trajectory, dispersion_symbol,
                      gauge_profile, hamiltonian_u, mass, mu, pde_residual,
                      rhs_dnls1, rhs_dnls2, simulate)
+from dnlslab import grid as grid_module
 from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
 from dnlslab.dynamics import _ifrk4_coeffs, _ifrk4_step, _make_nonlinear
 from dnlslab.harness import SCAN_COLUMNS, run_threshold_scan
@@ -268,6 +270,42 @@ class TestSimulate:
 
         # the set-up transform and the two recorded frames cancel
         assert (count(20) - count(10)) / 10 == design
+
+    @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("equation,beta,design", [
+        ("dnls1", 0.75, 8), ("dnls2", 0.75, 8), ("dnls2", 0.5, 12)])
+    def test_fft_calls_take_the_gufunc_unless_numpy_fft_is_replaced(
+            self, monkeypatch, integrator, equation, beta, design):
+        # the seam calls numpy's pocketfft gufuncs itself, and a replaced
+        # numpy.fft.fft/ifft instead of them: every transform is counted on
+        # exactly one of the two paths, the gufunc counter reading the design
+        # count while numpy.fft is left alone
+        grid = TorusGrid(2 * np.pi, 32)
+        u0 = random_band_field(grid, np.random.default_rng(3), band=4, scale=0.3)
+        gufunc_calls, numpy_calls = [], []
+
+        def counted(owner, name, calls):
+            transform = getattr(owner, name)
+            return lambda *a, **kw: calls.append(name) or transform(*a, **kw)
+
+        monkeypatch.setattr(grid_module, "_pocketfft", SimpleNamespace(
+            **{name: counted(grid_module._pocketfft, name, gufunc_calls)
+               for name in ("fft", "ifft")}))
+
+        def count(n):
+            gufunc_calls.clear()
+            numpy_calls.clear()
+            simulate(u0, SimConfig(dt=1e-3, T=n * 1e-3, record_stride=n,
+                                   integrator=integrator, equation=equation,
+                                   beta=beta))
+            return len(gufunc_calls), len(numpy_calls)
+
+        fast = [count(10), count(20)]
+        assert (fast[1][0] - fast[0][0]) / 10 == design
+        assert [calls for _, calls in fast] == [0, 0]
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(np.fft, name, numpy_calls))
+        assert [count(10), count(20)] == [(0, calls) for calls, _ in fast]
 
 
 @pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),

@@ -12,9 +12,38 @@ from numpy.testing import assert_allclose
 from dnlslab import (Field, TorusGrid, antideriv_meanzero, deriv, energy_u, lp_norm,
                      mass, translate)
 
+from dnlslab import grid as grid_module
 from dnlslab.grid import check_grid
 
 from conftest import l2_dist, plane_wave, random_band_field
+
+
+class TestFftSeam:
+    """The seam calls numpy's pocketfft gufuncs itself, a private module:
+    its results must be those of np.fft.fft/ifft bit for bit."""
+
+    @staticmethod
+    def inputs(rng, shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # complex128, float64, and the strided real view antideriv_meanzero
+        # transforms
+        return {"complex": z, "real": rng.standard_normal(shape), "real view": z.real}
+
+    @pytest.mark.parametrize("N", [8, 96, 128, 256])
+    @pytest.mark.parametrize("rows", [None, 5])
+    @pytest.mark.parametrize("seam,reference", [(grid_module.fft, np.fft.fft),
+                                                (grid_module.ifft, np.fft.ifft)])
+    def test_equals_numpy_bit_for_bit(self, rng, N, rows, seam, reference):
+        shape = (N,) if rows is None else (rows, N)
+        for kind, a in self.inputs(rng, shape).items():
+            want = reference(a).tobytes()
+            assert seam(a).tobytes() == want, kind
+            out = np.empty(shape, np.complex128)
+            assert seam(a, out) is out and out.tobytes() == want, kind
+        # in place, out aliasing the input
+        a = self.inputs(rng, shape)["complex"]
+        want = reference(a).tobytes()
+        assert seam(a, a) is a and a.tobytes() == want
 
 
 class TestTorusGrid:
