@@ -135,21 +135,21 @@ def _dealias_drop(grid: TorusGrid) -> slice:
 
     The rule drops |m| > N//3 (the complement of grid.dealias_keep): in FFT
     order the contiguous run N//3 + 1 .. N - N//3 - 1. Zeroing a basic slice
-    costs less per call than the fancy indexing of a boolean mask.
+    costs less per call than the fancy indexing of a boolean mask. The gauged
+    kernel zeroes it in its result; the ungauged one zeroes it once per run
+    in its copy of grid._ik (see _make_nonlinear).
     """
     return slice(grid.N // 3 + 1, grid.N - grid.N // 3)
 
 
-def _nl_dnls1(grid: TorusGrid, drop: slice, F: np.ndarray,
-              u: np.ndarray) -> np.ndarray:
+def _nl_dnls1(ik_keep: np.ndarray, F: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term d/dx(|u|^2 u) of the ungauged flow, for spectra
-    of shape (..., N); u is a complex array of F's shape that takes the
-    samples."""
+    of shape (..., N); ik_keep is grid._ik with the modes of _dealias_drop
+    set to zero, so one product differentiates and dealiases, and u is a
+    complex array of F's shape that takes the samples."""
     u = ifft(F, u)
     cubic = np.abs(u) ** 2 * u
-    fft(cubic, cubic)
-    cubic[..., drop] = 0.0
-    return grid._ik * cubic
+    return ik_keep * fft(cubic, cubic)
 
 
 def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray | np.float64:
@@ -225,8 +225,10 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
     """
     drop = _dealias_drop(grid)
     if equation == "dnls1" or beta == 0.0:
+        ik_keep = grid._ik.copy()
+        ik_keep[drop] = 0.0
         u = np.empty(lead + (grid.N,), dtype=np.complex128)
-        return lambda F: _nl_dnls1(grid, drop, F, u)
+        return lambda F: _nl_dnls1(ik_keep, F, u)
     consts = _gauged_constants(grid, beta, mu_val)
     stack = np.empty((2,) + lead + (grid.N,), dtype=np.complex128)
     return lambda F: _nl_dnls2(grid, drop, consts, F, stack)
@@ -320,6 +322,35 @@ def _h1dot_from_spectrum(ik: np.ndarray, scale: float, F: np.ndarray) -> np.ndar
     return np.sqrt(scale * np.add.reduce(np.abs(ik * F) ** 2, axis=-1))
 
 
+# Below this floor the rounding of a sum of squares is no longer relative to
+# the sum (the squares of subnormal parts lose bits), so the pre-check of
+# _precheck_bound leaves such limits to the exact rule.
+_PRECHECK_FLOOR = 2.0 ** -960
+
+
+def _precheck_bound(guard_limit: np.ndarray, scale: float, size: int) -> float:
+    """The bound of the guard's pre-check, for the live rows' guard_limit,
+    scale = L/N^2 and size = the number of entries of their spectra.
+
+    The pre-check takes sum k^2 |F|^2 over all live rows as one dot of the
+    |k|-weighted float view of F. A sum at most this bound puts every row
+    within its limit under the exact rule (_h1dot_from_spectrum(...) <=
+    guard_limit): the bound is the smallest row's limit^2/scale, capped so
+    that scale times the sum stays finite, and shrunk by a relative margin,
+    (2*size + 64) * 2^-52, that covers the rounding of the dot, of each row's
+    exact seminorm and of the bound itself. A NaN or an overflowed sum never
+    passes, nor any sum at all below _PRECHECK_FLOOR, where the bound is
+    -inf: there the exact rule decides.
+    """
+    big = np.finfo(np.float64).max
+    limit = float(np.min(guard_limit))
+    limit_sq = min(limit * limit, big)
+    bound = min(limit_sq / scale, big)
+    if min(limit_sq, bound) < _PRECHECK_FLOOR:
+        return -math.inf
+    return bound * (1.0 - (2 * size + 64) * 2.0 ** -52)
+
+
 def step_count(T: float, dt: float) -> int:
     """Number of steps of size dt that reach T: ceil(T/dt), at least 1."""
     return max(1, math.ceil(T / dt - 1e-9))
@@ -404,24 +435,32 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
         guard_limit = np.minimum(
             np.where(guard0 > 0, config.guard_factor * guard0, math.inf),
             np.finfo(np.float64).max)
+        # |k| per float of the spectra's float64 view, (re, im) per mode
+        kk = np.repeat(np.abs(ik.imag), 2)
+        bound = _precheck_bound(guard_limit, h1_scale, F.size)
         for i in range(1, n_steps + 1):
             F = step(F, nl, coeffs)
-            h1 = _h1dot_from_spectrum(ik, h1_scale, F)
-            keep = h1 <= guard_limit
-            if not keep.all():
-                t = i * config.dt
-                h1 = np.atleast_1d(h1)
-                rows = F.reshape(-1, grid.N)
-                for row in np.flatnonzero(~keep):
-                    m = members[row]
-                    partial = Trajectory(grid, times[:n_rec], store[m, :n_rec])
-                    results[m] = _stop_error(rows[row], float(h1[row]),
-                                             float(guard_limit[row]), t, partial)
-                members = [m for m, k in zip(members, keep) if k]
-                if not members:
-                    break
-                F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
-                nl = kernel(mu_col, F)
+            # One dot decides almost every step; only a failed pre-check
+            # takes the exact rule, so every stop is the exact rule's.
+            w = F.view(np.float64) * kk
+            if not np.vdot(w, w) <= bound:
+                h1 = _h1dot_from_spectrum(ik, h1_scale, F)
+                keep = h1 <= guard_limit
+                if not keep.all():
+                    t = i * config.dt
+                    h1 = np.atleast_1d(h1)
+                    rows = F.reshape(-1, grid.N)
+                    for row in np.flatnonzero(~keep):
+                        m = members[row]
+                        partial = Trajectory(grid, times[:n_rec], store[m, :n_rec])
+                        results[m] = _stop_error(rows[row], float(h1[row]),
+                                                 float(guard_limit[row]), t, partial)
+                    members = [m for m, k in zip(members, keep) if k]
+                    if not members:
+                        break
+                    F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
+                    nl = kernel(mu_col, F)
+                    bound = _precheck_bound(guard_limit, h1_scale, F.size)
             if i == steps[n_rec]:
                 store[members, n_rec] = ifft(F)
                 n_rec += 1

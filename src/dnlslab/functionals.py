@@ -131,7 +131,7 @@ def gauged_E(f: Field, beta: float,
     """Energy written in gauged variables.
 
     int |v_x|^2 + (3/2 - 2b) Im(T) + (b^2 - 3b/2 + 1/2) int |v|^6
-      + 2b Im int v conj(v_x) + b(3/2 - 2b) mu int |v|^4 + L b^2 mu^3.
+      + 2b mu Im int v conj(v_x) + b(3/2 - 2b) mu int |v|^4 + L b^2 mu^3.
     Reduces to energy_u at beta = 0; at beta = 3/4 the Im(T) and mu*|v|^4
     coefficients both vanish.
     """
@@ -143,7 +143,7 @@ def gauged_E(f: Field, beta: float,
             h
             + (1.5 - 2.0 * beta) * cubic
             + (beta * beta - 1.5 * beta + 0.5) * l6 ** 6
-            + 2.0 * beta * p
+            + 2.0 * beta * m * p
             + beta * (1.5 - 2.0 * beta) * m * l4_4
             + L * beta * beta * m ** 3
         )

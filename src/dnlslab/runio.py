@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -32,35 +33,34 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-# fmt_value's fast path: the formatter of each common exact type, giving the
-# string fmt_value gives. A type not listed, a subclass included, goes through
-# fmt_value itself.
-_FORMATTERS = {
-    float: lambda v: format(v, FLOAT_FORMAT),
-    np.float64: lambda v: format(float(v), FLOAT_FORMAT),
-    int: str,
-    str: str,
-    bool: BOOL_TEXT.__getitem__,
-    type(None): lambda v: "",
-}
-
-
-# The %-format of each exact type whose fmt_value text csv.writer never
-# quotes; a bool's text goes into the {} slot when a row's bool values are
-# known, and its own value is consumed by %.0s.
+# The %-format of each exact type a row template takes: the number format,
+# or for a bool, str or None a {} slot, which the value's cell text fills
+# once per distinct value, and %.0s, which consumes the value itself.
+_TEXT_SLOT = "{}%.0s"
 _TEMPLATE_FIELDS = {float: "%" + FLOAT_FORMAT, np.float64: "%" + FLOAT_FORMAT,
-                    int: "%d", bool: "{}%.0s"}
+                    int: "%d", bool: _TEXT_SLOT, str: _TEXT_SLOT,
+                    type(None): _TEXT_SLOT}
 
 
 def _row_template(types: tuple) -> tuple[str, list[int]] | None:
     """The %-template of a row whose values have these exact types, with a
-    {} slot for each bool's text, and the positions of its bools; None for
-    the empty row or a type not in _TEMPLATE_FIELDS, which csv.writer
-    writes."""
+    {} slot for each bool, str or None, and the positions of those slots;
+    None for the empty row or a type not in _TEMPLATE_FIELDS, which
+    csv.writer writes."""
     if not types or not all(t in _TEMPLATE_FIELDS for t in types):
         return None
     return (",".join(_TEMPLATE_FIELDS[t] for t in types) + "\n",
-            [i for i, t in enumerate(types) if t is bool])
+            [i for i, t in enumerate(types) if _TEMPLATE_FIELDS[t] is _TEXT_SLOT])
+
+
+def _cell_text(value, lone: bool) -> str:
+    """fmt_value(value) as csv.writer writes it as a cell, alone in its row
+    (lone: an empty text is written "") or among others, quoted where
+    csv.writer quotes; each % doubled, for a %-template."""
+    buf = io.StringIO()
+    text = fmt_value(value)
+    csv.writer(buf, lineterminator="\n").writerow((text,) if lone else (text, ""))
+    return buf.getvalue()[:-1 if lone else -2].replace("%", "%%")
 
 
 class _Cache(dict):
@@ -77,31 +77,31 @@ class _Cache(dict):
 
 def _baked_templates(types: tuple):
     """What write_csv keeps per tuple of value types: None for a row that
-    csv.writer writes, else (bools, baked). For a row with no bools, bools
-    is None and baked its template; else bools reads a row's bool values
-    (one bool, or a tuple of several), and baked maps them to the template
-    with their texts in its {} slots."""
+    csv.writer writes, else (texts, baked). For a row with no bool, str or
+    None, texts is None and baked its template; else texts reads a row's
+    values in the {} slots (one value, or a tuple of several), and baked
+    maps them to the template with their cell texts in the slots."""
     template = _row_template(types)
     if template is None:
         return None
     text, positions = template
     if not positions:
         return None, text
-    several = len(positions) > 1
+    several, lone = len(positions) > 1, len(types) == 1
     return itemgetter(*positions), _Cache(lambda values: text.format(
-        *map(fmt_value, values if several else (values,))))
+        *(_cell_text(v, lone) for v in (values if several else (values,)))))
 
 
 def write_csv(path: str, header, rows) -> None:
     """header, then rows, each value written as fmt_value writes it.
 
     A row that is a str is a line its maker has formatted already, its
-    terminating newline included, and is written verbatim. A row of floats,
-    np.float64s, ints and bools is written through one %-template per tuple
-    of value types and of bool values, made once per table, with each bool's
-    text baked in; it gives the bytes csv.writer gives. Every other row goes
-    through csv.writer."""
-    formatter = _FORMATTERS.get
+    terminating newline included, and is written verbatim. A non-empty row
+    of floats, np.float64s, ints, bools, strs and Nones is written through
+    one %-template per tuple of value types and of text values (bool, str,
+    None), made once per table, with each text value's cell, as csv.writer
+    renders it, baked in; it gives the bytes csv.writer gives. Every other
+    row goes through csv.writer."""
     templates = _Cache(_baked_templates)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -112,10 +112,10 @@ def write_csv(path: str, header, rows) -> None:
                 continue
             entry = templates[tuple(map(type, row))]
             if entry is None:
-                writer.writerow([formatter(type(v), fmt_value)(v) for v in row])
+                writer.writerow([fmt_value(v) for v in row])
                 continue
-            bools, baked = entry
-            fh.write((baked if bools is None else baked[bools(row)]) % tuple(row))
+            texts, baked = entry
+            fh.write((baked if texts is None else baked[texts(row)]) % tuple(row))
 
 
 def content_hash(doc: dict) -> str:

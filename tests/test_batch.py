@@ -6,15 +6,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
-                     SimConfig, TorusGrid, simulate)
+                     SimConfig, TorusGrid, Trajectory, simulate)
 from dnlslab import mu as mu_of
 from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
 from dnlslab.dynamics import (_dealias_drop, _etdrk4_coeffs, _etdrk4_step,
-                              _gauged_constants, _ifrk4_coeffs, _ifrk4_step,
-                              _nl_dnls1, _nl_dnls2, _quartic_integral,
-                              dispersion_symbol, simulate_batch)
+                              _gauged_constants, _h1dot_from_spectrum,
+                              _ifrk4_coeffs, _ifrk4_step, _make_nonlinear,
+                              _nl_dnls1, _nl_dnls2, _precheck_bound,
+                              _quartic_integral, dispersion_symbol,
+                              simulate_batch, step_count)
 from dnlslab.harness import run_threshold_scan
 from dnlslab.initial_data import DataSpec
 
@@ -28,9 +32,12 @@ def grid():
     return TorusGrid(TWO_PI, 32)
 
 
-def nl1(grid, drop, F):
-    """_nl_dnls1 on a buffer of its own."""
-    return _nl_dnls1(grid, drop, F, np.empty(F.shape, dtype=complex))
+def nl1(grid, F):
+    """_nl_dnls1 with the derivative multiplier its kernel gets from
+    _make_nonlinear, on a buffer of its own."""
+    ik_keep = grid._ik.copy()
+    ik_keep[_dealias_drop(grid)] = 0.0
+    return _nl_dnls1(ik_keep, F, np.empty(F.shape, dtype=complex))
 
 
 def nl2(grid, drop, consts, F):
@@ -194,8 +201,7 @@ def test_kernels_and_steps_act_row_by_row(grid, members, beta):
     drop = _dealias_drop(grid)
     F = np.fft.fft(np.stack([u.values for u in members]))
     mu = np.array([[0.3], [1.1], [2.0]])
-    assert np.array_equal(nl1(grid, drop, F),
-                          np.stack([nl1(grid, drop, row) for row in F]))
+    assert np.array_equal(nl1(grid, F), np.stack([nl1(grid, row) for row in F]))
     rows = [nl2(grid, drop, _gauged_constants(grid, beta, float(m)), row)
             for m, row in zip(mu[:, 0], F)]
     assert np.array_equal(nl2(grid, drop, _gauged_constants(grid, beta, mu), F),
@@ -281,6 +287,209 @@ def test_a_guard_stop_at_256_nodes_leaves_the_rest_equal_to_serial(integrator,
     assert isinstance(batched[1], BlowupGuardError)
     assert 1 < len(batched[1].partial.times) < len(batched[0].times) - 1
     assert_same_results(batched, want)
+
+
+def exact_guard_run(u0, config):
+    """u0 stepped alone as simulate steps it, with the exact guard rule on
+    every step and no pre-check: the stop step (None for none), the guard's
+    seminorm of each step taken, the last spectrum, and the times and rows
+    recorded."""
+    grid = u0.grid
+    n, stride = step_count(config.T, config.dt), config.record_stride
+    scale = grid.L / grid.N ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        symbol = dispersion_symbol(grid)
+        step, coeffs = ((_ifrk4_step, _ifrk4_coeffs(symbol, config.dt))
+                        if config.integrator == "ifrk4"
+                        else (_etdrk4_step, _etdrk4_coeffs(symbol, config.dt)))
+        nl = _make_nonlinear(grid, config.equation, config.beta, mu_of(u0))
+        F = np.fft.fft(u0.values)
+        h0 = float(_h1dot_from_spectrum(grid._ik, scale, F))
+        limit = min(config.guard_factor * h0 if h0 > 0 else math.inf,
+                    np.finfo(np.float64).max)
+        seminorms, times, rows = [h0], [0.0], [u0.values]
+        for i in range(1, n + 1):
+            F = step(F, nl, coeffs)
+            seminorms.append(float(_h1dot_from_spectrum(grid._ik, scale, F)))
+            if not seminorms[-1] <= limit:
+                return i, seminorms, F, times, rows
+            if i % stride == 0 or i == n:
+                times.append(i * config.dt)
+                rows.append(np.fft.ifft(F))
+    return None, seminorms, F, times, rows
+
+
+def assert_exact_guard(result, u0, config):
+    """result is u0's simulate_batch result under the exact guard rule alone:
+    the same stop step and time, error type and h1dot, and recorded bytes."""
+    stop, seminorms, F, times, rows = exact_guard_run(u0, config)
+    if stop is None:
+        assert isinstance(result, Trajectory)
+        traj = result
+    else:
+        finite = np.all(np.isfinite(F)) and math.isfinite(seminorms[-1])
+        assert type(result) is (BlowupGuardError if finite else NonFiniteError)
+        assert result.t == stop * config.dt
+        if finite:
+            assert result.h1dot == seminorms[-1]
+        traj = result.partial
+    assert traj.times.tobytes() == np.array(times).tobytes()
+    assert traj.values.tobytes() == np.array(rows).tobytes()
+    return stop
+
+
+def guard_factor_for(limit, h0):
+    """A guard_factor whose limit, guard_factor * h0, rounds to limit
+    exactly, or None where none of the floats next to limit / h0 does."""
+    down = up = [limit / h0]
+    for _ in range(3):
+        down = down + [math.nextafter(down[-1], 0.0)]
+        up = up + [math.nextafter(up[-1], math.inf)]
+    return next((g for g in down + up if g * h0 == limit), None)
+
+
+@st.composite
+def guarded_spectra(draw):
+    """Spectra of 1-3 rows on a grid of 8 or 32 nodes, each row on a scale
+    from subnormal squares to overflowing ones, and per row a guard limit a
+    few ulps from its seminorm or from any other float up to 1e300."""
+    grid = TorusGrid(draw(st.sampled_from([1e-3, TWO_PI, 1e4])),
+                     draw(st.sampled_from([8, 32])))
+    rows = draw(st.integers(1, 3))
+    F = np.empty((rows, grid.N), dtype=np.complex128)
+    for r in range(rows):
+        parts = np.array(draw(st.lists(st.integers(-1000, 1000), min_size=2 * grid.N,
+                                       max_size=2 * grid.N))) / 1000.0
+        F[r] = (parts[:grid.N] + 1j * parts[grid.N:]) * 10.0 ** draw(
+            st.sampled_from([-170, -158, -150, 0, 100, 150, 153, 156]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        h1 = np.atleast_1d(_h1dot_from_spectrum(grid._ik, grid.L / grid.N ** 2, F))
+    limits = []
+    for seminorm in h1.tolist():
+        limit = draw(st.just(seminorm if math.isfinite(seminorm) else 1e300)
+                     | st.floats(0.0, 1e300))
+        steps = draw(st.integers(-3, 3))
+        for _ in range(abs(steps)):
+            limit = math.nextafter(limit, math.inf if steps > 0 else 0.0)
+        limits.append(limit)
+    return grid, F, h1, np.array(limits)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=guarded_spectra())
+def test_a_passed_precheck_is_a_pass_of_the_exact_rule(case):
+    grid, F, h1, limits = case
+    kk = np.repeat(np.abs(grid._ik.imag), 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = F.view(np.float64) * kk
+        passed = np.vdot(w, w) <= _precheck_bound(limits, grid.L / grid.N ** 2, F.size)
+    if passed:
+        assert np.all(h1 <= limits)
+
+
+def test_the_precheck_passes_a_seminorm_clear_of_its_limit(members):
+    grid = members[0].grid
+    F = np.fft.fft(np.stack([u.values for u in members]))
+    scale = grid.L / grid.N ** 2
+    h1 = _h1dot_from_spectrum(grid._ik, scale, F)
+    w = F.view(np.float64) * np.repeat(np.abs(grid._ik.imag), 2)
+    total = np.vdot(w, w)
+    # the sum of all rows within the smallest limit, shrunk by the margin
+    limits = np.full(3, math.sqrt(total * scale) * (1 + 1e-12))
+    assert total <= _precheck_bound(limits, scale, F.size)
+    assert not total <= _precheck_bound(limits / (1 + 1e-11), scale, F.size)
+    assert np.all(h1 < limits)
+
+
+@pytest.mark.parametrize("L", [1e-3, TWO_PI, 1e4])
+@pytest.mark.parametrize("N", [8, 32])
+def test_the_precheck_fails_a_limit_just_below_the_seminorm(L, N):
+    # The dot and the exact seminorm round differently: without its margin
+    # the bound would pass about one row in 200 here at a limit one to three
+    # ulps below the row's seminorm, where the exact rule stops.
+    grid = TorusGrid(L, N)
+    scale = L / N ** 2
+    kk = np.repeat(np.abs(grid._ik.imag), 2)
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        F = (rng.integers(-1000, 1001, N) + 1j * rng.integers(-1000, 1001, N)) / 1000
+        w = F.view(np.float64) * kk
+        limit = float(_h1dot_from_spectrum(grid._ik, scale, F))
+        for _ in range(3):
+            limit = math.nextafter(limit, 0.0)
+            assert not np.vdot(w, w) <= _precheck_bound(np.array([limit]), scale, N)
+
+
+class TestGuardPrecheck:
+    """The guard's one-dot pre-check only lets a step pass where the exact
+    rule would: every stop, hit time, h1dot and recorded byte is that of the
+    exact rule alone."""
+
+    @pytest.fixture
+    def heavy(self, grid):
+        return random_band_field(grid, np.random.default_rng(7), band=4, scale=2.0)
+
+    @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("equation", ["dnls1", "dnls2"])
+    def test_a_limit_at_an_attained_seminorm_and_one_ulp_below(self, heavy,
+                                                               integrator, equation):
+        config = SimConfig(dt=1e-3, T=0.04, record_stride=3, equation=equation,
+                           integrator=integrator, guard_factor=1e300)
+        stop, h1, _, _, _ = exact_guard_run(heavy, config)
+        assert stop is None
+        # a step from the middle on whose seminorm tops every earlier one,
+        # reachable as a limit and one ulp below it
+        for j in range(len(h1) // 2, len(h1)):
+            below = math.nextafter(h1[j], 0.0)
+            at = guard_factor_for(h1[j], h1[0])
+            under = guard_factor_for(below, h1[0])
+            if h1[j] > max(h1[1:j], default=0.0) and at and under:
+                break
+        else:
+            pytest.fail("no attained seminorm is reachable as a limit")
+        at_limit = simulate_batch([heavy], replace(config, guard_factor=at))[0]
+        assert assert_exact_guard(at_limit, heavy, replace(config, guard_factor=at)) != j
+        stopped = simulate_batch([heavy], replace(config, guard_factor=under))[0]
+        assert assert_exact_guard(stopped, heavy,
+                                  replace(config, guard_factor=under)) == j
+        assert isinstance(stopped, BlowupGuardError)
+
+    def test_the_zero_field_and_a_field_below_the_floor(self, grid):
+        config = SimConfig(dt=1e-3, T=0.02, record_stride=4)
+        zero = Field(grid, np.zeros(grid.N))
+        tiny = random_band_field(grid, np.random.default_rng(3), band=4, scale=1e-170)
+        for u0 in (zero, tiny):
+            for guard_factor in (1e3, 1.0 + 1e-15):
+                cfg = replace(config, guard_factor=guard_factor)
+                assert_exact_guard(simulate_batch([u0], cfg)[0], u0, cfg)
+
+    @pytest.mark.filterwarnings("ignore::dnlslab.CflWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_row_and_an_overflowing_seminorm(self, members):
+        # wild overflows to NaN in its first step; on the period 2 pi 1e-100
+        # the step stays finite while every (|k| F)^2 overflows
+        wild = Field(members[0].grid, members[0].values * 1e100)
+        config = SimConfig(dt=1e-3, T=0.01, record_stride=2)
+        assert_exact_guard(simulate_batch([wild], config)[0], wild, config)
+        small = TorusGrid(TWO_PI * 1e-100, 32)
+        steep = Field(small, members[1].values * 1e60)
+        config = SimConfig(dt=1e-250, T=5e-250, record_stride=2)
+        result = simulate_batch([steep], config)[0]
+        assert isinstance(result, NonFiniteError) and "overflowed" in str(result)
+        assert_exact_guard(result, steep, config)
+
+    @pytest.mark.parametrize("equation", ["dnls1", "dnls2"])
+    def test_a_batch_of_three_with_one_stop(self, members, heavy, equation):
+        u0s = [members[0], heavy, members[1]]
+        config = SimConfig(dt=1e-3, T=0.2, record_stride=3, equation=equation,
+                           guard_factor=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CflWarning)
+            batched = simulate_batch(u0s, config)
+            assert_same_results(batched, serial(u0s, config))
+        assert [type(r) for r in batched] == [Trajectory, BlowupGuardError, Trajectory]
+        for result, u0 in zip(batched, u0s):
+            assert_exact_guard(result, u0, config)
 
 
 def test_members_must_share_one_grid(members):

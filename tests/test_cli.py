@@ -808,15 +808,34 @@ class TestFloatFormat:
             (1.5, 2.5), (3, -4), (True, False),   # one type per row
             (True, 1.0, False, 2, True),          # bools in several columns
             (math.nan,), (-0.0,), (10 ** 30,), (False,),  # one value
-            (0.1, 2), (None, 2), (0.1, 2),        # a None between template rows
+            (0.1, 2), (None, 2), (0.1, 2),        # a None between number rows
             (np.float64(0.1), 2),                 # np.float64 in a float column
             ("x", 2), (), (0.25, 3),              # str and empty rows between
+            (np.float32(0.5), 2), (np.int64(3),),  # numpy types other than float64
         ]
         takes_template = [_row_template(tuple(map(type, row))) is not None
                           for row in rows]
-        assert takes_template == [True] * 9 + [True, False, True, True,
-                                               False, False, True]
+        assert takes_template == [True] * 9 + [True] * 5 + [False, True, False, False]
         assert_writes_as_reference(tmp_path, ("a", "b"), rows)
+
+    @pytest.mark.parametrize("text", ["a,b", 'say "hi"', "line\nbreak", "cr\rhere",
+                                      "100%", "%d%%s", "{}", "{0}{x}%.0s", " ", ""])
+    def test_text_cells_take_the_template_as_csv_writer_quotes_them(self, tmp_path,
+                                                                     text):
+        # each text cell is baked into the template: its quoting, a % sign
+        # (the template is a %-format) and a brace (the slots are filled by
+        # str.format) must come out as csv.writer writes the cell
+        rows = [(text,), (text, 1.5), (1.5, text, None), (None, text, True, text),
+                (text, "other"), (text,), (None,), ("",), (None, None), ("", 2)]
+        assert all(_row_template(tuple(map(type, row))) is not None for row in rows)
+        assert_writes_as_reference(tmp_path, ("a", "b"), rows)
+
+    def test_a_lone_empty_cell_is_quoted(self, tmp_path):
+        # csv.writer writes a row of one empty cell as "", to tell it from
+        # an empty row, and a row of several empty cells without quotes
+        write_csv(str(tmp_path / "t.csv"), ("a",),
+                  [("",), (None,), (None, ""), (), (None,)])
+        assert (tmp_path / "t.csv").read_bytes() == b'a\n""\n""\n,\n\n""\n'
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(rows=CSV_TABLES)

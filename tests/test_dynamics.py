@@ -425,6 +425,30 @@ class TestPeriodIndependence:
         back = scaled.values / math.sqrt(lam)
         assert np.max(np.abs(back - ref.values)) <= 1e-12 * np.max(np.abs(ref.values))
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(j=st.sampled_from([1, 2, 6, 18]),
+           flow=st.sampled_from([("dnls1", 0.75), ("dnls2", 0.5), ("dnls2", 0.75)]),
+           integrator=st.sampled_from(["ifrk4", "etdrk4"]))
+    def test_power_of_four_rescaling_is_bit_for_bit(self, j, flow, integrator):
+        # at lam = 4^j every factor of the rescaling is a power of two, so
+        # the rescaled run is the base run scaled exactly: values times
+        # lam^(1/2) = 2^j, times over lam^2, to the last bit
+        equation, beta = flow
+        lam, root = 4.0 ** j, 2.0 ** j
+        grid = TorusGrid(2 * np.pi, 64)
+        u0 = random_band_field(grid, np.random.default_rng(7), band=6, scale=0.3)
+        dt = 1e-3
+
+        def run(L, scale, dt):
+            sim = SimConfig(dt=dt, T=self.STEPS * dt, record_stride=10,
+                            integrator=integrator, equation=equation, beta=beta)
+            return simulate(Field(TorusGrid(L, grid.N), scale * u0.values), sim)
+
+        ref = run(grid.L, 1.0, dt)
+        scaled = run(grid.L / lam, root, dt / lam ** 2)
+        assert (scaled.times * lam ** 2).tobytes() == ref.times.tobytes()
+        assert scaled.values.tobytes() == (root * ref.values).tobytes()
+
     @pytest.mark.parametrize("lam", [2 * np.pi, 0.37, 3.0])
     def test_rescaled_scan_gives_the_same_rows(self, lam):
         # The pairs reach case 1 and case 2 frames; at 30 times the threshold

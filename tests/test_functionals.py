@@ -1,13 +1,18 @@
 """Conserved functionals against plane-wave and real-field closed forms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dnlslab import (Field, TorusGrid, conserved_report, ecal, energy_u,
-                     gauged_E, gauged_H, hamiltonian_u, im_momentum, lp_norm,
-                     mass, momentum_v, mu, translate)
-from dnlslab.functionals import _im_cubic_term
+from dnlslab import (Field, Spectrum, TorusGrid, conserved_report, ecal,
+                     energy_u, f_ratio, gauge_profile, gauged_E, gauged_H,
+                     hamiltonian_u, im_momentum, lp_norm, mass, momentum_v, mu,
+                     psi, translate)
+from dnlslab.functionals import _im_cubic_term, h1dot_sq
 
 from conftest import plane_wave, random_band_field
 
@@ -110,6 +115,18 @@ class TestGaugedForms:
         want = -k * A**2 * L - 0.25 * A**4 * L + 0.75 * L * A**4
         assert_allclose(gauged_H(f, 0.75), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("A", [0.8, 1.5])
+    @pytest.mark.parametrize("beta", [0.3, 0.75, 1.0])
+    def test_gauged_E_plane_wave(self, grid2pi, wave_params, A, beta):
+        # |f| is constant, so the gauge leaves f as it is and the gauged
+        # energy is the energy itself at every beta; at mu = A^2 != 1 this
+        # needs the factor mu on the momentum term
+        _, m, L = wave_params
+        k = 2 * np.pi * m / L
+        f = plane_wave(grid2pi, A=A, m=m)
+        want = k**2 * A**2 * L - 1.5 * k * A**4 * L + 0.5 * A**6 * L
+        assert_allclose(gauged_E(f, beta), want, rtol=1e-12)
+
     def test_cubic_term_drops_out_at_three_quarters(self, grid2pi, rng):
         # (3/2 - 2 beta) = 0, so the two readings must coincide there
         f = random_band_field(grid2pi, rng)
@@ -120,6 +137,77 @@ class TestGaugedForms:
         z = Field(grid2pi, np.zeros(grid2pi.N))
         assert gauged_H(z, 0.75) == 0.0
         assert gauged_E(z, 0.75) == 0.0
+
+
+@st.composite
+def band_fields(draw, periods=(1.0, 2 * np.pi, 10.0)):
+    """A field on 256 nodes of one of the periods, with modes |m| <= 8 whose
+    parts lie on a lattice of step 1e-3 under a decaying envelope."""
+    grid = TorusGrid(draw(st.sampled_from(periods)), 256)
+    band = draw(st.integers(1, 8))
+    parts = draw(st.lists(st.integers(-1000, 1000), min_size=4 * band + 2,
+                          max_size=4 * band + 2))
+    c = np.zeros(grid.N, dtype=np.complex128)
+    for i, m in enumerate(range(-band, band + 1)):
+        c[m % grid.N] = ((parts[2 * i] + 1j * parts[2 * i + 1]) / 1000.0
+                         * math.exp(-abs(m) / 3))
+    return Spectrum(grid, c).field()
+
+
+class TestGaugeIdentity:
+    """The gauged forms of H and E are H and E of the ungauged field:
+    gauged_H(G_b u, b) = hamiltonian_u(u), gauged_E(G_b u, b) = energy_u(u)."""
+
+    # relative to the sum of the magnitudes of the ungauged terms, which the
+    # rounding scales with; measured at about 1e-15
+    RTOL = 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(u=band_fields(), beta=st.floats(0.0, 1.0))
+    def test_gauged_forms_equal_the_ungauged_ones(self, u, beta):
+        v = gauge_profile(u, beta)
+        scale_H = abs(im_momentum(u)) + 0.5 * lp_norm(u, 4) ** 4
+        scale_E = (h1dot_sq(u) + 1.5 * abs(_im_cubic_term(u, "standard"))
+                   + 0.5 * lp_norm(u, 6) ** 6)
+        assert abs(gauged_H(v, beta) - hamiltonian_u(u)) <= self.RTOL * scale_H
+        assert abs(gauged_E(v, beta) - energy_u(u)) <= self.RTOL * scale_E
+
+
+class TestPeriodCovariance:
+    """u -> u_lam = lam^(1/2) u(lam x) maps a field of period L to one of
+    period L/lam; on a grid of N nodes its samples are lam^(1/2) times
+    those of u. Each functional F(u_lam) = lam^k F(u), k its degree."""
+
+    LAM = 3.0
+    RTOL = 1e-13
+    BETA = 0.6
+    # name: (functional of a field, degree)
+    DEGREES = {
+        "mass": (mass, 0),
+        "mu": (mu, 1),
+        "im_momentum": (im_momentum, 1),
+        "h1dot_sq": (h1dot_sq, 2),
+        "hamiltonian_u": (hamiltonian_u, 1),
+        "energy_u": (energy_u, 2),
+        "momentum_v": (momentum_v, 1),
+        "gauged_H": (lambda f: gauged_H(f, TestPeriodCovariance.BETA), 1),
+        "gauged_E": (lambda f: gauged_E(f, TestPeriodCovariance.BETA), 2),
+        "ecal": (ecal, 2),
+        "psi": (lambda f: psi(f, TestPeriodCovariance.BETA, mu(f)), 2),
+        "l4": (lambda f: lp_norm(f, 4), 0.25),
+        "l6": (lambda f: lp_norm(f, 6), 1 / 3),
+        "f_ratio": (f_ratio, 0),
+    }
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(u=band_fields())
+    def test_functionals_scale_with_their_degree(self, u):
+        assume(mass(u) > 0)  # f_ratio is undefined on the zero field
+        lam = self.LAM
+        scaled = Field(TorusGrid(u.grid.L / lam, u.grid.N), math.sqrt(lam) * u.values)
+        for name, (functional, degree) in self.DEGREES.items():
+            want = lam ** degree * functional(u)
+            assert_allclose(functional(scaled), want, rtol=self.RTOL, err_msg=name)
 
 
 class TestEcal:
