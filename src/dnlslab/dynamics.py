@@ -166,7 +166,8 @@ def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray,
     """The integral part of the nonlocal coefficient psi,
     (beta/L) int [2 Im(v conj(v_x)) + (3/2 - 2b)|v|^4], per spectrum of shape
     (..., N); shape (..., 1) for a stack, a scalar for one spectrum. ik_imag
-    is grid._ik.imag, which a stepping kernel passes in once per run."""
+    is grid._ik.imag, which a stepping kernel passes in once per run, of
+    shape (N,) or at F's shape."""
     if ik_imag is None:
         ik_imag = grid._ik.imag
     im_mom = -(grid.L / grid.N ** 2) * np.add.reduce(
@@ -178,10 +179,37 @@ def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray,
     return beta / grid.L * (2.0 * im_mom + fac * q)
 
 
-def _gauged_constants(grid: TorusGrid, beta: float, mu_val: float | np.ndarray):
-    """What _nl_dnls2 needs besides the spectrum, computed once per run: beta,
-    beta*mu, beta^2*mu^2 (mu a scalar or a (..., 1) column) and grid._ik.imag."""
-    return beta, beta * mu_val, beta * beta * mu_val * mu_val, grid._ik.imag.copy()
+def _batch_shaped(arrays: tuple, lead: tuple) -> tuple:
+    """arrays with each 1-D ndarray (per mode, or per float of a spectrum's
+    float64 view) repeated to shape lead + its own shape, as a C-contiguous
+    copy; scalars, and everything when lead is (), as they are.
+
+    A product of a (B, N) batch with an (N,) operand makes numpy run B short
+    inner loops; with both at (B, N) it runs one coalesced loop over the
+    same values, so every product keeps its bits.
+    """
+    if not lead:
+        return arrays
+    return tuple(np.broadcast_to(a, lead + a.shape).copy()
+                 if isinstance(a, np.ndarray) else a for a in arrays)
+
+
+def _gauged_constants(grid: TorusGrid, beta: float, mu_val: float | np.ndarray,
+                      lead: tuple = ()):
+    """What _nl_dnls2 needs besides the spectrum, computed once per run:
+    beta, beta*mu, beta^2*mu^2, grid._ik and grid._ik.imag, with mu a scalar
+    or a column.
+
+    With lead = (), ik and ik.imag have shape (N,) and broadcast over any
+    stack. For a batch of members (lead != (), mu a lead + (1,) column), ik,
+    ik.imag and beta*mu have the batch's shape lead + (N,) (_batch_shaped);
+    beta^2*mu^2 stays a column, since it is added to the column psi integral.
+    """
+    ik, ik_imag = _batch_shaped((grid._ik, grid._ik.imag.copy()), lead)
+    bmu = beta * mu_val
+    if lead and isinstance(bmu, np.ndarray):
+        bmu = np.broadcast_to(bmu, lead + (grid.N,)).copy()
+    return beta, bmu, beta * beta * mu_val * mu_val, ik, ik_imag
 
 
 def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray,
@@ -193,9 +221,9 @@ def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray,
     (2, ..., N) array that takes F and ik*F; each row of it equals a
     transform of its own, bit for bit.
     """
-    beta, bmu, b2mu2, ik_imag = consts
+    beta, bmu, b2mu2, ik, ik_imag = consts
     stack[0] = F
-    np.multiply(grid._ik, F, out=stack[1])
+    np.multiply(ik, F, out=stack[1])
     v, vx = ifft(stack, stack)
     absq = np.abs(v) ** 2
     psi_val = _psi_integral(grid, beta, F, ik_imag) + b2mu2
@@ -222,14 +250,24 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
     kernel-selection rule: at beta = 0 the gauged flow coincides with the
     ungauged one, and sharing the kernel makes the identity exact discretely,
     not just analytically.
+
+    A kernel built for a batch of members, each with its own mu (a column),
+    holds its per-mode and per-member arrays (ik_keep, or the ik, ik.imag
+    and beta*mu of _gauged_constants) at the batch's shape, copied once, so
+    that each product with them is one coalesced loop. A kernel for one
+    spectrum, or for a stack that shares one scalar mu (the rows of rhs_*
+    and pde_residual, called once), holds them at (N,) or as scalars: there
+    the copies would cost more than the broadcasts they save.
     """
     drop = _dealias_drop(grid)
+    batch = lead if np.ndim(mu_val) else ()
     if equation == "dnls1" or beta == 0.0:
         ik_keep = grid._ik.copy()
         ik_keep[drop] = 0.0
+        (ik_keep,) = _batch_shaped((ik_keep,), batch)
         u = np.empty(lead + (grid.N,), dtype=np.complex128)
         return lambda F: _nl_dnls1(ik_keep, F, u)
-    consts = _gauged_constants(grid, beta, mu_val)
+    consts = _gauged_constants(grid, beta, mu_val, batch)
     stack = np.empty((2,) + lead + (grid.N,), dtype=np.complex128)
     return lambda F: _nl_dnls2(grid, drop, consts, F, stack)
 
@@ -379,6 +417,11 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     it, carrying its hit time and partial trajectory. A stopped member leaves
     the batch and the others carry on. Row for row the arithmetic is that of
     simulate, so every member's result equals its serial run bit for bit.
+
+    The step's per-mode coefficients, the guard's |k| weights and the
+    kernel's constants have the live batch's shape (_batch_shaped), made once
+    per run and re-cut to the rows left whenever a member stops; a lone
+    member steps with them at (N,).
     """
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
@@ -399,7 +442,8 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
 
     # A lone member steps as a 1-D spectrum, with scalar constants: at small
     # N, broadcasting against the per-mode coefficients, or against (1,)
-    # columns, would cost more per call than the arithmetic.
+    # columns, would cost more per call than the arithmetic. For the same
+    # reason a batch's per-mode arrays take its (B, N) shape.
     values = [u0.values for u0 in u0s]
     F = fft(values[0] if len(values) == 1 else np.stack(values))
     mu_col = mu_vals[0] if F.ndim == 1 else np.array(mu_vals).reshape(-1, 1)
@@ -424,9 +468,15 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     with np.errstate(over="ignore", invalid="ignore"):
         symbol = dispersion_symbol(grid)
         if config.integrator == "ifrk4":
-            step, coeffs = _ifrk4_step, _ifrk4_coeffs(symbol, config.dt)
+            step, mode_coeffs = _ifrk4_step, _ifrk4_coeffs(symbol, config.dt)
         else:
-            step, coeffs = _etdrk4_step, _etdrk4_coeffs(symbol, config.dt)
+            step, mode_coeffs = _etdrk4_step, _etdrk4_coeffs(symbol, config.dt)
+        # |k| per float of the spectra's float64 view, (re, im) per mode
+        mode_kk = np.repeat(np.abs(ik.imag), 2)
+        # the step's coefficients and the guard's weights, at the live shape
+        live_shaped = lambda F: _batch_shaped(mode_coeffs + (mode_kk,),
+                                              F.shape[:-1])
+        *coeffs, kk = live_shaped(F)
         nl = kernel(mu_col, F)
         guard0 = np.atleast_1d(_h1dot_from_spectrum(ik, h1_scale, F))
         # A NaN/Inf sample makes the seminorm NaN or Inf. With the limit
@@ -435,8 +485,6 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
         guard_limit = np.minimum(
             np.where(guard0 > 0, config.guard_factor * guard0, math.inf),
             np.finfo(np.float64).max)
-        # |k| per float of the spectra's float64 view, (re, im) per mode
-        kk = np.repeat(np.abs(ik.imag), 2)
         bound = _precheck_bound(guard_limit, h1_scale, F.size)
         for i in range(1, n_steps + 1):
             F = step(F, nl, coeffs)
@@ -460,6 +508,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
                         break
                     F, mu_col, guard_limit = F[keep], mu_col[keep], guard_limit[keep]
                     nl = kernel(mu_col, F)
+                    *coeffs, kk = live_shaped(F)
                     bound = _precheck_bound(guard_limit, h1_scale, F.size)
             if i == steps[n_rec]:
                 store[members, n_rec] = ifft(F)

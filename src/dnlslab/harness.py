@@ -9,7 +9,6 @@ it stays a thin argparse/IO shell and tests can exercise the drivers directly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -396,6 +395,8 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
     # a fork-based pool starts all its workers at the first submit
     workers = min(jobs, len(batches))
     if workers > 1:
+        # imported here: the process pool costs every other command start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_group, batches))
     else:

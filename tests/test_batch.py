@@ -13,12 +13,12 @@ from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
                      SimConfig, TorusGrid, Trajectory, simulate)
 from dnlslab import mu as mu_of
 from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
-from dnlslab.dynamics import (_dealias_drop, _etdrk4_coeffs, _etdrk4_step,
-                              _gauged_constants, _h1dot_from_spectrum,
-                              _ifrk4_coeffs, _ifrk4_step, _make_nonlinear,
-                              _nl_dnls1, _nl_dnls2, _precheck_bound,
-                              _quartic_integral, dispersion_symbol,
-                              simulate_batch, step_count)
+from dnlslab.dynamics import (_batch_shaped, _dealias_drop, _etdrk4_coeffs,
+                              _etdrk4_step, _gauged_constants,
+                              _h1dot_from_spectrum, _ifrk4_coeffs, _ifrk4_step,
+                              _make_nonlinear, _nl_dnls1, _nl_dnls2,
+                              _precheck_bound, _quartic_integral,
+                              dispersion_symbol, simulate_batch, step_count)
 from dnlslab.harness import run_threshold_scan
 from dnlslab.initial_data import DataSpec
 
@@ -34,9 +34,10 @@ def grid():
 
 def nl1(grid, F):
     """_nl_dnls1 with the derivative multiplier its kernel gets from
-    _make_nonlinear, on a buffer of its own."""
+    _make_nonlinear (at F's shape for a stack), on a buffer of its own."""
     ik_keep = grid._ik.copy()
     ik_keep[_dealias_drop(grid)] = 0.0
+    ik_keep = np.broadcast_to(ik_keep, F.shape).copy()
     return _nl_dnls1(ik_keep, F, np.empty(F.shape, dtype=complex))
 
 
@@ -45,10 +46,14 @@ def nl2(grid, drop, consts, F):
     return _nl_dnls2(grid, drop, consts, F, np.empty((2,) + F.shape, dtype=complex))
 
 
-@pytest.fixture
-def members(grid):
+def band_members(grid):
     rng = np.random.default_rng(7)
     return [random_band_field(grid, rng, band=4, scale=s) for s in (0.1, 0.4, 0.8)]
+
+
+@pytest.fixture
+def members(grid):
+    return band_members(grid)
 
 
 def serial(u0s, config):
@@ -157,7 +162,8 @@ def test_gauged_kernel_equals_the_serial_reference(N, B, beta):
     mu = np.linspace(0.2, 1.4, B).reshape(B, 1)
     if B == 1:  # a lone member steps as a 1-D spectrum, as in simulate_batch
         F, mu = F[0], mu[0]
-    got = nl2(grid, _dealias_drop(grid), _gauged_constants(grid, beta, mu), F)
+    got = nl2(grid, _dealias_drop(grid),
+              _gauged_constants(grid, beta, mu, F.shape[:-1]), F)
     for m, row, out in zip(np.ravel(mu), np.atleast_2d(F), np.atleast_2d(got)):
         assert np.array_equal(out, unskipped_nl_dnls2(grid, beta, float(m), row))
 
@@ -187,39 +193,96 @@ def test_twenty_steps_equal_the_frozen_reference(members, integrator, equation,
         assert np.array_equal(traj.values[-1], np.fft.ifft(F))
 
 
-@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
-@pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),
-                                           ("dnls2", 0.5), ("dnls2", 0.0)])
-def test_batch_equals_serial(members, integrator, equation, beta):
+# On a host whose vectors hold 4 complex128, a row of 10 or 18 modes ends
+# mid-vector in the coalesced (B, N) loops of a batch; 32 fills its vectors.
+ROW_SPLIT_N = [10, 18]
+FLOWS = [("dnls1", 0.75), ("dnls2", 0.75), ("dnls2", 0.5), ("dnls2", 0.0)]
+
+
+def check_batch_equals_serial(members, integrator, equation, beta):
     config = SimConfig(dt=1e-3, T=0.05, record_stride=7, equation=equation,
                        beta=beta, integrator=integrator)
     assert_same_results(simulate_batch(members, config), serial(members, config))
 
 
-@pytest.mark.parametrize("beta", [0.75, 0.5, 0.0])
-def test_kernels_and_steps_act_row_by_row(grid, members, beta):
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("equation,beta", FLOWS)
+def test_batch_equals_serial(members, integrator, equation, beta):
+    check_batch_equals_serial(members, integrator, equation, beta)
+
+
+@pytest.mark.parametrize("N", ROW_SPLIT_N)
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("equation,beta", FLOWS)
+def test_batch_equals_serial_where_rows_end_mid_vector(N, integrator, equation,
+                                                       beta):
+    check_batch_equals_serial(band_members(TorusGrid(TWO_PI, N)), integrator,
+                              equation, beta)
+
+
+def check_kernels_and_steps_act_row_by_row(grid, members, beta):
     drop = _dealias_drop(grid)
     F = np.fft.fft(np.stack([u.values for u in members]))
     mu = np.array([[0.3], [1.1], [2.0]])
     assert np.array_equal(nl1(grid, F), np.stack([nl1(grid, row) for row in F]))
     rows = [nl2(grid, drop, _gauged_constants(grid, beta, float(m)), row)
             for m, row in zip(mu[:, 0], F)]
-    assert np.array_equal(nl2(grid, drop, _gauged_constants(grid, beta, mu), F),
-                          np.stack(rows))
+    consts = _gauged_constants(grid, beta, mu, F.shape[:-1])
+    assert np.array_equal(nl2(grid, drop, consts, F), np.stack(rows))
     assert np.array_equal(_quartic_integral(grid, F)[:, 0],
                           [_quartic_integral(grid, row) for row in F])
 
     dt = 1e-3
     symbol = dispersion_symbol(grid)
-    ifrk4, etdrk4 = _ifrk4_coeffs(symbol, dt), _etdrk4_coeffs(symbol, dt)
-    batched_nl = lambda G: nl2(grid, drop, _gauged_constants(grid, beta, mu), G)
-    for one_step in (lambda G, nl: _ifrk4_step(G, nl, ifrk4),
-                     lambda G, nl: _etdrk4_step(G, nl, etdrk4)):
-        batched = one_step(F, batched_nl)
+    batched_nl = lambda G: nl2(grid, drop, consts, G)
+    for step, coeffs in ((_ifrk4_step, _ifrk4_coeffs(symbol, dt)),
+                         (_etdrk4_step, _etdrk4_coeffs(symbol, dt))):
+        # the batch steps with its coefficients at (B, N), as simulate_batch does
+        batched = step(F, batched_nl, _batch_shaped(coeffs, F.shape[:-1]))
+        assert np.array_equal(batched, step(F, batched_nl, coeffs))
         for m, row, got in zip(mu[:, 0], F, batched):
             row_nl = lambda G, m=float(m): nl2(
                 grid, drop, _gauged_constants(grid, beta, m), G)
-            assert np.array_equal(got, one_step(row, row_nl))
+            assert np.array_equal(got, step(row, row_nl, coeffs))
+
+
+@pytest.mark.parametrize("beta", [0.75, 0.5, 0.0])
+def test_kernels_and_steps_act_row_by_row(grid, members, beta):
+    check_kernels_and_steps_act_row_by_row(grid, members, beta)
+
+
+@pytest.mark.parametrize("N", ROW_SPLIT_N)
+@pytest.mark.parametrize("beta", [0.75, 0.5, 0.0])
+def test_kernels_and_steps_act_row_by_row_where_rows_end_mid_vector(N, beta):
+    grid = TorusGrid(TWO_PI, N)
+    check_kernels_and_steps_act_row_by_row(grid, band_members(grid), beta)
+
+
+@pytest.mark.parametrize("N", ROW_SPLIT_N + [32])
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),
+                                           ("dnls2", 0.5)])
+def test_two_stops_recut_the_batch_and_each_member_equals_serial(N, integrator,
+                                                                 equation, beta):
+    # the heaviest member stops after a few steps and the next one later, so
+    # the batch's coefficients and constants are re-cut to two rows, then to
+    # the one in the middle
+    grid = TorusGrid(TWO_PI, N)
+    u0s = [random_band_field(grid, np.random.default_rng(7), band=4, scale=s)
+           for s in (1.6, 0.1, 3.0)]
+    config = SimConfig(dt=1e-3, T=0.2, record_stride=3, equation=equation,
+                       beta=beta, integrator=integrator, guard_factor=1.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        batched = simulate_batch(u0s, config)
+        want = serial(u0s, config)
+    assert [type(r) for r in batched] == [BlowupGuardError, Trajectory,
+                                          BlowupGuardError]
+    assert 0 < batched[2].t < batched[0].t < config.T
+    assert_same_results(batched, want)
+    # the stop time, message and partial trajectory are compared above
+    for stopped in (0, 2):
+        assert batched[stopped].h1dot == want[stopped].h1dot
 
 
 @pytest.mark.parametrize("N", [8, 10, 12, 32, 128, 256])
@@ -558,7 +621,8 @@ def test_scan_pool_has_at_most_one_worker_per_group(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("dnlslab.harness.ProcessPoolExecutor", RecordingPool)
+    # the harness imports the pool from concurrent.futures when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     cfg = scan_config()  # two (L, N, dt) groups
     assert run_threshold_scan(cfg, jobs=8) == run_threshold_scan(cfg, jobs=1)
     assert opened == [2]

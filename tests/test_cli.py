@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dnlslab
 from dnlslab import DataSpec, SimConfig, TorusGrid, build, simulate
 from dnlslab.cli import main
 from dnlslab.config import load_config
@@ -914,3 +917,12 @@ class TestOutputFiles:
         assert set(os.listdir(out)) == files | {"summary.json"}
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1 and lines[0].startswith(status)
+
+
+def test_importing_the_cli_leaves_out_the_process_pool():
+    # only a scan that starts workers imports concurrent.futures.process
+    code = ("import sys, dnlslab.cli; "
+            "sys.exit(int('concurrent.futures.process' in sys.modules))")
+    src = os.path.dirname(os.path.dirname(dnlslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
