@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import Trajectory
-from .functionals import ConservedReport, ecal, h1dot_sq, mass, momentum_v, mu
+from .functionals import ConservedReport, _moments, _mu, ecal, mass, momentum_v
 from .gn import CGN_POW_M18, CGN_POW_M92, mass_threshold
 from .grid import Field, lp_norm, per_row
 
@@ -72,27 +72,32 @@ class CaseRecord:
         return self.below_threshold and bool(self.violations)
 
 
-def f_ratio(v: Field) -> float:
-    """||v||_L4^4 / ||v||_L6^3; Hoelder gives f_ratio <= sqrt(mass)."""
-    l6 = lp_norm(v, 6)
+def _row_ratio(l4: float, l6: float) -> float:
+    """||v||_L4^4 / ||v||_L6^3 of one row from its norms."""
     if l6 == 0.0:
-        raise ZeroFieldError("f_ratio is undefined on the zero field")
-    return lp_norm(v, 4) ** 4 / l6 ** 3
+        raise ZeroFieldError("f = ||v||_L4^4 / ||v||_L6^3 is undefined on the zero field")
+    return l4 ** 4 / l6 ** 3
+
+
+def f_ratio(v: Field) -> float | list[float]:
+    """||v||_L4^4 / ||v||_L6^3 per row; Hoelder gives f_ratio <= sqrt(mass).
+    A row whose L6 norm is zero raises ZeroFieldError."""
+    return per_row(v, _row_ratio, lp_norm(v, 4), lp_norm(v, 6))
 
 
 def _columns(v: Field) -> tuple:
-    """The reductions a DiagnosticsSample is built from, each one call on all
-    rows of v: ||v||_L6, ||v||_L4, mu, ||v_x||^2 and the mass."""
-    return lp_norm(v, 6), lp_norm(v, 4), mu(v), h1dot_sq(v), mass(v)
+    """The reductions a DiagnosticsSample is built from, one _moments pass
+    on all rows of v, without the derivative's pad: ||v||_L6, ||v||_L4,
+    ||v_x||^2 and the mass."""
+    M, _, h, l4, l6, _ = _moments(v, full=False)
+    return l6, l4, h, M
 
 
 def _sample(delta: float, ecal_val: float, L: float, t: float, l6: float,
-            l4: float, mu_val: float, h1dot_sq_val: float,
-            mass_val: float) -> DiagnosticsSample:
+            l4: float, h1dot_sq_val: float, mass_val: float) -> DiagnosticsSample:
     """One row's DiagnosticsSample from its entries of _columns."""
-    if l6 == 0.0:
-        raise ZeroFieldError("proof_sample is undefined on the zero field")
-    f = l4 ** 4 / l6 ** 3
+    f = _row_ratio(l4, l6)
+    mu_val = _mu(mass_val, L)
     gamma = (2.0 / (delta * np.sqrt(L)) - 0.375 * mu_val * l4 ** 2) * l4 ** 2 / l6 ** 6
     shape = 1.0 + 2.0 * delta / (5.0 * L)
     eta = 1.0 / 16.0 - shape ** -4 * CGN_POW_M18 / f ** 4

@@ -4,15 +4,26 @@ All quadratures are spectrally exact for band-limited fields: quadratic
 integrands are evaluated on the native grid, quartic and higher ones on the
 2x zero-padded refinement (see grid.lp_norm). Each functional takes one field
 or a stack of rows, and gives one value per row (see grid.per_row).
+
+The public functionals each take their own transforms and pads. The reports
+share theirs: _moments reduces every primitive of conserved_report in one
+pass over a stack, with one forward FFT, one inverse for the derivative and
+two pads through grid.refine2 (6 transforms), where the functionals one by
+one take 24 transforms and 7 pads; diagnostics.proof_sample and
+diagnostics.case_report take the pass without the momentum and the cubic
+term (4 transforms, one pad, against 6 and 2). Every value keeps the bits
+the public functionals give it, whose per-row combinations it shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .grid import Field, TorusGrid, deriv_values, fft, ifft, lp_norm, per_row
+from .grid import (Field, TorusGrid, deriv_values, fft, ifft, lp_from_power_sum,
+                   lp_norm, per_row)
 
 # The cubic term of the energy admits two readings that differ by a factor of
 # two in the integral. The conservation oracle (energy drift vanishing at the
@@ -50,8 +61,7 @@ def mass(f: Field) -> float | list[float]:
 
 def mu(f: Field) -> float | list[float]:
     """Mean mass density M/L, the conserved density driving the gauge frame shift."""
-    L = f.grid.L
-    return per_row(f, lambda m: m / L, mass(f))
+    return per_row(f, partial(_mu, L=f.grid.L), mass(f))
 
 
 def im_momentum(f: Field) -> float | list[float]:
@@ -102,20 +112,43 @@ def _im_cubic_term(f: Field, term_form: str) -> float | list[float]:
     return per_row(f, float, total * (grid.L / (2 * grid.N)))
 
 
+# One row's value of a functional from its reductions, in Python floats; the
+# public functionals and conserved_report both combine through these.
+
+def _mu(m: float, L: float) -> float:
+    return m / L
+
+
+def _hamiltonian(p: float, l4: float) -> float:
+    return p + 0.5 * l4 ** 4
+
+
+def _energy(h: float, cubic: float, l6: float) -> float:
+    return h + 1.5 * cubic + 0.5 * l6 ** 6
+
+
+def _momentum_v(p: float, l4: float) -> float:
+    return p - 0.25 * l4 ** 4
+
+
+def _ecal(h: float, l6: float, m: float, l4: float) -> float:
+    return h - l6 ** 6 / 16.0 + 0.375 * m * l4 ** 4
+
+
 def hamiltonian_u(f: Field) -> float | list[float]:
     """H = Im int f conj(f_x) + (1/2) int |f|^4."""
-    return per_row(f, lambda p, l4: p + 0.5 * l4 ** 4, im_momentum(f), lp_norm(f, 4))
+    return per_row(f, _hamiltonian, im_momentum(f), lp_norm(f, 4))
 
 
 def energy_u(f: Field, term_form: str = DEFAULT_TERM_FORM) -> float | list[float]:
     """E = int |f_x|^2 + (3/2) Im(T) + (1/2) int |f|^6, with T per term_form."""
-    return per_row(f, lambda h, cubic, l6: h + 1.5 * cubic + 0.5 * l6 ** 6,
-                   h1dot_sq(f), _im_cubic_term(f, term_form), lp_norm(f, 6))
+    return per_row(f, _energy, h1dot_sq(f), _im_cubic_term(f, term_form),
+                   lp_norm(f, 6))
 
 
 def momentum_v(f: Field) -> float | list[float]:
     """P = Im int f conj(f_x) - (1/4) int |f|^4, conserved along the gauged flow."""
-    return per_row(f, lambda p, l4: p - 0.25 * l4 ** 4, im_momentum(f), lp_norm(f, 4))
+    return per_row(f, _momentum_v, im_momentum(f), lp_norm(f, 4))
 
 
 def gauged_H(f: Field, beta: float) -> float | list[float]:
@@ -159,16 +192,56 @@ def ecal(f: Field) -> float | list[float]:
     Conserved along the beta = 3/4 gauged flow; evaluated on gauged fields by
     convention, but a pure functional of any field.
     """
-    return per_row(f, lambda h, l6, m, l4: h - l6 ** 6 / 16.0 + 0.375 * m * l4 ** 4,
-                   h1dot_sq(f), lp_norm(f, 6), mu(f), lp_norm(f, 4))
+    return per_row(f, _ecal, h1dot_sq(f), lp_norm(f, 6), mu(f), lp_norm(f, 4))
+
+
+def _moments(f: Field, full: bool = True) -> tuple:
+    """The reductions the reports are built from, in one pass over all rows
+    of f: (M, Im int f conj(f_x), int |f_x|^2, ||f||_L4, ||f||_L6, the
+    standard cubic term of _im_cubic_term). With full False the momentum and
+    the cubic term are None, and f_x is not padded.
+
+    One forward FFT and one inverse give f_x; one pad of the values serves
+    both power sums, and with full one pad of f_x the cubic term. Each
+    reduction is that of mass, im_momentum, h1dot_sq, lp_norm and
+    _im_cubic_term, the same operations on the same operands, so a row gets
+    their bits: the roots are Python float powers per row (float or list,
+    as per_row gives them), the rest float64 columns for per_row. The
+    refined values and their modulus are freed before f_x is padded, so the
+    pass holds no more padded arrays at a time than _im_cubic_term does.
+    """
+    grid = f.grid
+    df = deriv_values(f)
+    M = np.sum(np.abs(f.values) ** 2, axis=-1) * grid.dx
+    h = np.sum(np.abs(df) ** 2, axis=-1) * grid.dx
+    v2 = grid.refine2(f.values)
+    modulus = np.abs(v2)
+    l4 = lp_from_power_sum(f, np.sum(modulus ** 4, axis=-1), grid, 4)
+    l6 = lp_from_power_sum(f, np.sum(modulus ** 6, axis=-1), grid, 6)
+    if not full:
+        return M, None, h, l4, l6, None
+    p = np.sum((f.values * np.conj(df)).imag, axis=-1) * grid.dx
+    integrand = modulus ** 2 * v2
+    del v2, modulus
+    dv2 = grid.refine2(df)
+    integrand *= np.conj(dv2, out=dv2)
+    total = np.sum(integrand.imag, axis=-1)
+    return M, p, h, l4, l6, total * (grid.L / (2 * grid.N))
 
 
 def conserved_report(f: Field, t: float | np.ndarray = 0.0
                      ) -> ConservedReport | list[ConservedReport]:
     """Evaluate every tracked functional on one field, or on each row of a
-    stack, with t its time or one time per row (H, E with the shipped default
-    term form)."""
+    stack, with t its time or one time per row, from one _moments pass: bit
+    for bit mass, hamiltonian_u, energy_u (with the standard term form, the
+    shipped default), momentum_v, mu and ecal."""
     times = np.broadcast_to(t, f.values.shape[:-1]).tolist()
-    return per_row(f, lambda t, *values: ConservedReport(float(t), *values),
-                   times, mass(f), hamiltonian_u(f), energy_u(f), momentum_v(f),
-                   mu(f), ecal(f))
+    L = f.grid.L
+
+    def report(t, m, p, h, l4, l6, cubic):
+        mu_val = _mu(m, L)
+        return ConservedReport(float(t), m, _hamiltonian(p, l4),
+                               _energy(h, cubic, l6), _momentum_v(p, l4),
+                               mu_val, _ecal(h, l6, mu_val, l4))
+
+    return per_row(f, report, times, *_moments(f))

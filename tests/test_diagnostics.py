@@ -27,6 +27,23 @@ class TestFRatio:
         v = Field(grid2pi, 0.2 + 0.8 * (1 + np.cos(grid2pi.x)) / 2)
         assert f_ratio(v) < np.sqrt(mass(v)) * (1 - 1e-3)
 
+    def test_stack_gives_each_row_its_own_ratio(self, grid2pi, rng):
+        rows = [random_band_field(grid2pi, rng, band=12, scale=s).values
+                for s in (0.3, 1.0, 4.0)]
+        got = f_ratio(Field(grid2pi, np.array(rows)))
+        assert isinstance(got, list) and len(got) == 3
+        for ratio, row in zip(got, rows):
+            f = Field(grid2pi, row)
+            assert type(ratio) is float
+            assert ratio == f_ratio(f)
+            assert ratio == lp_norm(f, 4) ** 4 / lp_norm(f, 6) ** 3
+
+    def test_zero_row_of_a_stack_rejected(self, grid2pi, rng):
+        rows = np.array([random_band_field(grid2pi, rng).values,
+                         np.zeros(grid2pi.N)])
+        with pytest.raises(ZeroFieldError):
+            f_ratio(Field(grid2pi, rows))
+
 
 class TestProofSample:
     def test_constant_field_gamma_direct_transcription(self):

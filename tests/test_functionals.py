@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from dnlslab import (Field, Spectrum, TorusGrid, conserved_report, ecal,
                      energy_u, f_ratio, gauge_profile, gauged_E, gauged_H,
                      hamiltonian_u, im_momentum, lp_norm, mass, momentum_v, mu,
-                     psi, translate)
+                     proof_sample, psi, translate)
 from dnlslab.functionals import _im_cubic_term, h1dot_sq
 
 from conftest import plane_wave, random_band_field
@@ -173,6 +173,10 @@ class TestGaugeIdentity:
         assert abs(gauged_E(v, beta) - energy_u(u)) <= self.RTOL * scale_E
 
 
+def _report_column(name):
+    return lambda f: getattr(conserved_report(f), name)
+
+
 class TestPeriodCovariance:
     """u -> u_lam = lam^(1/2) u(lam x) maps a field of period L to one of
     period L/lam; on a grid of N nodes its samples are lam^(1/2) times
@@ -181,6 +185,7 @@ class TestPeriodCovariance:
     LAM = 3.0
     RTOL = 1e-13
     BETA = 0.6
+    DELTA = 0.7
     # name: (functional of a field, degree)
     DEGREES = {
         "mass": (mass, 0),
@@ -197,7 +202,17 @@ class TestPeriodCovariance:
         "l4": (lambda f: lp_norm(f, 4), 0.25),
         "l6": (lambda f: lp_norm(f, 6), 1 / 3),
         "f_ratio": (f_ratio, 0),
+        "conserved_report.M": (_report_column("M"), 0),
+        "conserved_report.H": (_report_column("H"), 1),
+        "conserved_report.E": (_report_column("E"), 2),
+        "conserved_report.P": (_report_column("P"), 1),
+        "conserved_report.mu": (_report_column("mu"), 1),
+        "conserved_report.Ecal": (_report_column("Ecal"), 2),
     }
+    # proof_sample column: degree, where delta scales to delta/lam and the
+    # supplied ecal_val to lam^2 ecal_val (Ecal's degree)
+    SAMPLE_DEGREES = {"l4": 0.25, "l6": 1 / 3, "h1dot": 1, "f": 0, "gamma": 0,
+                      "eta": 0, "lower_bound_f": 0, "holder_upper": 0}
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(u=band_fields())
@@ -208,6 +223,19 @@ class TestPeriodCovariance:
         for name, (functional, degree) in self.DEGREES.items():
             want = lam ** degree * functional(u)
             assert_allclose(functional(scaled), want, rtol=self.RTOL, err_msg=name)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(u=band_fields())
+    def test_proof_sample_columns_scale_with_their_degree(self, u):
+        assume(mass(u) > 0)  # proof_sample is undefined on the zero field
+        lam, ecal_val = self.LAM, ecal(u)
+        scaled = Field(TorusGrid(u.grid.L / lam, u.grid.N), math.sqrt(lam) * u.values)
+        sample = proof_sample(u, self.DELTA, ecal_val)
+        got = proof_sample(scaled, self.DELTA / lam, lam ** 2 * ecal_val)
+        assert got.case_tag == sample.case_tag
+        for name, degree in self.SAMPLE_DEGREES.items():
+            want = lam ** degree * getattr(sample, name)
+            assert_allclose(getattr(got, name), want, rtol=self.RTOL, err_msg=name)
 
 
 class TestEcal:

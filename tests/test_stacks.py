@@ -331,13 +331,17 @@ def test_gn_audit_transforms_per_chunk_not_per_field(monkeypatch):
 
 def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
     calls = count_transforms(monkeypatch)
+    pads = []
+    refine2 = TorusGrid.refine2
+    monkeypatch.setattr(TorusGrid, "refine2", lambda self, values:
+                        pads.append(values) or refine2(self, values))
     in_analysis = []
     bound_chain = harness._bound_chain
 
     def counted(*args):
-        before = len(calls)
+        before = len(calls), len(pads)
         result = bound_chain(*args)
-        in_analysis.append(len(calls) - before)
+        in_analysis.append((len(calls) - before[0], len(pads) - before[1]))
         return result
 
     monkeypatch.setattr(harness, "_bound_chain", counted)
@@ -349,5 +353,8 @@ def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
     frames = len(outcome.tables["diagnostics.csv"][1])
     chunks = len(TorusGrid(1.0, 64).row_chunks(frames))
     assert (frames, chunks) == (301, 3)
-    # per chunk: 26 in the conserved report, 6 in the case report
-    assert in_analysis == [in_analysis[0]] and in_analysis[0] <= 32 * chunks
+    # per chunk, one moment pass each: the conserved report's takes the
+    # forward transform, the derivative's inverse, and the pads of the values
+    # and of the derivative (2 transforms each); the case report's the same
+    # without the derivative's pad
+    assert in_analysis == [((6 + 4) * chunks, (2 + 1) * chunks)]
