@@ -150,8 +150,8 @@ def modulate(v: Field, alpha: float) -> Field:
     return Field(v.grid, np.exp(1j * alpha * v.grid.x) * v.values)
 
 
-def m1_identity_check(v: Field, alpha: float) -> float:
-    """|LHS - RHS| of the modulation identity
+def m1_identity_check(v: Field, alpha: float) -> float | list[float]:
+    """|LHS - RHS| of the modulation identity, per row,
 
         P(v) + (1/4) int |v|^4  =  -Ecal(e^{i a x} v)/(2a) + (a/2) M(v)
                                    + Ecal(v)/(2a),
@@ -162,9 +162,15 @@ def m1_identity_check(v: Field, alpha: float) -> float:
     if round(j) == 0 or abs(j - round(j)) > 1e-9 * max(1.0, abs(j)):
         raise ValueError(
             f"alpha = {alpha} must be a nonzero lattice frequency in 2*pi*Z/L")
-    lhs = momentum_v(v) + 0.25 * lp_norm(v, 4) ** 4
-    phi = modulate(v, alpha)
-    rhs = -ecal(phi) / (2.0 * alpha) + 0.5 * alpha * mass(v) + ecal(v) / (2.0 * alpha)
+    return per_row(v, partial(_m1_gap, alpha), momentum_v(v), lp_norm(v, 4),
+                   ecal(modulate(v, alpha)), mass(v), ecal(v))
+
+
+def _m1_gap(alpha: float, p: float, l4: float, ecal_phi: float, m: float,
+            ecal_v: float) -> float:
+    """One row's |LHS - RHS| of m1_identity_check from its reductions."""
+    lhs = p + 0.25 * l4 ** 4
+    rhs = -ecal_phi / (2.0 * alpha) + 0.5 * alpha * m + ecal_v / (2.0 * alpha)
     return abs(lhs - rhs)
 
 

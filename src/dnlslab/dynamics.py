@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -142,13 +142,33 @@ def _dealias_drop(grid: TorusGrid) -> slice:
     return slice(grid.N // 3 + 1, grid.N - grid.N // 3)
 
 
-def _nl_dnls1(ik_keep: np.ndarray, F: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _complex_full(value: float | complex, shape: tuple) -> np.ndarray:
+    """value as a complex128 array of the given shape. A real value gets the
+    imaginary part +0.0, the value numpy's cast of a real operand gives, so a
+    product with this array keeps the bits of the product with the value."""
+    return np.full(shape, value, dtype=np.complex128)
+
+
+def _real_factor_buffer(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A complex128 array of zeros and the float64 view of its real part. A
+    real factor written into the view stands, with its imaginary part +0.0,
+    for the factor as numpy's cast would make it, so a product with complex
+    data keeps its bits and runs the complex loop without the cast."""
+    buf = np.zeros(shape, dtype=np.complex128)
+    return buf, buf.real
+
+
+def _nl_dnls1(ik_keep: np.ndarray, u: np.ndarray, absq: np.ndarray,
+              absq_re: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term d/dx(|u|^2 u) of the ungauged flow, for spectra
     of shape (..., N); ik_keep is grid._ik with the modes of _dealias_drop
-    set to zero, so one product differentiates and dealiases, and u is a
-    complex array of F's shape that takes the samples."""
+    set to zero, so one product differentiates and dealiases. u and absq are
+    complex arrays of F's shape that the kernel owns: u takes the samples,
+    and |u|^2 goes into absq_re, the real part of absq
+    (_real_factor_buffer)."""
     u = ifft(F, u)
-    cubic = np.abs(u) ** 2 * u
+    np.square(np.abs(u), out=absq_re)
+    cubic = absq * u
     return ik_keep * fft(cubic, cubic)
 
 
@@ -162,20 +182,24 @@ def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray | np.float64
 
 
 def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray,
-                  ik_imag: np.ndarray | None = None) -> np.ndarray | np.float64:
+                  ik_imag: np.ndarray | None = None) -> np.ndarray | float:
     """The integral part of the nonlocal coefficient psi,
     (beta/L) int [2 Im(v conj(v_x)) + (3/2 - 2b)|v|^4], per spectrum of shape
-    (..., N); shape (..., 1) for a stack, a scalar for one spectrum. ik_imag
-    is grid._ik.imag, which a stepping kernel passes in once per run, of
-    shape (N,) or at F's shape."""
+    (..., N); shape (..., 1) for a stack, a Python float for one spectrum,
+    whose scalar steps run in Python floats (the same IEEE operations as on
+    numpy scalars, at less cost per step). ik_imag is grid._ik.imag, which a
+    stepping kernel passes in once per run, of shape (N,) or at F's shape."""
     if ik_imag is None:
         ik_imag = grid._ik.imag
-    im_mom = -(grid.L / grid.N ** 2) * np.add.reduce(
-        ik_imag * np.abs(F) ** 2, axis=-1, keepdims=F.ndim > 1)
+    sums = np.add.reduce(ik_imag * np.square(np.abs(F)), axis=-1,
+                         keepdims=F.ndim > 1)
     # The quartic factor is exactly 0.0 at beta = 3/4, so the padded transform
     # is skipped there; fac * 0.0 keeps the arithmetic of the unskipped kernel.
     fac = 1.5 - 2.0 * beta
     q = _quartic_integral(grid, F) if fac != 0.0 else 0.0
+    if F.ndim == 1:
+        sums, q = float(sums), float(q)
+    im_mom = -(grid.L / grid.N ** 2) * sums
     return beta / grid.L * (2.0 * im_mom + fac * q)
 
 
@@ -195,44 +219,69 @@ def _batch_shaped(arrays: tuple, lead: tuple) -> tuple:
 
 
 def _gauged_constants(grid: TorusGrid, beta: float, mu_val: float | np.ndarray,
-                      lead: tuple = ()):
-    """What _nl_dnls2 needs besides the spectrum, computed once per run:
-    beta, beta*mu, beta^2*mu^2, grid._ik and grid._ik.imag, with mu a scalar
-    or a column.
+                      batch: tuple = (), lead: tuple = ()):
+    """What _nl_dnls2 needs besides the spectrum, computed once per run, for
+    spectra of shape lead + (N,), with mu a scalar or a column: beta; bc, the
+    real factors [beta*mu; 2(1 - beta)] of |v|^2, one float64 array of shape
+    (2, ..., N); beta(1/2 - beta), the factor of |v|^4, as a float64 array;
+    1 - 2beta and 1j as complex arrays (_complex_full); beta^2*mu^2;
+    grid._ik and grid._ik.imag.
 
-    With lead = (), ik and ik.imag have shape (N,) and broadcast over any
-    stack. For a batch of members (lead != (), mu a lead + (1,) column), ik,
-    ik.imag and beta*mu have the batch's shape lead + (N,) (_batch_shaped);
-    beta^2*mu^2 stays a column, since it is added to the column psi integral.
+    With batch = (), the per-mode arrays have shape (N,) (bc's rows too,
+    with a unit axis for each axis of lead) and broadcast over any stack.
+    For a batch of members (batch = lead, mu a lead + (1,) column), they
+    have the batch's shape (_batch_shaped); beta^2*mu^2 stays a column,
+    since it is added to the column psi integral.
     """
-    ik, ik_imag = _batch_shaped((grid._ik, grid._ik.imag.copy()), lead)
-    bmu = beta * mu_val
-    if lead and isinstance(bmu, np.ndarray):
-        bmu = np.broadcast_to(bmu, lead + (grid.N,)).copy()
-    return beta, bmu, beta * beta * mu_val * mu_val, ik, ik_imag
+    shape = batch + (grid.N,)
+    ik, ik_imag = _batch_shaped((grid._ik, grid._ik.imag.copy()), batch)
+    bc = np.empty((2,) + (1,) * (len(lead) - len(batch)) + shape)
+    bc[0] = beta * mu_val
+    bc[1] = 2.0 * (1.0 - beta)
+    return (beta, bc, np.full(shape, beta * (0.5 - beta)),
+            _complex_full(1.0 - 2.0 * beta, shape), _complex_full(1j, shape),
+            beta * beta * mu_val * mu_val, ik, ik_imag)
 
 
-def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, F: np.ndarray,
-              stack: np.ndarray) -> np.ndarray:
+def _gauged_buffers(lead: tuple, N: int) -> tuple:
+    """The arrays a gauged kernel owns, for spectra of shape lead + (N,): the
+    (2, ..., N) stack that its inverse transform writes v and v_x into, with
+    views of its two rows, and the real-factor buffers (_real_factor_buffer)
+    of [beta*mu; 2(1-beta)]|v|^2, of beta(1/2-beta)|v|^4 and of psi (a 0-d
+    array for one spectrum, a lead + (1,) column for a stack)."""
+    stack = np.empty((2,) + lead + (N,), dtype=np.complex128)
+    return (stack, stack[0], stack[1], *_real_factor_buffer((2,) + lead + (N,)),
+            *_real_factor_buffer(lead + (N,)),
+            *_real_factor_buffer(lead + (1,) if lead else ()))
+
+
+def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, bufs: tuple,
+              F: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
-    for spectra of shape (..., N), with the constants of _gauged_constants.
+    for spectra of shape (..., N), with the constants of _gauged_constants
+    and the buffers of _gauged_buffers.
 
-    v and v_x come from one inverse transform, in place, of stack, a complex
-    (2, ..., N) array that takes F and ik*F; each row of it equals a
-    transform of its own, bit for bit.
+    v and v_x come from one inverse transform, in place, of the stack that
+    takes F and ik*F; each row of it equals a transform of its own, bit for
+    bit. Each real factor of complex data is written into the real part of a
+    complex buffer: [beta*mu; 2(1-beta)] times |v|^2 in one call, times
+    [v; v_x] in one more; beta(1/2-beta)|v|^4; and psi, whose scalar steps
+    run in Python floats for one spectrum and on columns for a stack.
     """
-    beta, bmu, b2mu2, ik, ik_imag = consts
+    beta, bc, c4, c2, one_j, b2mu2, ik, ik_imag = consts
+    stack, v, vx, coef, coef_re, quint, quint_re, psi_c, psi_re = bufs
     stack[0] = F
     np.multiply(ik, F, out=stack[1])
-    v, vx = ifft(stack, stack)
-    absq = np.abs(v) ** 2
-    psi_val = _psi_integral(grid, beta, F, ik_imag) + b2mu2
+    ifft(stack, stack)
+    absq = np.square(np.abs(v))
+    np.multiply(bc, absq, out=coef_re)
+    cubics = coef * stack
+    np.multiply(c4, np.square(absq), out=quint_re)
+    psi_re[...] = _psi_integral(grid, beta, F, ik_imag) + b2mu2
     nl = (
-        2.0 * (1.0 - beta) * absq * vx
-        + (1.0 - 2.0 * beta) * v * v * np.conj(vx)
-        - 1j * (bmu * absq * v
-                + beta * (0.5 - beta) * absq ** 2 * v
-                - psi_val * v)
+        cubics[1]
+        + c2 * v * v * np.conj(vx)
+        - one_j * (cubics[0] + quint * v - psi_c * v)
     )
     fft(nl, nl)
     nl[..., drop] = 0.0
@@ -245,19 +294,25 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
     """The nonlinear part of the chosen flow, on spectra of shape lead + (N,);
     mu_val is a scalar or a lead + (1,) column.
 
-    The kernel owns the array its inverse transform writes into, so it takes
-    spectra of that one shape; what it returns is new on every call. The one
-    kernel-selection rule: at beta = 0 the gauged flow coincides with the
-    ungauged one, and sharing the kernel makes the identity exact discretely,
-    not just analytically.
+    The kernel owns the arrays that its inverse transform and its real
+    factors are written into, so it takes spectra of that one shape; what it
+    returns is new on every call. The one kernel-selection rule: at beta = 0
+    the gauged flow coincides with the ungauged one, and sharing the kernel
+    makes the identity exact discretely, not just analytically.
+
+    Every product with complex data in a kernel call is complex128 against
+    complex128: a real factor goes into the real part of a complex buffer,
+    and a constant (1 - 2beta, 1j) is a complex array, never a float64 array
+    or a Python scalar that numpy casts on every call.
 
     A kernel built for a batch of members, each with its own mu (a column),
-    holds its per-mode and per-member arrays (ik_keep, or the ik, ik.imag
-    and beta*mu of _gauged_constants) at the batch's shape, copied once, so
-    that each product with them is one coalesced loop. A kernel for one
-    spectrum, or for a stack that shares one scalar mu (the rows of rhs_*
-    and pde_residual, called once), holds them at (N,) or as scalars: there
-    the copies would cost more than the broadcasts they save.
+    holds its per-mode and per-member arrays (ik_keep, or the arrays of
+    _gauged_constants) at the batch's shape, copied once, so that each
+    product with them is one coalesced loop. A kernel for one spectrum, or
+    for a stack that shares one scalar mu (the rows of rhs_* and
+    pde_residual, called once), holds them at (N,) or as scalars, with its
+    buffers at the call's shape: there the copies would cost more than the
+    broadcasts they save.
     """
     drop = _dealias_drop(grid)
     batch = lead if np.ndim(mu_val) else ()
@@ -266,17 +321,19 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
         ik_keep[drop] = 0.0
         (ik_keep,) = _batch_shaped((ik_keep,), batch)
         u = np.empty(lead + (grid.N,), dtype=np.complex128)
-        return lambda F: _nl_dnls1(ik_keep, F, u)
-    consts = _gauged_constants(grid, beta, mu_val, batch)
-    stack = np.empty((2,) + lead + (grid.N,), dtype=np.complex128)
-    return lambda F: _nl_dnls2(grid, drop, consts, F, stack)
+        absq = _real_factor_buffer(lead + (grid.N,))
+        return partial(_nl_dnls1, ik_keep, u, *absq)
+    consts = _gauged_constants(grid, beta, mu_val, batch, lead)
+    return partial(_nl_dnls2, grid, drop, consts, _gauged_buffers(lead, grid.N))
 
 
 def _ifrk4_coeffs(symbol: np.ndarray, dt: float):
-    """Integrating-factor RK4 coefficients: dt/2, dt/6, E1 = exp(symbol*dt/2),
-    E2 = E1^2, dt*E1 and 2*E1."""
+    """Integrating-factor RK4 coefficients per mode: dt/2 and dt/6 (complex
+    arrays, _complex_full), E1 = exp(symbol*dt/2), E2 = E1^2, dt*E1 and
+    2*E1."""
     E1 = np.exp(0.5 * dt * symbol)
-    return 0.5 * dt, dt / 6.0, E1, E1 * E1, dt * E1, 2.0 * E1
+    half_dt, sixth_dt = (_complex_full(h, symbol.shape) for h in (0.5 * dt, dt / 6.0))
+    return half_dt, sixth_dt, E1, E1 * E1, dt * E1, 2.0 * E1
 
 
 def _ifrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
@@ -295,7 +352,8 @@ def _ifrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
 
 def _etdrk4_coeffs(symbol: np.ndarray, dt: float, n_contour: int = 32):
     """ETDRK4 update coefficients via contour quadrature around symbol*dt:
-    E, E2, Q, f1, 2*f2, f3 (f2 doubled, as the step uses it).
+    E, E2, Q, f1, 2*f2, f3 (f2 doubled, as the step uses it), and the factor
+    2.0 of the third stage as a complex array (_complex_full).
 
     The symbol is complex (purely imaginary here), so the contour mean is kept
     complex rather than projected to its real part.
@@ -310,20 +368,20 @@ def _etdrk4_coeffs(symbol: np.ndarray, dt: float, n_contour: int = 32):
     f3 = dt * ((-4.0 - 3.0 * LR - LR ** 2 + expLR * (4.0 - LR)) / LR ** 3).mean(axis=1)
     E = np.exp(lc)
     E2 = np.exp(lc / 2.0)
-    return E, E2, Q, f1, 2.0 * f2, f3
+    return E, E2, Q, f1, 2.0 * f2, f3, _complex_full(2.0, lc.shape)
 
 
 def _etdrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
-    """One ETDRK4 step of spectra of shape (..., N); the per-mode coefficients
-    of _etdrk4_coeffs broadcast over the leading axes."""
-    E, E2, Q, f1, two_f2, f3 = coeffs
+    """One ETDRK4 step of spectra of shape (..., N), with the coefficients of
+    _etdrk4_coeffs."""
+    E, E2, Q, f1, two_f2, f3, two = coeffs
     E2F = E2 * F
     Nv = nl(F)
     a = E2F + Q * Nv
     Na = nl(a)
     b = E2F + Q * Na
     Nb = nl(b)
-    c = E2 * a + Q * (2.0 * Nb - Nv)
+    c = E2 * a + Q * (two * Nb - Nv)
     Nc = nl(c)
     # np.multiply for the operand order, as in _ifrk4_step
     return E * F + f1 * Nv + np.multiply(two_f2, Na + Nb) + f3 * Nc

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _psi_integral
 from .functionals import mu
-from .grid import Field, antideriv_meanzero, fft, translate
+from .grid import Field, antideriv_meanzero, fft, per_row, translate
 
 # Sign of the beta^2*mu^2 offset in the nonlocal coefficient psi. Fixed by the
 # gauge-consistency oracle: with "plus", the gauged plane wave solves the
@@ -34,8 +34,9 @@ def gauge_profile(f: Field, beta: float) -> Field:
 
 
 def psi(v: Field, beta: float, mu_val: float,
-        sign_mu2: str = DEFAULT_SIGN_MU2) -> float:
-    """Spatially constant coefficient of the nonlocal term in the gauged flow:
+        sign_mu2: str = DEFAULT_SIGN_MU2) -> float | list[float]:
+    """Spatially constant coefficient of the nonlocal term in the gauged flow,
+    per row:
 
         (beta/L) * int [2 Im(v conj(v_x)) + (3/2 - 2*beta) |v|^4] dx
             +/- beta^2 * mu^2
@@ -49,7 +50,9 @@ def psi(v: Field, beta: float, mu_val: float,
     offset = beta * beta * mu_val * mu_val
     if sign_mu2 == "minus":
         offset = -offset
-    return float(_psi_integral(v.grid, beta, fft(v.values))) + offset
+    integral = _psi_integral(v.grid, beta, fft(v.values))
+    return per_row(v, lambda p: p + offset,
+                   np.reshape(integral, v.values.shape[:-1]))
 
 
 def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:

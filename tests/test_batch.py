@@ -13,11 +13,11 @@ from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
                      SimConfig, TorusGrid, Trajectory, simulate)
 from dnlslab import mu as mu_of
 from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
-from dnlslab.dynamics import (_batch_shaped, _dealias_drop, _etdrk4_coeffs,
-                              _etdrk4_step, _gauged_constants,
+from dnlslab.dynamics import (_batch_shaped, _complex_full, _dealias_drop,
+                              _etdrk4_coeffs, _etdrk4_step,
                               _h1dot_from_spectrum, _ifrk4_coeffs, _ifrk4_step,
-                              _make_nonlinear, _nl_dnls1, _nl_dnls2,
-                              _precheck_bound, _quartic_integral,
+                              _make_nonlinear, _precheck_bound,
+                              _quartic_integral, _real_factor_buffer,
                               dispersion_symbol, simulate_batch, step_count)
 from dnlslab.harness import run_threshold_scan
 from dnlslab.initial_data import DataSpec
@@ -33,17 +33,17 @@ def grid():
 
 
 def nl1(grid, F):
-    """_nl_dnls1 with the derivative multiplier its kernel gets from
-    _make_nonlinear (at F's shape for a stack), on a buffer of its own."""
-    ik_keep = grid._ik.copy()
-    ik_keep[_dealias_drop(grid)] = 0.0
-    ik_keep = np.broadcast_to(ik_keep, F.shape).copy()
-    return _nl_dnls1(ik_keep, F, np.empty(F.shape, dtype=complex))
+    """The dnls1 kernel that _make_nonlinear builds for F's shape, a batch's
+    kernel for a stack (a column of mu), called once."""
+    mu = np.zeros(F.shape[:-1] + (1,)) if F.ndim > 1 else 0.0
+    return _make_nonlinear(grid, "dnls1", 0.0, mu, F.shape[:-1])(F)
 
 
-def nl2(grid, drop, consts, F):
-    """_nl_dnls2 on a stack of its own."""
-    return _nl_dnls2(grid, drop, consts, F, np.empty((2,) + F.shape, dtype=complex))
+def nl2(grid, beta, mu, F):
+    """The dnls2 kernel that _make_nonlinear builds for F's shape and mu (a
+    scalar, or a batch's column), called once; at beta = 0 it is the dnls1
+    kernel, by the kernel-selection rule."""
+    return _make_nonlinear(grid, "dnls2", beta, mu, F.shape[:-1])(F)
 
 
 def band_members(grid):
@@ -161,9 +161,8 @@ def test_gauged_kernel_equals_the_serial_reference(N, B, beta):
                              for _ in range(B)]))
     mu = np.linspace(0.2, 1.4, B).reshape(B, 1)
     if B == 1:  # a lone member steps as a 1-D spectrum, as in simulate_batch
-        F, mu = F[0], mu[0]
-    got = nl2(grid, _dealias_drop(grid),
-              _gauged_constants(grid, beta, mu, F.shape[:-1]), F)
+        F, mu = F[0], float(mu[0, 0])
+    got = nl2(grid, beta, mu, F)
     for m, row, out in zip(np.ravel(mu), np.atleast_2d(F), np.atleast_2d(got)):
         assert np.array_equal(out, unskipped_nl_dnls2(grid, beta, float(m), row))
 
@@ -221,28 +220,24 @@ def test_batch_equals_serial_where_rows_end_mid_vector(N, integrator, equation,
 
 
 def check_kernels_and_steps_act_row_by_row(grid, members, beta):
-    drop = _dealias_drop(grid)
     F = np.fft.fft(np.stack([u.values for u in members]))
     mu = np.array([[0.3], [1.1], [2.0]])
     assert np.array_equal(nl1(grid, F), np.stack([nl1(grid, row) for row in F]))
-    rows = [nl2(grid, drop, _gauged_constants(grid, beta, float(m)), row)
-            for m, row in zip(mu[:, 0], F)]
-    consts = _gauged_constants(grid, beta, mu, F.shape[:-1])
-    assert np.array_equal(nl2(grid, drop, consts, F), np.stack(rows))
+    rows = [nl2(grid, beta, float(m), row) for m, row in zip(mu[:, 0], F)]
+    assert np.array_equal(nl2(grid, beta, mu, F), np.stack(rows))
     assert np.array_equal(_quartic_integral(grid, F)[:, 0],
                           [_quartic_integral(grid, row) for row in F])
 
     dt = 1e-3
     symbol = dispersion_symbol(grid)
-    batched_nl = lambda G: nl2(grid, drop, consts, G)
+    batched_nl = lambda G: nl2(grid, beta, mu, G)
     for step, coeffs in ((_ifrk4_step, _ifrk4_coeffs(symbol, dt)),
                          (_etdrk4_step, _etdrk4_coeffs(symbol, dt))):
         # the batch steps with its coefficients at (B, N), as simulate_batch does
         batched = step(F, batched_nl, _batch_shaped(coeffs, F.shape[:-1]))
         assert np.array_equal(batched, step(F, batched_nl, coeffs))
         for m, row, got in zip(mu[:, 0], F, batched):
-            row_nl = lambda G, m=float(m): nl2(
-                grid, drop, _gauged_constants(grid, beta, m), G)
+            row_nl = lambda G, m=float(m): nl2(grid, beta, m, G)
             assert np.array_equal(got, step(row, row_nl, coeffs))
 
 
@@ -285,6 +280,62 @@ def test_two_stops_recut_the_batch_and_each_member_equals_serial(N, integrator,
         assert batched[stopped].h1dot == want[stopped].h1dot
 
 
+# ±0, the least subnormal and a larger one, a product that overflows, NaN
+SPECIALS = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, math.nan]
+
+
+def with_specials(rng, shape, share):
+    """Gaussian floats over six decades, a share of them replaced by SPECIALS."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    mask = rng.random(shape) < share
+    x[mask] = rng.choice(SPECIALS, mask.sum())
+    return x
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(N=st.sampled_from([10, 18, 128, 256]), B=st.integers(1, 3),
+       share=st.sampled_from([0.0, 0.1, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_real_factor_gives_the_same_bits_in_every_operand_form(N, B, share, seed):
+    # The kernels and steps take every real factor of complex data (|u|^2,
+    # [beta*mu; 2(1-beta)]|v|^2, beta(1/2-beta)|v|^4, psi, 1 - 2beta, dt/2,
+    # dt/6, 2.0) as a complex array with imaginary part +0.0, and 1j as a
+    # complex array; each form must give the bits of the product numpy makes
+    # with a Python scalar, a (B, 1) float64 column or a float64 array. A
+    # lone member (B = 1) is a 1-D spectrum with a scalar psi.
+    rng = np.random.default_rng(seed)
+    lead = (B,) if B > 1 else ()
+    shape = lead + (N,)
+    z = with_specials(rng, shape, share) + 1j * with_specials(rng, shape, share)
+    col = with_specials(rng, lead + (1,), share)
+    per_mode = with_specials(rng, shape, share)
+    with np.errstate(all="ignore"):
+        # one value per row: psi, and a step's or a kernel's scalar
+        want = col * z
+        for value, z_row, want_row in zip(col.ravel().tolist(), np.atleast_2d(z),
+                                          np.atleast_2d(want)):
+            assert np.array_equal(bits(value * z_row), bits(want_row))
+            assert np.array_equal(bits(_complex_full(value, (N,)) * z_row),
+                                  bits(want_row))
+        psi_c, psi_re = _real_factor_buffer(lead + (1,) if lead else ())
+        psi_re[...] = col if lead else float(col[0])
+        full, full_re = _real_factor_buffer(shape)
+        full_re[...] = col
+        cast = np.broadcast_to(col, shape).copy()
+        for form in (psi_c, full, cast):
+            assert np.array_equal(bits(form * z), bits(want))
+        # one value per mode: the factors of |u|^2 and |v|^2
+        full_re[...] = per_mode
+        assert np.array_equal(bits(full * z), bits(per_mode * z))
+        # 1j, at the batch's shape and at (N,) against a stack
+        for one_j in (_complex_full(1j, shape), _complex_full(1j, (N,))):
+            assert np.array_equal(bits(one_j * z), bits(1j * z))
+    assert not full.imag.any() and not np.signbit(full.imag).any()
+
+
 @pytest.mark.parametrize("N", [8, 10, 12, 32, 128, 256])
 def test_dealias_slice_drops_what_dealias_keep_drops(N):
     grid = TorusGrid(TWO_PI, N)
@@ -294,13 +345,11 @@ def test_dealias_slice_drops_what_dealias_keep_drops(N):
 
 
 def test_quartic_skip_at_three_quarters_equals_unskipped_kernel(grid, members):
-    drop = _dealias_drop(grid)
     for u in members:
         F = np.fft.fft(u.values)
         for mu_val in (0.0, 0.7):
-            assert np.array_equal(
-                nl2(grid, drop, _gauged_constants(grid, 0.75, mu_val), F),
-                unskipped_nl_dnls2(grid, 0.75, mu_val, F))
+            assert np.array_equal(nl2(grid, 0.75, mu_val, F),
+                                  unskipped_nl_dnls2(grid, 0.75, mu_val, F))
 
 
 def test_pad2_is_the_refine2_pad_on_the_trailing_axis(grid, members):

@@ -170,6 +170,16 @@ class TestM1Identity:
                 alpha = 2 * np.pi * j / grid2pi.L
                 assert m1_identity_check(v, alpha) < 1e-11 * max(abs(lhs), 1.0)
 
+    def test_stack_gives_each_row_its_own_gap(self, grid2pi, rng):
+        rows = [random_band_field(grid2pi, rng, band=16).values for _ in range(3)]
+        rows.append(np.zeros(grid2pi.N))
+        for j in (1, -2):
+            alpha = 2 * np.pi * j / grid2pi.L
+            got = m1_identity_check(Field(grid2pi, np.stack(rows)), alpha)
+            assert got == [m1_identity_check(Field(grid2pi, row), alpha)
+                           for row in rows]
+            assert got[-1] == 0.0
+
     def test_rejects_zero_or_off_lattice_alpha(self, grid2pi):
         v = plane_wave(grid2pi)
         with pytest.raises(ValueError):

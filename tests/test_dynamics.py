@@ -308,24 +308,62 @@ class TestSimulate:
         assert [count(10), count(20)] == [(0, calls) for calls, _ in fast]
 
 
-@pytest.mark.parametrize("equation,beta", [("dnls1", 0.75), ("dnls2", 0.75),
-                                           ("dnls2", 0.5)])
-@pytest.mark.parametrize("B", [None, 3])
-def test_kernel_result_is_unchanged_by_its_next_call(grid2pi, rng, equation, beta, B):
-    # the kernel writes its inverse transforms into arrays it owns; what it
-    # returns must not be one of them
-    shape = (grid2pi.N,) if B is None else (B, grid2pi.N)
-    mu_val = 0.4 if B is None else np.full((B, 1), 0.4)
-    nl = _make_nonlinear(grid2pi, equation, beta, mu_val, shape[:-1])
-    F, G = (np.fft.fft(random_band_field(grid2pi, rng, band=8, scale=0.3).values
+def real_factor_buffers(nl):
+    """The complex arrays that the kernel nl writes its real factors into:
+    the bases of the real-part views among its bound arguments."""
+    args = [a for arg in nl.args for a in (arg if isinstance(arg, tuple) else (arg,))]
+    return [a.base for a in args if isinstance(a, np.ndarray)
+            and a.dtype == np.float64 and a.base is not None
+            and a.base.dtype == np.complex128]
+
+
+def check_kernel_result_is_unchanged_by_its_next_call(grid, rng, equation, beta,
+                                                      shape, mu_val):
+    # the kernel writes its inverse transforms and its real factors into
+    # arrays it owns; what it returns must not be one of them
+    nl = _make_nonlinear(grid, equation, beta, mu_val, shape[:-1])
+    F, G = (np.fft.fft(random_band_field(grid, rng, band=8, scale=0.3).values
                        * np.ones(shape)) for _ in range(2))
     first = nl(F)
     kept = first.copy()
     second = nl(G)
     assert np.array_equal(first, kept)
     assert not np.shares_memory(first, second)
-    fresh = _make_nonlinear(grid2pi, equation, beta, mu_val, shape[:-1])
+    fresh = _make_nonlinear(grid, equation, beta, mu_val, shape[:-1])
     assert np.array_equal(nl(F), fresh(F)) and np.array_equal(second, fresh(G))
+    # |u|^2 for dnls1; [beta*mu; 2(1-beta)]|v|^2, beta(1/2-beta)|v|^4 and psi
+    # for dnls2: their imaginary parts stay +0.0, also after a NaN input, so
+    # the next call is unchanged
+    buffers = real_factor_buffers(nl)
+    assert len(buffers) == (1 if equation == "dnls1" else 3)
+    bad = F.copy()
+    bad[..., 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(nl(bad)).any()
+    for buf in buffers:
+        assert not buf.imag.any() and not np.signbit(buf.imag).any()
+    assert np.array_equal(nl(G), second)
+
+
+KERNEL_FLOWS = [("dnls1", 0.75), ("dnls2", 0.75), ("dnls2", 0.5)]
+
+
+@pytest.mark.parametrize("equation,beta", KERNEL_FLOWS)
+@pytest.mark.parametrize("B", [None, 3])
+def test_kernel_result_is_unchanged_by_its_next_call(grid2pi, rng, equation, beta, B):
+    shape = (grid2pi.N,) if B is None else (B, grid2pi.N)
+    mu_val = 0.4 if B is None else np.full((B, 1), 0.4)
+    check_kernel_result_is_unchanged_by_its_next_call(grid2pi, rng, equation, beta,
+                                                      shape, mu_val)
+
+
+@pytest.mark.parametrize("equation,beta", KERNEL_FLOWS)
+def test_one_call_kernel_result_is_unchanged_by_its_next_call(grid2pi, rng,
+                                                              equation, beta):
+    # a stack that shares one scalar mu: the kernel of rhs_* and pde_residual,
+    # with (N,) constants and buffers at the stack's shape
+    check_kernel_result_is_unchanged_by_its_next_call(grid2pi, rng, equation, beta,
+                                                      (3, grid2pi.N), 0.4)
 
 
 class TestPdeResidual:

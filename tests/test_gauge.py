@@ -82,6 +82,16 @@ class TestPsi:
         with pytest.raises(ValueError):
             psi(plane_wave(grid2pi), 0.75, 1.0, "maybe")
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    @pytest.mark.parametrize("beta", [0.75, 0.5])
+    def test_stack_gives_each_row_its_own_value(self, grid2pi, rng, sign, beta):
+        rows = [random_band_field(grid2pi, rng, band=16, scale=s).values
+                for s in (0.2, 0.6, 1.1)]
+        got = psi(Field(grid2pi, np.stack(rows)), beta, 1.3, sign)
+        want = [psi(Field(grid2pi, row), beta, 1.3, sign) for row in rows]
+        assert got == want
+        assert all(type(value) is float for value in got + want)
+
 
 class TestGaugeTrajectory:
     def _plane_wave_trajectory(self, grid, A, m, times):
