@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: simulate, gauge-check, gn-audit, threshold-scan, diagnose.
-Exit codes (stable contract):
-    0 success, 1 config error, 2 blowup guard hit, 3 non-finite samples,
-    4 GN audit violations, 5 verification failure (gauge-check discrepancy
-    above tolerance, or a below-threshold bound-chain violation).
+Exit codes (stable contract), by the exit reason that harness.EXIT_CODES maps:
+    0 ok, 1 config error, 2 blowup-guard, 3 non-finite, 4 gn-violations,
+    5 verification-failed (gauge-check discrepancy not below tolerance),
+    5 bound-chain-violation (a below-threshold bound-chain violation).
 """
 
 from __future__ import annotations

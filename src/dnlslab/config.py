@@ -177,7 +177,7 @@ def _coerce(tp, v, path, default=None):
         if not math.isfinite(v):
             raise ConfigError(f"{path}: expected a finite number, got {v!r}")
         return float(v)
-    what = {int: "an integer", str: "a string", bool: "a boolean"}[tp]
+    what = {int: "an integer", str: "a string"}[tp]
     if not isinstance(v, tp) or (tp is int and isinstance(v, bool)):
         raise ConfigError(f"{path}: expected {what}, got {v!r}")
     return v

@@ -2,7 +2,7 @@
 
 Each driver is a pure-ish function from a validated RunConfig to one
 Outcome: the CSV tables it produces, the fields it adds to summary.json, its
-status line and its exit code. The CLI writes every Outcome the same way, so
+status line and its exit reason. The CLI writes every Outcome the same way, so
 it stays a thin argparse/IO shell and tests can exercise the drivers directly.
 """
 
@@ -31,10 +31,9 @@ from .runio import BOOL_TEXT, FLOAT_FORMAT
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_BLOWUP = 2
-EXIT_NONFINITE = 3
-EXIT_GN_VIOLATION = 4
-EXIT_VERIFICATION = 5
+# the exit code of each reason a run can end with; a config error exits 1
+EXIT_CODES = {"ok": EXIT_OK, "blowup-guard": 2, "non-finite": 3, "gn-violations": 4,
+              "verification-failed": 5, "bound-chain-violation": 5}
 
 GAUGE_BETA = 0.75
 
@@ -61,9 +60,18 @@ class Outcome:
     tables: dict[str, tuple[tuple[str, ...], list[tuple | str]]]
     summary: dict
     status: str
-    exit_code: int
     exit_reason: str
     traj: Trajectory | None = None
+
+    @property
+    def exit_code(self) -> int:
+        return EXIT_CODES[self.exit_reason]
+
+
+def first_failure(*reasons: str) -> str:
+    """The first of reasons that is not "ok", or "ok": a run's exit reason,
+    its driver listing the reasons it can end with in order of precedence."""
+    return next((reason for reason in reasons if reason != "ok"), "ok")
 
 
 def grid_of(cfg: RunConfig) -> TorusGrid:
@@ -117,15 +125,15 @@ def _conserved_reports(traj: Trajectory) -> list[ConservedReport]:
                 for report in conserved_report(f, traj.times[rows])]
 
 
-def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
-                 ) -> tuple[list[ConservedReport], list[CaseRecord], int, int, str]:
+def _bound_chain(vtraj: Trajectory, delta: float, reason: str
+                 ) -> tuple[list[ConservedReport], list[CaseRecord], int, str]:
     """Conserved reports, case records and flagged-frame count of a gauged
-    trajectory, then the exit code and reason: a flagged frame turns an ok
-    exit into a bound-chain violation. An overflow or a division by an
-    underflowed norm in the case report (raised, or a norm that is not
-    finite), or a nonzero frame whose norm underflows to zero there, ends the
-    analysis with no records, and turns an ok exit into non-finite; numpy is
-    told not to warn."""
+    trajectory whose run ended with reason, then the run's reason: the first
+    failure of reason, the analysis and a flagged frame (a bound-chain
+    violation). An overflow or a division by an underflowed norm in the case
+    report (raised, or a norm that is not finite), or a nonzero frame whose
+    norm underflows to zero there, ends the analysis with no records, and
+    fails it as non-finite; numpy is told not to warn."""
     reports = _conserved_reports(vtraj)
     try:
         # 2/(delta sqrt(L)) divides by 0 where delta sqrt(L) underflows
@@ -135,28 +143,25 @@ def _bound_chain(vtraj: Trajectory, delta: float, exit_code: int, reason: str
                 r.sample.l4, r.sample.l6, r.sample.h1dot, r.sample.holder_upper)))):
             raise OverflowError("a norm of the case report is not finite")
     except (ArithmeticError, ZeroFieldError):
-        records = []
-        if exit_code == EXIT_OK:
-            exit_code, reason = EXIT_NONFINITE, "non-finite"
+        records, reason = [], first_failure(reason, "non-finite")
     n_flagged = sum(1 for r in records if r.flagged)
-    if n_flagged and exit_code == EXIT_OK:
-        exit_code, reason = EXIT_VERIFICATION, "bound-chain-violation"
-    return reports, records, n_flagged, exit_code, reason
+    return reports, records, n_flagged, first_failure(
+        reason, "bound-chain-violation" if n_flagged else "ok")
 
 
 def _member_record(result: Trajectory | SimulationError
-                   ) -> tuple[Trajectory, int, str, float | None]:
-    """(trajectory, exit code, exit reason, hit time) of one simulated member;
-    on a guard or non-finite stop, the trajectory is the partial one."""
+                   ) -> tuple[Trajectory, str, float | None]:
+    """(trajectory, exit reason, hit time) of one simulated member; on a guard
+    or non-finite stop, the trajectory is the partial one."""
     if isinstance(result, BlowupGuardError):
-        return result.partial, EXIT_BLOWUP, "blowup-guard", result.t
+        return result.partial, "blowup-guard", result.t
     if isinstance(result, NonFiniteError):
-        return result.partial, EXIT_NONFINITE, "non-finite", result.t
-    return result, EXIT_OK, "ok", None
+        return result.partial, "non-finite", result.t
+    return result, "ok", None
 
 
 def _simulate_partial(u0: Field, sim: SimConfig
-                      ) -> tuple[Trajectory, int, str, float | None]:
+                      ) -> tuple[Trajectory, str, float | None]:
     try:
         result = simulate(u0, sim)
     except (BlowupGuardError, NonFiniteError) as e:
@@ -167,44 +172,44 @@ def _simulate_partial(u0: Field, sim: SimConfig
 def run_simulation(cfg: RunConfig) -> Outcome:
     """Simulate the configured equation from the configured data."""
     u0 = _build_data(cfg.data, grid_of(cfg))
-    traj, code, reason, guard_t = _simulate_partial(u0, cfg.sim)
+    traj, reason, guard_t = _simulate_partial(u0, cfg.sim)
     tables, summary = _conserved_outputs(_conserved_reports(traj))
     return Outcome(tables, {**summary, "guard_time": guard_t},
-                   f"max drifts {summary['max_drifts']}", code, reason, traj)
+                   f"max drifts {summary['max_drifts']}", reason, traj)
 
 
 def run_gauge_check(cfg: RunConfig) -> Outcome:
     """Evolve the ungauged flow, gauge the trajectory, evolve the gauged flow
-    from the gauged initial data, and compare frame by frame."""
+    from the gauged initial data, and compare the frames both flows recorded:
+    after a guard or non-finite stop, those before the first stop. The reason
+    is the first failure of the dnls1 flow, the dnls2 flow and the comparison."""
     grid = grid_of(cfg)
     beta, tol = cfg.gauge_check.beta, cfg.gauge_check.tolerance
     u0 = _build_data(cfg.data, grid)
     sim_u = replace(cfg.sim, equation="dnls1")
     sim_v = replace(cfg.sim, equation="dnls2", beta=beta)
-    traj_u, code, reason, _ = _simulate_partial(u0, sim_u)
-    if code == EXIT_OK:
-        traj_v, code, reason, _ = _simulate_partial(gauge_profile(u0, beta), sim_v)
-    rows, max_disc, max_res = [], None, None  # None when a flow stopped early
-    if code == EXIT_OK:
-        gauged = gauge_trajectory(traj_u, beta)
-        discrepancies = [math.sqrt(float(np.sum(np.abs(d) ** 2)) * grid.dx)
-                         for d in gauged.values - traj_v.values]
-        residuals = [None] * len(gauged.times)
-        uniform = _uniform_prefix(gauged)
-        if len(uniform.times) >= 3:
-            mu0 = mu(Field(grid, traj_u.values[0]))
-            inner = pde_residual(uniform, "dnls2", beta, mu0)
-            residuals[1:1 + len(inner)] = inner.tolist()
-        rows = list(zip(gauged.times.tolist(), discrepancies, residuals))
-        max_disc = max(discrepancies)
-        max_res = max((r for r in residuals if r is not None), default=None)
-        if not max_disc < tol:
-            code, reason = EXIT_VERIFICATION, "verification-failed"
-    shown = "n/a" if max_disc is None else f"{max_disc:.3e}"
+    traj_u, reason_u, _ = _simulate_partial(u0, sim_u)
+    traj_v, reason_v, _ = _simulate_partial(gauge_profile(u0, beta), sim_v)
+    n = min(len(traj_u.times), len(traj_v.times))
+    gauged = gauge_trajectory(Trajectory(grid, traj_u.times[:n], traj_u.values[:n]),
+                              beta)
+    discrepancies = [math.sqrt(float(np.sum(np.abs(d) ** 2)) * grid.dx)
+                     for d in gauged.values - traj_v.values[:n]]
+    residuals = [None] * n
+    uniform = _uniform_prefix(gauged)
+    if len(uniform.times) >= 3:
+        mu0 = mu(Field(grid, traj_u.values[0]))
+        inner = pde_residual(uniform, "dnls2", beta, mu0)
+        residuals[1:1 + len(inner)] = inner.tolist()
+    rows = list(zip(gauged.times.tolist(), discrepancies, residuals))
+    max_disc = max(discrepancies)
+    max_res = max((r for r in residuals if r is not None), default=None)
+    reason = first_failure(reason_u, reason_v,
+                           "ok" if max_disc < tol else "verification-failed")
     return Outcome({"gauge_check.csv": (GAUGE_CHECK_COLUMNS, rows)},
                    {"max_discrepancy": max_disc, "max_residual": max_res,
                     "tolerance": tol},
-                   f"max discrepancy {shown} (tolerance {tol:g})", code, reason)
+                   f"max discrepancy {max_disc:.3e} (tolerance {tol:g})", reason)
 
 
 def _uniform_prefix(traj: Trajectory) -> Trajectory:
@@ -308,21 +313,19 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
             elif not ok:
                 n_violations += 1
             lines.append(line % (head, rhs, slack, BOOL_TEXT[ok], flaps[k]))
-    code, reason = ((EXIT_NONFINITE, "non-finite") if n_non_finite
-                    else (EXIT_GN_VIOLATION, "gn-violations") if n_violations
-                    else (EXIT_OK, "ok"))
+    reason = first_failure("non-finite" if n_non_finite else "ok",
+                           "gn-violations" if n_violations else "ok")
     return Outcome({"gn_audit.csv": (GN_AUDIT_COLUMNS, lines)},
                    {"rows": len(lines), "violations": n_violations},
-                   f"{len(lines)} rows, {n_violations} violations",
-                   code, reason)
+                   f"{len(lines)} rows, {n_violations} violations", reason)
 
 
 def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
     """Step scan members that share (L, N, dt) as one gauged batch.
 
     A member is (pair, mass fraction, gauged initial field), its pair's N and
-    dt resolved; returns (summary row, diagnostics table, exit code) per
-    member, in order."""
+    dt resolved; returns (summary row, diagnostics table) per member, in
+    order, the row ending with the member's exit reason."""
     dt = members[0][0].dt
     # about 100 recorded frames regardless of dt
     sim = replace(cfg.sim, equation="dnls2", beta=GAUGE_BETA, dt=dt,
@@ -330,9 +333,8 @@ def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
     results = []
     for (pair, frac, _), member in zip(
             members, simulate_batch([v0 for _, _, v0 in members], sim)):
-        traj, exit_code, reason, _ = _member_record(member)
-        reports, records, n_violations, exit_code, reason = _bound_chain(
-            traj, pair.delta, exit_code, reason)
+        traj, reason, _ = _member_record(member)
+        reports, records, n_violations, reason = _bound_chain(traj, pair.delta, reason)
         threshold = mass_threshold(pair.L, pair.delta)
         target_mass = frac * threshold
         drifts = drift_stats(reports)
@@ -345,8 +347,7 @@ def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
         row = (pair.L, pair.delta, frac, target_mass, threshold,
                target_mass < threshold, max_h1, ratio, drifts["M"],
                drifts["P"], drifts["Ecal"], n_case1, n_case2, n_violations, reason)
-        results.append((row, _table(DiagnosticsSample, [r.sample for r in records]),
-                        exit_code))
+        results.append((row, _table(DiagnosticsSample, [r.sample for r in records])))
     return results
 
 
@@ -407,12 +408,10 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
             results[i] = res
 
     below = SCAN_COLUMNS.index("below_threshold")
-    exit_code, reason = next(((code, row[-1]) for row, _, code in results
-                              if row[below] and code != EXIT_OK), (EXIT_OK, "ok"))
-    tables = {"scan_summary.csv": (SCAN_COLUMNS, [row for row, _, _ in results])}
-    tables.update(zip(names, (diagnostics for _, diagnostics, _ in results)))
-    return Outcome(tables, {"runs": len(results)}, f"{len(results)} runs",
-                   exit_code, reason)
+    reason = first_failure(*(row[-1] for row, _ in results if row[below]))
+    tables = {"scan_summary.csv": (SCAN_COLUMNS, [row for row, _ in results])}
+    tables.update(zip(names, (diagnostics for _, diagnostics in results)))
+    return Outcome(tables, {"runs": len(results)}, f"{len(results)} runs", reason)
 
 
 def run_diagnose(cfg: RunConfig) -> Outcome:
@@ -425,17 +424,16 @@ def run_diagnose(cfg: RunConfig) -> Outcome:
     """
     u0 = _build_data(cfg.data, grid_of(cfg))
     if cfg.sim.equation == "dnls1":
-        traj, exit_code, reason, _ = _simulate_partial(u0, cfg.sim)
+        traj, reason, _ = _simulate_partial(u0, cfg.sim)
         # rebinding frees the ungauged stack before the analysis
         traj = gauge_trajectory(traj, GAUGE_BETA)
     else:
-        traj, exit_code, reason, _ = _simulate_partial(
+        traj, reason, _ = _simulate_partial(
             gauge_profile(u0, GAUGE_BETA), replace(cfg.sim, beta=GAUGE_BETA))
 
-    reports, records, n_violations, exit_code, reason = _bound_chain(
-        traj, cfg.delta, exit_code, reason)
+    reports, records, n_violations, reason = _bound_chain(traj, cfg.delta, reason)
     tables, summary = _conserved_outputs(reports)
     table = _table(DiagnosticsSample, [r.sample for r in records])
     return Outcome({"diagnostics.csv": table, **tables},
                    {**summary, "violations": n_violations},
-                   f"{n_violations} flagged frames", exit_code, reason)
+                   f"{n_violations} flagged frames", reason)

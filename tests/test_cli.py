@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnlslab
-from dnlslab import DataSpec, SimConfig, TorusGrid, build, simulate
+from dnlslab import DataSpec, SimConfig, TorusGrid, build, cli, harness, simulate
 from dnlslab.cli import main
 from dnlslab.config import load_config
+from dnlslab.dynamics import BlowupGuardError, NonFiniteError, Trajectory
+from dnlslab.harness import EXIT_CODES, EXIT_CONFIG, first_failure
 from dnlslab.runio import _row_template, fmt_value, write_csv
 
 from conftest import write_reference_csv
@@ -74,6 +77,25 @@ def forbid_stepping(monkeypatch):
     through simulate_batch."""
     monkeypatch.setattr("dnlslab.dynamics.simulate_batch", no_stepping)
     monkeypatch.setattr("dnlslab.harness.simulate_batch", no_stepping)
+
+
+def stop_flow(monkeypatch, equation, frames=None, reason="blowup-guard"):
+    """Make each run of equation that harness steps stop for reason, a guard
+    hit or a non-finite sample, after its first frames frames (all of them by
+    default): the run steps in full, and its trajectory is cut to them."""
+    run = harness.simulate
+
+    def stopped(u0, sim):
+        traj = run(u0, sim)
+        if sim.equation != equation:
+            return traj
+        partial = Trajectory(traj.grid, traj.times[:frames], traj.values[:frames])
+        t = float(traj.times[-1])
+        if reason == "blowup-guard":
+            raise BlowupGuardError("stopped by the test", t, math.inf, partial)
+        raise NonFiniteError("stopped by the test", t, partial)
+
+    monkeypatch.setattr(harness, "simulate", stopped)
 
 
 class TestSimulateCommand:
@@ -241,22 +263,55 @@ class TestGaugeCheckCommand:
         assert all(residuals[1:-2])
 
     def test_guard_stop_writes_strict_json(self, tmp_path, capsys):
+        # both flows stop at the guard near t = 0.115: the 12 frames recorded
+        # before the stop are compared, and the residual is empty at the last
         shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                                "gauge_check.json")
         with open(shipped) as fh:
             doc = json.load(fh)
-        doc["sim"].update(T=0.01, guard_factor=1.0001)
+        doc["sim"].update(T=0.2, guard_factor=1.05)
         doc["outputs"]["dir"] = str(tmp_path / "out")
         cfg = write_config(tmp_path, doc)
         assert main(["gauge-check", "--config", cfg]) == 2
-        assert "max discrepancy n/a" in capsys.readouterr().out
-
-        def reject(name):
-            raise ValueError(f"non-standard JSON constant {name}")
-
         text = (tmp_path / "out" / "summary.json").read_text()
-        summary = json.loads(text, parse_constant=reject)
-        assert summary["max_discrepancy"] is None
+        summary = json.loads(text, parse_constant=reject_constant)
+        assert summary["exit_reason"] == "blowup-guard"
+        lines = (tmp_path / "out" / "gauge_check.csv").read_text().splitlines()
+        rows = [[float(x) if x else None for x in line.split(",")] for line in lines[1:]]
+        assert [t for t, _, _ in rows] == pytest.approx([0.01 * i for i in range(12)])
+        assert rows[0][2] is None and rows[-1][2] is None
+        assert all(r is not None for _, _, r in rows[1:-1])
+        discrepancies = [d for _, d, _ in rows]
+        assert 0 < summary["max_discrepancy"] == max(discrepancies) < 1e-12
+        assert summary["max_residual"] == max(r for _, _, r in rows[1:-1])
+        shown = f"max discrepancy {summary['max_discrepancy']:.3e} (tolerance 1e-06)"
+        assert capsys.readouterr().out == f"gauge-check: blowup-guard, {shown}\n"
+
+    @pytest.mark.parametrize("stops, reason", [("dnls1", "blowup-guard"),
+                                               ("dnls2", "blowup-guard"),
+                                               ("dnls2", "non-finite")])
+    def test_one_flow_stopped_compares_the_common_prefix(self, tmp_path, monkeypatch,
+                                                         stops, reason):
+        doc = base_doc(str(tmp_path / "full"),
+                       data={"kind": "multimode", "modes": [1, -1],
+                             "amplitudes": [0.7, 0.4], "seed": 2})
+        full_cfg = write_config(tmp_path, doc, "full.json")
+        assert main(["gauge-check", "--config", full_cfg, "--quiet"]) == 0
+        stop_flow(monkeypatch, stops, 4, reason)
+        cfg = write_config(tmp_path, {**doc, "outputs": {"dir": str(tmp_path / "out")}})
+        assert main(["gauge-check", "--config", cfg, "--quiet"]) == EXIT_CODES[reason]
+        full = (tmp_path / "full" / "gauge_check.csv").read_text().splitlines()
+        lines = (tmp_path / "out" / "gauge_check.csv").read_text().splitlines()
+        assert len(full) == 1 + 6 and len(lines) == 1 + 4
+        # the same frames, compared as in the full run; the residual needs the
+        # next frame, so the last one recorded has none
+        assert lines[:-1] == full[:-3]
+        assert lines[-1] == full[-3].rsplit(",", 1)[0] + ","
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                             parse_constant=reject_constant)
+        assert summary["exit_reason"] == reason
+        assert summary["max_discrepancy"] == max(
+            float(line.split(",")[1]) for line in lines[1:])
 
 
 class TestGnAuditCommand:
@@ -742,6 +797,140 @@ class TestLateNumericTrouble:
         assert summary["exit_reason"] == "non-finite"
         rows = (out / "scan_summary.csv").read_text().splitlines()
         assert len(rows) == 2 and rows[1].endswith(",non-finite")
+
+
+MULTIMODE = {"kind": "multimode", "modes": [1, 2, -1], "amplitudes": [1.0, 0.4, 0.3],
+             "seed": 5, "target_mass": 4.0}
+GUARD_SIM = {"dt": 1e-3, "T": 0.05, "record_stride": 10, "guard_factor": 1e-6}
+# the grid of TestLateNumericTrouble: at L = 1e-300 a step overflows, at
+# 1e308 the bound-chain analysis does
+TINY_L = {"grid": {"L": 1e-300, "N": 32}, "sim": {"dt": 1e-4, "T": 3e-4}}
+HUGE_L = {"grid": {"L": 1e308, "N": 32}, "sim": {"dt": 1e-4, "T": 3e-4}}
+SMALL_AUDIT = {"num_fields": 5, "L_values": [1.0], "delta_values": [0.5], "N": 64,
+               "seed": 3}
+ONE_MEMBER = {"mass_fractions": [0.5], "pairs": [{"L": TWO_PI, "delta": 1.0}]}
+
+
+def flag_every_frame(monkeypatch):
+    """No config reaches a bound-chain violation: a Hoelder bound with the
+    tolerance -1, so zero, flags every frame below the threshold."""
+    monkeypatch.setattr("dnlslab.diagnostics.HOLDER_TOL", -1.0)
+
+
+def run_outcome(monkeypatch, tmp_path, command, doc):
+    """main's exit code for command on doc, and the Outcome it wrote."""
+    outcomes = []
+    write = cli._write_outcome
+    monkeypatch.setattr(cli, "_write_outcome", lambda command, cfg, quiet, outcome:
+                        outcomes.append(outcome) or write(command, cfg, quiet, outcome))
+    code = main([command, "--config", write_config(tmp_path, doc), "--quiet"])
+    (outcome,) = outcomes
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=reject_constant)
+    assert summary["exit_reason"] == outcome.exit_reason
+    return code, outcome
+
+
+class TestExitTable:
+    """One table gives every exit code from its exit reason, and a run's
+    reason is its first that is not ok, in the order its driver lists them."""
+
+    def test_table_is_the_one_in_the_docs(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            readme_rows = re.findall(r"^\| (\d) \| `([a-z-]+)` \|", fh.read(), re.M)
+        docstring_rows = re.findall(r"\b(\d) ([a-z-]+)", cli.__doc__)
+        docstring_rows.remove((str(EXIT_CONFIG), "config"))
+        for rows in (docstring_rows, readme_rows):
+            assert len(rows) == len(EXIT_CODES)
+            assert {reason: int(code) for code, reason in rows} == EXIT_CODES
+        assert EXIT_CONFIG == 1 and EXIT_CONFIG not in EXIT_CODES.values()
+
+    def test_first_failure(self):
+        assert first_failure() == first_failure("ok", "ok") == "ok"
+        assert first_failure("ok", "non-finite", "gn-violations") == "non-finite"
+        assert first_failure("blowup-guard", "non-finite",
+                             "bound-chain-violation") == "blowup-guard"
+
+    @pytest.mark.parametrize("command, overrides, flagged, reason", [
+        ("simulate", {}, False, "ok"),
+        ("simulate", {"data": MULTIMODE, "sim": GUARD_SIM}, False, "blowup-guard"),
+        ("simulate", TINY_L, False, "non-finite"),
+        ("gauge-check", {}, False, "ok"),
+        ("gauge-check", {"data": MULTIMODE, "sim": GUARD_SIM}, False, "blowup-guard"),
+        ("gauge-check", TINY_L, False, "non-finite"),
+        ("gauge-check", {"data": MULTIMODE, "gauge_check": {"tolerance": 1e-300}},
+         False, "verification-failed"),
+        ("gn-audit", {"gn_audit": SMALL_AUDIT}, False, "ok"),
+        ("gn-audit", {"gn_audit": {**SMALL_AUDIT, "corrupt_constant": 0.5}}, False,
+         "gn-violations"),
+        ("gn-audit", {"gn_audit": {**SMALL_AUDIT, "L_values": [1e308]}}, False,
+         "non-finite"),
+        ("threshold-scan", {"data": MULTIMODE, "threshold_scan": ONE_MEMBER}, False,
+         "ok"),
+        ("threshold-scan", {"data": MULTIMODE, "sim": GUARD_SIM,
+                            "threshold_scan": ONE_MEMBER}, False, "blowup-guard"),
+        ("threshold-scan", {**HUGE_L, "threshold_scan": {
+            "mass_fractions": [0.5], "pairs": [{"L": 1e308, "delta": 1.0}]}}, False,
+         "non-finite"),
+        ("threshold-scan", {"data": MULTIMODE, "threshold_scan": ONE_MEMBER}, True,
+         "bound-chain-violation"),
+        ("diagnose", {"data": MULTIMODE}, False, "ok"),
+        ("diagnose", {"data": MULTIMODE, "sim": GUARD_SIM}, False, "blowup-guard"),
+        ("diagnose", TINY_L, False, "non-finite"),
+        ("diagnose", {"data": MULTIMODE}, True, "bound-chain-violation"),
+    ])
+    def test_each_reason_of_each_command_exits_with_its_code(
+            self, tmp_path, monkeypatch, command, overrides, flagged, reason):
+        if flagged:
+            flag_every_frame(monkeypatch)
+        doc = base_doc(str(tmp_path / "out"), **overrides)
+        code, outcome = run_outcome(monkeypatch, tmp_path, command, doc)
+        assert outcome.exit_reason == reason
+        assert code == outcome.exit_code == EXIT_CODES[reason]
+
+    @pytest.mark.parametrize("overrides, flagged, stopped, reason, n_rows", [
+        # a stop outranks an analysis that fails, and that writes no rows
+        (HUGE_L, False, True, "blowup-guard", 0),
+        # a stop outranks flagged frames
+        ({"data": MULTIMODE}, True, True, "blowup-guard", 6),
+        # an analysis that fails writes no rows, so it flags no frame
+        (HUGE_L, True, False, "non-finite", 0),
+    ])
+    def test_diagnose_order(self, tmp_path, monkeypatch, overrides, flagged, stopped,
+                            reason, n_rows):
+        if flagged:
+            flag_every_frame(monkeypatch)
+        if stopped:
+            stop_flow(monkeypatch, "dnls1")
+        doc = base_doc(str(tmp_path / "out"), **overrides)
+        code, outcome = run_outcome(monkeypatch, tmp_path, "diagnose", doc)
+        assert (outcome.exit_reason, code) == (reason, EXIT_CODES[reason])
+        assert len(outcome.tables["diagnostics.csv"][1]) == n_rows
+        assert outcome.summary["violations"] == (n_rows if flagged else 0)
+
+    def test_non_finite_audit_rows_outrank_violations(self, tmp_path, monkeypatch):
+        doc = base_doc(str(tmp_path / "out"), gn_audit={
+            **SMALL_AUDIT, "L_values": [1.0, 1e308], "corrupt_constant": 0.5})
+        code, outcome = run_outcome(monkeypatch, tmp_path, "gn-audit", doc)
+        assert (outcome.exit_reason, code) == ("non-finite", 3)
+        assert outcome.summary["violations"] > 0
+
+    def test_only_below_threshold_scan_members_gate(self, tmp_path, monkeypatch):
+        # both members stop; only the one below the threshold gates, and
+        # alone above the threshold a stopped member exits 0
+        doc = base_doc(str(tmp_path / "out"), data=MULTIMODE, sim=GUARD_SIM,
+                       threshold_scan={"mass_fractions": [1.5, 0.5], "pairs": [
+                           {"L": TWO_PI, "delta": 1.0}]})
+        code, outcome = run_outcome(monkeypatch, tmp_path, "threshold-scan", doc)
+        rows = outcome.tables["scan_summary.csv"][1]
+        assert [(row[2], row[5], row[-1]) for row in rows] == [
+            (1.5, False, "blowup-guard"), (0.5, True, "blowup-guard")]
+        assert (outcome.exit_reason, code) == ("blowup-guard", 2)
+        doc["threshold_scan"]["mass_fractions"] = [1.5]
+        code, outcome = run_outcome(monkeypatch, tmp_path, "threshold-scan", doc)
+        assert outcome.tables["scan_summary.csv"][1][0][-1] == "blowup-guard"
+        assert (outcome.exit_reason, code) == ("ok", 0)
 
 
 def assert_writes_as_reference(tmp_path, header, rows):
