@@ -9,7 +9,7 @@ trade gauged energy against momentum on the frequency lattice 2*pi*Z/L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -85,17 +85,20 @@ def f_ratio(v: Field) -> float | list[float]:
     return per_row(v, _row_ratio, lp_norm(v, 4), lp_norm(v, 6))
 
 
-def _columns(v: Field) -> tuple:
-    """The reductions a DiagnosticsSample is built from, one _moments pass
-    on all rows of v, without the derivative's pad: ||v||_L6, ||v||_L4,
-    ||v_x||^2 and the mass."""
-    M, _, h, l4, l6, _ = _moments(v, full=False)
+def _columns(moments: tuple) -> tuple:
+    """The reductions a DiagnosticsSample is built from, out of one _moments
+    pass on all rows of a stack, full or not (the same bits either way):
+    ||v||_L6, ||v||_L4, ||v_x||^2 and the mass."""
+    M, _, h, l4, l6, _ = moments
     return l6, l4, h, M
 
 
-def _sample(delta: float, ecal_val: float, L: float, t: float, l6: float,
-            l4: float, h1dot_sq_val: float, mass_val: float) -> DiagnosticsSample:
-    """One row's DiagnosticsSample from its entries of _columns."""
+def _sample(delta: float, ecal_val: float, L: float, M0: float | None,
+            t: float, l6: float, l4: float, h1dot_sq_val: float,
+            mass_val: float) -> DiagnosticsSample:
+    """One row's DiagnosticsSample from its entries of _columns. Its alpha is
+    the case prescription's (_case_alpha) for the conserved mass M0, or None
+    when M0 is None."""
     f = _row_ratio(l4, l6)
     mu_val = _mu(mass_val, L)
     gamma = (2.0 / (delta * np.sqrt(L)) - 0.375 * mu_val * l4 ** 2) * l4 ** 2 / l6 ** 6
@@ -103,11 +106,13 @@ def _sample(delta: float, ecal_val: float, L: float, t: float, l6: float,
     eta = 1.0 / 16.0 - shape ** -4 * CGN_POW_M18 / f ** 4
     base = 1.0 + 16.0 * ecal_val / l6 ** 6 + 16.0 * gamma
     lower = 2.0 * CGN_POW_M92 / shape * base ** -0.25 if base > 0 else None
+    excess = eta + gamma
+    alpha = None if M0 is None else _case_alpha(excess, l6, M0, L)
     return DiagnosticsSample(
         t=float(t), l4=l4, l6=l6, h1dot=float(np.sqrt(h1dot_sq_val)), f=f,
         gamma=gamma, eta=eta, lower_bound_f=lower,
-        holder_upper=float(np.sqrt(mass_val)), alpha=None,
-        case_tag="case1" if eta + gamma <= 0 else "case2")
+        holder_upper=float(np.sqrt(mass_val)), alpha=alpha,
+        case_tag="case1" if excess <= 0 else "case2")
 
 
 def proof_sample(v: Field, delta: float, ecal_val: float,
@@ -124,8 +129,8 @@ def proof_sample(v: Field, delta: float, ecal_val: float,
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     times = np.broadcast_to(t, v.values.shape[:-1]).tolist()
-    return per_row(v, partial(_sample, delta, ecal_val, v.grid.L), times,
-                   *_columns(v))
+    return per_row(v, partial(_sample, delta, ecal_val, v.grid.L, None), times,
+                   *_columns(_moments(v, full=False)))
 
 
 def alpha_choice(sample: DiagnosticsSample, M_val: float, L: float) -> float:
@@ -137,8 +142,19 @@ def alpha_choice(sample: DiagnosticsSample, M_val: float, L: float) -> float:
     if excess <= 0:
         raise Case1NotApplicable(
             "eta + gamma <= 0: the case-1 prescription alpha = 2*pi/L applies")
+    return _case_alpha(excess, sample.l6, M_val, L)
+
+
+def _case_alpha(excess: float, l6: float, M_val: float, L: float) -> float:
+    """The case prescription's modulation frequency of a frame with
+    eta + gamma = excess and L6 norm l6: 2*pi/L in case 1 (excess <= 0), and
+    in case 2 that of alpha_choice, which needs M_val > 0."""
     unit = 2.0 * np.pi / L
-    target = np.sqrt(excess / M_val) * sample.l6 ** 3
+    if excess <= 0:
+        return unit
+    if M_val <= 0:
+        raise ValueError(f"M_val must be positive, got {M_val}")
+    target = np.sqrt(excess / M_val) * l6 ** 3
     return unit * (np.floor(target / unit) + 1.0)
 
 
@@ -181,17 +197,25 @@ def _degenerate_sample(t: float) -> DiagnosticsSample:
                              case_tag="degenerate")
 
 
-def _frame_samples(traj: Trajectory, delta: float, ecal_val: float):
-    """(t, DiagnosticsSample) per frame of traj, in order, with None for a
-    zero frame. The norms are reduced once per chunk of Trajectory.chunks; a
-    frame's sample is built when it is reached, so a frame raises where it
-    would alone."""
-    L = traj.grid.L
-    for rows, v in traj.chunks():
-        zero = np.abs(v.values).max(axis=-1) == 0.0
+def _frame_samples(traj: Trajectory, delta: float, ecal_val: float, M0: float,
+                   moments: list[tuple] | None = None):
+    """(t, DiagnosticsSample) per frame of traj, in order, with its case
+    alpha for the conserved mass M0, or None for a zero frame. The norms come
+    from one _moments pass per chunk of Trajectory.chunks: moments, in chunk
+    order, when given, else a pass without the derivative's pad taken here,
+    chunk by chunk. A frame's sample is built when it is reached, so a frame
+    raises where it would alone."""
+    grid = traj.grid
+    chunks = grid.row_chunks(len(traj.times))
+    if moments is None:
+        moments = (_moments(Field(grid, traj.values[rows]), full=False)
+                   for rows in chunks)
+    for rows, chunk_moments in zip(chunks, moments, strict=True):
+        zero = np.abs(traj.values[rows]).max(axis=-1) == 0.0
         for t, is_zero, *columns in zip(traj.times[rows].tolist(), zero.tolist(),
-                                        *_columns(v)):
-            yield t, None if is_zero else _sample(delta, ecal_val, L, t, *columns)
+                                        *_columns(chunk_moments)):
+            yield t, None if is_zero else _sample(delta, ecal_val, grid.L, M0, t,
+                                                  *columns)
 
 
 # Tolerances of the per-frame checks. Hoelder and the GN lower bound carry the
@@ -203,8 +227,8 @@ CASE_TOL = 1e-8
 DEFECT_TOL = 1e-8
 
 
-def case_report(traj: Trajectory, delta: float,
-                conserved0: ConservedReport) -> list[CaseRecord]:
+def case_report(traj: Trajectory, delta: float, conserved0: ConservedReport,
+                *, moments: list[tuple] | None = None) -> list[CaseRecord]:
     """Evaluate the applicable case inequality and the defect on every frame
     of a gauged (beta = 3/4) trajectory.
 
@@ -212,6 +236,12 @@ def case_report(traj: Trajectory, delta: float,
     instantaneous. A frame is flagged only when the mass sits below the
     threshold yet a bound-chain item fails beyond tolerance, which would
     indicate a numerical or transcription bug, never a refutation.
+
+    The norms are reduced once per chunk of Trajectory.chunks. moments, when
+    given, is the functionals._moments pass of each chunk, in order (the full
+    one, as the conserved reports of the chunks take it, gives the same
+    bits); without it each chunk takes its own pass without the derivative's
+    pad. Each frame's sample is built once, with its alpha.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -223,7 +253,7 @@ def case_report(traj: Trajectory, delta: float,
     defect_const = 16.0 * shape ** -4 * CGN_POW_M18
 
     records = []
-    for t, sample in _frame_samples(traj, delta, E0):
+    for t, sample in _frame_samples(traj, delta, E0, M0, moments):
         if sample is None:
             records.append(CaseRecord(_degenerate_sample(t), None, None, None,
                                       below, ()))
@@ -238,12 +268,10 @@ def case_report(traj: Trajectory, delta: float,
         excess = sample.eta + sample.gamma
         lhs = 0.25 * sample.l4 ** 4
         if sample.case_tag == "case1":
-            alpha = 2.0 * np.pi / L
             rhs = -P0 + np.pi / L * M0 + L / (4.0 * np.pi) * E0
         else:
-            alpha = alpha_choice(sample, M0, L)
             rhs = (np.sqrt(M0 * excess) * sample.l6 ** 3
-                   - P0 + np.pi / L * M0 + E0 / (2.0 * alpha))
+                   - P0 + np.pi / L * M0 + E0 / (2.0 * sample.alpha))
         if lhs > rhs + CASE_TOL * max(1.0, abs(rhs), lhs):
             violations.append("case_bound")
 
@@ -251,6 +279,6 @@ def case_report(traj: Trajectory, delta: float,
         if below and defect > DEFECT_TOL * max(1.0, M0 * sample.f ** 4 + sample.f ** 6):
             violations.append("defect_sign")
 
-        records.append(CaseRecord(replace(sample, alpha=alpha), lhs, rhs,
-                                  defect, below, tuple(violations)))
+        records.append(CaseRecord(sample, lhs, rhs, defect, below,
+                                  tuple(violations)))
     return records

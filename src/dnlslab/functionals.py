@@ -9,9 +9,11 @@ The public functionals each take their own transforms and pads. The reports
 share theirs: _moments reduces every primitive of conserved_report in one
 pass over a stack, with one forward FFT, one inverse for the derivative and
 two pads through grid.refine2 (6 transforms), where the functionals one by
-one take 24 transforms and 7 pads; diagnostics.proof_sample and
-diagnostics.case_report take the pass without the momentum and the cubic
-term (4 transforms, one pad, against 6 and 2). Every value keeps the bits
+one take 24 transforms and 7 pads. diagnostics.proof_sample, and
+diagnostics.case_report called alone, take the pass without the momentum and
+the cubic term (4 transforms, one pad). The bound chain of the drivers takes
+one full pass per chunk and hands it to both reports (moments=), so a chunk
+costs it 6 transforms and 2 pads, not 10 and 3. Every value keeps the bits
 the public functionals give it, whose per-row combinations it shares.
 """
 
@@ -208,7 +210,11 @@ def _moments(f: Field, full: bool = True) -> tuple:
     their bits: the roots are Python float powers per row (float or list,
     as per_row gives them), the rest float64 columns for per_row. The
     refined values and their modulus are freed before f_x is padded, so the
-    pass holds no more padded arrays at a time than _im_cubic_term does.
+    pass holds no more padded arrays at a time than _im_cubic_term does, and
+    what it returns holds none: a caller may keep the pass of every chunk.
+    The full pass serves both conserved_report and diagnostics.case_report
+    (their moments= argument), whose M, h, l4 and l6 it gives with the bits
+    and types of the pass without full.
     """
     grid = f.grid
     df = deriv_values(f)
@@ -229,12 +235,14 @@ def _moments(f: Field, full: bool = True) -> tuple:
     return M, p, h, l4, l6, total * (grid.L / (2 * grid.N))
 
 
-def conserved_report(f: Field, t: float | np.ndarray = 0.0
+def conserved_report(f: Field, t: float | np.ndarray = 0.0, *,
+                     moments: tuple | None = None
                      ) -> ConservedReport | list[ConservedReport]:
     """Evaluate every tracked functional on one field, or on each row of a
     stack, with t its time or one time per row, from one _moments pass: bit
     for bit mass, hamiltonian_u, energy_u (with the standard term form, the
-    shipped default), momentum_v, mu and ecal."""
+    shipped default), momentum_v, mu and ecal. moments, when given, is
+    _moments(f) already taken, and no pass is taken here."""
     times = np.broadcast_to(t, f.values.shape[:-1]).tolist()
     L = f.grid.L
 
@@ -244,4 +252,4 @@ def conserved_report(f: Field, t: float | np.ndarray = 0.0
                                _energy(h, cubic, l6), _momentum_v(p, l4),
                                mu_val, _ecal(h, l6, mu_val, l4))
 
-    return per_row(f, report, times, *_moments(f))
+    return per_row(f, report, times, *(_moments(f) if moments is None else moments))

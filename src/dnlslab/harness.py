@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -20,7 +22,7 @@ from .diagnostics import (CaseRecord, DiagnosticsSample, ZeroFieldError,
 from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, pde_residual, simulate,
                        simulate_batch, step_count)
-from .functionals import ConservedReport, conserved_report, mu
+from .functionals import ConservedReport, _moments, conserved_report, mu
 from .gauge import gauge_profile, gauge_trajectory
 from .gn import CGN, FieldNorms, audit_sweep, field_norms, mass_threshold
 # bench/spans.py times these two by name; run_gn_audit no longer calls them
@@ -89,7 +91,7 @@ def _build_data(spec: DataSpec, grid: TorusGrid, where: str = "", **changes) -> 
 
 def _table(cls, records) -> tuple[tuple[str, ...], list[tuple]]:
     """A CSV table of records of type cls: its COLUMNS, read off each record."""
-    return cls.COLUMNS, [tuple(getattr(r, c) for c in cls.COLUMNS) for r in records]
+    return cls.COLUMNS, list(map(attrgetter(*cls.COLUMNS), records))
 
 
 def drift_stats(reports: list[ConservedReport]) -> dict[str, float]:
@@ -116,13 +118,15 @@ def _conserved_outputs(reports: list[ConservedReport]) -> tuple[dict, dict]:
             {"max_drifts": drift_stats(reports), "conserved_initial": initial})
 
 
-def _conserved_reports(traj: Trajectory) -> list[ConservedReport]:
+def _conserved_reports(traj: Trajectory, moments: list[tuple] | None = None
+                       ) -> list[ConservedReport]:
     """conserved_report of every frame of traj, one call per chunk of
-    Trajectory.chunks, with numpy's overflow warnings off: a value that
+    Trajectory.chunks, handed that chunk's functionals._moments pass from
+    moments when given, with numpy's overflow warnings off: a value that
     overflows is written as it is, and the exit code reports the run."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [report for rows, f in traj.chunks()
-                for report in conserved_report(f, traj.times[rows])]
+        return [report for (rows, f), m in zip(traj.chunks(), moments or repeat(None))
+                for report in conserved_report(f, traj.times[rows], moments=m)]
 
 
 def _bound_chain(vtraj: Trajectory, delta: float, reason: str
@@ -133,12 +137,16 @@ def _bound_chain(vtraj: Trajectory, delta: float, reason: str
     violation). An overflow or a division by an underflowed norm in the case
     report (raised, or a norm that is not finite), or a nonzero frame whose
     norm underflows to zero there, ends the analysis with no records, and
-    fails it as non-finite; numpy is told not to warn."""
-    reports = _conserved_reports(vtraj)
+    fails it as non-finite; numpy is told not to warn. Both reports read one
+    full functionals._moments pass per chunk, taken here; only its
+    reductions are kept across chunks, no padded array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = [_moments(f) for _, f in vtraj.chunks()]
+    reports = _conserved_reports(vtraj, moments)
     try:
         # 2/(delta sqrt(L)) divides by 0 where delta sqrt(L) underflows
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            records = case_report(vtraj, delta, reports[0])
+            records = case_report(vtraj, delta, reports[0], moments=moments)
         if not all(map(math.isfinite, (n for r in records for n in (
                 r.sample.l4, r.sample.l6, r.sample.h1dot, r.sample.holder_upper)))):
             raise OverflowError("a norm of the case report is not finite")

@@ -4,7 +4,7 @@ chunk rule that keeps it so."""
 import json
 import os
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -17,8 +17,10 @@ from dnlslab import (ConservedReport, DiagnosticsSample, Field, Spectrum,
                      lp_norm, proof_sample, simulate, translate)
 from dnlslab import harness
 from dnlslab.config import GnAuditBlock, load_config
-from dnlslab.functionals import h1dot_sq
-from dnlslab.gn import CGN_POW_M18, CGN_POW_M92, FieldNorms, field_norms
+from dnlslab.diagnostics import alpha_choice
+from dnlslab.functionals import _moments, h1dot_sq
+from dnlslab.gn import (CGN_POW_M18, CGN_POW_M92, FieldNorms, field_norms,
+                        mass_threshold)
 from dnlslab.grid import ELIDE_BYTES
 from dnlslab.harness import audit_coefficients
 from dnlslab.initial_data import build
@@ -277,6 +279,73 @@ def test_the_first_failing_frame_of_a_chunk_sets_the_error(frames_traj):
             case_report(traj, 1.0, c0)
 
 
+def same_bits(a, b):
+    """Equal field by field and type for type, a float (Python or numpy)
+    bit for bit through float.hex, and a record inside a record alike."""
+    assert type(a) is type(b)
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert type(x) is type(y), (field.name, type(x), type(y))
+        if is_dataclass(x):
+            same_bits(x, y)
+        elif isinstance(x, float):
+            assert float.hex(x) == float.hex(y), (field.name, x, y)
+        else:
+            assert x == y, (field.name, x, y)
+
+
+def assert_bound_chain_is_the_public_path(traj, delta, reason):
+    """harness._bound_chain's reports, records and flagged count against
+    conserved_report per chunk, then case_report of the trajectory, each
+    taking its own moment pass; returns the records."""
+    reports, records, n_flagged, _ = harness._bound_chain(traj, delta, reason)
+    want_reports = [r for t, f in stacks(traj) for r in conserved_report(f, t)]
+    want_records = case_report(traj, delta, want_reports[0])
+    assert len(reports) == len(want_reports) == len(traj.times)
+    assert len(records) == len(want_records) == len(traj.times)
+    for got, want in zip(reports + records, want_reports + want_records):
+        same_bits(got, want)
+    assert n_flagged == sum(r.flagged for r in want_records)
+    return records
+
+
+def test_bound_chain_shares_one_pass_with_the_public_bits(frames_traj):
+    v = frames_traj.values
+    traj = with_rows(frames_traj, {40: 0.0, 100: 2.0 * v[100], 200: 3.0 * v[200]})
+    assert len(traj.chunks()) >= 3
+    records = assert_bound_chain_is_the_public_path(traj, 1.0, "ok")
+    samples = [r.sample for r in records]
+    assert samples[40].case_tag == "degenerate"
+    assert samples[100].case_tag == samples[200].case_tag == "case1"
+    assert samples[100].lower_bound_f is None
+    assert samples[41].case_tag == "case2"
+    assert samples[41].lower_bound_f is not None
+    # case 1 takes the Python float 2 pi/L, case 2 the lattice frequency of
+    # alpha_choice, a numpy scalar
+    assert type(samples[100].alpha) is float
+    assert type(samples[41].alpha) is np.float64
+    M0 = conserved_report(Field(traj.grid, traj.values[0])).M
+    assert float.hex(samples[41].alpha) == float.hex(
+        alpha_choice(samples[41], M0, traj.grid.L))
+    # a pass per chunk of the trajectory, or none
+    moments = [_moments(f) for _, f in traj.chunks()]
+    with pytest.raises(ValueError):
+        case_report(traj, 1.0, conserved_report(Field(traj.grid, traj.values[0])),
+                    moments=moments[:-1])
+
+
+def test_bound_chain_of_a_guard_stopped_trajectory_has_the_public_bits():
+    cfg = load_config(config_path("diagnose.json"))
+    u0 = build(cfg.data, TorusGrid(cfg.grid.L, 64))
+    traj, reason, hit = harness._simulate_partial(
+        u0, replace(cfg.sim, T=0.3, record_stride=2, guard_factor=1.05))
+    assert reason == "blowup-guard" and hit < 0.3
+    vtraj = gauge_trajectory(traj, 0.75)
+    assert len(vtraj.chunks()) >= 3
+    assert_bound_chain_is_the_public_path(vtraj, cfg.delta, reason)
+    assert harness._bound_chain(vtraj, cfg.delta, reason)[3] == "blowup-guard"
+
+
 @pytest.mark.parametrize("beta", [0.75, 0.5])
 def test_gauge_trajectory_of_chunks_equals_each_frame(frames_traj, beta):
     traj = frames_traj
@@ -329,7 +398,9 @@ def test_gn_audit_transforms_per_chunk_not_per_field(monkeypatch):
     assert len(calls) == (6 + len(block.L_values)) * chunks
 
 
-def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
+def count_bound_chain(monkeypatch):
+    """Wrap harness._bound_chain; return the list that each call appends its
+    (transforms, pads) to."""
     calls = count_transforms(monkeypatch)
     pads = []
     refine2 = TorusGrid.refine2
@@ -345,6 +416,17 @@ def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
         return result
 
     monkeypatch.setattr(harness, "_bound_chain", counted)
+    return in_analysis
+
+
+# per chunk, one full moment pass, which the conserved reports and the case
+# records share: the forward transform, the derivative's inverse, and the
+# pads of the values and of the derivative (2 transforms each)
+PASS_TRANSFORMS, PASS_PADS = 6, 2
+
+
+def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
+    in_analysis = count_bound_chain(monkeypatch)
     cfg = load_config(config_path("diagnose.json"))
     cfg = replace(cfg, grid=replace(cfg.grid, N=64),
                   sim=replace(cfg.sim, T=0.03, record_stride=1))
@@ -353,8 +435,22 @@ def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
     frames = len(outcome.tables["diagnostics.csv"][1])
     chunks = len(TorusGrid(1.0, 64).row_chunks(frames))
     assert (frames, chunks) == (301, 3)
-    # per chunk, one moment pass each: the conserved report's takes the
-    # forward transform, the derivative's inverse, and the pads of the values
-    # and of the derivative (2 transforms each); the case report's the same
-    # without the derivative's pad
-    assert in_analysis == [((6 + 4) * chunks, (2 + 1) * chunks)]
+    assert in_analysis == [(PASS_TRANSFORMS * chunks, PASS_PADS * chunks)]
+
+
+def test_scan_group_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
+    cfg = load_config(config_path("threshold_scan.json"))
+    cfg = replace(cfg, sim=replace(cfg.sim, T=0.03))
+    pair = cfg.threshold_scan.pairs[0]
+    grid = TorusGrid(pair.L, pair.N)
+    threshold = mass_threshold(pair.L, pair.delta)
+    members = [(pair, frac, gauge_profile(
+                    build(replace(cfg.data, target_mass=frac * threshold), grid), 0.75))
+               for frac in cfg.threshold_scan.mass_fractions[:2]]
+    in_analysis = count_bound_chain(monkeypatch)
+    results = harness.run_scan_group(cfg, members)
+    assert [row[-1] for row, _ in results] == ["ok", "ok"]
+    frames = len(results[0][1][1])
+    chunks = len(grid.row_chunks(frames))
+    assert (frames, chunks) == (151, 3)
+    assert in_analysis == [(PASS_TRANSFORMS * chunks, PASS_PADS * chunks)] * 2
