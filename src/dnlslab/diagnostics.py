@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .functionals import ConservedReport, _moments, _mu, ecal, mass, momentum_v
-from .gn import CGN_POW_M18, CGN_POW_M92, mass_threshold
+from . import gn
 from .grid import Field, lp_norm, per_row
 
 
@@ -85,27 +85,19 @@ def f_ratio(v: Field) -> float | list[float]:
     return per_row(v, _row_ratio, lp_norm(v, 4), lp_norm(v, 6))
 
 
-def _columns(moments: tuple) -> tuple:
-    """The reductions a DiagnosticsSample is built from, out of one _moments
-    pass on all rows of a stack, full or not (the same bits either way):
-    ||v||_L6, ||v||_L4, ||v_x||^2 and the mass."""
-    M, _, h, l4, l6, _ = moments
-    return l6, l4, h, M
-
-
 def _sample(delta: float, ecal_val: float, L: float, M0: float | None,
-            t: float, l6: float, l4: float, h1dot_sq_val: float,
-            mass_val: float) -> DiagnosticsSample:
-    """One row's DiagnosticsSample from its entries of _columns. Its alpha is
-    the case prescription's (_case_alpha) for the conserved mass M0, or None
-    when M0 is None."""
+            t: float, mass_val: float, h1dot_sq_val: float, l4: float,
+            l6: float) -> DiagnosticsSample:
+    """One row's DiagnosticsSample from its M, ||v_x||^2, ||v||_L4 and ||v||_L6
+    in a _moments pass, full or not (the same bits). Its alpha is _case_alpha's
+    for the conserved mass M0, or None when M0 is None."""
     f = _row_ratio(l4, l6)
     mu_val = _mu(mass_val, L)
-    gamma = (2.0 / (delta * np.sqrt(L)) - 0.375 * mu_val * l4 ** 2) * l4 ** 2 / l6 ** 6
-    shape = 1.0 + 2.0 * delta / (5.0 * L)
-    eta = 1.0 / 16.0 - shape ** -4 * CGN_POW_M18 / f ** 4
+    gamma = (gn.flap_scale(L, delta) - 0.375 * mu_val * l4 ** 2) * l4 ** 2 / l6 ** 6
+    shape = gn.shape_factor(L, delta)
+    eta = 1.0 / 16.0 - shape ** -4 * gn.CGN_POW_M18 / f ** 4
     base = 1.0 + 16.0 * ecal_val / l6 ** 6 + 16.0 * gamma
-    lower = 2.0 * CGN_POW_M92 / shape * base ** -0.25 if base > 0 else None
+    lower = 2.0 * gn.CGN_POW_M92 / shape * base ** -0.25 if base > 0 else None
     excess = eta + gamma
     alpha = None if M0 is None else _case_alpha(excess, l6, M0, L)
     return DiagnosticsSample(
@@ -129,8 +121,9 @@ def proof_sample(v: Field, delta: float, ecal_val: float,
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     times = np.broadcast_to(t, v.values.shape[:-1]).tolist()
+    M, _, h, l4, l6, _ = _moments(v, full=False)
     return per_row(v, partial(_sample, delta, ecal_val, v.grid.L, None), times,
-                   *_columns(_moments(v, full=False)))
+                   M, h, l4, l6)
 
 
 def alpha_choice(sample: DiagnosticsSample, M_val: float, L: float) -> float:
@@ -205,17 +198,15 @@ def _frame_samples(traj: Trajectory, delta: float, ecal_val: float, M0: float,
     order, when given, else a pass without the derivative's pad taken here,
     chunk by chunk. A frame's sample is built when it is reached, so a frame
     raises where it would alone."""
-    grid = traj.grid
-    chunks = grid.row_chunks(len(traj.times))
+    chunks = traj.chunks()
     if moments is None:
-        moments = (_moments(Field(grid, traj.values[rows]), full=False)
-                   for rows in chunks)
-    for rows, chunk_moments in zip(chunks, moments, strict=True):
-        zero = np.abs(traj.values[rows]).max(axis=-1) == 0.0
+        moments = (_moments(f, full=False) for _, f in chunks)
+    for (rows, f), (M, _, h, l4, l6, _) in zip(chunks, moments, strict=True):
+        zero = np.abs(f.values).max(axis=-1) == 0.0
         for t, is_zero, *columns in zip(traj.times[rows].tolist(), zero.tolist(),
-                                        *_columns(chunk_moments)):
-            yield t, None if is_zero else _sample(delta, ecal_val, grid.L, M0, t,
-                                                  *columns)
+                                        M, h, l4, l6):
+            yield t, None if is_zero else _sample(delta, ecal_val, traj.grid.L, M0,
+                                                  t, *columns)
 
 
 # Tolerances of the per-frame checks. Hoelder and the GN lower bound carry the
@@ -247,10 +238,8 @@ def case_report(traj: Trajectory, delta: float, conserved0: ConservedReport,
         raise ValueError(f"delta must be positive, got {delta}")
     L = traj.grid.L
     M0, P0, E0 = conserved0.M, conserved0.P, conserved0.Ecal
-    threshold = mass_threshold(L, delta)
-    below = M0 < threshold
-    shape = 1.0 + 2.0 * delta / (5.0 * L)
-    defect_const = 16.0 * shape ** -4 * CGN_POW_M18
+    below = M0 < gn.mass_threshold(L, delta)
+    defect_const = 16.0 * gn.shape_factor(L, delta) ** -4 * gn.CGN_POW_M18
 
     records = []
     for t, sample in _frame_samples(traj, delta, E0, M0, moments):
@@ -265,13 +254,10 @@ def case_report(traj: Trajectory, delta: float, conserved0: ConservedReport,
                 and sample.f < sample.lower_bound_f * (1.0 - LOWER_BOUND_TOL)):
             violations.append("lower_bound")
 
-        excess = sample.eta + sample.gamma
         lhs = 0.25 * sample.l4 ** 4
-        if sample.case_tag == "case1":
-            rhs = -P0 + np.pi / L * M0 + L / (4.0 * np.pi) * E0
-        else:
-            rhs = (np.sqrt(M0 * excess) * sample.l6 ** 3
-                   - P0 + np.pi / L * M0 + E0 / (2.0 * sample.alpha))
+        rhs = -P0 + np.pi / L * M0 + E0 / (2.0 * sample.alpha)
+        if sample.case_tag == "case2":
+            rhs += np.sqrt(M0 * (sample.eta + sample.gamma)) * sample.l6 ** 3
         if lhs > rhs + CASE_TOL * max(1.0, abs(rhs), lhs):
             violations.append("case_bound")
 

@@ -118,11 +118,15 @@ class Trajectory:
         return tuple((t, Field(self.grid, row))
                      for t, row in zip(self.times.tolist(), self.values))
 
-    def chunks(self) -> list[tuple[slice, Field]]:
-        """(rows, Field) per chunk of grid.row_chunks: the analysis works on
-        these stacks, one call per chunk; each Field shares its rows."""
-        return [(rows, Field(self.grid, self.values[rows]))
-                for rows in self.grid.row_chunks(len(self.times))]
+    def chunks(self) -> tuple[tuple[slice, Field], ...]:
+        """(rows, Field) per chunk of grid.row_chunks, built once: the analysis
+        works on these stacks, one call per chunk; each Field shares its rows."""
+        return self._chunks
+
+    @cached_property
+    def _chunks(self) -> tuple:
+        return tuple((rows, Field(self.grid, self.values[rows]))
+                     for rows in self.grid.row_chunks(len(self.times)))
 
 
 def dispersion_symbol(grid: TorusGrid) -> np.ndarray:

@@ -32,6 +32,16 @@ def cgn() -> float:
     return CGN
 
 
+def shape_factor(L: float, delta: float) -> float:
+    """The shape factor 1 + 2*delta/(5L) of the flap extension."""
+    return 1.0 + 2.0 * delta / (5.0 * L)
+
+
+def flap_scale(L: float, delta: float) -> float:
+    """The periodic GN weight 2/(delta*sqrt(L)) of ||f||_L4^2, a float."""
+    return 2.0 / (delta * math.sqrt(L))
+
+
 def mass_threshold(L: float, delta: float) -> float:
     """Mass threshold 4*pi*(1 + 2*delta/(5L))^(-2).
 
@@ -42,7 +52,7 @@ def mass_threshold(L: float, delta: float) -> float:
         raise ValueError(f"L must be positive, got {L}")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    return 4.0 * np.pi * (1.0 + 2.0 * delta / (5.0 * L)) ** -2
+    return 4.0 * np.pi * shape_factor(L, delta) ** -2
 
 
 @dataclass(frozen=True)
@@ -134,20 +144,21 @@ def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
 
     Every audit formula is written here once (gn1_record,
     gn0_extension_record and flap_integrals state them): a factor of
-    (L, delta) is computed once per period, a power of a norm once per field,
-    and each keeps the IEEE operations and operand order of its formula, so
-    every value has the bits of the formula evaluated row by row. The norms
-    of one period come in a run: the factors are recomputed where L changes.
-    The deltas are not checked. A power of a norm that overflows a Python
-    float raises OverflowError, before any tuple of that field.
+    (L, delta), shape_factor's or flap_scale's, is computed once per period,
+    a power of a norm once per field, and each keeps the IEEE operations and
+    operand order of its formula, so every value has the bits of the formula
+    evaluated row by row. The norms of one period come in a run: the factors
+    are recomputed where L changes. The deltas are not checked. A power of a
+    norm that overflows a Python float raises OverflowError, before any tuple
+    of that field.
     """
     L = None
     for norms_L, l4, l6, grad_sq, f0 in norms_of:
         if norms_L != L:
-            L, root_L = norms_L, math.sqrt(norms_L)
+            L = norms_L
             # per delta: 2/(delta sqrt(L)), C (1 + 2 delta/5L)^(2/9), 2 delta
-            per_delta = [(2.0 / (delta * root_L),
-                          constant * (1.0 + 2.0 * delta / (5.0 * L)) ** (2.0 / 9.0),
+            per_delta = [(flap_scale(L, delta),
+                          constant * shape_factor(L, delta) ** (2.0 / 9.0),
                           2.0 * delta, delta) for delta in deltas]
         l4_2, l4_89, l4_4 = l4 ** 2, l4 ** (8.0 / 9.0), l4 ** 4
         l6_6, l6_finite = l6 ** 6, math.isfinite(l6)

@@ -706,6 +706,20 @@ class TestLateNumericTrouble:
         assert len((out / "diagnostics.csv").read_text().splitlines()) == 1
         assert len((out / "conserved.csv").read_text().splitlines()) > 1
 
+    def test_diagnose_whose_flap_scale_divides_by_zero_exits_3(self, tmp_path, capsys):
+        # delta sqrt(L) underflows to 0, so gamma's 2/(delta sqrt(L)) raises
+        # ZeroDivisionError: no frame is analysed, and numpy does not warn
+        out = tmp_path / "out"
+        doc = base_doc(str(out), grid={"L": 0.25, "N": 32},
+                       sim={"dt": 1e-7, "T": 3e-7}, delta=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["diagnose", "--config", write_config(tmp_path, doc)])
+        assert code == 3
+        assert capsys.readouterr().out.startswith("diagnose: non-finite, ")
+        assert len((out / "diagnostics.csv").read_text().splitlines()) == 1
+        assert len((out / "conserved.csv").read_text().splitlines()) == 3
+
     @pytest.mark.parametrize("L", [1e308, 1e-300])
     def test_gn_audit_with_overflowing_norms_exits_3(self, tmp_path, capsys, L):
         # at 1e308 lhs and rhs are both inf; at 1e-300 only rhs is: neither

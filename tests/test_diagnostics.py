@@ -8,7 +8,9 @@ from dnlslab import (Case1NotApplicable, Field, Trajectory, ZeroFieldError,
                      alpha_choice, case_report, cgn, conserved_report, ecal,
                      f_ratio, lp_norm, m1_identity_check, mass, mass_threshold,
                      modulate, proof_sample)
+from dnlslab import diagnostics, gn
 from dnlslab.diagnostics import DiagnosticsSample
+from dnlslab.gn import FieldNorms, audit_sweep, field_norms
 
 from conftest import plane_wave, random_band_field
 
@@ -270,3 +272,57 @@ class TestCaseReport:
             traj = Trajectory(grid2pi, [0.0], [v.values])
             records = case_report(traj, delta, conserved_report(v))
             assert records[0].defect < 0
+
+
+class TestEachFactorIsOnePatchPoint:
+    """A mutant of one factor of the bound chain is one patch, and it moves
+    each quantity the factor enters and no other."""
+
+    @staticmethod
+    def readings(v, traj):
+        """The quantities a factor can enter: the threshold, the periodic
+        audit rhs and a proof sample's terms on v, and the case bound and
+        defect of a case-1 frame of traj."""
+        sample = proof_sample(v, 1.0, ecal(v))
+        norms = FieldNorms(*field_norms(v)[0].tolist())
+        record = case_report(traj, 1.0, conserved_report(traj.frames[0][1]))[0]
+        assert record.sample.case_tag == "case1"
+        return {"threshold": mass_threshold(1.0, 0.1),
+                "audit_rhs": next(audit_sweep([norms], [0.1]))[3],
+                "gamma": sample.gamma, "eta": sample.eta,
+                "lower_bound_f": sample.lower_bound_f,
+                "case_rhs": record.case_rhs, "defect": record.defect}
+
+    @pytest.fixture
+    def moved(self, grid2pi, rng):
+        """The names of the readings that a patch made in its body moves."""
+        v = random_band_field(grid2pi, rng, band=10)
+        traj = gauged_plane_wave_trajectory(grid2pi, 1.6, 1, 0.75, (0.0, 0.1))
+        before = self.readings(v, traj)
+        assert before["lower_bound_f"] is not None
+
+        def moved():
+            after = self.readings(v, traj)
+            return {name for name in before if after[name] != before[name]}
+        return moved
+
+    def test_shape_factor(self, moved, monkeypatch):
+        shape_factor = gn.shape_factor
+        monkeypatch.setattr(gn, "shape_factor",
+                            lambda L, delta: shape_factor(L, delta) * (1 + 1e-3))
+        assert moved() == {"threshold", "audit_rhs", "eta", "lower_bound_f", "defect"}
+
+    def test_flap_scale(self, moved, monkeypatch):
+        flap_scale = gn.flap_scale
+        monkeypatch.setattr(gn, "flap_scale",
+                            lambda L, delta: flap_scale(L, delta) * (1 + 1e-3))
+        assert moved() == {"audit_rhs", "gamma", "lower_bound_f"}
+
+    def test_case1_alpha(self, moved, monkeypatch):
+        case_alpha = diagnostics._case_alpha
+
+        def mutant(excess, *args):
+            alpha = case_alpha(excess, *args)
+            return alpha * (1 + 1e-3) if excess <= 0 else alpha
+        monkeypatch.setattr(diagnostics, "_case_alpha", mutant)
+        assert moved() == {"case_rhs"}

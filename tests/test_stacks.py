@@ -334,6 +334,21 @@ def test_bound_chain_shares_one_pass_with_the_public_bits(frames_traj):
                     moments=moments[:-1])
 
 
+def test_chunks_are_built_once_per_trajectory(frames_traj):
+    assert frames_traj.chunks() is frames_traj.chunks()
+
+
+def test_bound_chain_builds_no_field(frames_traj, monkeypatch):
+    # every stack it reads is a chunk the trajectory built already
+    assert len(frames_traj.chunks()) == 10
+    built = []
+    init = Field.__init__
+    monkeypatch.setattr(Field, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    harness._bound_chain(frames_traj, 1.0, "ok")
+    assert built == []
+
+
 def test_bound_chain_of_a_guard_stopped_trajectory_has_the_public_bits():
     cfg = load_config(config_path("diagnose.json"))
     u0 = build(cfg.data, TorusGrid(cfg.grid.L, 64))
