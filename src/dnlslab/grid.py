@@ -20,6 +20,9 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 MIN_NODES = 8
+# the largest node count the grid rule admits: 64 times the largest N that a
+# test or a planned run uses (16384), where numpy still allocates the grid
+MAX_NODES = 2 ** 20
 
 # numpy may reuse a temporary array of this many bytes or more as the output
 # of a commutative operation, swapping its operands (temporary elision); a
@@ -63,14 +66,14 @@ def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def check_grid(L: float, N: int | None) -> None:
-    """The grid rule: L finite and > 0, N an even integer >= MIN_NODES (None
-    skips N), and the largest wavenumber (2 pi/L)*(N/2), or 2 pi/L when N is
-    None, finite. Raises ValueError; builds nothing, so a huge N costs
-    nothing.
+    """The grid rule: L finite and > 0, N an even integer in [MIN_NODES,
+    MAX_NODES] (None skips N), and the largest wavenumber (2 pi/L)*(N/2), or
+    2 pi/L when N is None, finite. Raises ValueError; builds nothing, so a
+    huge N costs nothing.
 
     The rule checks the grid it is given, not its 2x refinement: for L within
-    a factor 2 of the limit, (L, N) passes and (L, 2N) fails, so that grid's
-    refined property raises."""
+    a factor 2 of the limit, or N above MAX_NODES/2, (L, N) passes and
+    (L, 2N) fails, so that grid's refined property raises."""
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"period L must be positive and finite, got {L}")
     if N is not None and (N % 2 != 0 or N < MIN_NODES):
@@ -84,6 +87,8 @@ def check_grid(L: float, N: int | None) -> None:
         what = "2*pi/L" if N is None else f"(2*pi/L)*(N/2) at N = {N}"
         raise ValueError(f"period L = {L} is too small: the largest wavenumber "
                          f"{what} is not finite")
+    if N is not None and N > MAX_NODES:
+        raise ValueError(f"node count N must be at most {MAX_NODES}, got {N}")
 
 
 class TorusGrid:

@@ -9,7 +9,6 @@ import io
 import json
 import math
 import os
-from operator import itemgetter
 
 import numpy as np
 
@@ -33,89 +32,62 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-# The %-format of each exact type a row template takes: the number format,
-# or for a bool, str or None a {} slot, which the value's cell text fills
-# once per distinct value, and %.0s, which consumes the value itself.
-_TEXT_SLOT = "{}%.0s"
-_TEMPLATE_FIELDS = {float: "%" + FLOAT_FORMAT, np.float64: "%" + FLOAT_FORMAT,
-                    int: "%d", bool: _TEXT_SLOT, str: _TEXT_SLOT,
-                    type(None): _TEXT_SLOT}
+# The %-format of each exact type that a row template fills with the value
+# itself; every other value takes a %s slot, filled with its cell text.
+_NUMBER_FIELDS = {float: "%" + FLOAT_FORMAT, np.float64: "%" + FLOAT_FORMAT,
+                  int: "%d"}
 
 
-def _row_template(types: tuple) -> tuple[str, list[int]] | None:
-    """The %-template of a row whose values have these exact types, with a
-    {} slot for each bool, str or None, and the positions of those slots;
-    None for the empty row or a type not in _TEMPLATE_FIELDS, which
-    csv.writer writes."""
-    if not types or not all(t in _TEMPLATE_FIELDS for t in types):
-        return None
-    return (",".join(_TEMPLATE_FIELDS[t] for t in types) + "\n",
-            [i for i, t in enumerate(types) if _TEMPLATE_FIELDS[t] is _TEXT_SLOT])
+def _row_template(types: tuple) -> tuple[str, tuple[int, ...]]:
+    """The %-template of a row whose values have these exact types, and the
+    positions of its %s slots."""
+    fields = [_NUMBER_FIELDS.get(t, "%s") for t in types]
+    return (",".join(fields) + "\n",
+            tuple(i for i, field in enumerate(fields) if field == "%s"))
 
 
-def _cell_text(value, lone: bool) -> str:
-    """fmt_value(value) as csv.writer writes it as a cell, alone in its row
-    (lone: an empty text is written "") or among others, quoted where
-    csv.writer quotes; each % doubled, for a %-template."""
+def _cell_text(text: str, lone: bool) -> str:
+    """text as csv.writer writes it as a cell, alone in its row (lone: an
+    empty text is written "") or among others, quoted where csv.writer
+    quotes."""
     buf = io.StringIO()
-    text = fmt_value(value)
     csv.writer(buf, lineterminator="\n").writerow((text,) if lone else (text, ""))
-    return buf.getvalue()[:-1 if lone else -2].replace("%", "%%")
-
-
-class _Cache(dict):
-    """A dict that makes the value of a missing key with make(key), once."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-def _baked_templates(types: tuple):
-    """What write_csv keeps per tuple of value types: None for a row that
-    csv.writer writes, else (texts, baked). For a row with no bool, str or
-    None, texts is None and baked its template; else texts reads a row's
-    values in the {} slots (one value, or a tuple of several), and baked
-    maps them to the template with their cell texts in the slots."""
-    template = _row_template(types)
-    if template is None:
-        return None
-    text, positions = template
-    if not positions:
-        return None, text
-    several, lone = len(positions) > 1, len(types) == 1
-    return itemgetter(*positions), _Cache(lambda values: text.format(
-        *(_cell_text(v, lone) for v in (values if several else (values,)))))
+    return buf.getvalue()[:-1 if lone else -2]
 
 
 def write_csv(path: str, header, rows) -> None:
     """header, then rows, each value written as fmt_value writes it.
 
     A row that is a str is a line its maker has formatted already, its
-    terminating newline included, and is written verbatim. A non-empty row
-    of floats, np.float64s, ints, bools, strs and Nones is written through
-    one %-template per tuple of value types and of text values (bool, str,
-    None), made once per table, with each text value's cell, as csv.writer
-    renders it, baked in; it gives the bytes csv.writer gives. Every other
-    row goes through csv.writer."""
-    templates = _Cache(_baked_templates)
+    terminating newline included, and is written verbatim. Every other row,
+    the empty row included, is written through the %-template of its tuple
+    of value types, made once per table, and gets the bytes csv.writer
+    gives it: a float or np.float64 is written by %.17g, an int by %d, and
+    any other value fills a %s slot with its cell, fmt_value's text of it as
+    csv.writer renders it. Each distinct cell is made once per table, keyed
+    on its text, not on the value: equal values, such as np.float32(0.0)
+    and np.float32(-0.0), can have different texts."""
+    templates, cells = {}, {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        csv.writer(fh, lineterminator="\n").writerow(header)
         for row in rows:
             if type(row) is str:
                 fh.write(row)
                 continue
-            entry = templates[tuple(map(type, row))]
+            types = tuple(map(type, row))
+            entry = templates.get(types)
             if entry is None:
-                writer.writerow([fmt_value(v) for v in row])
-                continue
-            texts, baked = entry
-            fh.write((baked if texts is None else baked[texts(row)]) % tuple(row))
+                entry = templates[types] = _row_template(types)
+            template, slots = entry
+            if slots:
+                row, lone = list(row), len(row) == 1
+                for i in slots:
+                    key = fmt_value(row[i]), lone
+                    cell = cells.get(key)
+                    if cell is None:
+                        cell = cells[key] = _cell_text(*key)
+                    row[i] = cell
+            fh.write(template % tuple(row))
 
 
 def content_hash(doc: dict) -> str:

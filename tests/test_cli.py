@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dnlslab import DataSpec, SimConfig, TorusGrid, build, cli, harness, simulat
 from dnlslab.cli import main
 from dnlslab.config import load_config
 from dnlslab.dynamics import BlowupGuardError, NonFiniteError, Trajectory
+from dnlslab.grid import MAX_NODES
 from dnlslab.harness import EXIT_CODES, EXIT_CONFIG, first_failure
 from dnlslab.runio import _row_template, fmt_value, write_csv
 
@@ -638,9 +640,10 @@ class TestNothingToRun:
 
 
 class TestGridRule:
-    """A period whose largest wavenumber (2 pi/L)*(N/2) overflows breaks the
-    one grid rule wherever a grid is named: exit 1 with one config error
-    line, no numpy warning, nothing stepped or written."""
+    """A period whose largest wavenumber (2 pi/L)*(N/2) overflows, or a node
+    count above MAX_NODES, breaks the one grid rule wherever a grid is named:
+    exit 1 with one config error line, no numpy warning, nothing stepped or
+    written."""
 
     @pytest.mark.parametrize("command, overrides, message", [
         pytest.param("simulate", {"grid": {"L": 5e-324, "N": 64}},
@@ -658,6 +661,20 @@ class TestGridRule:
                      "config error: threshold_scan.pairs[0]: period L = 1e-307 "
                      "is too small: the largest wavenumber (2*pi/L)*(N/2) at N = 64",
                      id="scan-pair-at-resolved-N"),
+        # a node count numpy refuses to allocate, so the grid would fail in
+        # np.arange: the rule rejects it before a grid is built
+        pytest.param("simulate", {"grid": {"L": 1.0, "N": 2 ** 62}},
+                     f"config error: grid: node count N must be at most {MAX_NODES}, "
+                     f"got {2 ** 62}", id="simulate-grid-N"),
+        pytest.param("gn-audit", {"gn_audit": {"num_fields": 2, "L_values": [1.0],
+                                               "delta_values": [1.0], "N": 2 ** 62}},
+                     "config error: gn_audit: node count N must be at most",
+                     id="gn-audit-N"),
+        pytest.param("threshold-scan",
+                     {"threshold_scan": {"mass_fractions": [0.5], "pairs": [
+                         {"L": 1.0, "delta": 1.0, "N": 2 ** 62}]}},
+                     "config error: threshold_scan.pairs[0]: node count N must be "
+                     "at most", id="scan-pair-N"),
     ])
     def test_rejected_with_one_line(self, tmp_path, capsys, monkeypatch, command,
                                     overrides, message):
@@ -1019,21 +1036,39 @@ class TestFloatFormat:
             ("x", 2), (), (0.25, 3),              # str and empty rows between
             (np.float32(0.5), 2), (np.int64(3),),  # numpy types other than float64
         ]
-        takes_template = [_row_template(tuple(map(type, row))) is not None
-                          for row in rows]
-        assert takes_template == [True] * 9 + [True] * 5 + [False, True, False, False]
+        # every row, the empty one included, takes a template: a float,
+        # np.float64 or int fills its own number field, and every other value
+        # (bool, None, str, np.float32, np.int64) a %s slot
+        for row in rows:
+            template, slots = _row_template(tuple(map(type, row)))
+            assert template.count("%") == len(row)
+            assert slots == tuple(i for i, v in enumerate(row)
+                                  if type(v) not in (float, np.float64, int))
+        assert_writes_as_reference(tmp_path, ("a", "b"), rows)
+
+    def test_equal_values_of_other_types_keep_their_own_cells(self, tmp_path):
+        # these values compare equal, and hash equal, across types, so a memo
+        # of cell texts keyed on the value alone would write "false" for 0
+        values = [False, 0, 0.0, np.False_, np.float32(0), np.int64(0),
+                  True, 1, np.float32(1)]
+        assert_writes_as_reference(tmp_path, ("a",), [(v,) for v in values])
+
+    def test_equal_values_of_one_type_keep_their_own_cells(self, tmp_path):
+        # equal values of one type can have different texts, so a memo of
+        # cell texts keyed on the type and value would write "0" for -0.0
+        values = [np.float32(0.0), np.float32(-0.0), np.float16(-0.0),
+                  np.float16(0.0), Decimal("1"), Decimal("1.0"), Decimal("1.00")]
+        rows = [(v,) for v in values] + [(v, 2) for v in values]
         assert_writes_as_reference(tmp_path, ("a", "b"), rows)
 
     @pytest.mark.parametrize("text", ["a,b", 'say "hi"', "line\nbreak", "cr\rhere",
                                       "100%", "%d%%s", "{}", "{0}{x}%.0s", " ", ""])
     def test_text_cells_take_the_template_as_csv_writer_quotes_them(self, tmp_path,
                                                                      text):
-        # each text cell is baked into the template: its quoting, a % sign
-        # (the template is a %-format) and a brace (the slots are filled by
-        # str.format) must come out as csv.writer writes the cell
+        # each text cell fills a %s slot of the template: its quoting, a %
+        # sign and a brace must come out as csv.writer writes the cell
         rows = [(text,), (text, 1.5), (1.5, text, None), (None, text, True, text),
                 (text, "other"), (text,), (None,), ("",), (None, None), ("", 2)]
-        assert all(_row_template(tuple(map(type, row))) is not None for row in rows)
         assert_writes_as_reference(tmp_path, ("a", "b"), rows)
 
     def test_a_lone_empty_cell_is_quoted(self, tmp_path):
