@@ -12,8 +12,7 @@ from .gauge import DEFAULT_SIGN_MU2, gauge_profile, gauge_trajectory, psi
 from .dynamics import (BlowupGuardError, CflWarning, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, dispersion_symbol,
                        pde_residual, rhs_dnls1, rhs_dnls2, simulate)
-from .gn import (CGN, ExtensionProfile, GnAuditRecord, cgn, flap_integrals,
-                 mass_threshold)
+from .gn import CGN, cgn, mass_threshold
 from .diagnostics import (Case1NotApplicable, CaseRecord, DiagnosticsSample,
                           ZeroFieldError, alpha_choice, case_report, f_ratio,
                           m1_identity_check, modulate, proof_sample)
@@ -29,8 +28,7 @@ __all__ = [
     "BlowupGuardError", "CflWarning", "NonFiniteError", "SimConfig",
     "SimulationError", "Trajectory", "dispersion_symbol", "pde_residual",
     "rhs_dnls1", "rhs_dnls2", "simulate",
-    "CGN", "ExtensionProfile", "GnAuditRecord", "cgn", "flap_integrals",
-    "mass_threshold",
+    "CGN", "cgn", "mass_threshold",
     "Case1NotApplicable", "CaseRecord", "DiagnosticsSample", "ZeroFieldError",
     "alpha_choice", "case_report", "f_ratio", "m1_identity_check", "modulate",
     "proof_sample",

@@ -3,16 +3,16 @@
 The line inequality ||f||_L6 <= C ||f_x||_L2^(1/9) ||f||_L4^(8/9) holds with
 the sharp constant C = 3^(1/6) (2*pi)^(-1/9). Its periodic variant is obtained
 by extending a periodic function to the line with two linear flaps of width
-delta whose L^4/L^6/gradient contributions have exact closed forms; auditing
+delta whose L^4/L^6/gradient contributions have exact closed forms. Auditing
 both inequalities (and the enlargement chain between them) on concrete fields
-is this module's job.
+is this module's job: field_norms takes the norms of the fields, and
+audit_sweep, the one audit entry point, audits them against each delta.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -50,33 +50,9 @@ def mass_threshold(L: float, delta: float) -> float:
     """
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     return 4.0 * np.pi * shape_factor(L, delta) ** -2
-
-
-@dataclass(frozen=True)
-class ExtensionProfile:
-    """Closed-form data of the two linear flaps extending a periodic field.
-
-    Each flap ramps linearly between 0 and the (rotated) boundary value over a
-    width delta, so each side contributes delta*|f(0)|^p/(p+1) to the L^p
-    integral and |f(0)|^2/delta to the gradient integral.
-    """
-
-    flap_l2grad: float
-    flap_l4: float
-    flap_l6: float
-
-
-@dataclass(frozen=True)
-class GnAuditRecord:
-    """One audited inequality: lhs norm, rhs bound, slack = rhs - lhs."""
-
-    lhs: float
-    rhs: float
-    slack: float
-    satisfied: bool
 
 
 class FieldNorms(NamedTuple):
@@ -123,10 +99,6 @@ def field_norms(f: Field, grids: Sequence[TorusGrid] | None = None) -> np.ndarra
     return out
 
 
-# the periodic record, the line record and the flaps of an audit_sweep tuple
-_PERIODIC, _LINE, _FLAPS = slice(2, 6), slice(6, 10), slice(10, 13)
-
-
 def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
                 constant: float = CGN) -> Iterator[tuple]:
     """The audit of each field against each delta, in Python floats: for
@@ -137,16 +109,17 @@ def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
          flap_l2grad, flap_l4, flap_l6)
 
     (lhs, rhs, slack, satisfied) is the periodic inequality, the line_ four
-    the line inequality on the flap extension, and the last three the flaps;
-    ok says both inequalities hold and the line rhs is within 1e-12 of the
-    periodic one (the enlargement chain), and finite says all four lhs and
-    rhs are finite.
+    the line inequality on the flap extension, and the last three what its
+    two flaps add: each flap ramps linearly between 0 and |f(0)| = f0_abs
+    over a width delta, so each adds delta*f0_abs^p/(p+1) to the L^p
+    integral and f0_abs^2/delta to the gradient integral. ok says both
+    inequalities hold and the line rhs is within 1e-12 of the periodic one
+    (the enlargement chain), and finite says all four lhs and rhs are finite.
 
-    Every audit formula is written here once (gn1_record,
-    gn0_extension_record and flap_integrals state them): a factor of
-    (L, delta), shape_factor's or flap_scale's, is computed once per period,
-    a power of a norm once per field, and each keeps the IEEE operations and
-    operand order of its formula, so every value has the bits of the formula
+    Every audit formula is written here once: a factor of (L, delta),
+    shape_factor's or flap_scale's, is computed once per period, a power of
+    a norm once per field, and each keeps the IEEE operations and operand
+    order of its formula, so every value has the bits of the formula
     evaluated row by row. The norms of one period come in a run: the factors
     are recomputed where L changes. The deltas are not checked. A power of a
     norm that overflows a Python float raises OverflowError, before any tuple
@@ -182,50 +155,3 @@ def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
                    line_lhs, line_rhs, line_slack, line_satisfied,
                    l2grad, flap_l4, flap_l6)
 
-
-def _at(norms: FieldNorms, delta: float, constant: float,
-        check_base: bool = False) -> tuple:
-    """audit_sweep of one field at one delta, after the argument checks of
-    the record functions (f0_abs only where check_base)."""
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if check_base and norms.f0_abs < 0:
-        raise ValueError(f"f0_abs must be nonnegative, got {norms.f0_abs}")
-    return next(audit_sweep((norms,), (delta,), constant))
-
-
-def _record(lhs, rhs, slack, satisfied) -> GnAuditRecord:
-    return GnAuditRecord(lhs, rhs, slack, bool(satisfied))
-
-
-def flap_integrals(f0_abs: float, delta: float) -> ExtensionProfile:
-    """Exact flap contributions for boundary value |f(0)| and width delta:
-    the flaps of audit_sweep."""
-    # the flaps depend on f0_abs and delta alone; the other norms are 0
-    norms = FieldNorms(1.0, 0.0, 0.0, 0.0, f0_abs)
-    return ExtensionProfile(*_at(norms, delta, CGN, check_base=True)[_FLAPS])
-
-
-def gn1_record(norms: FieldNorms, delta: float,
-               constant: float = CGN) -> GnAuditRecord:
-    """Periodic inequality from precomputed norms, the periodic record of
-    audit_sweep: lhs = ||f||_L6, rhs = C (1 + 2d/5L)^(2/9)
-    (||f_x||^2 + (2/(d*sqrt(L))) ||f||_L4^2)^(1/18) ||f||_L4^(8/9).
-
-    As a view of the whole sweep it raises OverflowError where a power of
-    the extension's norms (||f||_L6^6, |f(0)|^6) overflows a float, as
-    gn0_extension_record does.
-    """
-    return _record(*_at(norms, delta, constant)[_PERIODIC])
-
-
-def gn0_extension_record(norms: FieldNorms, delta: float,
-                         constant: float = CGN) -> tuple[GnAuditRecord, ExtensionProfile]:
-    """Line inequality on the flap extension, from precomputed norms: the line
-    record and flaps of audit_sweep.
-
-    The rhs computed here is enlarged, term by term, into the rhs of the
-    periodic record, which is the content of the derivation chain.
-    """
-    case = _at(norms, delta, constant, check_base=True)
-    return _record(*case[_LINE]), ExtensionProfile(*case[_FLAPS])

@@ -135,6 +135,10 @@ OUT_OF_RANGE = [
     # an empty list would make the command audit or scan nothing
     (GnAuditBlock, {"L_values": ()}),
     (GnAuditBlock, {"delta_values": ()}),
+    # the one check of delta > 0 on the audit's path: audit_sweep takes its
+    # deltas unchecked
+    (GnAuditBlock, {"delta_values": (1.0, 0.0)}),
+    (GnAuditBlock, {"delta_values": (-0.1,)}),
     # delta*sqrt(L), which the audit divides by, underflows to 0
     (GnAuditBlock, {"L_values": (1.0, 1e-300), "delta_values": (1e-200,)}),
     (ThresholdScanBlock, {"mass_fractions": ()}),

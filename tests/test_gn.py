@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from dnlslab import Field, TorusGrid, cgn, flap_integrals, lp_norm, mass_threshold
+from dnlslab import Field, TorusGrid, cgn, lp_norm, mass_threshold
 from dnlslab.config import GnAuditBlock
 from dnlslab.functionals import h1dot_sq
 from dnlslab.gn import (CGN, CGN_POW_M18, CGN_POW_M92, FieldNorms, audit_sweep,
-                        field_norms, gn0_extension_record, gn1_record)
+                        field_norms)
 from dnlslab.grid import Spectrum
 from dnlslab import harness
 from dnlslab.harness import GN_AUDIT_COLUMNS, audit_coefficients, run_gn_audit
@@ -27,6 +27,23 @@ from conftest import plane_wave, random_band_field, write_reference_csv
 def row_norms(f):
     """The FieldNorms of one row f on its own period."""
     return FieldNorms(*field_norms(f)[0].tolist())
+
+
+# the periodic inequality, the line inequality and the flaps of an
+# audit_sweep tuple, each (lhs, rhs, slack, satisfied) or
+# (flap_l2grad, flap_l4, flap_l6)
+PERIODIC, LINE, FLAPS = slice(2, 6), slice(6, 10), slice(10, 13)
+
+
+def sweep_at(norms, delta, constant=CGN):
+    """The audit_sweep tuple of one field at one delta."""
+    return next(audit_sweep([norms], [delta], constant))
+
+
+def sweep_flaps(f0_abs, delta):
+    """The flaps of audit_sweep at base value f0_abs and width delta, which
+    depend on these two alone: the other norms are 0."""
+    return sweep_at(FieldNorms(1.0, 0.0, 0.0, 0.0, f0_abs), delta)[FLAPS]
 
 
 class TestSharpConstant:
@@ -70,7 +87,10 @@ class TestMassThreshold:
         assert mass_threshold(1.0, 0.2) > mass_threshold(1.0, 0.4)
         assert mass_threshold(2.0, 0.2) > mass_threshold(1.0, 0.2)
 
-    @pytest.mark.parametrize("L,d", [(-1.0, 0.1), (0.0, 0.1), (1.0, -0.5)])
+    # at a NaN threshold no mass is below it, so a member would never gate;
+    # at an infinite delta the threshold would read 0
+    @pytest.mark.parametrize("L,d", [(-1.0, 0.1), (0.0, 0.1), (1.0, -0.5),
+                                     (1.0, math.nan), (1.0, math.inf)])
     def test_rejects_bad_arguments(self, L, d):
         with pytest.raises(ValueError):
             mass_threshold(L, d)
@@ -102,21 +122,12 @@ class TestBaseShift:
             assert row_norms(f).f0_abs <= bound * (1 + 1e-9)
 
 
-class TestFlapIntegrals:
+class TestSweepFlaps:
     def test_unit_values(self):
-        prof = flap_integrals(1.0, 1.0)
-        assert_allclose((prof.flap_l4, prof.flap_l2grad, prof.flap_l6),
-                        (2 / 5, 2.0, 2 / 7), rtol=1e-15)
+        assert_allclose(sweep_flaps(1.0, 1.0), (2.0, 2 / 5, 2 / 7), rtol=1e-15)
 
     def test_zero_boundary_value(self):
-        prof = flap_integrals(0.0, 2.0)
-        assert prof.flap_l4 == prof.flap_l2grad == prof.flap_l6 == 0.0
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            flap_integrals(1.0, -1.0)
-        with pytest.raises(ValueError):
-            flap_integrals(1.0, 0.0)
+        assert sweep_flaps(0.0, 2.0) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("f0,delta", [(0.7, 0.3), (1.9, 2.5)])
     def test_against_adaptive_quadrature(self, f0, delta):
@@ -125,31 +136,28 @@ class TestFlapIntegrals:
         l4, _ = quad(ramp, 0, delta, args=(4,))
         l6, _ = quad(ramp, 0, delta, args=(6,))
         grad, _ = quad(lambda t: (f0 / delta) ** 2, 0, delta)
-        prof = flap_integrals(f0, delta)
-        assert_allclose(prof.flap_l4, 2 * l4, rtol=1e-10)
-        assert_allclose(prof.flap_l6, 2 * l6, rtol=1e-10)
-        assert_allclose(prof.flap_l2grad, 2 * grad, rtol=1e-10)
+        flap_l2grad, flap_l4, flap_l6 = sweep_flaps(f0, delta)
+        assert_allclose(flap_l4, 2 * l4, rtol=1e-10)
+        assert_allclose(flap_l6, 2 * l6, rtol=1e-10)
+        assert_allclose(flap_l2grad, 2 * grad, rtol=1e-10)
 
 
-class TestCheckGn1:
+class TestSweepPeriodic:
     def test_zero_field(self, grid2pi):
-        rec = gn1_record(row_norms(Field(grid2pi, np.zeros(grid2pi.N))), 1.0)
-        assert rec.lhs == rec.rhs == 0.0 and rec.satisfied
+        zero = Field(grid2pi, np.zeros(grid2pi.N))
+        lhs, rhs, _, satisfied = sweep_at(row_norms(zero), 1.0)[PERIODIC]
+        assert lhs == rhs == 0.0 and satisfied
 
     def test_constant_field_closed_forms(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
-        rec = gn1_record(row_norms(f), 1.0)
+        lhs, rhs, _, satisfied = sweep_at(row_norms(f), 1.0)[PERIODIC]
         L = 2 * np.pi
-        assert_allclose(rec.lhs, L ** (1 / 6), rtol=1e-13)
+        assert_allclose(lhs, L ** (1 / 6), rtol=1e-13)
         want_rhs = (cgn() * (1 + 1 / (5 * np.pi)) ** (2 / 9)
                     * 2 ** (1 / 18) * L ** (2 / 9))
-        assert_allclose(rec.rhs, want_rhs, rtol=1e-13)
-        assert rec.satisfied
-
-    def test_rejects_nonpositive_delta(self, grid2pi):
-        with pytest.raises(ValueError):
-            gn1_record(row_norms(plane_wave(grid2pi)), 0.0)
+        assert_allclose(rhs, want_rhs, rtol=1e-13)
+        assert satisfied
 
     def test_random_corpus_zero_violations(self, rng):
         for L in (0.5, 2 * np.pi, 10.0):
@@ -158,32 +166,30 @@ class TestCheckGn1:
                 f = random_band_field(grid, rng, band=16,
                                       scale=10 ** rng.uniform(-1, 1))
                 for delta in (0.1, 1.0, 10.0):
-                    assert gn1_record(row_norms(f), delta).satisfied
+                    assert sweep_at(row_norms(f), delta)[PERIODIC][3]
 
 
-class TestGn0OnExtension:
+class TestSweepLine:
     def test_zero_field(self, grid2pi):
         zero = Field(grid2pi, np.zeros(grid2pi.N))
-        rec, _ = gn0_extension_record(row_norms(zero), 1.0)
-        assert rec.satisfied
+        assert sweep_at(row_norms(zero), 1.0)[LINE][3]
 
     def test_constant_field_assembly(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
         delta = 1.0
-        rec, _ = gn0_extension_record(row_norms(f), delta)
+        got_lhs, got_rhs, _, satisfied = sweep_at(row_norms(f), delta)[LINE]
         L = 2 * np.pi
         # flap-only gradient, torus-plus-flap L^p integrals
         lhs = (L + 2 * delta / 7) ** (1 / 6)
         rhs = cgn() * (2 / delta) ** (1 / 18) * (L + 2 * delta / 5) ** (2 / 9)
-        assert_allclose(rec.lhs, lhs, rtol=1e-13)
-        assert_allclose(rec.rhs, rhs, rtol=1e-13)
-        assert rec.satisfied
+        assert_allclose(got_lhs, lhs, rtol=1e-13)
+        assert_allclose(got_rhs, rhs, rtol=1e-13)
+        assert satisfied
 
     def test_extension_enlarges_l6(self, grid2pi, rng):
         f = random_band_field(grid2pi, rng, band=16)
-        rec, _ = gn0_extension_record(row_norms(f), 0.5)
-        assert rec.lhs >= lp_norm(f, 6)
+        assert sweep_at(row_norms(f), 0.5)[LINE][0] >= lp_norm(f, 6)
 
     def test_chain_and_satisfaction_on_corpus(self, rng):
         for L in (1.0, 2 * np.pi):
@@ -193,16 +199,16 @@ class TestGn0OnExtension:
                                       scale=10 ** rng.uniform(-1, 1))
                 norms = row_norms(f)
                 for delta in (0.1, 1.0, 10.0):
-                    rec0, _ = gn0_extension_record(norms, delta)
-                    rec1 = gn1_record(norms, delta)
-                    assert rec0.satisfied and rec1.satisfied
+                    case = sweep_at(norms, delta)
+                    _, line_rhs, _, line_satisfied = case[LINE]
+                    _, rhs, _, satisfied = case[PERIODIC]
+                    assert line_satisfied and satisfied
                     # the periodic rhs is an enlargement of the line rhs
-                    assert rec0.rhs <= rec1.rhs * (1 + 1e-12)
+                    assert line_rhs <= rhs * (1 + 1e-12)
 
 
-# The per-row formulas of the record functions as they were before
-# audit_sweep, frozen: the sweep, and the record functions that are views of
-# it, must give these values and types bit for bit.
+# The per-row formulas of the audit as they were before audit_sweep, frozen:
+# the sweep must give these values and types bit for bit.
 def frozen_flaps(f0_abs, delta):
     return (2.0 * f0_abs ** 2 / delta, 2.0 * delta * f0_abs ** 4 / 5.0,
             2.0 * delta * f0_abs ** 6 / 7.0)
@@ -477,7 +483,7 @@ CONSTANTS = st.sampled_from([0.5, 0.8934, 1.0]).map(lambda c: CGN * c)
 
 
 class TestAuditSweep:
-    """audit_sweep and its views against the frozen per-row formulas."""
+    """audit_sweep against the frozen per-row formulas."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(norms_of=st.lists(NORMS, min_size=1, max_size=4), deltas=DELTAS,
@@ -494,17 +500,13 @@ class TestAuditSweep:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(norms=NORMS, delta=DELTAS.map(lambda d: d[0]), constant=CONSTANTS)
-    def test_record_functions_equal_frozen_formulas(self, norms, delta, constant):
-        rec1 = gn1_record(norms, delta, constant)
-        rec0, prof = gn0_extension_record(norms, delta, constant)
-        line, flaps = frozen_gn0(norms, delta, constant)
-        assert bits((rec1.lhs, rec1.rhs, rec1.slack, rec1.satisfied)) == bits(
-            frozen_gn1(norms, delta, constant))
-        assert bits((rec0.lhs, rec0.rhs, rec0.slack, rec0.satisfied)) == bits(line)
-        want_flaps = bits(frozen_flaps(norms.f0_abs, delta))
-        assert bits((prof.flap_l2grad, prof.flap_l4, prof.flap_l6)) == want_flaps
-        prof = flap_integrals(norms.f0_abs, delta)
-        assert bits((prof.flap_l2grad, prof.flap_l4, prof.flap_l6)) == want_flaps
+    def test_single_delta_slices_equal_frozen_formulas(self, norms, delta, constant):
+        case = sweep_at(norms, delta, constant)
+        line, want_flaps = frozen_gn0(norms, delta, constant)
+        assert bits(case[PERIODIC]) == bits(frozen_gn1(norms, delta, constant))
+        assert bits(case[LINE]) == bits(line)
+        assert bits(case[FLAPS]) == bits(want_flaps)
+        assert bits(sweep_flaps(norms.f0_abs, delta)) == bits(frozen_flaps(norms.f0_abs, delta))
 
     def test_special_fields(self):
         """The zero field, a zero base value, and overflowing norms."""
@@ -520,33 +522,27 @@ class TestAuditSweep:
         for L in (1e308, 1e-300):
             assert not any(finite for _, finite, *_ in audit_sweep(norms[L][1:], [1.0]))
 
-    @pytest.mark.parametrize("view, frozen", [
+    @pytest.mark.parametrize("sweep, frozen", [
         # f0_abs ** 6 overflows a Python float
-        (lambda: flap_integrals(1e60, 1.0), lambda: frozen_flaps(1e60, 1.0)),
-        (lambda: gn0_extension_record(BIG_BASE, 1.0), lambda: frozen_gn0(BIG_BASE, 1.0)),
+        (lambda: sweep_flaps(1e60, 1.0), lambda: frozen_flaps(1e60, 1.0)),
+        (lambda: sweep_at(BIG_BASE, 1.0), lambda: frozen_gn0(BIG_BASE, 1.0)),
         # ||f||_L6 ** 6 overflows
-        (lambda: gn0_extension_record(BIG_L6, 1.0), lambda: frozen_gn0(BIG_L6, 1.0)),
+        (lambda: sweep_at(BIG_L6, 1.0), lambda: frozen_gn0(BIG_L6, 1.0)),
         # delta * sqrt(L) underflows to 0
-        (lambda: gn1_record(TINY_L, 1e-200), lambda: frozen_gn1(TINY_L, 1e-200)),
+        (lambda: sweep_at(TINY_L, 1e-200), lambda: frozen_gn1(TINY_L, 1e-200)),
         (lambda: list(audit_sweep([TINY_L], [1.0, 1e-200])),
          lambda: frozen_case(TINY_L, 1e-200)),
     ])
-    def test_sweep_raises_where_the_frozen_formulas_raise(self, view, frozen):
+    def test_sweep_raises_where_the_frozen_formulas_raise(self, sweep, frozen):
         with pytest.raises(ArithmeticError) as want:
             frozen()
         with pytest.raises(want.type):
-            view()
+            sweep()
 
-    def test_record_functions_keep_their_argument_checks(self):
-        norms = FieldNorms(1.0, 1.0, 1.0, 1.0, -0.5)
-        # a negative base value is checked only where the flaps are asked for
-        rec = gn1_record(norms, 1.0)
-        assert bits((rec.lhs, rec.rhs, rec.slack, rec.satisfied)) == bits(
-            frozen_gn1(norms, 1.0))
-        with pytest.raises(ValueError, match="f0_abs must be nonnegative"):
-            gn0_extension_record(norms, 1.0)
-        with pytest.raises(ValueError, match="f0_abs must be nonnegative"):
-            flap_integrals(-0.5, 1.0)
-        for fn in (gn1_record, gn0_extension_record):
-            with pytest.raises(ValueError, match="delta must be positive"):
-                fn(norms, math.nan)
+    @pytest.mark.parametrize("norms, delta", [
+        (FieldNorms(1.0, 1.0, 1.0, 1.0, -0.5), 1.0),
+        (FieldNorms(1.0, 1.0, 1.0, 1.0, 1.0), math.nan),
+    ])
+    def test_sweep_takes_its_arguments_unchecked(self, norms, delta):
+        # GnAuditBlock checks delta > 0, and field_norms gives f0_abs >= 0
+        assert bits(sweep_at(norms, delta)) == bits(flat(frozen_case(norms, delta)))
