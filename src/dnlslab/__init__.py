@@ -5,14 +5,14 @@ __version__ = "0.1.0"
 
 from .grid import (Field, Spectrum, TorusGrid, antideriv_meanzero, deriv,
                    lp_norm, translate)
-from .functionals import (ConservedReport, DEFAULT_TERM_FORM, conserved_report,
-                          ecal, energy_u, gauged_E, gauged_H, hamiltonian_u,
-                          im_momentum, mass, momentum_v, mu)
-from .gauge import DEFAULT_SIGN_MU2, gauge_profile, gauge_trajectory, psi
+from .functionals import (ConservedReport, conserved_report, ecal, energy_u,
+                          gauged_E, gauged_H, hamiltonian_u, im_momentum, mass,
+                          momentum_v, mu)
+from .gauge import gauge_profile, gauge_trajectory, psi
 from .dynamics import (BlowupGuardError, CflWarning, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, dispersion_symbol,
                        pde_residual, rhs_dnls1, rhs_dnls2, simulate)
-from .gn import CGN, cgn, mass_threshold
+from .gn import CGN, mass_threshold
 from .diagnostics import (Case1NotApplicable, CaseRecord, DiagnosticsSample,
                           ZeroFieldError, alpha_choice, case_report, f_ratio,
                           m1_identity_check, modulate, proof_sample)
@@ -21,14 +21,14 @@ from .initial_data import DataSpec, build
 __all__ = [
     "Field", "Spectrum", "TorusGrid", "antideriv_meanzero", "deriv",
     "lp_norm", "translate",
-    "ConservedReport", "DEFAULT_TERM_FORM", "conserved_report", "ecal",
+    "ConservedReport", "conserved_report", "ecal",
     "energy_u", "gauged_E", "gauged_H", "hamiltonian_u", "im_momentum",
     "mass", "momentum_v", "mu",
-    "DEFAULT_SIGN_MU2", "gauge_profile", "gauge_trajectory", "psi",
+    "gauge_profile", "gauge_trajectory", "psi",
     "BlowupGuardError", "CflWarning", "NonFiniteError", "SimConfig",
     "SimulationError", "Trajectory", "dispersion_symbol", "pde_residual",
     "rhs_dnls1", "rhs_dnls2", "simulate",
-    "CGN", "cgn", "mass_threshold",
+    "CGN", "mass_threshold",
     "Case1NotApplicable", "CaseRecord", "DiagnosticsSample", "ZeroFieldError",
     "alpha_choice", "case_report", "f_ratio", "m1_identity_check", "modulate",
     "proof_sample",

@@ -354,7 +354,11 @@ def _ifrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
     return E2F + sixth_dt * (E2 * a + np.multiply(two_E1, b + c) + d)
 
 
-def _etdrk4_coeffs(symbol: np.ndarray, dt: float, n_contour: int = 32):
+# Nodes of the contour quadrature of the ETDRK4 coefficients.
+_N_CONTOUR = 32
+
+
+def _etdrk4_coeffs(symbol: np.ndarray, dt: float):
     """ETDRK4 update coefficients via contour quadrature around symbol*dt:
     E, E2, Q, f1, 2*f2, f3 (f2 doubled, as the step uses it), and the factor
     2.0 of the third stage as a complex array (_complex_full).
@@ -363,7 +367,7 @@ def _etdrk4_coeffs(symbol: np.ndarray, dt: float, n_contour: int = 32):
     complex rather than projected to its real part.
     """
     lc = symbol * dt
-    r = np.exp(2j * np.pi * (np.arange(n_contour) + 0.5) / n_contour)
+    r = np.exp(2j * np.pi * (np.arange(_N_CONTOUR) + 0.5) / _N_CONTOUR)
     LR = lc[:, None] + r[None, :]
     expLR = np.exp(LR)
     Q = dt * ((np.exp(LR / 2.0) - 1.0) / LR).mean(axis=1)

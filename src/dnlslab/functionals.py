@@ -27,13 +27,6 @@ import numpy as np
 from .grid import (Field, TorusGrid, deriv_values, fft, ifft, lp_from_power_sum,
                    lp_norm, per_row)
 
-# The cubic term of the energy admits two readings that differ by a factor of
-# two in the integral. The conservation oracle (energy drift vanishing at the
-# integrator's order along the ungauged flow) selects "standard"; "literal"
-# keeps the other reading auditable.
-TERM_FORMS = ("literal", "standard")
-DEFAULT_TERM_FORM = "standard"
-
 
 @dataclass(frozen=True)
 class ConservedReport:
@@ -90,26 +83,14 @@ def h1dot_sq_from_spectrum(f: Field, spectrum: np.ndarray,
     return per_row(f, float, squares * grid.dx)
 
 
-def _im_cubic_term(f: Field, term_form: str) -> float | list[float]:
-    """Im of the ambiguous cubic-derivative integral of the energy.
-
-    standard: Im integral of |f|^2 * f * conj(f_x).
-    literal:  Im integral of f^2 * conj(d/dx f^2)  (twice the standard value,
-              as functions, but computed independently from its own reading).
-    """
+def _im_cubic_term(f: Field) -> float | list[float]:
+    """Im integral of |f|^2 * f * conj(f_x), the cubic-derivative term of the
+    energy."""
     grid = f.grid
-    if term_form == "standard":
-        v2 = grid.refine2(f.values)
-        dv2 = grid.refine2(deriv_values(f))
-        integrand = np.abs(v2) ** 2 * v2
-        integrand *= np.conj(dv2, out=dv2)
-    elif term_form == "literal":
-        v2 = grid.refine2(f.values)
-        w = v2 * v2
-        wx = ifft(fft(w) * grid.refined._ik)
-        integrand = w * np.conj(wx)
-    else:
-        raise ValueError(f"unknown term_form {term_form!r}, expected one of {TERM_FORMS}")
+    v2 = grid.refine2(f.values)
+    dv2 = grid.refine2(deriv_values(f))
+    integrand = np.abs(v2) ** 2 * v2
+    integrand *= np.conj(dv2, out=dv2)
     total = np.sum(integrand.imag, axis=-1)
     return per_row(f, float, total * (grid.L / (2 * grid.N)))
 
@@ -142,10 +123,10 @@ def hamiltonian_u(f: Field) -> float | list[float]:
     return per_row(f, _hamiltonian, im_momentum(f), lp_norm(f, 4))
 
 
-def energy_u(f: Field, term_form: str = DEFAULT_TERM_FORM) -> float | list[float]:
-    """E = int |f_x|^2 + (3/2) Im(T) + (1/2) int |f|^6, with T per term_form."""
-    return per_row(f, _energy, h1dot_sq(f), _im_cubic_term(f, term_form),
-                   lp_norm(f, 6))
+def energy_u(f: Field) -> float | list[float]:
+    """E = int |f_x|^2 + (3/2) Im(T) + (1/2) int |f|^6, with
+    T = int |f|^2 f conj(f_x)."""
+    return per_row(f, _energy, h1dot_sq(f), _im_cubic_term(f), lp_norm(f, 6))
 
 
 def momentum_v(f: Field) -> float | list[float]:
@@ -161,8 +142,7 @@ def gauged_H(f: Field, beta: float) -> float | list[float]:
                    mu(f), im_momentum(f), lp_norm(f, 4))
 
 
-def gauged_E(f: Field, beta: float,
-             term_form: str = DEFAULT_TERM_FORM) -> float | list[float]:
+def gauged_E(f: Field, beta: float) -> float | list[float]:
     """Energy written in gauged variables.
 
     int |v_x|^2 + (3/2 - 2b) Im(T) + (b^2 - 3b/2 + 1/2) int |v|^6
@@ -184,7 +164,7 @@ def gauged_E(f: Field, beta: float,
         )
 
     return per_row(f, combine, mu(f), lp_norm(f, 4), h1dot_sq(f),
-                   _im_cubic_term(f, term_form), lp_norm(f, 6), im_momentum(f))
+                   _im_cubic_term(f), lp_norm(f, 6), im_momentum(f))
 
 
 def ecal(f: Field) -> float | list[float]:

@@ -14,13 +14,6 @@ from .dynamics import Trajectory, _psi_integral
 from .functionals import mu
 from .grid import Field, antideriv_meanzero, fft, per_row, translate
 
-# Sign of the beta^2*mu^2 offset in the nonlocal coefficient psi. Fixed by the
-# gauge-consistency oracle: with "plus", the gauged plane wave solves the
-# gauged equation exactly and the residual of gauged generic trajectories
-# vanishes at the integrator's order.
-SIGN_MU2_CHOICES = ("plus", "minus")
-DEFAULT_SIGN_MU2 = "plus"
-
 
 def gauge_profile(f: Field, beta: float) -> Field:
     """Multiply f by exp(-i*beta*I(f)), I the mean-zero antiderivative of |f|^2.
@@ -33,23 +26,20 @@ def gauge_profile(f: Field, beta: float) -> Field:
     return Field(f.grid, np.exp(-1j * beta * I.values.real) * f.values)
 
 
-def psi(v: Field, beta: float, mu_val: float,
-        sign_mu2: str = DEFAULT_SIGN_MU2) -> float | list[float]:
+def psi(v: Field, beta: float, mu_val: float) -> float | list[float]:
     """Spatially constant coefficient of the nonlocal term in the gauged flow,
     per row:
 
         (beta/L) * int [2 Im(v conj(v_x)) + (3/2 - 2*beta) |v|^4] dx
-            +/- beta^2 * mu^2
+            + beta^2 * mu^2
 
-    with the sign per sign_mu2 (default "plus", the oracle-selected form).
+    With the + sign, the gauged plane wave solves the gauged equation exactly
+    and the residual of gauged generic trajectories vanishes at the
+    integrator's order; the - sign fails both.
     """
-    if sign_mu2 not in SIGN_MU2_CHOICES:
-        raise ValueError(f"sign_mu2 must be one of {SIGN_MU2_CHOICES}, got {sign_mu2!r}")
     if mu_val < 0:
         raise ValueError("mu_val must be nonnegative")
     offset = beta * beta * mu_val * mu_val
-    if sign_mu2 == "minus":
-        offset = -offset
     integral = _psi_integral(v.grid, beta, fft(v.values))
     return per_row(v, lambda p: p + offset,
                    np.reshape(integral, v.values.shape[:-1]))

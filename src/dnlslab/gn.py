@@ -27,11 +27,6 @@ CGN_POW_M92 = CGN ** -4.5
 CGN_POW_M18 = CGN ** -18.0
 
 
-def cgn() -> float:
-    """The sharp constant 3^(1/6) * (2*pi)^(-1/9) ~ 0.9791."""
-    return CGN
-
-
 def shape_factor(L: float, delta: float) -> float:
     """The shape factor 1 + 2*delta/(5L) of the flap extension."""
     return 1.0 + 2.0 * delta / (5.0 * L)

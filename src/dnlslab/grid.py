@@ -69,11 +69,7 @@ def check_grid(L: float, N: int | None) -> None:
     """The grid rule: L finite and > 0, N an even integer in [MIN_NODES,
     MAX_NODES] (None skips N), and the largest wavenumber (2 pi/L)*(N/2), or
     2 pi/L when N is None, finite. Raises ValueError; builds nothing, so a
-    huge N costs nothing.
-
-    The rule checks the grid it is given, not its 2x refinement: for L within
-    a factor 2 of the limit, or N above MAX_NODES/2, (L, N) passes and
-    (L, 2N) fails, so that grid's refined property raises."""
+    huge N costs nothing."""
     if not np.isfinite(L) or L <= 0:
         raise ValueError(f"period L must be positive and finite, got {L}")
     if N is not None and (N % 2 != 0 or N < MIN_NODES):
@@ -120,7 +116,6 @@ class TorusGrid:
         self._dealias_keep = np.abs(self.modes) <= N // 3
         for arr in (self.x, self.modes, self.k, self._ik, self._dealias_keep):
             arr.flags.writeable = False
-        self._refined: TorusGrid | None = None
 
     @property
     def dx(self) -> float:
@@ -130,15 +125,6 @@ class TorusGrid:
     def dealias_keep(self) -> np.ndarray:
         """Boolean mask of modes kept by the 2/3 rule (|m| <= N//3)."""
         return self._dealias_keep
-
-    @property
-    def refined(self) -> "TorusGrid":
-        """The 2x refinement of this grid (same L, 2N nodes), cached. Raises
-        ValueError where (L, 2N) breaks the grid rule, which a grid (L, N)
-        can pass; see check_grid."""
-        if self._refined is None:
-            self._refined = TorusGrid(self.L, 2 * self.N)
-        return self._refined
 
     def pad2(self, F: np.ndarray) -> np.ndarray:
         """Zero pad spectra of shape (..., N), FFT order, to (..., 2N): modes

@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from dnlslab import Field, Spectrum, TorusGrid
+from dnlslab import Field, Spectrum, TorusGrid, deriv, lp_norm
+from dnlslab.functionals import h1dot_sq
 from dnlslab.runio import fmt_value
 
 
@@ -34,6 +35,20 @@ def random_band_field(grid: TorusGrid, rng, band: int | None = None,
 
 def plane_wave(grid: TorusGrid, A: float = 1.0, m: int = 1) -> Field:
     return Field(grid, A * np.exp(1j * (2 * np.pi * m / grid.L) * grid.x))
+
+
+def literal_cubic_term(f: Field) -> float:
+    """Im int f^2 conj((f^2)_x) of one row, on the 2x refined grid: the
+    reading of the energy's cubic term that the conservation oracle rejects.
+    As functions it is twice the kept term, Im int |f|^2 f conj(f_x)."""
+    fine = TorusGrid(f.grid.L, 2 * f.grid.N)
+    w = Field(fine, f.grid.refine2(f.values) ** 2)
+    return float(np.sum((w.values * np.conj(deriv(w).values)).imag) * fine.dx)
+
+
+def literal_energy(f: Field) -> float:
+    """energy_u of one row with literal_cubic_term as its cubic term."""
+    return h1dot_sq(f) + 1.5 * literal_cubic_term(f) + 0.5 * lp_norm(f, 6) ** 6
 
 
 def l2_dist(a: Field, b: Field) -> float:

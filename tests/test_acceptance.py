@@ -11,17 +11,17 @@ import time
 import numpy as np
 import pytest
 
-from dnlslab import (DataSpec, Field, SimConfig, Spectrum, TorusGrid,
-                     Trajectory, build, cgn, conserved_report, ecal, energy_u,
+from dnlslab import (CGN, DataSpec, Field, SimConfig, Spectrum, TorusGrid,
+                     Trajectory, build, conserved_report, ecal, energy_u,
                      f_ratio, gauge_profile, gauge_trajectory, hamiltonian_u,
                      lp_norm, m1_identity_check, mass, mass_threshold,
                      momentum_v, mu, pde_residual, proof_sample, simulate)
 from dnlslab.config import GnAuditBlock, RunConfig, ThresholdScanBlock, ScanPair
 from dnlslab.dynamics import rhs_dnls2
-from dnlslab.functionals import DEFAULT_TERM_FORM
-from dnlslab.gauge import DEFAULT_SIGN_MU2
 from dnlslab.harness import (EXIT_OK, audit_coefficients, case_report,
                              run_gn_audit, run_threshold_scan)
+
+from conftest import literal_energy
 
 TWO_PI = 2 * math.pi
 BIG_MASS = 0.9 * 4 * math.pi
@@ -125,14 +125,15 @@ def test_criterion_2_conservation_dnls1(grid256, dnls1_runs):
 
 def test_criterion_3_term_form_oracle(dnls1_runs):
     frames = dnls1_runs[4.0].frames
-    drift_std = drift(frames, lambda f: energy_u(f, "standard"))
-    drift_lit = drift(frames, lambda f: energy_u(f, "literal"))
-    ok = (DEFAULT_TERM_FORM == "standard"
-          and drift_std < 1e-8
+    # the rejected reading of the cubic term, Im int f^2 conj((f^2)_x) on
+    # the refined grid, must leave an O(1) drift
+    drift_std = drift(frames, energy_u)
+    drift_lit = drift(frames, literal_energy)
+    ok = (drift_std < 1e-8
           and drift_lit > 1e-3
           and drift_lit > 1e4 * drift_std)
     report(3, ok, f"standard drift {drift_std:.1e} (conserved), "
-                  f"literal drift {drift_lit:.1e} (O(1)); default standard")
+                  f"literal drift {drift_lit:.1e} (O(1))")
 
 
 def test_criterion_4_gauge_consistency(grid256, dnls1_fine_mass4, dnls2_runs):
@@ -164,7 +165,6 @@ def test_criterion_4_gauge_consistency(grid256, dnls1_fine_mass4, dnls2_runs):
     res_minus = math.sqrt(float(np.sum(np.abs(minus) ** 2)) * grid256.dx)
 
     ok = (disc < 1e-6 and 0.8 * 4 < ratio < 1.2 * 4
-          and DEFAULT_SIGN_MU2 == "plus"
           and res_minus > 50 * res[0.0025])
     report(4, ok, f"discrepancy {disc:.2e} < 1e-6, residual ratio {ratio:.2f} "
                   f"~ 4, minus-sign residual {res_minus:.2f} is O(1)")
@@ -274,12 +274,12 @@ def test_criterion_10_constants():
     import mpmath as mp
     mp.mp.dps = 50
     want = float(mp.power(3, mp.mpf(1) / 6) * mp.power(2 * mp.pi, mp.mpf(-1) / 9))
-    c_ok = abs(cgn() - want) < 1e-15
+    c_ok = abs(CGN - want) < 1e-15
     sup_ok = all(mass_threshold(1.0, d) < 4 * math.pi for d in (1.0, 0.1, 1e-8))
     sup_ok &= abs(mass_threshold(1.0, 1e-9) - 4 * math.pi) < 1e-6
     point_ok = mass_threshold(1.0, 2.5) == math.pi
     ok = c_ok and sup_ok and point_ok
-    report(10, ok, f"cgn within {abs(cgn() - want):.1e} of extended precision; "
+    report(10, ok, f"CGN within {abs(CGN - want):.1e} of extended precision; "
                    f"threshold(1, 5/2) == pi exactly; supremum 4*pi")
 
 

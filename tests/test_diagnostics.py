@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from dnlslab import (Case1NotApplicable, Field, Trajectory, ZeroFieldError,
-                     alpha_choice, case_report, cgn, conserved_report, ecal,
+                     alpha_choice, case_report, conserved_report, ecal,
                      f_ratio, lp_norm, m1_identity_check, mass, mass_threshold,
                      modulate, proof_sample)
 from dnlslab import diagnostics, gn
 from dnlslab.diagnostics import DiagnosticsSample
-from dnlslab.gn import FieldNorms, audit_sweep, field_norms
+from dnlslab.gn import CGN, FieldNorms, audit_sweep, field_norms
 
 from conftest import plane_wave, random_band_field
 
@@ -66,10 +66,10 @@ class TestProofSample:
         # eta = 0 exactly when f = 2 C^{-9/2} (1 + 2d/5L)^{-1}
         delta = 0.7
         shape = 1 + 2 * delta / (5 * grid2pi.L)
-        f_root = 2 * cgn() ** -4.5 / shape
+        f_root = 2 * CGN ** -4.5 / shape
         v = random_band_field(grid2pi, rng, band=12)
         s = proof_sample(v, delta, ecal(v))
-        eta_at_root = 1 / 16 - shape ** -4 * cgn() ** -18 / f_root ** 4
+        eta_at_root = 1 / 16 - shape ** -4 * CGN ** -18 / f_root ** 4
         assert abs(eta_at_root) < 1e-12
 
     def test_hoelder_and_lower_bound_on_random_fields(self, grid2pi, rng):

@@ -12,9 +12,11 @@ from dnlslab import (Field, Spectrum, TorusGrid, conserved_report, ecal,
                      energy_u, f_ratio, gauge_profile, gauged_E, gauged_H,
                      hamiltonian_u, im_momentum, lp_norm, mass, momentum_v, mu,
                      proof_sample, psi, translate)
+from dnlslab import functionals
 from dnlslab.functionals import _im_cubic_term, h1dot_sq
 
-from conftest import plane_wave, random_band_field
+from conftest import (literal_cubic_term, literal_energy, plane_wave,
+                      random_band_field)
 
 
 @pytest.fixture
@@ -61,14 +63,14 @@ class TestEnergy:
         k = 2 * np.pi * m / L
         f = plane_wave(grid2pi, A=A, m=m)
         want = k**2 * A**2 * L - 3 * k * A**4 * L + 0.5 * A**6 * L
-        assert_allclose(energy_u(f, "literal"), want, rtol=1e-12)
+        assert_allclose(literal_energy(f), want, rtol=1e-12)
 
     def test_plane_wave_standard(self, grid2pi, wave_params):
         A, m, L = wave_params
         k = 2 * np.pi * m / L
         f = plane_wave(grid2pi, A=A, m=m)
         want = k**2 * A**2 * L - 1.5 * k * A**4 * L + 0.5 * A**6 * L
-        assert_allclose(energy_u(f, "standard"), want, rtol=1e-12)
+        assert_allclose(energy_u(f), want, rtol=1e-12)
 
     def test_zero(self, grid2pi):
         assert energy_u(Field(grid2pi, np.zeros(grid2pi.N))) == 0.0
@@ -76,13 +78,8 @@ class TestEnergy:
     def test_literal_reading_doubles_the_standard_one(self, grid2pi, rng):
         # identical as functions: f^2 conj(d/dx f^2) = 2 |f|^2 f conj(f_x)
         f = random_band_field(grid2pi, rng)
-        lit = _im_cubic_term(f, "literal")
-        std = _im_cubic_term(f, "standard")
-        assert_allclose(lit, 2.0 * std, rtol=1e-11)
-
-    def test_unknown_form_rejected(self, grid2pi):
-        with pytest.raises(ValueError):
-            energy_u(plane_wave(grid2pi), "other")
+        assert_allclose(literal_cubic_term(f), 2.0 * _im_cubic_term(f),
+                        rtol=1e-11)
 
 
 class TestMomentum:
@@ -102,11 +99,13 @@ class TestMomentum:
 
 
 class TestGaugedForms:
-    def test_beta_zero_reduces_to_ungauged(self, grid2pi, rng):
+    def test_beta_zero_reduces_to_ungauged(self, grid2pi, rng, monkeypatch):
         f = random_band_field(grid2pi, rng)
         assert gauged_H(f, 0.0) == hamiltonian_u(f)
-        for form in ("literal", "standard"):
-            assert gauged_E(f, 0.0, form) == energy_u(f, form)
+        assert gauged_E(f, 0.0) == energy_u(f)
+        # with the literal cubic term patched in, both take it alike
+        monkeypatch.setattr(functionals, "_im_cubic_term", literal_cubic_term)
+        assert gauged_E(f, 0.0) == energy_u(f) == literal_energy(f)
 
     def test_gauged_H_plane_wave(self, grid2pi, wave_params):
         A, m, L = wave_params
@@ -127,11 +126,13 @@ class TestGaugedForms:
         want = k**2 * A**2 * L - 1.5 * k * A**4 * L + 0.5 * A**6 * L
         assert_allclose(gauged_E(f, beta), want, rtol=1e-12)
 
-    def test_cubic_term_drops_out_at_three_quarters(self, grid2pi, rng):
-        # (3/2 - 2 beta) = 0, so the two readings must coincide there
+    def test_cubic_term_drops_out_at_three_quarters(self, grid2pi, rng,
+                                                    monkeypatch):
+        # (3/2 - 2 beta) = 0, so the value must not depend on the cubic term
         f = random_band_field(grid2pi, rng)
-        assert_allclose(gauged_E(f, 0.75, "literal"),
-                        gauged_E(f, 0.75, "standard"), rtol=1e-12)
+        kept = gauged_E(f, 0.75)
+        monkeypatch.setattr(functionals, "_im_cubic_term", literal_cubic_term)
+        assert gauged_E(f, 0.75) == kept
 
     def test_zero(self, grid2pi):
         z = Field(grid2pi, np.zeros(grid2pi.N))
@@ -167,7 +168,7 @@ class TestGaugeIdentity:
     def test_gauged_forms_equal_the_ungauged_ones(self, u, beta):
         v = gauge_profile(u, beta)
         scale_H = abs(im_momentum(u)) + 0.5 * lp_norm(u, 4) ** 4
-        scale_E = (h1dot_sq(u) + 1.5 * abs(_im_cubic_term(u, "standard"))
+        scale_E = (h1dot_sq(u) + 1.5 * abs(_im_cubic_term(u))
                    + 0.5 * lp_norm(u, 6) ** 6)
         assert abs(gauged_H(v, beta) - hamiltonian_u(u)) <= self.RTOL * scale_H
         assert abs(gauged_E(v, beta) - energy_u(u)) <= self.RTOL * scale_E

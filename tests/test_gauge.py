@@ -10,6 +10,16 @@ from dnlslab import (Field, Trajectory, gauge_profile, gauge_trajectory,
 from conftest import l2_dist, plane_wave, random_band_field
 
 
+def psi_signed(v, beta, mu_val, sign):
+    """psi with the beta^2 mu^2 offset of either sign: "plus" is psi itself,
+    "minus" the reading the gauge-consistency oracle rejects."""
+    value = psi(v, beta, mu_val)
+    if sign == "plus":
+        return value
+    shift = 2 * beta**2 * mu_val**2
+    return value - shift if isinstance(value, float) else [p - shift for p in value]
+
+
 class TestGaugeProfile:
     def test_plane_wave_unchanged(self, grid2pi):
         f = plane_wave(grid2pi, A=1.2, m=2)
@@ -61,7 +71,7 @@ class TestPsi:
         k = 2 * np.pi * m / grid2pi.L
         v = plane_wave(grid2pi, A=A, m=m)
         want = beta * (-2 * k * A**2 + (1.5 - 2 * beta) * A**4) + beta**2 * A**4
-        assert_allclose(psi(v, beta, A**2, "plus"), want, rtol=1e-12)
+        assert_allclose(psi(v, beta, A**2), want, rtol=1e-12)
 
     def test_zero_field(self, grid2pi):
         z = Field(grid2pi, np.zeros(grid2pi.N))
@@ -72,23 +82,24 @@ class TestPsi:
         assert psi(v, 0.0, 1.0) == 0.0
 
     def test_sign_choices_differ_by_offset(self, grid2pi, rng):
+        # the kept coefficient is the integral plus beta^2 mu^2, the rejected
+        # one the integral minus it
         v = random_band_field(grid2pi, rng, band=16)
         beta, mu_val = 0.75, 1.3
-        plus = psi(v, beta, mu_val, "plus")
-        minus = psi(v, beta, mu_val, "minus")
-        assert_allclose(plus - minus, 2 * beta**2 * mu_val**2, rtol=1e-12)
-
-    def test_unknown_sign_rejected(self, grid2pi):
-        with pytest.raises(ValueError):
-            psi(plane_wave(grid2pi), 0.75, 1.0, "maybe")
+        offset = beta**2 * mu_val**2
+        integral = psi(v, beta, 0.0)
+        plus = psi(v, beta, mu_val)
+        minus = psi_signed(v, beta, mu_val, "minus")
+        assert_allclose(plus - integral, offset, rtol=1e-12)
+        assert_allclose(minus - integral, -offset, rtol=1e-12)
 
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     @pytest.mark.parametrize("beta", [0.75, 0.5])
     def test_stack_gives_each_row_its_own_value(self, grid2pi, rng, sign, beta):
         rows = [random_band_field(grid2pi, rng, band=16, scale=s).values
                 for s in (0.2, 0.6, 1.1)]
-        got = psi(Field(grid2pi, np.stack(rows)), beta, 1.3, sign)
-        want = [psi(Field(grid2pi, row), beta, 1.3, sign) for row in rows]
+        got = psi_signed(Field(grid2pi, np.stack(rows)), beta, 1.3, sign)
+        want = [psi_signed(Field(grid2pi, row), beta, 1.3, sign) for row in rows]
         assert got == want
         assert all(type(value) is float for value in got + want)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from dnlslab import Field, TorusGrid, cgn, lp_norm, mass_threshold
+from dnlslab import Field, TorusGrid, lp_norm, mass_threshold
 from dnlslab.config import GnAuditBlock
 from dnlslab.functionals import h1dot_sq
 from dnlslab.gn import (CGN, CGN_POW_M18, CGN_POW_M92, FieldNorms, audit_sweep,
@@ -50,15 +50,15 @@ class TestSharpConstant:
     def test_value_against_extended_precision(self):
         mp.mp.dps = 50
         want = float(mp.power(3, mp.mpf(1) / 6) * mp.power(2 * mp.pi, mp.mpf(-1) / 9))
-        assert abs(cgn() - want) < 1e-15
-        assert abs(cgn() - 0.9791) < 1e-4
+        assert abs(CGN - want) < 1e-15
+        assert abs(CGN - 0.9791) < 1e-4
 
     def test_derived_powers_consistent(self):
-        assert abs(CGN_POW_M92 - cgn() ** -4.5) <= 1e-14 * CGN_POW_M92
-        assert abs(CGN_POW_M18 - cgn() ** -18) <= 1e-14 * CGN_POW_M18
+        assert abs(CGN_POW_M92 - CGN ** -4.5) <= 1e-14 * CGN_POW_M92
+        assert abs(CGN_POW_M18 - CGN ** -18) <= 1e-14 * CGN_POW_M18
 
     def test_below_one(self):
-        assert cgn() < 1.0
+        assert CGN < 1.0
 
     def test_threshold_identity(self):
         # threshold^2 (1 + 2d/5L)^4 == 108 * C^-18, the closed-form link
@@ -154,7 +154,7 @@ class TestSweepPeriodic:
         lhs, rhs, _, satisfied = sweep_at(row_norms(f), 1.0)[PERIODIC]
         L = 2 * np.pi
         assert_allclose(lhs, L ** (1 / 6), rtol=1e-13)
-        want_rhs = (cgn() * (1 + 1 / (5 * np.pi)) ** (2 / 9)
+        want_rhs = (CGN * (1 + 1 / (5 * np.pi)) ** (2 / 9)
                     * 2 ** (1 / 18) * L ** (2 / 9))
         assert_allclose(rhs, want_rhs, rtol=1e-13)
         assert satisfied
@@ -182,7 +182,7 @@ class TestSweepLine:
         L = 2 * np.pi
         # flap-only gradient, torus-plus-flap L^p integrals
         lhs = (L + 2 * delta / 7) ** (1 / 6)
-        rhs = cgn() * (2 / delta) ** (1 / 18) * (L + 2 * delta / 5) ** (2 / 9)
+        rhs = CGN * (2 / delta) ** (1 / 18) * (L + 2 * delta / 5) ** (2 / 9)
         assert_allclose(got_lhs, lhs, rtol=1e-13)
         assert_allclose(got_rhs, rhs, rtol=1e-13)
         assert satisfied

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dnlslab import (Field, TorusGrid, antideriv_meanzero, deriv, energy_u, lp_norm,
-                     mass, translate)
+from dnlslab import (Field, TorusGrid, antideriv_meanzero, deriv, lp_norm, mass,
+                     translate)
 
 from dnlslab import grid as grid_module
 from dnlslab.grid import check_grid
@@ -84,14 +84,12 @@ class TestTorusGrid:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_period_near_the_limit_builds_its_grid_but_not_its_refinement(self):
+        # the rule checks the grid it is given, not its 2x refinement:
         # (2 pi/L)*32 is finite, (2 pi/L)*64 is not
         grid = TorusGrid(1.5e-306, 64)
         assert np.all(np.isfinite(grid.k))
         with pytest.raises(ValueError, match="largest wavenumber"):
-            grid.refined
-        u = Field(grid, np.ones(64, dtype=complex))
-        with pytest.raises(ValueError, match="largest wavenumber"):
-            energy_u(u, term_form="literal")
+            check_grid(1.5e-306, 128)
 
     def test_equality_is_by_shape(self):
         assert TorusGrid(1.0, 16) == TorusGrid(1.0, 16)
