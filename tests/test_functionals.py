@@ -81,6 +81,20 @@ class TestEnergy:
         assert_allclose(literal_cubic_term(f), 2.0 * _im_cubic_term(f),
                         rtol=1e-11)
 
+    def test_unknown_form_rejected(self, grid2pi):
+        # the term form is no longer an argument, so a caller still asking
+        # for a reading, even the kept one, fails instead of getting either
+        f = plane_wave(grid2pi)
+        for form in ("other", "literal", "standard"):
+            with pytest.raises(TypeError):
+                energy_u(f, form)
+            with pytest.raises(TypeError):
+                energy_u(f, term_form=form)
+            with pytest.raises(TypeError):
+                gauged_E(f, 0.75, form)
+            with pytest.raises(TypeError):
+                _im_cubic_term(f, form)
+
 
 class TestMomentum:
     def test_plane_wave(self, grid2pi, wave_params):

@@ -93,6 +93,16 @@ class TestPsi:
         assert_allclose(plus - integral, offset, rtol=1e-12)
         assert_allclose(minus - integral, -offset, rtol=1e-12)
 
+    def test_unknown_sign_rejected(self, grid2pi):
+        # the sign is no longer an argument, so a caller still asking for
+        # one, even the kept "plus", fails instead of getting either
+        v = plane_wave(grid2pi)
+        for sign in ("maybe", "minus", "plus"):
+            with pytest.raises(TypeError):
+                psi(v, 0.75, 1.0, sign)
+            with pytest.raises(TypeError):
+                psi(v, 0.75, 1.0, sign_mu2=sign)
+
     @pytest.mark.parametrize("sign", ["plus", "minus"])
     @pytest.mark.parametrize("beta", [0.75, 0.5])
     def test_stack_gives_each_row_its_own_value(self, grid2pi, rng, sign, beta):
