@@ -13,9 +13,9 @@ from .dynamics import (BlowupGuardError, CflWarning, NonFiniteError, SimConfig,
                        SimulationError, Trajectory, dispersion_symbol,
                        pde_residual, rhs_dnls1, rhs_dnls2, simulate)
 from .gn import CGN, mass_threshold
-from .diagnostics import (Case1NotApplicable, CaseRecord, DiagnosticsSample,
-                          ZeroFieldError, alpha_choice, case_report, f_ratio,
-                          m1_identity_check, modulate, proof_sample)
+from .diagnostics import (CaseRecord, DiagnosticsSample, ZeroFieldError,
+                          case_report, f_ratio, m1_identity_check, modulate,
+                          proof_sample)
 from .initial_data import DataSpec, build
 
 __all__ = [
@@ -29,9 +29,8 @@ __all__ = [
     "SimulationError", "Trajectory", "dispersion_symbol", "pde_residual",
     "rhs_dnls1", "rhs_dnls2", "simulate",
     "CGN", "mass_threshold",
-    "Case1NotApplicable", "CaseRecord", "DiagnosticsSample", "ZeroFieldError",
-    "alpha_choice", "case_report", "f_ratio", "m1_identity_check", "modulate",
-    "proof_sample",
+    "CaseRecord", "DiagnosticsSample", "ZeroFieldError", "case_report",
+    "f_ratio", "m1_identity_check", "modulate", "proof_sample",
     "DataSpec", "build",
     "__version__",
 ]

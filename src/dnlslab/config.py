@@ -17,7 +17,7 @@ import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from itertools import product
 
-from .dynamics import SimConfig
+from .dynamics import GAUGE_BETA, SimConfig
 from .grid import check_grid
 from .initial_data import DataSpec
 
@@ -58,7 +58,7 @@ class OutputsBlock:
 
 @dataclass(frozen=True)
 class GaugeCheckBlock:
-    beta: float = 0.75
+    beta: float = GAUGE_BETA
     tolerance: float = 1e-6
 
     def __post_init__(self):

@@ -24,11 +24,6 @@ class ZeroFieldError(ValueError):
     """Raised when a quantity undefined on the zero field is requested."""
 
 
-class Case1NotApplicable(ValueError):
-    """Raised by the lattice-frequency choice when eta + gamma <= 0 (the
-    case-1 prescription alpha = 2*pi/L applies instead)."""
-
-
 @dataclass(frozen=True)
 class DiagnosticsSample:
     """Proof-side quantities at one time.
@@ -126,22 +121,11 @@ def proof_sample(v: Field, delta: float, ecal_val: float,
                    M, h, l4, l6)
 
 
-def alpha_choice(sample: DiagnosticsSample, M_val: float, L: float) -> float:
-    """Case-2 modulation frequency: the smallest lattice frequency in 2*pi*Z/L
-    strictly above the balance target sqrt((eta+gamma)/M) * ||v||_L6^3."""
-    if M_val <= 0:
-        raise ValueError(f"M_val must be positive, got {M_val}")
-    excess = sample.eta + sample.gamma
-    if excess <= 0:
-        raise Case1NotApplicable(
-            "eta + gamma <= 0: the case-1 prescription alpha = 2*pi/L applies")
-    return _case_alpha(excess, sample.l6, M_val, L)
-
-
 def _case_alpha(excess: float, l6: float, M_val: float, L: float) -> float:
     """The case prescription's modulation frequency of a frame with
     eta + gamma = excess and L6 norm l6: 2*pi/L in case 1 (excess <= 0), and
-    in case 2 that of alpha_choice, which needs M_val > 0."""
+    in case 2 the smallest lattice frequency in 2*pi*Z/L strictly above the
+    balance target sqrt(excess/M_val) * l6^3, which needs M_val > 0."""
     unit = 2.0 * np.pi / L
     if excess <= 0:
         return unit
@@ -151,11 +135,17 @@ def _case_alpha(excess: float, l6: float, M_val: float, L: float) -> float:
     return unit * (np.floor(target / unit) + 1.0)
 
 
-def modulate(v: Field, alpha: float) -> Field:
-    """Multiply by exp(i*alpha*x); alpha must sit on the lattice 2*pi*Z/L."""
-    j = alpha * v.grid.L / (2.0 * np.pi)
+def _lattice_index(alpha: float, L: float) -> int:
+    """The j of alpha = 2*pi*j/L, or ValueError when alpha is off that lattice."""
+    j = alpha * L / (2.0 * np.pi)
     if abs(j - round(j)) > 1e-9 * max(1.0, abs(j)):
         raise ValueError(f"alpha = {alpha} is not on the frequency lattice 2*pi*Z/L")
+    return round(j)
+
+
+def modulate(v: Field, alpha: float) -> Field:
+    """Multiply by exp(i*alpha*x); alpha must sit on the lattice 2*pi*Z/L."""
+    _lattice_index(alpha, v.grid.L)
     return Field(v.grid, np.exp(1j * alpha * v.grid.x) * v.values)
 
 
@@ -167,10 +157,8 @@ def m1_identity_check(v: Field, alpha: float) -> float | list[float]:
 
     an exact algebraic identity, so the return is floating-point noise.
     """
-    j = alpha * v.grid.L / (2.0 * np.pi)
-    if round(j) == 0 or abs(j - round(j)) > 1e-9 * max(1.0, abs(j)):
-        raise ValueError(
-            f"alpha = {alpha} must be a nonzero lattice frequency in 2*pi*Z/L")
+    if _lattice_index(alpha, v.grid.L) == 0:
+        raise ValueError(f"alpha = {alpha} must be a nonzero lattice frequency")
     return per_row(v, partial(_m1_gap, alpha), momentum_v(v), lp_norm(v, 4),
                    ecal(modulate(v, alpha)), mass(v), ecal(v))
 
@@ -198,10 +186,9 @@ def _frame_samples(traj: Trajectory, delta: float, ecal_val: float, M0: float,
     order, when given, else a pass without the derivative's pad taken here,
     chunk by chunk. A frame's sample is built when it is reached, so a frame
     raises where it would alone."""
-    chunks = traj.chunks()
     if moments is None:
-        moments = (_moments(f, full=False) for _, f in chunks)
-    for (rows, f), (M, _, h, l4, l6, _) in zip(chunks, moments, strict=True):
+        moments = (_moments(f, full=False) for _, f in traj.chunks)
+    for (rows, f), (M, _, h, l4, l6, _) in zip(traj.chunks, moments, strict=True):
         zero = np.abs(f.values).max(axis=-1) == 0.0
         for t, is_zero, *columns in zip(traj.times[rows].tolist(), zero.tolist(),
                                         M, h, l4, l6):

@@ -18,10 +18,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .functionals import mu
-from .grid import Field, TorusGrid, fft, ifft
+from .grid import Field, TorusGrid, dealias_band, fft, ifft
 
 INTEGRATOR_CHOICES = ("ifrk4", "etdrk4")
 EQUATION_CHOICES = ("dnls1", "dnls2")
+# Wu's gauge exponent 3/4: the default beta, and the one scan and diagnose use
+GAUGE_BETA = 0.75
 
 
 class SimulationError(RuntimeError):
@@ -63,7 +65,7 @@ class SimConfig:
     record_stride: int = 1
     integrator: str = "ifrk4"
     equation: str = "dnls1"
-    beta: float = 0.75
+    beta: float = GAUGE_BETA
     guard_factor: float = 1e3
 
     def __post_init__(self):
@@ -118,13 +120,10 @@ class Trajectory:
         return tuple((t, Field(self.grid, row))
                      for t, row in zip(self.times.tolist(), self.values))
 
-    def chunks(self) -> tuple[tuple[slice, Field], ...]:
+    @cached_property
+    def chunks(self) -> tuple:
         """(rows, Field) per chunk of grid.row_chunks, built once: the analysis
         works on these stacks, one call per chunk; each Field shares its rows."""
-        return self._chunks
-
-    @cached_property
-    def _chunks(self) -> tuple:
         return tuple((rows, Field(self.grid, self.values[rows]))
                      for rows in self.grid.row_chunks(len(self.times)))
 
@@ -135,15 +134,12 @@ def dispersion_symbol(grid: TorusGrid) -> np.ndarray:
 
 
 def _dealias_drop(grid: TorusGrid) -> slice:
-    """The modes the 2/3 rule zeroes, as one slice of FFT order.
-
-    The rule drops |m| > N//3 (the complement of grid.dealias_keep): in FFT
-    order the contiguous run N//3 + 1 .. N - N//3 - 1. Zeroing a basic slice
-    costs less per call than the fancy indexing of a boolean mask. The gauged
-    kernel zeroes it in its result; the ungauged one zeroes it once per run
-    in its copy of grid._ik (see _make_nonlinear).
-    """
-    return slice(grid.N // 3 + 1, grid.N - grid.N // 3)
+    """The modes |m| > grid.dealias_band(N), which the 2/3 rule zeroes, as
+    one slice of FFT order: a basic slice costs less to zero than a boolean
+    mask. The gauged kernel zeroes it in its result; the ungauged one zeroes
+    it once per run in its copy of grid._ik (see _make_nonlinear)."""
+    band = dealias_band(grid.N)
+    return slice(band + 1, grid.N - band)
 
 
 def _complex_full(value: float | complex, shape: tuple) -> np.ndarray:
@@ -179,10 +175,9 @@ def _nl_dnls1(ik_keep: np.ndarray, u: np.ndarray, absq: np.ndarray,
 def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray | np.float64:
     """Exact int |v|^4 per spectrum of shape (..., N), via the 2x padded grid;
     shape (..., 1) for a stack, a scalar for one spectrum."""
-    padded = grid.pad2(F)
-    v2 = 2.0 * ifft(padded, padded)
-    return (np.add.reduce(np.abs(v2) ** 4, axis=-1, keepdims=F.ndim > 1)
-            * (grid.L / (2 * grid.N)))
+    sums = np.add.reduce(np.abs(grid.resample2(F)) ** 4, axis=-1,
+                         keepdims=F.ndim > 1)
+    return sums * grid.refined_dx
 
 
 def _psi_integral(grid: TorusGrid, beta: float, F: np.ndarray,
@@ -600,7 +595,7 @@ def _stop_error(F: np.ndarray, h1: float, guard_limit: float, t: float,
         t=t, h1dot=h1, partial=partial)
 
 
-def pde_residual(traj: Trajectory, equation: str, beta: float = 0.75,
+def pde_residual(traj: Trajectory, equation: str, beta: float = GAUGE_BETA,
                  mu_val: float | None = None) -> np.ndarray:
     """Per interior frame, the L^2 norm of D_t u - rhs(u), D_t the centered
     difference over the (uniform) frame spacing.

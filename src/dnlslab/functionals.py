@@ -92,7 +92,7 @@ def _im_cubic_term(f: Field) -> float | list[float]:
     integrand = np.abs(v2) ** 2 * v2
     integrand *= np.conj(dv2, out=dv2)
     total = np.sum(integrand.imag, axis=-1)
-    return per_row(f, float, total * (grid.L / (2 * grid.N)))
+    return per_row(f, float, total * grid.refined_dx)
 
 
 # One row's value of a functional from its reductions, in Python floats; the
@@ -212,7 +212,7 @@ def _moments(f: Field, full: bool = True) -> tuple:
     dv2 = grid.refine2(df)
     integrand *= np.conj(dv2, out=dv2)
     total = np.sum(integrand.imag, axis=-1)
-    return M, p, h, l4, l6, total * (grid.L / (2 * grid.N))
+    return M, p, h, l4, l6, total * grid.refined_dx
 
 
 def conserved_report(f: Field, t: float | np.ndarray = 0.0, *,

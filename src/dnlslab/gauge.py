@@ -56,7 +56,7 @@ def gauge_trajectory(traj: Trajectory, beta: float) -> Trajectory:
     mu0 = mu(Field(traj.grid, traj.values[0]))
     shifts = np.array([2.0 * beta * mu0 * t for t in traj.times.tolist()])
     values = np.empty_like(traj.values)
-    for rows, u in traj.chunks():
+    for rows, u in traj.chunks:
         w = gauge_profile(u, beta)
         s = shifts[rows]
         values[rows] = translate(w, s).values

@@ -65,6 +65,11 @@ def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
 
 
+def dealias_band(N: int) -> int:
+    """The largest |m| that the 2/3 rule keeps on N nodes."""
+    return N // 3
+
+
 def check_grid(L: float, N: int | None) -> None:
     """The grid rule: L finite and > 0, N an even integer in [MIN_NODES,
     MAX_NODES] (None skips N), and the largest wavenumber (2 pi/L)*(N/2), or
@@ -113,8 +118,7 @@ class TorusGrid:
         ik = 1j * self.k
         ik[N // 2] = 0.0
         self._ik = ik
-        self._dealias_keep = np.abs(self.modes) <= N // 3
-        for arr in (self.x, self.modes, self.k, self._ik, self._dealias_keep):
+        for arr in (self.x, self.modes, self.k, self._ik):
             arr.flags.writeable = False
 
     @property
@@ -122,17 +126,13 @@ class TorusGrid:
         return self.L / self.N
 
     @property
-    def dealias_keep(self) -> np.ndarray:
-        """Boolean mask of modes kept by the 2/3 rule (|m| <= N//3)."""
-        return self._dealias_keep
+    def refined_dx(self) -> float:
+        """L/(2N): the node spacing, and quadrature weight, of the 2x refined grid."""
+        return self.L / (2 * self.N)
 
     def pad2(self, F: np.ndarray) -> np.ndarray:
         """Zero pad spectra of shape (..., N), FFT order, to (..., 2N): modes
-        [-N/2, N/2) keep their place in the spectrum of the 2x refined grid.
-
-        Twice the inverse FFT of the result samples the trigonometric
-        interpolant on the refined grid.
-        """
+        [-N/2, N/2) keep their place in the spectrum of the 2x refined grid."""
         N = self.N
         F2 = np.zeros(F.shape[:-1] + (2 * N,), dtype=np.complex128)
         F2[..., : N // 2] = F[..., : N // 2]
@@ -148,11 +148,15 @@ class TorusGrid:
         return [slice(i, min(i + rows, n)) for i in range(0, n, rows)]
 
     def refine2(self, values: np.ndarray) -> np.ndarray:
-        """Resample onto the 2x refined grid by zero padding the spectrum.
+        """resample2(fft(values)): samples, shape (..., N), on the 2x grid."""
+        return self.resample2(fft(values))
 
-        Exact for the trigonometric interpolant with modes in [-N/2, N/2).
-        """
-        return 2.0 * ifft(self.pad2(fft(values)))
+    def resample2(self, F: np.ndarray) -> np.ndarray:
+        """Samples on the 2x refined grid of the spectra F = fft(values):
+        twice the inverse transform of pad2(F), taken in place. Exact for the
+        trigonometric interpolant with modes in [-N/2, N/2)."""
+        padded = self.pad2(F)
+        return 2.0 * ifft(padded, padded)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TorusGrid) and self.L == other.L and self.N == other.N
@@ -292,11 +296,11 @@ def power_sum(f: Field, p: int) -> np.ndarray:
 def lp_from_power_sum(f: Field, sums: np.ndarray, grid: TorusGrid,
                       p: int) -> float | list[float]:
     """The L^p norm of each row of f's samples taken on grid, whose period
-    may differ from f's (p in {4, 6}), from their power_sum: the rectangle
-    weight L/(2N) of the refined grid, then the root of each row as a Python
-    float power, libm pow as a numpy scalar power is: an array power can
-    differ in the last bit."""
-    totals = sums * (grid.L / (2 * grid.N))
+    may differ from f's (p in {4, 6}), from their power_sum: the weight
+    grid.refined_dx, then the root of each row as a Python float power, libm
+    pow as a numpy scalar power is: an array power can differ in the last
+    bit."""
+    totals = sums * grid.refined_dx
     return per_row(f, lambda total: total ** (1.0 / p), totals)
 
 

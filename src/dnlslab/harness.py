@@ -19,13 +19,13 @@ import numpy as np
 from .config import ConfigError, GnAuditBlock, RunConfig, ScanPair
 from .diagnostics import (CaseRecord, DiagnosticsSample, ZeroFieldError,
                           case_report)
-from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
-                       SimulationError, Trajectory, pde_residual, simulate,
-                       simulate_batch, step_count)
+from .dynamics import (GAUGE_BETA, BlowupGuardError, NonFiniteError,
+                       SimConfig, SimulationError, Trajectory, pde_residual,
+                       simulate, simulate_batch, step_count)
 from .functionals import ConservedReport, _moments, conserved_report, mu
 from .gauge import gauge_profile, gauge_trajectory
 from .gn import CGN, FieldNorms, audit_sweep, field_norms, mass_threshold
-from .grid import Field, TorusGrid, ifft, lp_norm
+from .grid import Field, TorusGrid, dealias_band, ifft, lp_norm
 from .initial_data import DataSpec, build
 from .runio import BOOL_TEXT, FLOAT_FORMAT
 
@@ -38,8 +38,6 @@ EXIT_CONFIG = 1
 # the exit code of each reason a run can end with; a config error exits 1
 EXIT_CODES = {"ok": EXIT_OK, "blowup-guard": 2, "non-finite": 3, "gn-violations": 4,
               "verification-failed": 5, "bound-chain-violation": 5}
-
-GAUGE_BETA = 0.75
 
 GN_AUDIT_COLUMNS = ("field_id", "L", "delta", "lhs", "rhs", "slack", "satisfied",
                     "flap_l2grad", "flap_l4", "flap_l6")
@@ -127,7 +125,7 @@ def _conserved_reports(traj: Trajectory, moments: list[tuple] | None = None
     moments when given, with numpy's overflow warnings off: a value that
     overflows is written as it is, and the exit code reports the run."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return [report for (rows, f), m in zip(traj.chunks(), moments or repeat(None))
+        return [report for (rows, f), m in zip(traj.chunks, moments or repeat(None))
                 for report in conserved_report(f, traj.times[rows], moments=m)]
 
 
@@ -143,7 +141,7 @@ def _bound_chain(vtraj: Trajectory, delta: float, reason: str
     full functionals._moments pass per chunk, taken here; only its
     reductions are kept across chunks, no padded array."""
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = [_moments(f) for _, f in vtraj.chunks()]
+        moments = [_moments(f) for _, f in vtraj.chunks]
     reports = _conserved_reports(vtraj, moments)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -236,7 +234,7 @@ def audit_coefficients(block: GnAuditBlock) -> np.ndarray:
     """Deterministic corpus of random band-limited spectra, FFT order: one
     row of length block.N per field id, the zero field first, as id 0."""
     rng = np.random.default_rng(block.seed)
-    band = min(block.max_mode, block.N // 3)
+    band = min(block.max_mode, dealias_band(block.N))
     envelope_scale = max(2.0, band / 3.0)
     modes = range(-band, band + 1)
     slots = np.array(modes) % block.N

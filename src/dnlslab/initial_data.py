@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import mass
-from .grid import Field, TorusGrid
+from .grid import Field, TorusGrid, dealias_band
 
 KINDS = ("plane_wave", "multimode", "bump")
 
@@ -25,7 +25,7 @@ class DataSpec:
 
     If target_mass is set, the built field is rescaled to that mass exactly
     (shape preserved). Wavenumber indices must respect the dealiasing band
-    |m| <= N//3 of the grid the field is built on.
+    |m| <= grid.dealias_band(N) of the grid the field is built on.
     """
 
     kind: str = "plane_wave"
@@ -56,8 +56,8 @@ class DataSpec:
 
 
 def _check_band(spec: DataSpec, N: int):
-    """Reject wavenumber indices of spec outside the band |m| <= N//3."""
-    band = N // 3
+    """Reject wavenumber indices of spec outside the band |m| <= dealias_band(N)."""
+    band = dealias_band(N)
     for m in {"plane_wave": (spec.mode,), "multimode": spec.modes}.get(spec.kind, ()):
         if abs(m) > band:
             raise ValueError(

@@ -4,9 +4,12 @@ The flow on a circle of period L maps to the flow on the period L/lam under
 x -> x/lam, t -> t/lam^2, and the GN audit of a corpus of Fourier
 coefficients maps the same way under (L, delta) -> (L/lam, delta/lam). For
 lam = 1, 4 and 4096 this script runs each command of COMMANDS on its shipped
-config with the lam-map of its entry applied, and compares every output table
-with the one at lam = 1: some columns byte for byte, others exactly after
-scaling by lam^degree (lam is a power of two, so that scaling is exact).
+config with the lam-map of its entry applied, requires the exit code of the
+entry at every lam, and compares every output table with the one at lam = 1:
+some columns byte for byte, others exactly after scaling by lam^degree (lam
+is a power of two, so that scaling is exact). Entries with a nonzero exit
+code check that a run stopped by the blowup guard or failing its audit stops
+or fails in the same way, with the same rows, on every period.
 Columns that take roots which are not binary fractions, or that scale with
 lam and round differently, are not compared.
 
@@ -25,7 +28,7 @@ import csv
 import json
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -48,8 +51,9 @@ class Table:
 
 @dataclass(frozen=True)
 class Command:
-    """A command on configs/<config>.json. Its lam-map first sets the values
-    of `fixed` (the run at lam = 1), then divides each value at a path of
+    """A command on configs/<config>.json, which must exit with exit_code.
+    Its lam-map first sets the values of `fixed` (the run at lam = 1), keys
+    that the shipped config lacks too, then divides each value at a path of
     `divide` by lam^power; a path is dotted keys, with * for every entry of
     a list, and a list of numbers at its end is divided entry by entry."""
 
@@ -58,6 +62,12 @@ class Command:
     tables: tuple[Table, ...]
     divide: dict[str, int]
     fixed: dict[str, float] = field(default_factory=dict)
+    exit_code: int = 0
+
+    @property
+    def stem(self) -> str:
+        """The name of its configs and outputs under the work directory."""
+        return self.config + (f"_exit{self.exit_code}" if self.exit_code else "")
 
 
 def read_columns(path: Path) -> dict[str, list[str]]:
@@ -75,39 +85,59 @@ def member_diagnostics(out: Path) -> list[Path]:
                                summary["mass_fraction"])]
 
 
+# the scan depends on a pair only through delta/L; the diagnostics of each
+# member keep their case tags and Holder bounds
+THRESHOLD_SCAN = Command(
+    "threshold-scan", "threshold_scan",
+    fixed={"sim.T": 0.01},
+    divide={"grid.L": 1, "sim.dt": 2, "sim.T": 2,
+            "threshold_scan.pairs.*.L": 1,
+            "threshold_scan.pairs.*.delta": 1,
+            "threshold_scan.pairs.*.dt": 2},
+    tables=(Table("scan_summary.csv",
+                  same=("mass", "threshold", "mass_fraction",
+                        "below_threshold", "h1dot_ratio", "drift_M",
+                        "n_case1", "n_case2", "n_violations",
+                        "exit_reason")),
+            Table(member_diagnostics, same=("case_tag", "holder_upper"))))
+GAUGE_CHECK = Command(
+    "gauge-check", "gauge_check",
+    fixed={"sim.T": 0.01, "sim.record_stride": 10},
+    divide={"grid.L": 1, "sim.dt": 2, "sim.T": 2},
+    tables=(Table("gauge_check.csv", same=("discrepancy",),
+                  scaled={"t": 2, "residual": -2}),))
+DIAGNOSE = Command(
+    "diagnose", "diagnose",
+    fixed={"sim.T": 0.05, "sim.record_stride": 10},
+    divide={"grid.L": 1, "delta": 1, "sim.dt": 2, "sim.T": 2},
+    tables=(Table("diagnostics.csv", rows=51,
+                  same=("case_tag", "holder_upper"), scaled={"t": 2}),
+            Table("conserved.csv", same=("M",), scaled={"mu": -1})))
+# the same corpus of Fourier coefficients on each period
+GN_AUDIT = Command(
+    "gn-audit", "gn_audit",
+    divide={"gn_audit.L_values": 1, "gn_audit.delta_values": 1},
+    tables=(Table("gn_audit.csv", rows=12012,
+                  same=("field_id", "satisfied"),
+                  scaled={"L": 1, "delta": 1, "flap_l2grad": -1,
+                          "flap_l4": 1, "flap_l6": 1}),))
+
+
+def stopped(command: Command, rows: int) -> Command:
+    """command with the blowup guard at 1.05 times the initial H^1 seminorm,
+    on the shipped horizon: it exits 2 with the rows recorded before the
+    stop in its first table."""
+    first, *rest = command.tables
+    return replace(command, fixed={"sim.guard_factor": 1.05}, exit_code=2,
+                   tables=(replace(first, rows=rows), *rest))
+
+
 COMMANDS = (
-    # the scan depends on a pair only through delta/L; the diagnostics of
-    # each member keep their case tags and Holder bounds
-    Command("threshold-scan", "threshold_scan",
-            fixed={"sim.T": 0.01},
-            divide={"grid.L": 1, "sim.dt": 2, "sim.T": 2,
-                    "threshold_scan.pairs.*.L": 1,
-                    "threshold_scan.pairs.*.delta": 1,
-                    "threshold_scan.pairs.*.dt": 2},
-            tables=(Table("scan_summary.csv",
-                          same=("mass", "threshold", "mass_fraction",
-                                "below_threshold", "h1dot_ratio", "drift_M",
-                                "n_case1", "n_case2", "n_violations",
-                                "exit_reason")),
-                    Table(member_diagnostics, same=("case_tag", "holder_upper")))),
-    Command("gauge-check", "gauge_check",
-            fixed={"sim.T": 0.01, "sim.record_stride": 10},
-            divide={"grid.L": 1, "sim.dt": 2, "sim.T": 2},
-            tables=(Table("gauge_check.csv", same=("discrepancy",),
-                          scaled={"t": 2, "residual": -2}),)),
-    Command("diagnose", "diagnose",
-            fixed={"sim.T": 0.05, "sim.record_stride": 10},
-            divide={"grid.L": 1, "delta": 1, "sim.dt": 2, "sim.T": 2},
-            tables=(Table("diagnostics.csv", rows=51,
-                          same=("case_tag", "holder_upper"), scaled={"t": 2}),
-                    Table("conserved.csv", same=("M",), scaled={"mu": -1}))),
-    # the same corpus of Fourier coefficients on each period
-    Command("gn-audit", "gn_audit",
-            divide={"gn_audit.L_values": 1, "gn_audit.delta_values": 1},
-            tables=(Table("gn_audit.csv", rows=12012,
-                          same=("field_id", "satisfied"),
-                          scaled={"L": 1, "delta": 1, "flap_l2grad": -1,
-                                  "flap_l4": 1, "flap_l6": 1}),)),
+    THRESHOLD_SCAN, GAUGE_CHECK, DIAGNOSE, GN_AUDIT,
+    # a halved sharp constant fails the audit and still writes every row
+    replace(GN_AUDIT, fixed={"gn_audit.corrupt_constant": 0.5}, exit_code=4),
+    stopped(DIAGNOSE, rows=12),
+    stopped(GAUGE_CHECK, rows=12),
 )
 
 
@@ -125,14 +155,16 @@ def scaled_config(command: Command, lam: int, out: Path) -> dict:
     with open(f"configs/{command.config}.json") as fh:
         d = json.load(fh)
     d["outputs"]["dir"] = str(out)
-    for mapping, op in ((command.fixed, lambda old, new: new),
-                        (command.divide, lambda old, power: old / lam ** power)):
-        for path, arg in mapping.items():
-            *keys, last = path.split(".")
-            for node in _parents(d, keys):
-                old = node[last]
-                node[last] = ([op(v, arg) for v in old] if isinstance(old, list)
-                              else op(old, arg))
+    for path, value in command.fixed.items():
+        *keys, last = path.split(".")
+        for node in _parents(d, keys):
+            node[last] = value
+    for path, power in command.divide.items():
+        *keys, last = path.split(".")
+        for node in _parents(d, keys):
+            old = node[last]
+            node[last] = ([v / lam ** power for v in old] if isinstance(old, list)
+                          else old / lam ** power)
     return d
 
 
@@ -163,15 +195,16 @@ def compare(table: Table, path: Path, base_path: Path, lam: int) -> int:
 def check(command: Command, work: Path) -> None:
     outs = {}
     for lam in LAMBDAS:
-        stem = f"{command.config}{lam}"
+        stem = f"{command.stem}{lam}"
         outs[lam] = work / stem
         config = work / f"{stem}.json"
         with open(config, "w") as fh:
             json.dump(scaled_config(command, lam, outs[lam]), fh)
         run = subprocess.run([sys.executable, "-m", "dnlslab", command.name,
                               "--config", str(config), "--quiet"])
-        if run.returncode != 0:
-            sys.exit(f"{command.name} at lam = {lam}: exit {run.returncode}, want 0")
+        if run.returncode != command.exit_code:
+            sys.exit(f"{command.name} at lam = {lam}: exit {run.returncode}, "
+                     f"want {command.exit_code}")
     for lam in LAMBDAS:
         for table in command.tables:
             base, got = files(table, outs[1]), files(table, outs[lam])
@@ -181,8 +214,8 @@ def check(command: Command, work: Path) -> None:
                     for base_path, path in zip(base, got)]
             label = (table.files if isinstance(table.files, str)
                      else f"{len(got)} {table.files.__name__} files")
-            print(f"{command.name} at lam = {lam}: {label}, {sum(rows)} rows "
-                  f"as at lam = 1")
+            print(f"{command.name} (exit {command.exit_code}) at lam = {lam}: "
+                  f"{label}, {sum(rows)} rows as at lam = 1")
 
 
 def main(argv: list[str]) -> None:

@@ -20,19 +20,20 @@ PUBLIC = {
     # gn
     "CGN", "mass_threshold",
     # diagnostics
-    "Case1NotApplicable", "CaseRecord", "DiagnosticsSample", "ZeroFieldError",
-    "alpha_choice", "case_report", "f_ratio", "m1_identity_check", "modulate",
-    "proof_sample",
+    "CaseRecord", "DiagnosticsSample", "ZeroFieldError", "case_report",
+    "f_ratio", "m1_identity_check", "modulate", "proof_sample",
     # initial_data
     "DataSpec", "build",
 }
 
-# thin copies of public steps, views of gn.audit_sweep and the knobs of the
-# rejected readings, each replaced by a one-line call (see README)
+# thin copies of public steps, views of gn.audit_sweep, the knobs of the
+# rejected readings and the second entry to the case alpha, each replaced by
+# a one-line call (see README)
 REMOVED = {"integrate", "ungauge_profile", "base_shift", "check_gn1",
            "check_gn0_on_extension", "flap_integrals", "gn1_record",
            "gn0_extension_record", "GnAuditRecord", "ExtensionProfile",
-           "DEFAULT_TERM_FORM", "DEFAULT_SIGN_MU2", "cgn"}
+           "DEFAULT_TERM_FORM", "DEFAULT_SIGN_MU2", "cgn", "alpha_choice",
+           "Case1NotApplicable"}
 
 
 def test_all_has_no_duplicates():

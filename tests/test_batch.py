@@ -19,6 +19,7 @@ from dnlslab.dynamics import (_batch_shaped, _complex_full, _dealias_drop,
                               _make_nonlinear, _precheck_bound,
                               _quartic_integral, _real_factor_buffer,
                               dispersion_symbol, simulate_batch, step_count)
+from dnlslab.grid import dealias_band
 from dnlslab.harness import run_threshold_scan
 from dnlslab.initial_data import DataSpec
 
@@ -104,7 +105,7 @@ def unskipped_nl_dnls2(grid, beta, mu_val, F):
                   + beta * (0.5 - beta) * absq ** 2 * v
                   - psi_val * v))
     out = np.fft.fft(nl)
-    out[~grid.dealias_keep] = 0.0
+    out[np.abs(grid.modes) > grid.N // 3] = 0.0
     return out
 
 
@@ -112,7 +113,7 @@ def frozen_nl_dnls1(grid, F):
     """The ungauged kernel with a boolean dealiasing mask, serial."""
     u = np.fft.ifft(F)
     cubic = np.fft.fft(np.abs(u) ** 2 * u)
-    cubic[~grid.dealias_keep] = 0.0
+    cubic[np.abs(grid.modes) > grid.N // 3] = 0.0
     return grid._ik * cubic
 
 
@@ -337,11 +338,12 @@ def test_a_real_factor_gives_the_same_bits_in_every_operand_form(N, B, share, se
 
 
 @pytest.mark.parametrize("N", [8, 10, 12, 32, 128, 256])
-def test_dealias_slice_drops_what_dealias_keep_drops(N):
+def test_dealias_slice_drops_what_the_two_thirds_mask_drops(N):
     grid = TorusGrid(TWO_PI, N)
     kept = np.ones(N, dtype=bool)
     kept[_dealias_drop(grid)] = False
-    assert np.array_equal(kept, grid.dealias_keep)
+    assert np.array_equal(kept, np.abs(grid.modes) <= N // 3)
+    assert np.array_equal(kept, np.abs(grid.modes) <= dealias_band(N))
 
 
 def test_quartic_skip_at_three_quarters_equals_unskipped_kernel(grid, members):
@@ -355,6 +357,8 @@ def test_quartic_skip_at_three_quarters_equals_unskipped_kernel(grid, members):
 def test_pad2_is_the_refine2_pad_on_the_trailing_axis(grid, members):
     F = np.fft.fft(np.stack([u.values for u in members]))
     padded = grid.pad2(F)
+    # resample2 pads a stack of spectra and transforms it back in place
+    assert np.array_equal(grid.resample2(F), 2.0 * np.fft.ifft(padded))
     for u, row in zip(members, padded):
         assert np.array_equal(grid.refine2(u.values), 2.0 * np.fft.ifft(row))
         assert np.array_equal(row, grid.pad2(np.fft.fft(u.values)))

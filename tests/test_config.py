@@ -56,6 +56,17 @@ def test_empty_document_gives_defaults():
     assert cfg == RunConfig()
 
 
+def test_every_default_beta_is_the_one_gauge_exponent():
+    # the config's gauge-check beta, the stepping default and the beta that
+    # scan and diagnose step with are all dynamics.GAUGE_BETA
+    from dnlslab import dynamics, harness
+    cfg = parse_config({})
+    assert dynamics.GAUGE_BETA == 0.75
+    assert cfg.gauge_check.beta == cfg.sim.beta == dynamics.GAUGE_BETA
+    assert harness.GAUGE_BETA is dynamics.GAUGE_BETA
+    assert dynamics.pde_residual.__defaults__[0] == dynamics.GAUGE_BETA
+
+
 def test_round_trip_idempotent():
     doc = {
         "grid": {"L": 1.0, "N": 64},

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dnlslab import (Case1NotApplicable, Field, Trajectory, ZeroFieldError,
-                     alpha_choice, case_report, conserved_report, ecal,
-                     f_ratio, lp_norm, m1_identity_check, mass, mass_threshold,
-                     modulate, proof_sample)
+from dnlslab import (Field, Trajectory, ZeroFieldError, case_report,
+                     conserved_report, ecal, f_ratio, lp_norm,
+                     m1_identity_check, mass, mass_threshold, modulate,
+                     proof_sample)
 from dnlslab import diagnostics, gn
 from dnlslab.diagnostics import DiagnosticsSample
 from dnlslab.gn import CGN, FieldNorms, audit_sweep, field_norms
@@ -99,33 +99,41 @@ class TestProofSample:
             proof_sample(plane_wave(grid2pi), -1.0, 0.0)
 
 
-class TestAlphaChoice:
+class TestCaseAlpha:
     def _sample(self, eta, gamma, l6):
         return DiagnosticsSample(t=0.0, l4=1.0, l6=l6, h1dot=0.0, f=1.0,
                                  gamma=gamma, eta=eta, lower_bound_f=None,
                                  holder_upper=1.0, alpha=None, case_tag="case2")
 
+    @staticmethod
+    def alpha(s, M, L):
+        """The case alpha of sample s at conserved mass M and period L."""
+        return diagnostics._case_alpha(s.eta + s.gamma, s.l6, M, L)
+
     def test_synthetic_value(self):
         # target = sqrt(0.01/1) * 2^3 = 0.8 -> first lattice point above is 1
         s = self._sample(eta=0.01, gamma=0.0, l6=2.0)
-        assert_allclose(alpha_choice(s, 1.0, 2 * np.pi), 1.0, rtol=1e-14)
+        assert_allclose(self.alpha(s, 1.0, 2 * np.pi), 1.0, rtol=1e-14)
 
     def test_integer_target_still_bumped_up(self):
         # target exactly 2 on the unit lattice -> alpha = 3
         s = self._sample(eta=0.04, gamma=0.0, l6=(2.0 / 0.2) ** (1 / 3))
         target = np.sqrt(0.04) * s.l6 ** 3
         assert_allclose(target, 2.0, rtol=1e-12)
-        assert_allclose(alpha_choice(s, 1.0, 2 * np.pi), 3.0, rtol=1e-14)
+        assert_allclose(self.alpha(s, 1.0, 2 * np.pi), 3.0, rtol=1e-14)
 
-    def test_case1_not_applicable(self):
-        s = self._sample(eta=-0.1, gamma=0.05, l6=1.0)
-        with pytest.raises(Case1NotApplicable):
-            alpha_choice(s, 1.0, 2 * np.pi)
+    @pytest.mark.parametrize("L", [0.5, 2 * np.pi, 10.0])
+    def test_case1_gives_the_unit_frequency(self, L):
+        # eta + gamma <= 0: alpha = 2 pi/L, whatever the mass and the L6 norm
+        for eta, gamma in ((-0.1, 0.05), (0.0, 0.0)):
+            s = self._sample(eta=eta, gamma=gamma, l6=1.0)
+            assert self.alpha(s, 1.0, L) == 2.0 * np.pi / L
+            assert self.alpha(s, 0.0, L) == 2.0 * np.pi / L
 
     def test_rejects_nonpositive_mass(self):
         s = self._sample(eta=0.01, gamma=0.0, l6=1.0)
         with pytest.raises(ValueError):
-            alpha_choice(s, 0.0, 2 * np.pi)
+            self.alpha(s, 0.0, 2 * np.pi)
 
     def test_smallest_lattice_frequency_above_target(self, rng):
         # brute force over integer candidates
@@ -136,7 +144,7 @@ class TestAlphaChoice:
             if s.eta + s.gamma <= 0:
                 continue
             M = float(rng.uniform(0.1, 20.0))
-            alpha = alpha_choice(s, M, L)
+            alpha = self.alpha(s, M, L)
             unit = 2 * np.pi / L
             target = np.sqrt((s.eta + s.gamma) / M) * s.l6 ** 3
             j = alpha / unit

@@ -95,6 +95,11 @@ class TestTorusGrid:
         assert TorusGrid(1.0, 16) == TorusGrid(1.0, 16)
         assert TorusGrid(1.0, 16) != TorusGrid(2.0, 16)
 
+    @pytest.mark.parametrize("N", [8, 10, 12, 96, 128])
+    def test_the_band_and_the_refined_weight(self, N):
+        assert grid_module.dealias_band(N) == N // 3
+        assert TorusGrid(0.7, N).refined_dx == 0.7 / (2 * N)
+
 
 class TestField:
     def test_rejects_wrong_length(self, grid2pi):

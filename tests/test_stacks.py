@@ -17,7 +17,7 @@ from dnlslab import (ConservedReport, DiagnosticsSample, Field, Spectrum,
                      lp_norm, proof_sample, simulate, translate)
 from dnlslab import harness
 from dnlslab.config import GnAuditBlock, load_config
-from dnlslab.diagnostics import alpha_choice
+from dnlslab.diagnostics import _case_alpha
 from dnlslab.functionals import _moments, h1dot_sq
 from dnlslab.gn import (CGN_POW_M18, CGN_POW_M92, FieldNorms, field_norms,
                         mass_threshold)
@@ -105,7 +105,7 @@ def frozen_gauged(u, beta, s):
 
 def stacks(traj):
     """(times, Field) per chunk of traj."""
-    return [(traj.times[rows], f) for rows, f in traj.chunks()]
+    return [(traj.times[rows], f) for rows, f in traj.chunks]
 
 
 def rows_of(traj):
@@ -221,13 +221,13 @@ def assert_case_report_equals_rows(traj, delta=1.0):
 
 
 def test_conserved_and_case_reports_of_chunks_equal_each_frame(frames_traj):
-    assert len(frames_traj.chunks()) > 1
+    assert len(frames_traj.chunks) > 1
     records = assert_case_report_equals_rows(frames_traj)
     assert {r.sample.case_tag for r in records} <= {"case1", "case2"}
 
 
 def test_proof_sample_of_a_stack_equals_each_row(frames_traj):
-    rows, stack = frames_traj.chunks()[1]
+    rows, stack = frames_traj.chunks[1]
     times = frames_traj.times[rows]
     samples = proof_sample(stack, 1.0, 0.5, times)
     assert len(samples) == len(times)
@@ -269,7 +269,7 @@ def test_the_first_failing_frame_of_a_chunk_sets_the_error(frames_traj):
     grid = frames_traj.grid
     huge, tiny = 1e60 * frames_traj.values[38], 1e-300 * frames_traj.values[40]
     traj = with_rows(frames_traj, {38: huge, 40: tiny})
-    assert any(rows.start <= 38 and 40 < rows.stop for rows, _ in traj.chunks())
+    assert any(rows.start <= 38 and 40 < rows.stop for rows, _ in traj.chunks)
     c0 = conserved_report(Field(grid, traj.values[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -312,7 +312,7 @@ def assert_bound_chain_is_the_public_path(traj, delta, reason):
 def test_bound_chain_shares_one_pass_with_the_public_bits(frames_traj):
     v = frames_traj.values
     traj = with_rows(frames_traj, {40: 0.0, 100: 2.0 * v[100], 200: 3.0 * v[200]})
-    assert len(traj.chunks()) >= 3
+    assert len(traj.chunks) >= 3
     records = assert_bound_chain_is_the_public_path(traj, 1.0, "ok")
     samples = [r.sample for r in records]
     assert samples[40].case_tag == "degenerate"
@@ -321,26 +321,27 @@ def test_bound_chain_shares_one_pass_with_the_public_bits(frames_traj):
     assert samples[41].case_tag == "case2"
     assert samples[41].lower_bound_f is not None
     # case 1 takes the Python float 2 pi/L, case 2 the lattice frequency of
-    # alpha_choice, a numpy scalar
+    # _case_alpha, a numpy scalar
     assert type(samples[100].alpha) is float
     assert type(samples[41].alpha) is np.float64
     M0 = conserved_report(Field(traj.grid, traj.values[0])).M
-    assert float.hex(samples[41].alpha) == float.hex(
-        alpha_choice(samples[41], M0, traj.grid.L))
+    s = samples[41]
+    assert float.hex(s.alpha) == float.hex(
+        _case_alpha(s.eta + s.gamma, s.l6, M0, traj.grid.L))
     # a pass per chunk of the trajectory, or none
-    moments = [_moments(f) for _, f in traj.chunks()]
+    moments = [_moments(f) for _, f in traj.chunks]
     with pytest.raises(ValueError):
         case_report(traj, 1.0, conserved_report(Field(traj.grid, traj.values[0])),
                     moments=moments[:-1])
 
 
 def test_chunks_are_built_once_per_trajectory(frames_traj):
-    assert frames_traj.chunks() is frames_traj.chunks()
+    assert frames_traj.chunks is frames_traj.chunks
 
 
 def test_bound_chain_builds_no_field(frames_traj, monkeypatch):
     # every stack it reads is a chunk the trajectory built already
-    assert len(frames_traj.chunks()) == 10
+    assert len(frames_traj.chunks) == 10
     built = []
     init = Field.__init__
     monkeypatch.setattr(Field, "__init__",
@@ -356,7 +357,7 @@ def test_bound_chain_of_a_guard_stopped_trajectory_has_the_public_bits():
         u0, replace(cfg.sim, T=0.3, record_stride=2, guard_factor=1.05))
     assert reason == "blowup-guard" and hit < 0.3
     vtraj = gauge_trajectory(traj, 0.75)
-    assert len(vtraj.chunks()) >= 3
+    assert len(vtraj.chunks) >= 3
     assert_bound_chain_is_the_public_path(vtraj, cfg.delta, reason)
     assert harness._bound_chain(vtraj, cfg.delta, reason)[3] == "blowup-guard"
 
