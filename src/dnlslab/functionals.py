@@ -7,14 +7,16 @@ or a stack of rows, and gives one value per row (see grid.per_row).
 
 The public functionals each take their own transforms and pads. The reports
 share theirs: _moments reduces every primitive of conserved_report in one
-pass over a stack, with one forward FFT, one inverse for the derivative and
-two pads through grid.refine2 (6 transforms), where the functionals one by
-one take 24 transforms and 7 pads. diagnostics.proof_sample, and
-diagnostics.case_report called alone, take the pass without the momentum and
-the cubic term (4 transforms, one pad). The bound chain of the drivers takes
-one full pass per chunk and hands it to both reports (moments=), so a chunk
-costs it 6 transforms and 2 pads, not 10 and 3. Every value keeps the bits
-the public functionals give it, whose per-row combinations it shares.
+pass over a stack, with one forward FFT of the values, whose spectrum gives
+both the derivative (one inverse) and the values' pad (grid.resample2, one
+inverse), and the derivative's pad through grid.refine2 (5 transforms and 2
+pads), where the functionals one by one take 24 transforms and 7 pads.
+diagnostics.proof_sample, and diagnostics.case_report called alone, take the
+pass without the momentum and the cubic term (3 transforms, one pad). The
+bound chain of the drivers takes one full pass per chunk and hands it to
+both reports (moments=), so a chunk costs it 5 transforms and 2 pads, not 8
+and 3. Every value keeps the bits the public functionals give it, whose
+per-row combinations it shares.
 """
 
 from __future__ import annotations
@@ -183,24 +185,28 @@ def _moments(f: Field, full: bool = True) -> tuple:
     standard cubic term of _im_cubic_term). With full False the momentum and
     the cubic term are None, and f_x is not padded.
 
-    One forward FFT and one inverse give f_x; one pad of the values serves
-    both power sums, and with full one pad of f_x the cubic term. Each
-    reduction is that of mass, im_momentum, h1dot_sq, lp_norm and
-    _im_cubic_term, the same operations on the same operands, so a row gets
-    their bits: the roots are Python float powers per row (float or list,
-    as per_row gives them), the rest float64 columns for per_row. The
-    refined values and their modulus are freed before f_x is padded, so the
-    pass holds no more padded arrays at a time than _im_cubic_term does, and
-    what it returns holds none: a caller may keep the pass of every chunk.
-    The full pass serves both conserved_report and diagnostics.case_report
-    (their moments= argument), whose M, h, l4 and l6 it gives with the bits
-    and types of the pass without full.
+    One forward FFT F of the values serves twice: the inverse of i k F
+    gives f_x, and the pad of F (grid.resample2) the refined values, whose
+    one modulus serves both power sums; F is freed after the pad. With
+    full, one pad of f_x serves the cubic term. Each reduction is that of
+    mass, im_momentum, h1dot_sq, lp_norm and _im_cubic_term, the same
+    operations on the same operands, so a row gets their bits: the roots
+    are Python float powers per row (float or list, as per_row gives them),
+    the rest float64 columns for per_row. The refined values and their
+    modulus are freed before f_x is padded, so the pass holds no more padded
+    arrays at a time than _im_cubic_term does, and what it returns holds
+    none: a caller may keep the pass of every chunk. The full pass serves
+    both conserved_report and diagnostics.case_report (their moments=
+    argument), whose M, h, l4 and l6 it gives with the bits and types of the
+    pass without full.
     """
     grid = f.grid
-    df = deriv_values(f)
+    F = fft(f.values)
+    df = ifft(grid._ik * F)
     M = np.sum(np.abs(f.values) ** 2, axis=-1) * grid.dx
     h = np.sum(np.abs(df) ** 2, axis=-1) * grid.dx
-    v2 = grid.refine2(f.values)
+    v2 = grid.resample2(F)
+    del F
     modulus = np.abs(v2)
     l4 = lp_from_power_sum(f, np.sum(modulus ** 4, axis=-1), grid, 4)
     l6 = lp_from_power_sum(f, np.sum(modulus ** 6, axis=-1), grid, 6)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Field, TorusGrid, fft, lp_from_power_sum, power_sum
+from .grid import Field, TorusGrid, fft, lp_from_power_sum
 from .functionals import h1dot_sq_from_spectrum
 
 #: Sharp constant of the line inequality, 3^(1/6) * (2*pi)^(-1/9).
@@ -73,17 +73,22 @@ def field_norms(f: Field, grids: Sequence[TorusGrid] | None = None) -> np.ndarra
     minimizing |f|, where |f|^4 * L <= int |f|^4, so f0_abs <= L^(-1/4)
     ||f||_L4 up to quadrature slack.
 
-    The samples fix the pads, the power sums, the spectrum and f0_abs, so
-    these are computed once; only the quadrature weight with its root and
-    the derivative's i k_L are taken per grid. Every value has the bits of
-    lp_norm, h1dot_sq and min |f| of the same samples on that grid.
+    The samples fix the spectrum, the pad, the power sums and f0_abs, so
+    these are computed once: one forward FFT of the samples, whose one pad
+    (grid.resample2) gives the modulus that both power sums take, and
+    whose spectrum every grid's derivative transforms back. Only the
+    quadrature weight with its root and the derivative's i k_L are taken
+    per grid. Every value has the bits of lp_norm, h1dot_sq and min |f| of
+    the same samples on that grid.
     """
     grids = (f.grid,) if grids is None else grids
     if any(grid.N != f.grid.N for grid in grids):
         raise ValueError(f"every grid must have N = {f.grid.N}")
     v = f.values
-    sums4, sums6 = power_sum(f, 4), power_sum(f, 6)
     spectrum = fft(v)
+    modulus = np.abs(f.grid.resample2(spectrum))
+    sums4, sums6 = np.sum(modulus ** 4, axis=-1), np.sum(modulus ** 6, axis=-1)
+    del modulus
     out = np.empty((len(grids), len(FieldNorms._fields)) + v.shape[:-1])
     out[:, 4] = np.abs(v).min(axis=-1)
     for norms, grid in zip(out, grids):

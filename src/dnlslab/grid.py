@@ -36,33 +36,52 @@ _NUMPY_FFT = np.fft.fft
 _NUMPY_IFFT = np.fft.ifft
 
 
+def _factor(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array, a factor for the gufuncs."""
+    factor = np.array(value)
+    factor.flags.writeable = False
+    return factor
+
+
+# the forward factor 1, and the inverse factor 1/n per node count n
+_FFT_FACTOR = _factor(1.0)
+_IFFT_FACTORS: dict[int, np.ndarray] = {}
+
+
 def fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The forward transform of every package call: np.fft.fft along the
     last axis, written into out when given (out may be a, in place), else
     into a new complex128 array. a is float64 or complex128.
 
-    It calls numpy's pocketfft gufunc with factor 1, as np.fft.fft does
+    It calls numpy's pocketfft gufunc with the factor 1, as np.fft.fft does
     after its checks, so the bits are those of np.fft.fft(a) and the
-    checks' cost per call is saved. While numpy.fft.fft is not the function
-    numpy bound at import (a counter patched in), the seam calls that
-    replacement instead, so a patch of numpy.fft sees every transform.
+    checks' cost per call is saved. The factor is a read-only 0-d float64
+    array built once (ifft's 1/n once per n), which numpy takes as it is,
+    where a Python scalar would be converted on every call. While
+    numpy.fft.fft is not the function numpy bound at import (a counter
+    patched in), the seam calls that replacement instead, so a patch of
+    numpy.fft sees every transform.
     """
     if np.fft.fft is not _NUMPY_FFT:
         return np.fft.fft(a, a.shape[-1], -1, None, out)
     if out is None:
         out = np.empty(a.shape, np.complex128)
-    return _pocketfft.fft(a, 1, out=out)
+    return _pocketfft.fft(a, _FFT_FACTOR, out)
 
 
 def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The inverse transform of every package call: the gufunc with factor
-    1/n, as np.fft.ifft calls it, or a replacement of numpy.fft.ifft; see
-    fft."""
+    """The inverse transform of every package call: the gufunc with the
+    factor 1/n, as np.fft.ifft calls it, or a replacement of numpy.fft.ifft;
+    see fft."""
     if np.fft.ifft is not _NUMPY_IFFT:
         return np.fft.ifft(a, a.shape[-1], -1, None, out)
+    n = a.shape[-1]
+    factor = _IFFT_FACTORS.get(n)
+    if factor is None:
+        factor = _IFFT_FACTORS[n] = _factor(1.0 / n)
     if out is None:
         out = np.empty(a.shape, np.complex128)
-    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
+    return _pocketfft.ifft(a, factor, out)
 
 
 def dealias_band(N: int) -> int:
@@ -274,7 +293,7 @@ def lp_norm(f: Field, p: int) -> float | list[float]:
 
     For p in {4, 6} the integrand |f|^p exceeds the band limit of the stored
     samples, so it is evaluated on the 2x zero-padded refinement before
-    rectangle quadrature (power_sum, then lp_from_power_sum); p = 2 is
+    rectangle quadrature (the power sum, then lp_from_power_sum); p = 2 is
     already exact on the native grid.
     """
     grid = f.grid
@@ -282,24 +301,19 @@ def lp_norm(f: Field, p: int) -> float | list[float]:
         squares = np.sum(np.abs(f.values) ** 2, axis=-1)
         return per_row(f, float, np.sqrt(squares * grid.dx))
     if p in (4, 6):
-        return lp_from_power_sum(f, power_sum(f, p), grid, p)
+        sums = np.sum(np.abs(grid.refine2(f.values)) ** p, axis=-1)
+        return lp_from_power_sum(f, sums, grid, p)
     raise ValueError(f"unsupported p = {p}, expected one of 2, 4, 6")
-
-
-def power_sum(f: Field, p: int) -> np.ndarray:
-    """The sum of |f|^p over the nodes of the 2x refined grid, per row, for
-    p in {4, 6}: the L^p integral of lp_norm before its quadrature weight.
-    The samples fix it; the period does not enter."""
-    return np.sum(np.abs(f.grid.refine2(f.values)) ** p, axis=-1)
 
 
 def lp_from_power_sum(f: Field, sums: np.ndarray, grid: TorusGrid,
                       p: int) -> float | list[float]:
     """The L^p norm of each row of f's samples taken on grid, whose period
-    may differ from f's (p in {4, 6}), from their power_sum: the weight
-    grid.refined_dx, then the root of each row as a Python float power, libm
-    pow as a numpy scalar power is: an array power can differ in the last
-    bit."""
+    may differ from f's (p in {4, 6}), from their power sums, the sums of
+    |f|^p over the nodes of the 2x refined grid, which the samples fix and
+    the period does not enter: the weight grid.refined_dx, then the root of
+    each row as a Python float power, libm pow as a numpy scalar power is:
+    an array power can differ in the last bit."""
     totals = sums * grid.refined_dx
     return per_row(f, lambda total: total ** (1.0 / p), totals)
 

@@ -7,7 +7,8 @@ lam = 1, 4 and 4096 this script runs each command of COMMANDS on its shipped
 config with the lam-map of its entry applied, requires the exit code of the
 entry at every lam, and compares every output table with the one at lam = 1:
 some columns byte for byte, others exactly after scaling by lam^degree (lam
-is a power of two, so that scaling is exact). Entries with a nonzero exit
+is a power of two, so that scaling is exact). Every run must leave no
+Traceback and no numpy RuntimeWarning on stderr. Entries with a nonzero exit
 code check that a run stopped by the blowup guard or failing its audit stops
 or fails in the same way, with the same rows, on every period.
 Columns that take roots which are not binary fractions, or that scale with
@@ -201,10 +202,15 @@ def check(command: Command, work: Path) -> None:
         with open(config, "w") as fh:
             json.dump(scaled_config(command, lam, outs[lam]), fh)
         run = subprocess.run([sys.executable, "-m", "dnlslab", command.name,
-                              "--config", str(config), "--quiet"])
+                              "--config", str(config), "--quiet"],
+                             stderr=subprocess.PIPE, text=True)
+        sys.stderr.write(run.stderr)
         if run.returncode != command.exit_code:
             sys.exit(f"{command.name} at lam = {lam}: exit {run.returncode}, "
                      f"want {command.exit_code}")
+        for trouble in ("Traceback", "RuntimeWarning"):
+            if trouble in run.stderr:
+                sys.exit(f"{command.name} at lam = {lam}: {trouble} on stderr")
     for lam in LAMBDAS:
         for table in command.tables:
             base, got = files(table, outs[1]), files(table, outs[lam])

@@ -448,7 +448,7 @@ class TestAuditRowPath:
         assert outcome.exit_code == (3 if n_non_finite else 4 if n_violations else 0)
 
     def test_each_chunk_is_analysed_once_for_all_periods(self, monkeypatch):
-        """Per chunk of the corpus, one field_norms call with its two pads,
+        """Per chunk of the corpus, one field_norms call with its one pad,
         however many periods are audited; and one grid per period per run."""
         block = GnAuditBlock(num_fields=150, L_values=(0.5, 1.0, 10.0), N=128)
         chunks = TorusGrid(1.0, block.N).row_chunks(block.num_fields + 1)
@@ -460,13 +460,13 @@ class TestAuditRowPath:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(TorusGrid, "refine2", counted("refine2", TorusGrid.refine2))
+        monkeypatch.setattr(TorusGrid, "pad2", counted("pad2", TorusGrid.pad2))
         monkeypatch.setattr(TorusGrid, "__init__", counted("grid", TorusGrid.__init__))
         monkeypatch.setattr(harness, "field_norms",
                             counted("field_norms", harness.field_norms))
         run_gn_audit(block)
         assert len(chunks) == 3
-        assert calls == {"refine2": 2 * len(chunks), "field_norms": len(chunks),
+        assert calls == {"pad2": len(chunks), "field_norms": len(chunks),
                          "grid": len(block.L_values)}
 
     def test_field_norms_takes_grids_of_its_own_n_only(self):

@@ -30,11 +30,14 @@ class TestFftSeam:
         return {"complex": z, "real": rng.standard_normal(shape), "real view": z.real}
 
     @pytest.mark.parametrize("N", [8, 96, 128, 256])
-    @pytest.mark.parametrize("rows", [None, 5])
+    @pytest.mark.parametrize("rows", [None, 5, (2, 3)])
     @pytest.mark.parametrize("seam,reference", [(grid_module.fft, np.fft.fft),
                                                 (grid_module.ifft, np.fft.ifft)])
     def test_equals_numpy_bit_for_bit(self, rng, N, rows, seam, reference):
-        shape = (N,) if rows is None else (rows, N)
+        # one row, a stack, and the (2, 3, N) stack that the gauged kernel's
+        # batch transforms in place
+        shape = ((N,) if rows is None else (rows, N) if isinstance(rows, int)
+                 else (*rows, N))
         for kind, a in self.inputs(rng, shape).items():
             want = reference(a).tobytes()
             assert seam(a).tobytes() == want, kind
@@ -44,6 +47,24 @@ class TestFftSeam:
         a = self.inputs(rng, shape)["complex"]
         want = reference(a).tobytes()
         assert seam(a, a) is a and a.tobytes() == want
+
+    def test_inverse_factor_follows_the_node_count(self, rng):
+        """ifft's factor 1/n is cached per n: a factor kept for another n
+        shows when the node count changes and changes back."""
+        for N in (128, 96, 128):
+            a = self.inputs(rng, (3, N))["complex"]
+            assert grid_module.ifft(a).tobytes() == np.fft.ifft(a).tobytes(), N
+
+    def test_cached_factors_are_read_only(self):
+        grid_module.ifft(np.ones(64, np.complex128))
+        factors = [grid_module._FFT_FACTOR, *grid_module._IFFT_FACTORS.values()]
+        assert grid_module._FFT_FACTOR == 1.0
+        assert grid_module._IFFT_FACTORS[64] == 1.0 / 64
+        for factor in factors:
+            assert factor.shape == () and factor.dtype == np.float64
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                factor[...] = 2.0
 
 
 class TestTorusGrid:

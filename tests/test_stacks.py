@@ -408,10 +408,11 @@ def test_gn_audit_transforms_per_chunk_not_per_field(monkeypatch):
     assert chunks == 2
     outcome = harness.run_gn_audit(block)
     assert outcome.summary["rows"] == 2 * 301
-    # per chunk, for all periods: one inverse transform of the corpus, two
-    # for each of the L4 and L6 pads and the forward one of the derivative;
-    # per chunk and period, the derivative's inverse transform
-    assert len(calls) == (6 + len(block.L_values)) * chunks
+    # per chunk, for all periods: one inverse transform of the corpus, one
+    # forward transform of the samples, and the inverse one of its pad,
+    # which the L4 and L6 sums share; per chunk and period, the inverse
+    # transform of that spectrum's derivative
+    assert len(calls) == (3 + len(block.L_values)) * chunks
 
 
 def count_bound_chain(monkeypatch):
@@ -419,9 +420,9 @@ def count_bound_chain(monkeypatch):
     (transforms, pads) to."""
     calls = count_transforms(monkeypatch)
     pads = []
-    refine2 = TorusGrid.refine2
-    monkeypatch.setattr(TorusGrid, "refine2", lambda self, values:
-                        pads.append(values) or refine2(self, values))
+    pad2 = TorusGrid.pad2
+    monkeypatch.setattr(TorusGrid, "pad2", lambda self, F:
+                        pads.append(F) or pad2(self, F))
     in_analysis = []
     bound_chain = harness._bound_chain
 
@@ -436,9 +437,10 @@ def count_bound_chain(monkeypatch):
 
 
 # per chunk, one full moment pass, which the conserved reports and the case
-# records share: the forward transform, the derivative's inverse, and the
-# pads of the values and of the derivative (2 transforms each)
-PASS_TRANSFORMS, PASS_PADS = 6, 2
+# records share: the forward transform of the values, the derivative's
+# inverse, the values' pad of that spectrum (one inverse), and the
+# derivative's pad (a forward and an inverse)
+PASS_TRANSFORMS, PASS_PADS = 5, 2
 
 
 def test_diagnose_analysis_transforms_per_chunk_not_per_frame(monkeypatch):
