@@ -225,7 +225,7 @@ def case_report(traj: Trajectory, delta: float, conserved0: ConservedReport,
         raise ValueError(f"delta must be positive, got {delta}")
     L = traj.grid.L
     M0, P0, E0 = conserved0.M, conserved0.P, conserved0.Ecal
-    below = M0 < gn.mass_threshold(L, delta)
+    below = gn.below_threshold(M0, L, delta)
     defect_const = 16.0 * gn.shape_factor(L, delta) ** -4 * gn.CGN_POW_M18
 
     records = []

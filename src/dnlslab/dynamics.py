@@ -390,17 +390,23 @@ def _etdrk4_step(F: np.ndarray, nl: Callable, coeffs) -> np.ndarray:
     return E * F + f1 * Nv + np.multiply(two_f2, Na + Nb) + f3 * Nc
 
 
-def _rhs(grid: TorusGrid, nl: Callable, U: np.ndarray) -> np.ndarray:
-    """Full right-hand side ifft(symbol*F + nl(F)), F = fft(U), for samples
-    of shape (..., N)."""
+def _rhs(grid: TorusGrid, equation: str, beta: float, mu_val: float,
+         U: np.ndarray) -> np.ndarray:
+    """Full right-hand side ifft(symbol*F + nl(F)), F = fft(U), of the flow
+    for samples of shape (..., N): the one check of a flow's arguments, the
+    equation and mu_val >= 0 for dnls2 (dnls1 ignores mu_val)."""
+    if equation not in EQUATION_CHOICES:
+        raise ValueError(f"equation must be one of {EQUATION_CHOICES}, got {equation!r}")
+    if equation == "dnls2" and mu_val < 0:
+        raise ValueError("mu_val must be nonnegative")
+    nl = _make_nonlinear(grid, equation, beta, mu_val, U.shape[:-1])
     F = fft(U)
     return ifft(dispersion_symbol(grid) * F + nl(F))
 
 
 def rhs_dnls1(u: Field) -> Field:
     """Full right-hand side du/dt = i*u_xx + d/dx(|u|^2 u)."""
-    nl = _make_nonlinear(u.grid, "dnls1", 0.0, 0.0, u.values.shape[:-1])
-    return Field(u.grid, _rhs(u.grid, nl, u.values))
+    return Field(u.grid, _rhs(u.grid, "dnls1", 0.0, 0.0, u.values))
 
 
 def rhs_dnls2(v: Field, beta: float, mu_val: float) -> Field:
@@ -409,10 +415,7 @@ def rhs_dnls2(v: Field, beta: float, mu_val: float) -> Field:
     dv/dt = i*v_xx - i*[ 2(1-b) i |v|^2 v_x + (1-2b) i v^2 conj(v_x)
             + b*mu*|v|^2 v + b(1/2-b)|v|^4 v - psi(v) v ].
     """
-    if mu_val < 0:
-        raise ValueError("mu_val must be nonnegative")
-    nl = _make_nonlinear(v.grid, "dnls2", beta, mu_val, v.values.shape[:-1])
-    return Field(v.grid, _rhs(v.grid, nl, v.values))
+    return Field(v.grid, _rhs(v.grid, "dnls2", beta, mu_val, v.values))
 
 
 def _h1dot_from_spectrum(ik: np.ndarray, scale: float, F: np.ndarray) -> np.ndarray:
@@ -610,16 +613,10 @@ def pde_residual(traj: Trajectory, equation: str, beta: float = GAUGE_BETA,
     spacings = np.diff(times)
     if np.max(np.abs(spacings - spacings[0])) > 1e-9 * spacings[0]:
         raise ValueError("pde_residual requires uniformly spaced frames")
-    if equation not in EQUATION_CHOICES:
-        raise ValueError(f"equation must be one of {EQUATION_CHOICES}, got {equation!r}")
     if equation == "dnls2" and mu_val is None:
         mu_val = mu(Field(traj.grid, traj.values[0]))
-    if equation == "dnls2" and mu_val < 0:
-        raise ValueError("mu_val must be nonnegative")
 
     grid = traj.grid
-    inner = U[1:-1]
-    nl = _make_nonlinear(grid, equation, beta, mu_val, inner.shape[:-1])
     dt_u = (U[2:] - U[:-2]) / (2.0 * float(spacings[0]))
-    diff = dt_u - _rhs(grid, nl, inner)
+    diff = dt_u - _rhs(grid, equation, beta, mu_val, U[1:-1])
     return np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1) * grid.dx)

@@ -50,11 +50,16 @@ def mass_threshold(L: float, delta: float) -> float:
     return 4.0 * np.pi * shape_factor(L, delta) ** -2
 
 
-class FieldNorms(NamedTuple):
-    """Per-field quantities the audited bounds are assembled from; computing
-    them once per field lets a batch audit sweep delta values cheaply."""
+def below_threshold(M: float, L: float, delta: float) -> bool:
+    """Whether the mass M is below mass_threshold(L, delta): the one gate of
+    the bound chain, which a scan member and its frames read alike."""
+    return M < mass_threshold(L, delta)
 
-    L: float
+
+class FieldNorms(NamedTuple):
+    """Per-field quantities on one period that the audited bounds are built
+    from; computing them once per field lets an audit sweep deltas cheaply."""
+
     l4: float
     l6: float
     grad_sq: float
@@ -64,7 +69,7 @@ class FieldNorms(NamedTuple):
 def field_norms(f: Field, grids: Sequence[TorusGrid] | None = None) -> np.ndarray:
     """The norms of f's samples taken on each grid in grids (f's own grid by
     default), one FieldNorms per row and grid, as a float64 array of shape
-    (len(grids), 5) for one row, or (len(grids), 5, n) for a stack of n rows:
+    (len(grids), 4) for one row, or (len(grids), 4, n) for a stack of n rows:
     axis 1 holds the fields of FieldNorms in order, so
     FieldNorms(*norms[i].tolist()) is a row's record on grids[i]. Every grid
     has f's N; its period L may differ from f's.
@@ -90,19 +95,18 @@ def field_norms(f: Field, grids: Sequence[TorusGrid] | None = None) -> np.ndarra
     sums4, sums6 = np.sum(modulus ** 4, axis=-1), np.sum(modulus ** 6, axis=-1)
     del modulus
     out = np.empty((len(grids), len(FieldNorms._fields)) + v.shape[:-1])
-    out[:, 4] = np.abs(v).min(axis=-1)
+    out[:, 3] = np.abs(v).min(axis=-1)
     for norms, grid in zip(out, grids):
-        norms[0] = grid.L
-        norms[1] = lp_from_power_sum(f, sums4, grid, 4)
-        norms[2] = lp_from_power_sum(f, sums6, grid, 6)
-        norms[3] = h1dot_sq_from_spectrum(f, spectrum, grid)
+        norms[0] = lp_from_power_sum(f, sums4, grid, 4)
+        norms[1] = lp_from_power_sum(f, sums6, grid, 6)
+        norms[2] = h1dot_sq_from_spectrum(f, spectrum, grid)
     return out
 
 
-def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
+def audit_sweep(L: float, norms_of: Iterable[FieldNorms], deltas: Sequence[float],
                 constant: float = CGN) -> Iterator[tuple]:
-    """The audit of each field against each delta, in Python floats: for
-    every field in order, then every delta in order, one flat tuple
+    """The audit of each field of period L against each delta, in Python
+    floats: per field in order, then per delta in order, one flat tuple
 
         (ok, finite, lhs, rhs, slack, satisfied,
          line_lhs, line_rhs, line_slack, line_satisfied,
@@ -117,22 +121,18 @@ def audit_sweep(norms_of: Iterable[FieldNorms], deltas: Sequence[float],
     (the enlargement chain), and finite says all four lhs and rhs are finite.
 
     Every audit formula is written here once: a factor of (L, delta),
-    shape_factor's or flap_scale's, is computed once per period, a power of
-    a norm once per field, and each keeps the IEEE operations and operand
+    shape_factor's or flap_scale's, is computed once per delta, a power of a
+    norm once per field, and each keeps the IEEE operations and operand
     order of its formula, so every value has the bits of the formula
-    evaluated row by row. The norms of one period come in a run: the factors
-    are recomputed where L changes. The deltas are not checked. A power of a
-    norm that overflows a Python float raises OverflowError, before any tuple
-    of that field.
+    evaluated row by row. The deltas are not checked. A power of a norm that
+    overflows a Python float raises OverflowError, before any tuple of that
+    field.
     """
-    L = None
-    for norms_L, l4, l6, grad_sq, f0 in norms_of:
-        if norms_L != L:
-            L = norms_L
-            # per delta: 2/(delta sqrt(L)), C (1 + 2 delta/5L)^(2/9), 2 delta
-            per_delta = [(flap_scale(L, delta),
-                          constant * shape_factor(L, delta) ** (2.0 / 9.0),
-                          2.0 * delta, delta) for delta in deltas]
+    # per delta: 2/(delta sqrt(L)), C (1 + 2 delta/5L)^(2/9), 2 delta
+    per_delta = [(flap_scale(L, delta),
+                  constant * shape_factor(L, delta) ** (2.0 / 9.0),
+                  2.0 * delta, delta) for delta in deltas]
+    for l4, l6, grad_sq, f0 in norms_of:
         l4_2, l4_89, l4_4 = l4 ** 2, l4 ** (8.0 / 9.0), l4 ** 4
         l6_6, l6_finite = l6 ** 6, math.isfinite(l6)
         two_f0_2, f0_4, f0_6 = 2.0 * f0 ** 2, f0 ** 4, f0 ** 6

@@ -16,15 +16,17 @@ from operator import attrgetter
 
 import numpy as np
 
+from . import dynamics
 from .config import ConfigError, GnAuditBlock, RunConfig, ScanPair
 from .diagnostics import (CaseRecord, DiagnosticsSample, ZeroFieldError,
                           case_report)
-from .dynamics import (GAUGE_BETA, BlowupGuardError, NonFiniteError,
-                       SimConfig, SimulationError, Trajectory, pde_residual,
-                       simulate, simulate_batch, step_count)
+from .dynamics import (BlowupGuardError, NonFiniteError, SimConfig,
+                       SimulationError, Trajectory, pde_residual, simulate,
+                       simulate_batch, step_count)
 from .functionals import ConservedReport, _moments, conserved_report, mu
 from .gauge import gauge_profile, gauge_trajectory
-from .gn import CGN, FieldNorms, audit_sweep, field_norms, mass_threshold
+from .gn import (CGN, FieldNorms, audit_sweep, below_threshold, field_norms,
+                 mass_threshold)
 from .grid import Field, TorusGrid, dealias_band, ifft, lp_norm
 from .initial_data import DataSpec, build
 from .runio import BOOL_TEXT, FLOAT_FORMAT
@@ -259,7 +261,7 @@ def audit_coefficients(block: GnAuditBlock) -> np.ndarray:
 
 def _corpus_norms(block: GnAuditBlock) -> np.ndarray:
     """Per period of block, the columns of FieldNorms over its whole corpus,
-    of shape (len(L_values), 5, num_fields + 1). The corpus is sampled in
+    of shape (len(L_values), 4, num_fields + 1). The corpus is sampled in
     the chunks of TorusGrid.row_chunks, each chunk once, and gn.field_norms
     gives its norms on the grid of every period, each grid built once per
     run, in one call, with numpy's overflow warnings off: the exit code
@@ -308,11 +310,11 @@ def run_gn_audit(block: GnAuditBlock) -> Outcome:
         L_text = number(L)
         # the lhs of a field is its l6
         heads = [f"{field_id},{L_text},{delta},{lhs},"
-                 for field_id, lhs in enumerate(map(number, values[2]))
+                 for field_id, lhs in enumerate(map(number, values[1]))
                  for delta in deltas]
         # the first period formats the flaps, and every later one reuses them
         first = not flaps
-        cases = audit_sweep(zip(*values), block.delta_values, constant)
+        cases = audit_sweep(L, zip(*values), block.delta_values, constant)
         for k, (head, case) in enumerate(zip(heads, cases)):
             ok, finite, _, rhs, slack, _, _, _, _, _, l2grad, flap_l4, flap_l6 = case
             if first:
@@ -337,7 +339,7 @@ def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
     order, the row ending with the member's exit reason."""
     dt = members[0][0].dt
     # about 100 recorded frames regardless of dt
-    sim = replace(cfg.sim, equation="dnls2", beta=GAUGE_BETA, dt=dt,
+    sim = replace(cfg.sim, equation="dnls2", beta=dynamics.GAUGE_BETA, dt=dt,
                   record_stride=max(1, step_count(cfg.sim.T, dt) // 100))
     results = []
     for (pair, frac, _), member in zip(
@@ -345,17 +347,17 @@ def run_scan_group(cfg: RunConfig, members: list[tuple]) -> list[tuple]:
         traj, reason, _ = _member_record(member)
         reports, records, n_violations, reason = _bound_chain(traj, pair.delta, reason)
         threshold = mass_threshold(pair.L, pair.delta)
-        target_mass = frac * threshold
         drifts = drift_stats(reports)
-        h1 = [r.sample.h1dot for r in records if not math.isnan(r.sample.f)]
-        max_h1 = max(h1) if h1 else 0.0
+        # a degenerate frame's h1dot is 0.0
+        max_h1 = max((r.sample.h1dot for r in records), default=0.0)
         h1_0 = records[0].sample.h1dot if records else 0.0
         ratio = max_h1 / h1_0 if h1_0 > 0 else math.inf if max_h1 > 0 else 0.0
         n_case1 = sum(1 for r in records if r.sample.case_tag == "case1")
         n_case2 = sum(1 for r in records if r.sample.case_tag == "case2")
-        row = (pair.L, pair.delta, frac, target_mass, threshold,
-               target_mass < threshold, max_h1, ratio, drifts["M"],
-               drifts["P"], drifts["Ecal"], n_case1, n_case2, n_violations, reason)
+        row = (pair.L, pair.delta, frac, frac * threshold, threshold,
+               below_threshold(reports[0].M, pair.L, pair.delta), max_h1, ratio,
+               drifts["M"], drifts["P"], drifts["Ecal"], n_case1, n_case2,
+               n_violations, reason)
         results.append((row, _table(DiagnosticsSample, [r.sample for r in records])))
     return results
 
@@ -394,7 +396,7 @@ def run_threshold_scan(cfg: RunConfig, jobs: int = 1) -> Outcome:
                                   f"mass fraction {frac!r} both write {name}")
             names[name] = f"threshold_scan.pairs[{i}] at mass fraction {frac!r}"
             u0 = _build_data(cfg.data, grid, where, target_mass=frac * threshold)
-            members.append((pair, frac, gauge_profile(u0, GAUGE_BETA)))
+            members.append((pair, frac, gauge_profile(u0, dynamics.GAUGE_BETA)))
     # Members sharing (L, N, dt) are stepped as one batch; groups keep the
     # order of their first member, and results go back to member order.
     groups: dict[tuple, list[int]] = {}
@@ -431,14 +433,14 @@ def run_diagnose(cfg: RunConfig) -> Outcome:
     dnls1 the trajectory is simulated then gauged, with dnls2 the gauged flow
     is simulated from the gauged data directly.
     """
-    u0 = _build_data(cfg.data, grid_of(cfg))
+    u0, beta = _build_data(cfg.data, grid_of(cfg)), dynamics.GAUGE_BETA
     if cfg.sim.equation == "dnls1":
         traj, reason, _ = _simulate_partial(u0, cfg.sim)
         # rebinding frees the ungauged stack before the analysis
-        traj = gauge_trajectory(traj, GAUGE_BETA)
+        traj = gauge_trajectory(traj, beta)
     else:
-        traj, reason, _ = _simulate_partial(
-            gauge_profile(u0, GAUGE_BETA), replace(cfg.sim, beta=GAUGE_BETA))
+        traj, reason, _ = _simulate_partial(gauge_profile(u0, beta),
+                                            replace(cfg.sim, beta=beta))
 
     reports, records, n_violations, reason = _bound_chain(traj, cfg.delta, reason)
     tables, summary = _conserved_outputs(reports)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -962,6 +963,29 @@ class TestExitTable:
         code, outcome = run_outcome(monkeypatch, tmp_path, "threshold-scan", doc)
         assert outcome.tables["scan_summary.csv"][1][0][-1] == "blowup-guard"
         assert (outcome.exit_reason, code) == ("ok", 0)
+
+    # one run per fraction: the two fractions' diagnostics names collide
+    @pytest.mark.parametrize("frac", [1 - 2 ** -52, 1.0])
+    def test_scan_row_gates_as_every_frame_of_its_member(self, monkeypatch, frac):
+        # at these fractions the configured mass frac * threshold and the
+        # measured initial mass of a shipped pair's member fall on either side
+        # of the threshold; the row and the member's frames read one gate
+        records_of = {}
+        report = harness.case_report
+
+        def spy(traj, delta, *args, **kwargs):
+            records_of[traj.grid.L, delta] = report(traj, delta, *args, **kwargs)
+            return records_of[traj.grid.L, delta]
+        monkeypatch.setattr(harness, "case_report", spy)
+        cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                                       "threshold_scan.json"))
+        cfg = replace(cfg, sim=replace(cfg.sim, T=0.002), threshold_scan=replace(
+            cfg.threshold_scan, mass_fractions=(frac,)))
+        rows = harness.run_threshold_scan(cfg).tables["scan_summary.csv"][1]
+        assert len(rows) == len(records_of) == 2
+        for row in rows:
+            records = records_of[row[0], row[1]]
+            assert records and all(r.below_threshold == row[5] for r in records)
 
 
 def assert_writes_as_reference(tmp_path, header, rows):

@@ -57,14 +57,45 @@ def test_empty_document_gives_defaults():
 
 
 def test_every_default_beta_is_the_one_gauge_exponent():
-    # the config's gauge-check beta, the stepping default and the beta that
-    # scan and diagnose step with are all dynamics.GAUGE_BETA
-    from dnlslab import dynamics, harness
+    # the config's gauge-check beta and the stepping and residual defaults,
+    # bound at import and echoed in summary.json, are dynamics.GAUGE_BETA
+    from dnlslab import dynamics
     cfg = parse_config({})
     assert dynamics.GAUGE_BETA == 0.75
     assert cfg.gauge_check.beta == cfg.sim.beta == dynamics.GAUGE_BETA
-    assert harness.GAUGE_BETA is dynamics.GAUGE_BETA
     assert dynamics.pde_residual.__defaults__[0] == dynamics.GAUGE_BETA
+
+
+def test_a_patched_gauge_exponent_reaches_diagnose_and_scan(monkeypatch):
+    # the drivers read dynamics.GAUGE_BETA when they run, so one patch of it
+    # moves the beta diagnose gauges with and the beta the scan steps with
+    from dnlslab import dynamics, harness
+    seen = []
+
+    def spy(name, beta_of):
+        fn = getattr(harness, name)
+
+        def call(*args):
+            seen.append((name, beta_of(*args)))
+            return fn(*args)
+        monkeypatch.setattr(harness, name, call)
+
+    spy("gauge_trajectory", lambda traj, beta: beta)
+    spy("gauge_profile", lambda u, beta: beta)
+    spy("simulate_batch", lambda u0s, sim: sim.beta)
+    monkeypatch.setattr(dynamics, "GAUGE_BETA", 0.5)
+    doc = {"grid": {"L": 2 * math.pi, "N": 32}, "sim": {"dt": 1e-3, "T": 2e-3},
+           "data": {"kind": "plane_wave", "amplitude": 1.0, "mode": 2},
+           "threshold_scan": {"mass_fractions": [0.5],
+                              "pairs": [{"L": 2 * math.pi, "delta": 1.0}]}}
+    harness.run_diagnose(parse_config(doc))
+    assert seen == [("gauge_trajectory", 0.5)]
+    seen.clear()
+    harness.run_diagnose(parse_config({**doc, "sim": {**doc["sim"], "equation": "dnls2"}}))
+    assert seen == [("gauge_profile", 0.5)]
+    seen.clear()
+    harness.run_threshold_scan(parse_config(doc))
+    assert seen == [("gauge_profile", 0.5), ("simulate_batch", 0.5)]
 
 
 def test_round_trip_idempotent():

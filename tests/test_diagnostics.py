@@ -296,7 +296,7 @@ class TestEachFactorIsOnePatchPoint:
         record = case_report(traj, 1.0, conserved_report(traj.frames[0][1]))[0]
         assert record.sample.case_tag == "case1"
         return {"threshold": mass_threshold(1.0, 0.1),
-                "audit_rhs": next(audit_sweep([norms], [0.1]))[3],
+                "audit_rhs": next(audit_sweep(v.grid.L, [norms], [0.1]))[3],
                 "gamma": sample.gamma, "eta": sample.eta,
                 "lower_bound_f": sample.lower_bound_f,
                 "case_rhs": record.case_rhs, "defect": record.defect}

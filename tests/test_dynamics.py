@@ -108,8 +108,18 @@ class TestRhsDnls2:
         assert np.max(np.abs(rhs_dnls2(v, 0.75, 0.0).values)) == 0.0
 
     def test_rejects_negative_mu(self, grid2pi):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             rhs_dnls2(plane_wave(grid2pi), 0.75, -1.0)
+        # the one check of a flow's arguments
+        assert err.traceback[-1].name == "_rhs"
+
+    @pytest.mark.parametrize("beta", [0.75, 0.5])
+    def test_stack_equals_each_row_alone(self, grid2pi, rng, beta):
+        rows = np.stack([random_band_field(grid2pi, rng, band=8, scale=0.5).values
+                         for _ in range(3)])
+        got = rhs_dnls2(Field(grid2pi, rows), beta, 0.4).values
+        for row, values in zip(got, rows, strict=True):
+            assert np.array_equal(row, rhs_dnls2(Field(grid2pi, values), beta, 0.4).values)
 
     def test_beta_zero_is_the_ungauged_rhs(self, grid2pi, rng):
         v = random_band_field(grid2pi, rng, band=8, scale=0.5)
@@ -393,8 +403,16 @@ class TestPdeResidual:
     def test_dnls2_rejects_negative_mu(self, grid2pi):
         f = plane_wave(grid2pi)
         traj = Trajectory(grid2pi, [0.0, 0.1, 0.2], [f.values] * 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             pde_residual(traj, "dnls2", 0.75, -1.0)
+        assert err.traceback[-1].name == "_rhs"
+
+    def test_rejects_unknown_equation(self, grid2pi):
+        f = plane_wave(grid2pi)
+        traj = Trajectory(grid2pi, [0.0, 0.1, 0.2], [f.values] * 3)
+        with pytest.raises(ValueError, match="equation must be one of") as err:
+            pde_residual(traj, "nls")
+        assert err.traceback[-1].name == "_rhs"
 
     def test_requires_uniform_spacing(self, grid2pi):
         f = plane_wave(grid2pi)

@@ -36,15 +36,20 @@ def row_norms(f):
 PERIODIC, LINE, FLAPS = slice(2, 6), slice(6, 10), slice(10, 13)
 
 
-def sweep_at(norms, delta, constant=CGN):
-    """The audit_sweep tuple of one field at one delta."""
-    return next(audit_sweep([norms], [delta], constant))
+def sweep_at(L, norms, delta, constant=CGN):
+    """The audit_sweep tuple of one field of period L at one delta."""
+    return next(audit_sweep(L, [norms], [delta], constant))
+
+
+def sweep_field(f, delta, constant=CGN):
+    """The audit_sweep tuple of f, on its own period, at one delta."""
+    return sweep_at(f.grid.L, row_norms(f), delta, constant)
 
 
 def sweep_flaps(f0_abs, delta):
     """The flaps of audit_sweep at base value f0_abs and width delta, which
     depend on these two alone: the other norms are 0."""
-    return sweep_at(FieldNorms(1.0, 0.0, 0.0, 0.0, f0_abs), delta)[FLAPS]
+    return sweep_at(1.0, FieldNorms(0.0, 0.0, 0.0, f0_abs), delta)[FLAPS]
 
 
 class TestSharpConstant:
@@ -146,13 +151,13 @@ class TestSweepFlaps:
 class TestSweepPeriodic:
     def test_zero_field(self, grid2pi):
         zero = Field(grid2pi, np.zeros(grid2pi.N))
-        lhs, rhs, _, satisfied = sweep_at(row_norms(zero), 1.0)[PERIODIC]
+        lhs, rhs, _, satisfied = sweep_field(zero, 1.0)[PERIODIC]
         assert lhs == rhs == 0.0 and satisfied
 
     def test_constant_field_closed_forms(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
-        lhs, rhs, _, satisfied = sweep_at(row_norms(f), 1.0)[PERIODIC]
+        lhs, rhs, _, satisfied = sweep_field(f, 1.0)[PERIODIC]
         L = 2 * np.pi
         assert_allclose(lhs, L ** (1 / 6), rtol=1e-13)
         want_rhs = (CGN * (1 + 1 / (5 * np.pi)) ** (2 / 9)
@@ -167,19 +172,19 @@ class TestSweepPeriodic:
                 f = random_band_field(grid, rng, band=16,
                                       scale=10 ** rng.uniform(-1, 1))
                 for delta in (0.1, 1.0, 10.0):
-                    assert sweep_at(row_norms(f), delta)[PERIODIC][3]
+                    assert sweep_field(f, delta)[PERIODIC][3]
 
 
 class TestSweepLine:
     def test_zero_field(self, grid2pi):
         zero = Field(grid2pi, np.zeros(grid2pi.N))
-        assert sweep_at(row_norms(zero), 1.0)[LINE][3]
+        assert sweep_field(zero, 1.0)[LINE][3]
 
     def test_constant_field_assembly(self):
         grid = TorusGrid(2 * np.pi, 64)
         f = Field(grid, np.ones(64, dtype=complex))
         delta = 1.0
-        got_lhs, got_rhs, _, satisfied = sweep_at(row_norms(f), delta)[LINE]
+        got_lhs, got_rhs, _, satisfied = sweep_field(f, delta)[LINE]
         L = 2 * np.pi
         # flap-only gradient, torus-plus-flap L^p integrals
         lhs = (L + 2 * delta / 7) ** (1 / 6)
@@ -190,7 +195,7 @@ class TestSweepLine:
 
     def test_extension_enlarges_l6(self, grid2pi, rng):
         f = random_band_field(grid2pi, rng, band=16)
-        assert sweep_at(row_norms(f), 0.5)[LINE][0] >= lp_norm(f, 6)
+        assert sweep_field(f, 0.5)[LINE][0] >= lp_norm(f, 6)
 
     def test_chain_and_satisfaction_on_corpus(self, rng):
         for L in (1.0, 2 * np.pi):
@@ -200,7 +205,7 @@ class TestSweepLine:
                                       scale=10 ** rng.uniform(-1, 1))
                 norms = row_norms(f)
                 for delta in (0.1, 1.0, 10.0):
-                    case = sweep_at(norms, delta)
+                    case = sweep_at(L, norms, delta)
                     _, line_rhs, _, line_satisfied = case[LINE]
                     _, rhs, _, satisfied = case[PERIODIC]
                     assert line_satisfied and satisfied
@@ -227,7 +232,7 @@ class TestAscent:
         return Field(grid, np.fft.ifft(c * self.N))
 
     def sweep(self, x, grid, delta, constant=CGN):
-        return sweep_at(row_norms(self.field_of(x, grid)), delta, constant)
+        return sweep_field(self.field_of(x, grid), delta, constant)
 
     @pytest.mark.parametrize("L, delta", [(1.0, 1.0), (0.5, 10.0)])
     def test_ascent_nears_the_sharp_constant_and_a_smaller_one_is_flagged(
@@ -258,10 +263,10 @@ def frozen_satisfied(lhs, rhs):
     return bool(rhs - lhs >= -1e-12 * rhs)
 
 
-def frozen_gn1(norms, delta, constant=CGN):
-    """(lhs, rhs, slack, satisfied) of the periodic inequality."""
-    bracket = norms.grad_sq + 2.0 / (delta * math.sqrt(norms.L)) * norms.l4 ** 2
-    rhs = (constant * (1.0 + 2.0 * delta / (5.0 * norms.L)) ** (2.0 / 9.0)
+def frozen_gn1(L, norms, delta, constant=CGN):
+    """(lhs, rhs, slack, satisfied) of the periodic inequality on period L."""
+    bracket = norms.grad_sq + 2.0 / (delta * math.sqrt(L)) * norms.l4 ** 2
+    rhs = (constant * (1.0 + 2.0 * delta / (5.0 * L)) ** (2.0 / 9.0)
            * bracket ** (1.0 / 18.0) * norms.l4 ** (8.0 / 9.0))
     return norms.l6, rhs, rhs - norms.l6, frozen_satisfied(norms.l6, rhs)
 
@@ -276,10 +281,10 @@ def frozen_gn0(norms, delta, constant=CGN):
     return (lhs, rhs, rhs - lhs, frozen_satisfied(lhs, rhs)), flaps
 
 
-def frozen_case(norms, delta, constant=CGN):
-    """(ok, finite, periodic, line, flaps) of one field at one delta, as
-    run_gn_audit formed them from the two records."""
-    periodic = frozen_gn1(norms, delta, constant)
+def frozen_case(L, norms, delta, constant=CGN):
+    """(ok, finite, periodic, line, flaps) of one field of period L at one
+    delta, as run_gn_audit formed them from the two records."""
+    periodic = frozen_gn1(L, norms, delta, constant)
     line, flaps = frozen_gn0(norms, delta, constant)
     ok = periodic[3] and line[3] and line[1] <= periodic[1] * (1.0 + 1e-12)
     finite = all(map(math.isfinite, (periodic[0], periodic[1], line[0], line[1])))
@@ -298,7 +303,7 @@ def frozen_rows(L, norms_of, deltas, constant):
     rows, n_violations, n_non_finite = [], 0, 0
     for field_id, norms in enumerate(norms_of):
         for delta in deltas:
-            ok, finite, periodic, _, flaps = frozen_case(norms, delta, constant)
+            ok, finite, periodic, _, flaps = frozen_case(L, norms, delta, constant)
             if not finite:
                 n_non_finite += 1
             elif not ok:
@@ -343,7 +348,7 @@ def reference_rows(block):
             for c in scalar_corpus(block):
                 f = Spectrum(grid, c).field()
                 f0 = float(np.abs(f.values[np.argmin(np.abs(f.values))]))
-                norms_of.append(FieldNorms(L, lp_norm(f, 4), lp_norm(f, 6),
+                norms_of.append(FieldNorms(lp_norm(f, 4), lp_norm(f, 6),
                                            h1dot_sq(f), f0))
         got = frozen_rows(L, norms_of, block.delta_values,
                           CGN * block.corrupt_constant)
@@ -480,7 +485,7 @@ def sweep_rows(L, norms_of, deltas, constant):
     rows, n_violations, n_non_finite = [], 0, 0
     cases = [(i, d) for i in range(len(norms_of)) for d in deltas]
     for (field_id, delta), case in zip(
-            cases, audit_sweep(norms_of, deltas, constant), strict=True):
+            cases, audit_sweep(L, norms_of, deltas, constant), strict=True):
         ok, finite, lhs, rhs, slack = case[:5]
         if not finite:
             n_non_finite += 1
@@ -502,21 +507,25 @@ def audit_norms(block):
             for L, columns in zip(block.L_values, norms)}
 
 
-# norms from real fields: the zero field, finite ones, and the inf/NaN norms
-# of the periods 1e308 (l4, l6, grad_sq overflow) and 1e-300 (grad_sq)
-REAL_NORMS = [n for norms in audit_norms(GnAuditBlock(
-    num_fields=3, N=32, L_values=(1e-300, 1.0, 2 * np.pi, 1e308))).values() for n in norms]
-BIG_BASE = FieldNorms(1.0, 1.0, 1.0, 1.0, 1e60)
-BIG_L6 = FieldNorms(1.0, 1.0, 1e60, 1.0, 1.0)
-TINY_L = FieldNorms(1e-300, 1.0, 1.0, 1.0, 0.5)
+# (period, norms) from real fields: the zero field, finite ones, and the
+# inf/NaN norms of the periods 1e308 (l4, l6, grad_sq overflow) and 1e-300
+# (grad_sq)
+REAL_NORMS = [(L, n) for L, norms in audit_norms(GnAuditBlock(
+    num_fields=3, N=32, L_values=(1e-300, 1.0, 2 * np.pi, 1e308))).items() for n in norms]
+BIG_BASE = FieldNorms(1.0, 1.0, 1.0, 1e60)
+BIG_L6 = FieldNorms(1.0, 1e60, 1.0, 1.0)
+# norms of the period 1e-300
+TINY_L = FieldNorms(1.0, 1.0, 1.0, 0.5)
 SPECIAL = st.sampled_from([0.0, 5e-324, math.inf, math.nan])
-# bounded so that no power of a norm overflows a Python float, and no
-# delta*sqrt(L) underflows; TestAuditSweep covers those raising cases
+# (period, norms), bounded so that no power of a norm overflows a Python
+# float, and no delta*sqrt(L) underflows; TestAuditSweep covers those
+# raising cases
 NORMS = st.one_of(
     st.sampled_from(REAL_NORMS),
-    st.builds(FieldNorms, st.floats(1e-100, 1e100) | st.sampled_from([1e-300, 1e308]),
-              st.floats(0.0, 1e50) | SPECIAL, st.floats(0.0, 1e50) | SPECIAL,
-              st.floats(0.0, 1e300) | SPECIAL, st.floats(0.0, 1e50) | SPECIAL))
+    st.tuples(st.floats(1e-100, 1e100) | st.sampled_from([1e-300, 1e308]),
+              st.builds(FieldNorms, st.floats(0.0, 1e50) | SPECIAL,
+                        st.floats(0.0, 1e50) | SPECIAL, st.floats(0.0, 1e300) | SPECIAL,
+                        st.floats(0.0, 1e50) | SPECIAL)))
 DELTAS = st.lists(st.floats(1e-100, 1e100) | st.sampled_from([0.1, 1.0, 10.0]),
                   min_size=1, max_size=3)
 CONSTANTS = st.sampled_from([0.5, 0.8934, 1.0]).map(lambda c: CGN * c)
@@ -529,49 +538,54 @@ class TestAuditSweep:
     @given(norms_of=st.lists(NORMS, min_size=1, max_size=4), deltas=DELTAS,
            constant=CONSTANTS)
     def test_sweep_equals_frozen_formulas(self, norms_of, deltas, constant):
-        got = list(audit_sweep(norms_of, deltas, constant))
-        want = [flat(frozen_case(n, d, constant)) for n in norms_of for d in deltas]
-        assert bits(got) == bits(want)
-        assert all(type(ok) is bool and type(finite) is bool
-                   for ok, finite, *_ in got)
-        L = norms_of[0].L
-        assert bits(sweep_rows(L, norms_of, deltas, constant)) == bits(
-            frozen_rows(L, norms_of, deltas, constant))
+        # one sweep per period, as run_gn_audit takes them
+        for L in dict.fromkeys(L for L, _ in norms_of):
+            of_L = [norms for period, norms in norms_of if period == L]
+            got = list(audit_sweep(L, of_L, deltas, constant))
+            want = [flat(frozen_case(L, n, d, constant)) for n in of_L for d in deltas]
+            assert bits(got) == bits(want)
+            assert all(type(ok) is bool and type(finite) is bool
+                       for ok, finite, *_ in got)
+            assert bits(sweep_rows(L, of_L, deltas, constant)) == bits(
+                frozen_rows(L, of_L, deltas, constant))
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(norms=NORMS, delta=DELTAS.map(lambda d: d[0]), constant=CONSTANTS)
-    def test_single_delta_slices_equal_frozen_formulas(self, norms, delta, constant):
-        case = sweep_at(norms, delta, constant)
+    @given(period_norms=NORMS, delta=DELTAS.map(lambda d: d[0]), constant=CONSTANTS)
+    def test_single_delta_slices_equal_frozen_formulas(self, period_norms, delta,
+                                                       constant):
+        L, norms = period_norms
+        case = sweep_at(L, norms, delta, constant)
         line, want_flaps = frozen_gn0(norms, delta, constant)
-        assert bits(case[PERIODIC]) == bits(frozen_gn1(norms, delta, constant))
+        assert bits(case[PERIODIC]) == bits(frozen_gn1(L, norms, delta, constant))
         assert bits(case[LINE]) == bits(line)
         assert bits(case[FLAPS]) == bits(want_flaps)
         assert bits(sweep_flaps(norms.f0_abs, delta)) == bits(frozen_flaps(norms.f0_abs, delta))
 
     def test_special_fields(self):
         """The zero field, a zero base value, and overflowing norms."""
-        zero = REAL_NORMS[0]
+        L, zero = REAL_NORMS[0]
         assert (zero.l4, zero.l6, zero.grad_sq, zero.f0_abs) == (0.0, 0.0, 0.0, 0.0)
-        case = next(audit_sweep([zero], [1.0]))
+        case = next(audit_sweep(L, [zero], [1.0]))
         assert case[0] is True and case[1] is True
         assert case[2:6] == (0.0, 0.0, 0.0, True) and case[10:] == (0.0, 0.0, 0.0)
-        base0 = FieldNorms(1.0, 1.0, 1.0, 1.0, 0.0)
-        assert bits(next(audit_sweep([base0], [0.1]))) == bits(
-            flat(frozen_case(base0, 0.1)))
+        base0 = FieldNorms(1.0, 1.0, 1.0, 0.0)
+        assert bits(next(audit_sweep(1.0, [base0], [0.1]))) == bits(
+            flat(frozen_case(1.0, base0, 0.1)))
         norms = audit_norms(GnAuditBlock(num_fields=3, N=32, L_values=(1e308, 1e-300)))
         for L in (1e308, 1e-300):
-            assert not any(finite for _, finite, *_ in audit_sweep(norms[L][1:], [1.0]))
+            assert not any(finite for _, finite, *_ in audit_sweep(L, norms[L][1:], [1.0]))
 
     @pytest.mark.parametrize("sweep, frozen", [
         # f0_abs ** 6 overflows a Python float
         (lambda: sweep_flaps(1e60, 1.0), lambda: frozen_flaps(1e60, 1.0)),
-        (lambda: sweep_at(BIG_BASE, 1.0), lambda: frozen_gn0(BIG_BASE, 1.0)),
+        (lambda: sweep_at(1.0, BIG_BASE, 1.0), lambda: frozen_gn0(BIG_BASE, 1.0)),
         # ||f||_L6 ** 6 overflows
-        (lambda: sweep_at(BIG_L6, 1.0), lambda: frozen_gn0(BIG_L6, 1.0)),
+        (lambda: sweep_at(1.0, BIG_L6, 1.0), lambda: frozen_gn0(BIG_L6, 1.0)),
         # delta * sqrt(L) underflows to 0
-        (lambda: sweep_at(TINY_L, 1e-200), lambda: frozen_gn1(TINY_L, 1e-200)),
-        (lambda: list(audit_sweep([TINY_L], [1.0, 1e-200])),
-         lambda: frozen_case(TINY_L, 1e-200)),
+        (lambda: sweep_at(1e-300, TINY_L, 1e-200),
+         lambda: frozen_gn1(1e-300, TINY_L, 1e-200)),
+        (lambda: list(audit_sweep(1e-300, [TINY_L], [1.0, 1e-200])),
+         lambda: frozen_case(1e-300, TINY_L, 1e-200)),
     ])
     def test_sweep_raises_where_the_frozen_formulas_raise(self, sweep, frozen):
         with pytest.raises(ArithmeticError) as want:
@@ -580,9 +594,10 @@ class TestAuditSweep:
             sweep()
 
     @pytest.mark.parametrize("norms, delta", [
-        (FieldNorms(1.0, 1.0, 1.0, 1.0, -0.5), 1.0),
-        (FieldNorms(1.0, 1.0, 1.0, 1.0, 1.0), math.nan),
+        (FieldNorms(1.0, 1.0, 1.0, -0.5), 1.0),
+        (FieldNorms(1.0, 1.0, 1.0, 1.0), math.nan),
     ])
     def test_sweep_takes_its_arguments_unchecked(self, norms, delta):
         # GnAuditBlock checks delta > 0, and field_norms gives f0_abs >= 0
-        assert bits(sweep_at(norms, delta)) == bits(flat(frozen_case(norms, delta)))
+        assert bits(sweep_at(1.0, norms, delta)) == bits(
+            flat(frozen_case(1.0, norms, delta)))

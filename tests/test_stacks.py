@@ -74,8 +74,8 @@ def frozen_report(f, t):
 
 
 def frozen_norms(f):
-    return FieldNorms(f.grid.L, frozen_lp(f, 4), frozen_lp(f, 6),
-                      frozen_parts(f)[2], float(np.abs(f.values).min()))
+    return FieldNorms(frozen_lp(f, 4), frozen_lp(f, 6), frozen_parts(f)[2],
+                      float(np.abs(f.values).min()))
 
 
 def frozen_sample(v, delta, ecal_val, t):
@@ -117,7 +117,7 @@ def rows_of(traj):
 def chunked_norms(grid, values, periods):
     """field_norms of a stack of samples on the grid of each period, in the
     chunks of grid.row_chunks, as run_gn_audit takes them: shape
-    (len(periods), 5, rows)."""
+    (len(periods), 4, rows)."""
     grids = [TorusGrid(L, grid.N) for L in periods]
     return np.concatenate([field_norms(Field(grid, values[rows]), grids)
                            for rows in grid.row_chunks(len(values))], axis=-1)
@@ -176,7 +176,7 @@ def test_field_norms_equal_the_norms_on_each_period(n, zero, seed, periods):
             grid_L = TorusGrid(L, N)
             for row, v in zip(zip(*columns.tolist()), values, strict=True):
                 f = Field(grid_L, v)
-                want = (grid_L.L, lp_norm(f, 4), lp_norm(f, 6), h1dot_sq(f),
+                want = (lp_norm(f, 4), lp_norm(f, 6), h1dot_sq(f),
                         float(np.abs(v).min()))
                 assert bits(row) == bits(want)
 
