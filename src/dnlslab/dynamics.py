@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,18 +159,34 @@ def _real_factor_buffer(shape: tuple) -> tuple[np.ndarray, np.ndarray]:
     return buf, buf.real
 
 
+def _cubic(u: np.ndarray, absq: np.ndarray, absq_re: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^2 u, the physical-space product of the ungauged flow, into out
+    when given; |u|^2 goes into absq_re, the real part of the complex array
+    absq of u's shape (_real_factor_buffer)."""
+    np.square(np.abs(u), out=absq_re)
+    return np.multiply(absq, u, out=out)
+
+
 def _nl_dnls1(ik_keep: np.ndarray, u: np.ndarray, absq: np.ndarray,
               absq_re: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term d/dx(|u|^2 u) of the ungauged flow, for spectra
     of shape (..., N); ik_keep is grid._ik with the modes of _dealias_drop
     set to zero, so one product differentiates and dealiases. u and absq are
     complex arrays of F's shape that the kernel owns: u takes the samples,
-    and |u|^2 goes into absq_re, the real part of absq
-    (_real_factor_buffer)."""
-    u = ifft(F, u)
-    np.square(np.abs(u), out=absq_re)
-    cubic = absq * u
+    absq is _cubic's."""
+    cubic = _cubic(ifft(F, u), absq, absq_re)
     return ik_keep * fft(cubic, cubic)
+
+
+def _ungauged_part(grid: TorusGrid, batch: tuple, lead: tuple) -> tuple:
+    """ik_keep and the |u|^2 buffer (_real_factor_buffer) of the ungauged
+    kernel, for spectra of shape lead + (N,); ik_keep has the shape batch +
+    (N,) (see _make_nonlinear)."""
+    ik_keep = grid._ik.copy()
+    ik_keep[_dealias_drop(grid)] = 0.0
+    return (*_batch_shaped((ik_keep,), batch),
+            *_real_factor_buffer(lead + (grid.N,)))
 
 
 def _quartic_integral(grid: TorusGrid, F: np.ndarray) -> np.ndarray | np.float64:
@@ -242,48 +259,87 @@ def _gauged_constants(grid: TorusGrid, beta: float, mu_val: float | np.ndarray,
             beta * beta * mu_val * mu_val, ik, ik_imag)
 
 
-def _gauged_buffers(lead: tuple, N: int) -> tuple:
+def _gauged_buffers(lead: tuple, N: int, stack: np.ndarray | None = None) -> tuple:
     """The arrays a gauged kernel owns, for spectra of shape lead + (N,): the
-    (2, ..., N) stack that its inverse transform writes v and v_x into, with
-    views of its two rows, and the real-factor buffers (_real_factor_buffer)
-    of [beta*mu; 2(1-beta)]|v|^2, of beta(1/2-beta)|v|^4 and of psi (a 0-d
-    array for one spectrum, a lead + (1,) column for a stack)."""
-    stack = np.empty((2,) + lead + (N,), dtype=np.complex128)
+    (2, ..., N) stack that its inverse transform writes v and v_x into (new,
+    or the given view of a larger stack), with views of its two rows, and
+    the real-factor buffers (_real_factor_buffer) of [beta*mu; 2(1-beta)]|v|^2,
+    of beta(1/2-beta)|v|^4 and of psi (a 0-d array for one spectrum, a
+    lead + (1,) column for a stack)."""
+    if stack is None:
+        stack = np.empty((2,) + lead + (N,), dtype=np.complex128)
     return (stack, stack[0], stack[1], *_real_factor_buffer((2,) + lead + (N,)),
             *_real_factor_buffer(lead + (N,)),
             *_real_factor_buffer(lead + (1,) if lead else ()))
+
+
+def _load_gauged(consts: tuple, bufs: tuple, F: np.ndarray) -> None:
+    """Write F and ik*F into the stack of bufs, for its inverse transform."""
+    stack = bufs[0]
+    stack[0] = F
+    np.multiply(consts[6], F, out=stack[1])
+
+
+def _gauged_product(grid: TorusGrid, consts: tuple, bufs: tuple, F: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """The physical-space bracket of the gauged flow, from the samples [v; v_x]
+    in the stack of bufs and their spectrum F, into out when given.
+
+    Each real factor of complex data is written into the real part of a
+    complex buffer: [beta*mu; 2(1-beta)] times |v|^2 in one call, times
+    [v; v_x] in one more; beta(1/2-beta)|v|^4; and psi, whose scalar steps
+    run in Python floats for one spectrum and on columns for a stack.
+    """
+    beta, bc, c4, c2, one_j, b2mu2, _, ik_imag = consts
+    stack, v, vx, coef, coef_re, quint, quint_re, psi_c, psi_re = bufs
+    absq = np.square(np.abs(v))
+    np.multiply(bc, absq, out=coef_re)
+    cubics = coef * stack
+    np.multiply(c4, np.square(absq), out=quint_re)
+    psi_re[...] = _psi_integral(grid, beta, F, ik_imag) + b2mu2
+    return np.subtract(cubics[1] + c2 * v * v * np.conj(vx),
+                       one_j * (cubics[0] + quint * v - psi_c * v), out=out)
 
 
 def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, bufs: tuple,
               F: np.ndarray) -> np.ndarray:
     """Spectral nonlinear term of the gauged flow (everything except i*v_xx),
     for spectra of shape (..., N), with the constants of _gauged_constants
-    and the buffers of _gauged_buffers.
-
-    v and v_x come from one inverse transform, in place, of the stack that
-    takes F and ik*F; each row of it equals a transform of its own, bit for
-    bit. Each real factor of complex data is written into the real part of a
-    complex buffer: [beta*mu; 2(1-beta)] times |v|^2 in one call, times
-    [v; v_x] in one more; beta(1/2-beta)|v|^4; and psi, whose scalar steps
-    run in Python floats for one spectrum and on columns for a stack.
-    """
-    beta, bc, c4, c2, one_j, b2mu2, ik, ik_imag = consts
-    stack, v, vx, coef, coef_re, quint, quint_re, psi_c, psi_re = bufs
-    stack[0] = F
-    np.multiply(ik, F, out=stack[1])
-    ifft(stack, stack)
-    absq = np.square(np.abs(v))
-    np.multiply(bc, absq, out=coef_re)
-    cubics = coef * stack
-    np.multiply(c4, np.square(absq), out=quint_re)
-    psi_re[...] = _psi_integral(grid, beta, F, ik_imag) + b2mu2
-    nl = (
-        cubics[1]
-        + c2 * v * v * np.conj(vx)
-        - one_j * (cubics[0] + quint * v - psi_c * v)
-    )
+    and the buffers of _gauged_buffers: v and v_x come from one inverse
+    transform, in place, of the stack that takes F and ik*F; each row of it
+    equals a transform of its own, bit for bit."""
+    _load_gauged(consts, bufs, F)
+    ifft(bufs[0], bufs[0])
+    nl = _gauged_product(grid, consts, bufs, F)
     fft(nl, nl)
     nl[..., drop] = 0.0
+    return nl
+
+
+def _nl_mixed(grid: TorusGrid, drop: slice, ungauged: tuple | None,
+              gauged: list, stack: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Spectral nonlinear terms of a batch whose rows step different flows
+    (_make_mixed_nonlinear), for spectra of shape (B, N): one inverse
+    transform of the stack that takes the ungauged rows of F and [F; ik*F]
+    of each gauged group, and one forward transform of all the products.
+    Each group's products are those of its single-flow kernel (_cubic,
+    _gauged_product), so every row keeps its bits."""
+    if ungauged:
+        rows, ik_keep, absq, absq_re = ungauged
+        stack[rows] = F[rows]
+    for g_rows, consts, bufs in gauged:
+        _load_gauged(consts, bufs, F[g_rows])
+    ifft(stack, stack)
+    nl = np.empty(F.shape, dtype=np.complex128)
+    if ungauged:
+        _cubic(stack[rows], absq, absq_re, out=nl[rows])
+    for g_rows, consts, bufs in gauged:
+        _gauged_product(grid, consts, bufs, F[g_rows], out=nl[g_rows])
+    fft(nl, nl)
+    if ungauged:
+        np.multiply(ik_keep, nl[rows], out=nl[rows])
+    for g_rows, _, _ in gauged:
+        nl[g_rows][..., drop] = 0.0
     return nl
 
 
@@ -295,9 +351,8 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
 
     The kernel owns the arrays that its inverse transform and its real
     factors are written into, so it takes spectra of that one shape; what it
-    returns is new on every call. The one kernel-selection rule: at beta = 0
-    the gauged flow coincides with the ungauged one, and sharing the kernel
-    makes the identity exact discretely, not just analytically.
+    returns is new on every call. At beta = 0 the gauged flow steps with the
+    ungauged kernel (_kernel_beta).
 
     Every product with complex data in a kernel call is complex128 against
     complex128: a real factor goes into the real part of a complex buffer,
@@ -313,17 +368,56 @@ def _make_nonlinear(grid: TorusGrid, equation: str, beta: float,
     buffers at the call's shape: there the copies would cost more than the
     broadcasts they save.
     """
-    drop = _dealias_drop(grid)
     batch = lead if np.ndim(mu_val) else ()
-    if equation == "dnls1" or beta == 0.0:
-        ik_keep = grid._ik.copy()
-        ik_keep[drop] = 0.0
-        (ik_keep,) = _batch_shaped((ik_keep,), batch)
+    if _kernel_beta(equation, beta) is None:
         u = np.empty(lead + (grid.N,), dtype=np.complex128)
-        absq = _real_factor_buffer(lead + (grid.N,))
+        ik_keep, *absq = _ungauged_part(grid, batch, lead)
         return partial(_nl_dnls1, ik_keep, u, *absq)
     consts = _gauged_constants(grid, beta, mu_val, batch, lead)
-    return partial(_nl_dnls2, grid, drop, consts, _gauged_buffers(lead, grid.N))
+    return partial(_nl_dnls2, grid, _dealias_drop(grid), consts,
+                   _gauged_buffers(lead, grid.N))
+
+
+def _kernel_beta(equation: str, beta: float) -> float | None:
+    """The one kernel-selection rule: None where a flow steps with the
+    ungauged kernel, dnls1 and dnls2 at beta = 0, where the gauged flow
+    coincides with the ungauged one (sharing the kernel makes the identity
+    exact discretely, not just analytically); else beta, the gauged
+    kernel's."""
+    return None if equation == "dnls1" or beta == 0.0 else beta
+
+
+def _make_mixed_nonlinear(grid: TorusGrid, keys: list, mu_col: np.ndarray
+                          ) -> Callable[[np.ndarray], np.ndarray]:
+    """The nonlinear part of a batch whose rows step different kernels, on
+    spectra of shape (len(keys), N), with keys the _kernel_beta of each row
+    and mu_col the (B, 1) column of mu. The rows of one kernel are
+    contiguous, those of the ungauged kernel first, as simulate_batch orders
+    them.
+
+    Each group of rows holds what its single-flow kernel would
+    (_make_nonlinear): a group of one row the arrays and the scalar mu and
+    psi of a lone spectrum, a larger group a batch's. The shared stack of
+    the inverse transform holds the ungauged rows, then v and v_x of each
+    gauged group as the (2, ..., N) stack of its buffers.
+    """
+    N = grid.N
+    stack = np.empty((len(keys) + sum(key is not None for key in keys), N),
+                     dtype=np.complex128)
+    ungauged, gauged, start, at = None, [], 0, 0
+    for key, group in groupby(keys):
+        n = len(list(group))
+        lead = (n,) if n > 1 else ()
+        rows = slice(start, start + n) if lead else start
+        if key is None:
+            ungauged = (rows, *_ungauged_part(grid, lead, lead))
+        else:
+            mu_val = mu_col[rows] if lead else float(mu_col[rows, 0])
+            view = stack[at:at + 2 * n].reshape((2,) + lead + (N,))
+            gauged.append((rows, _gauged_constants(grid, key, mu_val, lead, lead),
+                           _gauged_buffers(lead, N, view)))
+        start, at = start + n, at + (n if key is None else 2 * n)
+    return partial(_nl_mixed, grid, _dealias_drop(grid), ungauged, gauged, stack)
 
 
 def _ifrk4_coeffs(symbol: np.ndarray, dt: float):
@@ -472,10 +566,12 @@ def simulate(u0: Field, config: SimConfig) -> Trajectory:
     return result
 
 
-def simulate_batch(u0s: Sequence[Field], config: SimConfig
+def simulate_batch(u0s: Sequence[Field], config: SimConfig | Sequence[SimConfig]
                    ) -> list[Trajectory | SimulationError]:
-    """simulate for members that share one grid and one config, stepped
-    together as one (B, N) batch.
+    """simulate for members that share one grid, stepped together as one
+    (B, N) batch. config is one SimConfig for all members, or one per
+    member; members' configs may differ only in equation and beta, so a
+    batch can step both flows, and any other difference is a ValueError.
 
     Per member, in order: its Trajectory, or the SimulationError that stopped
     it, carrying its hit time and partial trajectory. A stopped member leaves
@@ -485,16 +581,24 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
     The step's per-mode coefficients, the guard's |k| weights and the
     kernel's constants have the live batch's shape (_batch_shaped), made once
     per run and re-cut to the rows left whenever a member stops; a lone
-    member steps with them at (N,).
+    member steps with them at (N,). Rows whose flows step with different
+    kernels share each stage's transforms (_make_mixed_nonlinear); the rows
+    are ordered for it, the ungauged kernel's first.
     """
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
         raise ValueError("all members must share one grid")
+    configs = [config] * len(u0s) if isinstance(config, SimConfig) else list(config)
+    if len(configs) != len(u0s):
+        raise ValueError(f"{len(configs)} configs for {len(u0s)} members")
+    config = configs[0]
+    if any(replace(c, equation=config.equation, beta=config.beta) != config
+           for c in configs):
+        raise ValueError("the members' configs may differ only in equation and beta")
     n_steps = step_count(config.T, config.dt)
     stride = int(config.record_stride)
 
     kmax = float(np.max(np.abs(grid.k)))
-    mu_vals = [mu(u0) for u0 in u0s]
     for u0 in u0s:
         # the product underflows to 0 for a tiny nonzero field
         rate = kmax * float(np.max(np.abs(u0.values) ** 2))
@@ -504,15 +608,26 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
                 f"0.5/(k_max*max|u|^2) = {0.5 / rate:g}",
                 CflWarning, stacklevel=3)
 
+    # The member of each batch row: those of one kernel next to each other,
+    # the ungauged kernel's first (the identity for a single-flow batch).
+    keys = [_kernel_beta(c.equation, c.beta) for c in configs]
+    members = sorted(range(len(u0s)),
+                     key=lambda m: (keys[m] is not None, keys[m] or 0.0))
     # A lone member steps as a 1-D spectrum, with scalar constants: at small
     # N, broadcasting against the per-mode coefficients, or against (1,)
     # columns, would cost more per call than the arithmetic. For the same
     # reason a batch's per-mode arrays take its (B, N) shape.
-    values = [u0.values for u0 in u0s]
+    values = [u0s[m].values for m in members]
+    mu_vals = [mu(u0s[m]) for m in members]
     F = fft(values[0] if len(values) == 1 else np.stack(values))
     mu_col = mu_vals[0] if F.ndim == 1 else np.array(mu_vals).reshape(-1, 1)
-    kernel = lambda mu_col, F: _make_nonlinear(grid, config.equation, config.beta,
-                                               mu_col, F.shape[:-1])
+
+    def kernel(mu_col, F):  # for the rows of the live members
+        row_keys = [keys[m] for m in members]
+        if len(set(row_keys)) > 1:
+            return _make_mixed_nonlinear(grid, row_keys, mu_col)
+        first = configs[members[0]]
+        return _make_nonlinear(grid, first.equation, first.beta, mu_col, F.shape[:-1])
 
     # Steps 0, every stride-th and the last are recorded, each member's rows
     # into its slice of one store; a stopped member's trajectory is a prefix.
@@ -521,9 +636,8 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig
         steps.append(n_steps)
     times = np.array(steps) * config.dt
     store = np.empty((len(u0s), len(steps), grid.N), dtype=np.complex128)
-    store[:, 0] = values
+    store[members, 0] = values
     n_rec = 1
-    members = list(range(len(u0s)))  # member index of each batch row
     results: list = [None] * len(u0s)
     ik, h1_scale = grid._ik, grid.L / grid.N ** 2
     # Overflow and NaN, in the integrator set-up (k^2 overflows for a tiny

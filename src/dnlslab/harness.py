@@ -188,17 +188,19 @@ def run_simulation(cfg: RunConfig) -> Outcome:
 
 
 def run_gauge_check(cfg: RunConfig) -> Outcome:
-    """Evolve the ungauged flow, gauge the trajectory, evolve the gauged flow
-    from the gauged initial data, and compare the frames both flows recorded:
-    after a guard or non-finite stop, those before the first stop. The reason
-    is the first failure of the dnls1 flow, the dnls2 flow and the comparison."""
+    """Evolve the ungauged flow from the configured data and the gauged flow
+    from the gauged initial data, stepped as one batch (a flow that stops
+    leaves it, the other carries on), gauge the ungauged trajectory, and
+    compare the frames both flows recorded: after a guard or non-finite
+    stop, those before the first stop. The reason is the first failure of
+    the dnls1 flow, the dnls2 flow and the comparison."""
     grid = grid_of(cfg)
     beta, tol = cfg.gauge_check.beta, cfg.gauge_check.tolerance
     u0 = _build_data(cfg.data, grid)
-    sim_u = replace(cfg.sim, equation="dnls1")
-    sim_v = replace(cfg.sim, equation="dnls2", beta=beta)
-    traj_u, reason_u, _ = _simulate_partial(u0, sim_u)
-    traj_v, reason_v, _ = _simulate_partial(gauge_profile(u0, beta), sim_v)
+    sims = [replace(cfg.sim, equation="dnls1"),
+            replace(cfg.sim, equation="dnls2", beta=beta)]
+    (traj_u, reason_u, _), (traj_v, reason_v, _) = map(
+        _member_record, simulate_batch([u0, gauge_profile(u0, beta)], sims))
     n = min(len(traj_u.times), len(traj_v.times))
     gauged = gauge_trajectory(Trajectory(grid, traj_u.times[:n], traj_u.values[:n]),
                               beta)

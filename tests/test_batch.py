@@ -614,6 +614,99 @@ def test_members_must_share_one_grid(members):
         simulate_batch([members[0], other], SimConfig(dt=1e-3, T=0.01))
 
 
+@pytest.mark.parametrize("change", [{"dt": 2e-3}, {"T": 0.02}, {"record_stride": 2},
+                                    {"integrator": "etdrk4"}, {"guard_factor": 2.0}])
+def test_members_may_differ_only_in_equation_and_beta(monkeypatch, members, change):
+    monkeypatch.setattr("dnlslab.dynamics.fft", lambda *a: pytest.fail("stepped"))
+    config = SimConfig(dt=1e-3, T=0.01, equation="dnls1")
+    other = replace(config, equation="dnls2", beta=0.5, **change)
+    with pytest.raises(ValueError):
+        simulate_batch(members[:2], [config, other])
+    with pytest.raises(ValueError):  # one config per member
+        simulate_batch(members[:2], [config])
+
+
+def pair_configs(integrator, beta, **changes):
+    """The configs of gauge-check's two flows: dnls1, and dnls2 at beta."""
+    config = replace(SimConfig(dt=1e-3, T=0.05, record_stride=7,
+                               integrator=integrator), **changes)
+    return [replace(config, equation="dnls1"),
+            replace(config, equation="dnls2", beta=beta)]
+
+
+def check_mixed_batch_equals_lone_runs(u0s, configs):
+    """Each member of a batch of several flows equals its lone simulate run;
+    the batch's results, in member order."""
+    batched = simulate_batch(u0s, configs)
+    assert_same_results(batched, [serial([u0], config)[0]
+                                  for u0, config in zip(u0s, configs)])
+    return batched
+
+
+@pytest.mark.parametrize("N", ROW_SPLIT_N + [32, 256])
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("beta", [0.75, 0.5, 0.0])
+def test_a_pair_of_flows_equals_each_lone_run(N, integrator, beta):
+    # at beta = 0 the pair is a dnls1 batch; in either order the dnls1 row
+    # steps first
+    u, v = band_members(TorusGrid(TWO_PI, N))[1:]
+    configs = pair_configs(integrator, beta)
+    check_mixed_batch_equals_lone_runs([u, v], configs)
+    check_mixed_batch_equals_lone_runs([v, u], configs[::-1])
+
+
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("beta", [0.75, 0.5])
+@pytest.mark.parametrize("stops", [0, 1])
+def test_a_guard_stop_in_a_pair_leaves_the_other_flow_equal_to_its_lone_run(
+        integrator, beta, stops):
+    grid = TorusGrid(TWO_PI, 256)
+    light = random_band_field(grid, np.random.default_rng(7), band=4, scale=0.1)
+    heavy = random_band_field(grid, np.random.default_rng(7), band=4, scale=2.0)
+    u0s = [heavy, light] if stops == 0 else [light, heavy]
+    configs = pair_configs(integrator, beta, guard_factor=1.05, record_stride=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        batched = check_mixed_batch_equals_lone_runs(u0s, configs)
+    assert isinstance(batched[stops], BlowupGuardError)
+    assert isinstance(batched[1 - stops], Trajectory)
+    assert 1 < len(batched[stops].partial.times) < len(batched[1 - stops].times) - 1
+
+
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+@pytest.mark.parametrize("stops", [0, 1])
+def test_a_non_finite_member_of_a_pair_leaves_the_other_flow_equal(members,
+                                                                   integrator, stops):
+    wild = Field(members[0].grid, members[0].values * 1e100)
+    u0s = [wild, members[1]] if stops == 0 else [members[1], wild]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        batched = check_mixed_batch_equals_lone_runs(u0s, pair_configs(integrator, 0.5))
+    assert isinstance(batched[stops], NonFiniteError)
+    assert isinstance(batched[1 - stops], Trajectory)
+
+
+@pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+def test_a_batch_of_several_flows_and_betas_equals_each_lone_run(integrator):
+    # one dnls1 row, two rows of beta = 1/2 stepped as a batch among them,
+    # one of beta = 3/4; the heavy one stops, then the heaviest light one,
+    # and each stop re-cuts the batch
+    grid = TorusGrid(TWO_PI, 32)
+    light = band_members(grid)
+    heavy = random_band_field(grid, np.random.default_rng(7), band=4, scale=1.6)
+    u0s = [light[0], heavy, light[1], light[2]]
+    config = SimConfig(dt=1e-3, T=0.1, record_stride=3, integrator=integrator,
+                       guard_factor=1.3, equation="dnls2")
+    configs = [replace(config, beta=0.5), replace(config, equation="dnls1"),
+               replace(config, beta=0.75), replace(config, beta=0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CflWarning)
+        batched = check_mixed_batch_equals_lone_runs(u0s, configs)
+    assert [type(r) for r in batched] == [Trajectory, BlowupGuardError, Trajectory,
+                                          BlowupGuardError]
+    assert batched[1].t < batched[3].t < config.T
+
+
 def scan_config():
     # pairs 0 and 2 share (L, N, dt) and form one batch around pair 1
     return RunConfig(

@@ -19,7 +19,8 @@ import dnlslab
 from dnlslab import DataSpec, SimConfig, TorusGrid, build, cli, harness, simulate
 from dnlslab.cli import main
 from dnlslab.config import load_config
-from dnlslab.dynamics import BlowupGuardError, NonFiniteError, Trajectory
+from dnlslab.dynamics import (BlowupGuardError, CflWarning, NonFiniteError,
+                              Trajectory)
 from dnlslab.grid import MAX_NODES
 from dnlslab.harness import EXIT_CODES, EXIT_CONFIG, first_failure
 from dnlslab.runio import _row_template, fmt_value, write_csv
@@ -83,22 +84,32 @@ def forbid_stepping(monkeypatch):
 
 
 def stop_flow(monkeypatch, equation, frames=None, reason="blowup-guard"):
-    """Make each run of equation that harness steps stop for reason, a guard
-    hit or a non-finite sample, after its first frames frames (all of them by
-    default): the run steps in full, and its trajectory is cut to them."""
-    run = harness.simulate
+    """Make each run of equation that harness steps, alone or in a batch,
+    stop for reason, a guard hit or a non-finite sample, after its first
+    frames frames (all of them by default): the run steps in full, and its
+    trajectory is cut to them."""
+    run, run_batch = harness.simulate, harness.simulate_batch
+
+    def stop(traj):
+        partial = Trajectory(traj.grid, traj.times[:frames], traj.values[:frames])
+        t = float(traj.times[-1])
+        if reason == "blowup-guard":
+            return BlowupGuardError("stopped by the test", t, math.inf, partial)
+        return NonFiniteError("stopped by the test", t, partial)
 
     def stopped(u0, sim):
         traj = run(u0, sim)
         if sim.equation != equation:
             return traj
-        partial = Trajectory(traj.grid, traj.times[:frames], traj.values[:frames])
-        t = float(traj.times[-1])
-        if reason == "blowup-guard":
-            raise BlowupGuardError("stopped by the test", t, math.inf, partial)
-        raise NonFiniteError("stopped by the test", t, partial)
+        raise stop(traj)
+
+    def stopped_batch(u0s, sims):
+        sims = [sims] * len(u0s) if isinstance(sims, SimConfig) else sims
+        return [stop(result) if sim.equation == equation else result
+                for result, sim in zip(run_batch(u0s, sims), sims)]
 
     monkeypatch.setattr(harness, "simulate", stopped)
+    monkeypatch.setattr(harness, "simulate_batch", stopped_batch)
 
 
 class TestSimulateCommand:
@@ -289,6 +300,21 @@ class TestGaugeCheckCommand:
         assert summary["max_residual"] == max(r for _, _, r in rows[1:-1])
         shown = f"max discrepancy {summary['max_discrepancy']:.3e} (tolerance 1e-06)"
         assert capsys.readouterr().out == f"gauge-check: blowup-guard, {shown}\n"
+
+    def test_one_cfl_warning_per_flow(self, tmp_path):
+        # dt is above the advective heuristic for the data and for its gauged
+        # profile, of the same modulus: each flow warns once, with one text
+        # (at this dt the flows part by more than the tolerance)
+        doc = base_doc(str(tmp_path / "out"), grid={"L": TWO_PI, "N": 32},
+                       sim={"dt": 0.01, "T": 0.02})
+        doc["data"]["amplitude"] = 3.0
+        cfg = write_config(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["gauge-check", "--config", cfg, "--quiet"]) == 5
+        text = ("dt = 0.01 exceeds the advective heuristic "
+                f"0.5/(k_max*max|u|^2) = {0.5 / (16 * 3.0 ** 2):g}")
+        assert [(w.category, str(w.message)) for w in caught] == [(CflWarning, text)] * 2
 
     @pytest.mark.parametrize("stops, reason", [("dnls1", "blowup-guard"),
                                                ("dnls2", "blowup-guard"),

@@ -15,7 +15,8 @@ from dnlslab import (BlowupGuardError, CflWarning, Field, NonFiniteError,
                      rhs_dnls1, rhs_dnls2, simulate)
 from dnlslab import grid as grid_module
 from dnlslab.config import RunConfig, ScanPair, ThresholdScanBlock
-from dnlslab.dynamics import _ifrk4_coeffs, _ifrk4_step, _make_nonlinear
+from dnlslab.dynamics import (_ifrk4_coeffs, _ifrk4_step, _make_nonlinear,
+                              simulate_batch)
 from dnlslab.harness import SCAN_COLUMNS, run_threshold_scan
 from dnlslab.initial_data import DataSpec
 
@@ -26,6 +27,17 @@ def exact_plane_wave(grid, A, m, t):
     k = 2 * np.pi * m / grid.L
     omega = k**2 - k * A**2
     return Field(grid, A * np.exp(1j * (k * grid.x - omega * t)))
+
+
+def counted_transforms(monkeypatch) -> list:
+    """The list that every numpy.fft.fft and ifft call appends to from now
+    on: the package seam calls a replaced numpy.fft, so it counts them all."""
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, transform=transform, **kw:
+                            calls.append(transform) or transform(*a, **kw))
+    return calls
 
 
 class TestSimConfig:
@@ -265,11 +277,7 @@ class TestSimulate:
         # seam that bound numpy.fft.fft once would read 0 here
         grid = TorusGrid(2 * np.pi, 32)
         u0 = random_band_field(grid, np.random.default_rng(3), band=4, scale=0.3)
-        calls = []
-        for name in ("fft", "ifft"):
-            transform = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name, lambda *a, transform=transform, **kw:
-                                calls.append(transform) or transform(*a, **kw))
+        calls = counted_transforms(monkeypatch)
 
         def count(n):
             calls.clear()
@@ -280,6 +288,29 @@ class TestSimulate:
 
         # the set-up transform and the two recorded frames cancel
         assert (count(20) - count(10)) / 10 == design
+
+    @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
+    @pytest.mark.parametrize("beta,design,apart", [(0.75, 8, 16), (0.5, 12, 20)])
+    def test_fft_calls_per_step_of_both_flows_in_one_batch(
+            self, monkeypatch, integrator, beta, design, apart):
+        # gauge-check's dnls1 and dnls2 flows stepped as one batch share each
+        # stage's inverse and forward transforms; apart, each makes its own
+        grid = TorusGrid(2 * np.pi, 32)
+        u0 = random_band_field(grid, np.random.default_rng(3), band=4, scale=0.3)
+        calls = counted_transforms(monkeypatch)
+
+        def count(n, batches):
+            calls.clear()
+            configs = [SimConfig(dt=1e-3, T=n * 1e-3, record_stride=n,
+                                 integrator=integrator, equation=equation, beta=beta)
+                       for equation in ("dnls1", "dnls2")]
+            for batch in batches(configs):
+                simulate_batch([u0] * len(batch), batch)
+            return len(calls)
+
+        for batches, want in ((lambda configs: [configs], design),
+                              (lambda configs: [[c] for c in configs], apart)):
+            assert (count(20, batches) - count(10, batches)) / 10 == want
 
     @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
     @pytest.mark.parametrize("equation,beta,design", [
