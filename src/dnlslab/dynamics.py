@@ -13,7 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -316,30 +315,32 @@ def _nl_dnls2(grid: TorusGrid, drop: slice, consts: tuple, bufs: tuple,
     return nl
 
 
-def _nl_mixed(grid: TorusGrid, drop: slice, ungauged: tuple | None,
-              gauged: list, stack: np.ndarray, F: np.ndarray) -> np.ndarray:
+def _nl_mixed(grid: TorusGrid, drop: slice, rows: list, stack: np.ndarray,
+              F: np.ndarray) -> np.ndarray:
     """Spectral nonlinear terms of a batch whose rows step different flows
     (_make_mixed_nonlinear), for spectra of shape (B, N): one inverse
-    transform of the stack that takes the ungauged rows of F and [F; ik*F]
-    of each gauged group, and one forward transform of all the products.
-    Each group's products are those of its single-flow kernel (_cubic,
+    transform of the stack that takes F of each ungauged row and [F; ik*F]
+    of each gauged one, and one forward transform of all the products.
+    Each row's products are those of its lone kernel (_cubic,
     _gauged_product), so every row keeps its bits."""
-    if ungauged:
-        rows, ik_keep, absq, absq_re = ungauged
-        stack[rows] = F[rows]
-    for g_rows, consts, bufs in gauged:
-        _load_gauged(consts, bufs, F[g_rows])
+    for r, (gauged, consts, bufs) in enumerate(rows):
+        if gauged:
+            _load_gauged(consts, bufs, F[r])
+        else:
+            bufs[0][...] = F[r]
     ifft(stack, stack)
     nl = np.empty(F.shape, dtype=np.complex128)
-    if ungauged:
-        _cubic(stack[rows], absq, absq_re, out=nl[rows])
-    for g_rows, consts, bufs in gauged:
-        _gauged_product(grid, consts, bufs, F[g_rows], out=nl[g_rows])
+    for r, (gauged, consts, bufs) in enumerate(rows):
+        if gauged:
+            _gauged_product(grid, consts, bufs, F[r], out=nl[r])
+        else:
+            _cubic(*bufs, out=nl[r])
     fft(nl, nl)
-    if ungauged:
-        np.multiply(ik_keep, nl[rows], out=nl[rows])
-    for g_rows, _, _ in gauged:
-        nl[g_rows][..., drop] = 0.0
+    for r, (gauged, consts, _) in enumerate(rows):
+        if gauged:
+            nl[r, drop] = 0.0
+        else:
+            np.multiply(consts, nl[r], out=nl[r])
     return nl
 
 
@@ -391,33 +392,27 @@ def _make_mixed_nonlinear(grid: TorusGrid, keys: list, mu_col: np.ndarray
                           ) -> Callable[[np.ndarray], np.ndarray]:
     """The nonlinear part of a batch whose rows step different kernels, on
     spectra of shape (len(keys), N), with keys the _kernel_beta of each row
-    and mu_col the (B, 1) column of mu. The rows of one kernel are
-    contiguous, those of the ungauged kernel first, as simulate_batch orders
-    them.
+    and mu_col the (B, 1) column of mu.
 
-    Each group of rows holds what its single-flow kernel would
-    (_make_nonlinear): a group of one row the arrays and the scalar mu and
-    psi of a lone spectrum, a larger group a batch's. The shared stack of
-    the inverse transform holds the ungauged rows, then v and v_x of each
-    gauged group as the (2, ..., N) stack of its buffers.
+    Each row holds what its lone kernel would (_make_nonlinear): the (N,)
+    arrays, and for a gauged row the scalar mu and psi of one spectrum. The
+    shared stack of the inverse transform holds, row after row, u of an
+    ungauged row and v, v_x of a gauged one (the stack of its buffers).
     """
     N = grid.N
     stack = np.empty((len(keys) + sum(key is not None for key in keys), N),
                      dtype=np.complex128)
-    ungauged, gauged, start, at = None, [], 0, 0
-    for key, group in groupby(keys):
-        n = len(list(group))
-        lead = (n,) if n > 1 else ()
-        rows = slice(start, start + n) if lead else start
+    rows, at = [], 0
+    for row, key in enumerate(keys):
         if key is None:
-            ungauged = (rows, *_ungauged_part(grid, lead, lead))
+            ik_keep, *absq = _ungauged_part(grid, (), ())
+            rows.append((False, ik_keep, (stack[at], *absq)))
+            at += 1
         else:
-            mu_val = mu_col[rows] if lead else float(mu_col[rows, 0])
-            view = stack[at:at + 2 * n].reshape((2,) + lead + (N,))
-            gauged.append((rows, _gauged_constants(grid, key, mu_val, lead, lead),
-                           _gauged_buffers(lead, N, view)))
-        start, at = start + n, at + (n if key is None else 2 * n)
-    return partial(_nl_mixed, grid, _dealias_drop(grid), ungauged, gauged, stack)
+            consts = _gauged_constants(grid, key, float(mu_col[row, 0]), (), ())
+            rows.append((True, consts, _gauged_buffers((), N, stack[at:at + 2])))
+            at += 2
+    return partial(_nl_mixed, grid, _dealias_drop(grid), rows, stack)
 
 
 def _ifrk4_coeffs(symbol: np.ndarray, dt: float):
@@ -560,14 +555,14 @@ def simulate(u0: Field, config: SimConfig) -> Trajectory:
     H^1 seminorm exceeds guard_factor times its initial value; both carry the
     hit time and the partial trajectory.
     """
-    (result,) = simulate_batch([u0], config)
+    (result,) = simulate_batch([u0], config, _stacklevel=3)
     if isinstance(result, SimulationError):
         raise result
     return result
 
 
-def simulate_batch(u0s: Sequence[Field], config: SimConfig | Sequence[SimConfig]
-                   ) -> list[Trajectory | SimulationError]:
+def simulate_batch(u0s: Sequence[Field], config: SimConfig | Sequence[SimConfig],
+                   *, _stacklevel: int = 2) -> list[Trajectory | SimulationError]:
     """simulate for members that share one grid, stepped together as one
     (B, N) batch. config is one SimConfig for all members, or one per
     member; members' configs may differ only in equation and beta, so a
@@ -582,8 +577,10 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig | Sequence[SimConfig]
     kernel's constants have the live batch's shape (_batch_shaped), made once
     per run and re-cut to the rows left whenever a member stops; a lone
     member steps with them at (N,). Rows whose flows step with different
-    kernels share each stage's transforms (_make_mixed_nonlinear); the rows
-    are ordered for it, the ungauged kernel's first.
+    kernels share each stage's transforms (_make_mixed_nonlinear).
+
+    A CflWarning is attributed to the caller _stacklevel - 1 frames up: by
+    default the caller of simulate_batch, from simulate its caller's.
     """
     grid = u0s[0].grid
     if any(u0.grid != grid for u0 in u0s):
@@ -599,6 +596,7 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig | Sequence[SimConfig]
     stride = int(config.record_stride)
 
     kmax = float(np.max(np.abs(grid.k)))
+    mu_vals = [mu(u0) for u0 in u0s]
     for u0 in u0s:
         # the product underflows to 0 for a tiny nonzero field
         rate = kmax * float(np.max(np.abs(u0.values) ** 2))
@@ -606,21 +604,16 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig | Sequence[SimConfig]
             warnings.warn(
                 f"dt = {config.dt:g} exceeds the advective heuristic "
                 f"0.5/(k_max*max|u|^2) = {0.5 / rate:g}",
-                CflWarning, stacklevel=3)
+                CflWarning, stacklevel=_stacklevel)
 
-    # The member of each batch row: those of one kernel next to each other,
-    # the ungauged kernel's first (the identity for a single-flow batch).
-    keys = [_kernel_beta(c.equation, c.beta) for c in configs]
-    members = sorted(range(len(u0s)),
-                     key=lambda m: (keys[m] is not None, keys[m] or 0.0))
     # A lone member steps as a 1-D spectrum, with scalar constants: at small
     # N, broadcasting against the per-mode coefficients, or against (1,)
     # columns, would cost more per call than the arithmetic. For the same
     # reason a batch's per-mode arrays take its (B, N) shape.
-    values = [u0s[m].values for m in members]
-    mu_vals = [mu(u0s[m]) for m in members]
+    values = [u0.values for u0 in u0s]
     F = fft(values[0] if len(values) == 1 else np.stack(values))
     mu_col = mu_vals[0] if F.ndim == 1 else np.array(mu_vals).reshape(-1, 1)
+    keys = [_kernel_beta(c.equation, c.beta) for c in configs]
 
     def kernel(mu_col, F):  # for the rows of the live members
         row_keys = [keys[m] for m in members]
@@ -636,8 +629,9 @@ def simulate_batch(u0s: Sequence[Field], config: SimConfig | Sequence[SimConfig]
         steps.append(n_steps)
     times = np.array(steps) * config.dt
     store = np.empty((len(u0s), len(steps), grid.N), dtype=np.complex128)
-    store[members, 0] = values
+    store[:, 0] = values
     n_rec = 1
+    members = list(range(len(u0s)))  # member index of each batch row
     results: list = [None] * len(u0s)
     ik, h1_scale = grid._ik, grid.L / grid.N ** 2
     # Overflow and NaN, in the integrator set-up (k^2 overflows for a tiny

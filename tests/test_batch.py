@@ -688,9 +688,9 @@ def test_a_non_finite_member_of_a_pair_leaves_the_other_flow_equal(members,
 
 @pytest.mark.parametrize("integrator", ["ifrk4", "etdrk4"])
 def test_a_batch_of_several_flows_and_betas_equals_each_lone_run(integrator):
-    # one dnls1 row, two rows of beta = 1/2 stepped as a batch among them,
-    # one of beta = 3/4; the heavy one stops, then the heaviest light one,
-    # and each stop re-cuts the batch
+    # one dnls1 row among two rows of beta = 1/2 and one of beta = 3/4; the
+    # heavy one stops, then the heaviest light one, and each stop re-cuts
+    # the batch
     grid = TorusGrid(TWO_PI, 32)
     light = band_members(grid)
     heavy = random_band_field(grid, np.random.default_rng(7), band=4, scale=1.6)

@@ -315,6 +315,8 @@ class TestGaugeCheckCommand:
         text = ("dt = 0.01 exceeds the advective heuristic "
                 f"0.5/(k_max*max|u|^2) = {0.5 / (16 * 3.0 ** 2):g}")
         assert [(w.category, str(w.message)) for w in caught] == [(CflWarning, text)] * 2
+        # attributed to the harness, where the flows are started
+        assert {os.path.basename(w.filename) for w in caught} == {"harness.py"}
 
     @pytest.mark.parametrize("stops, reason", [("dnls1", "blowup-guard"),
                                                ("dnls2", "blowup-guard"),

@@ -236,10 +236,15 @@ class TestSimulate:
         assert info.value.t == 1e-3
         assert len(info.value.partial.times) == 1
 
-    def test_cfl_warning(self, grid2pi):
+    @pytest.mark.parametrize("run", [
+        lambda u0, cfg: simulate(u0, cfg),
+        lambda u0, cfg: simulate_batch([u0, u0], cfg)], ids=["simulate", "batch"])
+    def test_cfl_warning(self, grid2pi, run):
+        # attributed to the line that called simulate or simulate_batch
         u0 = plane_wave(grid2pi, A=2.0, m=1)
-        with pytest.warns(CflWarning):
-            simulate(u0, SimConfig(dt=0.05, T=0.1))
+        with pytest.warns(CflWarning) as caught:
+            run(u0, SimConfig(dt=0.05, T=0.1))
+        assert {w.filename for w in caught} == {__file__}
 
     def test_etdrk4_plane_wave(self):
         grid = TorusGrid(2 * np.pi, 64)
